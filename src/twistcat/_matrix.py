@@ -1,12 +1,16 @@
 """Dense matrices of exact cyclotomic scalars, with the small amount of
 linear algebra the functor machinery needs: products, inverses, block sums,
-and exact rank/nullspace computations over the scalar field."""
+and exact rank/nullspace computations over the scalar field.
+
+Inverses, ranks and nullspaces all reduce with ``scalar._gauss_jordan``, the
+package's one exact elimination routine; this module has no loop of its own.
+"""
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeMismatch
-from .scalar import Scalar, Unit
+from .scalar import Scalar, Unit, _gauss_jordan
 
 
 class SMatrix:
@@ -102,21 +106,13 @@ class SMatrix:
         if self.nrows != self.ncols:
             raise ShapeMismatch("only square matrices can be inverted")
         n = self.nrows
-        aug = [list(self.rows[i]) + [Scalar.one() if i == j else Scalar.zero()
-                                     for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n)
-                          if not aug[r][col].is_zero()), None)
-            if pivot is None:
-                return None
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    f = aug[r][col]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-        return SMatrix([row[n:] for row in aug])
+        one, zero = Scalar.one(), Scalar.zero()
+        aug = [list(row) + [one if i == j else zero for j in range(n)]
+               for i, row in enumerate(self.rows)]
+        reduced, pivots = _gauss_jordan(aug, n)
+        if len(pivots) < n:
+            return None
+        return SMatrix([row[n:] for row in reduced])
 
     def is_identity(self) -> bool:
         if self.nrows != self.ncols:
@@ -145,35 +141,11 @@ class SMatrix:
         return cls([[Scalar.from_json(v) for v in row] for row in data])
 
 
-def _echelon(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], list[int]]:
-    mat = [list(r) for r in rows]
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    pivots: list[int] = []
-    row = 0
-    for col in range(nc):
-        if row == nr:
-            break
-        pr = next((r for r in range(row, nr) if not mat[r][col].is_zero()), None)
-        if pr is None:
-            continue
-        mat[row], mat[pr] = mat[pr], mat[row]
-        inv = mat[row][col].inverse()
-        mat[row] = [v * inv for v in mat[row]]
-        for r in range(nr):
-            if r != row and not mat[r][col].is_zero():
-                f = mat[r][col]
-                mat[r] = [v - f * w for v, w in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-    return mat, pivots
-
-
 def matrix_rank(rows: list[list[Scalar]]) -> int:
     """Rank of a list-of-rows system over the scalar field."""
     if not rows:
         return 0
-    return len(_echelon(rows)[1])
+    return len(_gauss_jordan(rows, len(rows[0]))[1])
 
 
 def nullspace_basis(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
@@ -181,7 +153,7 @@ def nullspace_basis(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:
     if not rows:
         return [[Scalar.one() if i == j else Scalar.zero()
                  for i in range(ncols)] for j in range(ncols)]
-    mat, pivots = _echelon(rows)
+    mat, pivots = _gauss_jordan(rows, ncols)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:

@@ -2,7 +2,9 @@
 
 Groups are multiplication tables over 0-based element indices, validated at
 construction.  G-sets are action tables.  The Smith normal form drives every
-linear solve modulo N in the cohomology layer.
+linear solve modulo N in the cohomology layer.  The integer lattice helpers
+solve for lattice coordinates and unimodular inverses with
+``_solve_integer``, one many-target call of ``scalar._gauss_jordan``.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .errors import (
     NoInverse,
     NotAssociative,
 )
+from .scalar import _gauss_jordan
 
 __all__ = [
     "FiniteGroup",
@@ -653,58 +656,27 @@ def _kernel_mod_basis(matrix, modulus: int) -> list[list[int]]:
     return basis
 
 
-def _invert_unimodular(u: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix, with integer entries."""
-    n = len(u)
-    aug = [[Fraction(u[i][j]) for j in range(n)] +
-           [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    out = [[aug[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for val in row:
+def _solve_integer(basis_cols: list[list[int]],
+                   targets: list[list[int]]) -> list[list[int]]:
+    """Integer coordinates c_t with sum_j c_t[j] * basis_cols[j] = t, per target.
+
+    One exact elimination of [B | T_1 ... T_k] over Q; raises ValueError when
+    a target leaves the column span or its coordinates are not integers.
+    With unit vectors as the targets and a unimodular B, the coordinates are
+    the columns of B^-1.
+    """
+    nb = len(basis_cols)
+    aug = [[Fraction(col[i]) for col in basis_cols] +
+           [Fraction(t[i]) for t in targets] for i in range(len(targets[0]))]
+    reduced, pivots = _gauss_jordan(aug, nb)
+    if any(any(row[nb:]) for row in reduced[len(pivots):]):
+        raise ValueError("target not in the column span")
+    out = [[0] * nb for _ in targets]
+    for row, col in zip(reduced, pivots):
+        for coords, val in zip(out, row[nb:]):
             if val.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(val) for val in row] for row in out]
-
-
-def _solve_integer(basis_cols: list[list[int]], target: list[int]) -> list[int]:
-    """Coordinates c with sum_j c_j * basis_cols[j] = target, exactly over Z."""
-    n = len(target)
-    ncols = len(basis_cols)
-    aug = [[Fraction(basis_cols[j][i]) for j in range(ncols)] +
-           [Fraction(target[i])] for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        pr = next((r for r in range(row, n) if aug[r][col] != 0), None)
-        if pr is None:
-            continue
-        aug[row], aug[pr] = aug[pr], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(n):
-            if r != row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, n):
-        if aug[r][ncols] != 0:
-            raise ValueError("target not in the column span")
-    out = [0] * ncols
-    for r, col in enumerate(pivots):
-        val = aug[r][ncols]
-        if val.denominator != 1:
-            raise ValueError("target not in the integer lattice")
-        out[col] = int(val)
+                raise ValueError("target not in the integer lattice")
+            coords[col] = int(val)
     return out
 
 
@@ -713,12 +685,13 @@ def _lattice_basis(generator_cols: list[list[int]], dim: int) -> list[list[int]]
     mat = [[generator_cols[j][i] for j in range(len(generator_cols))]
            for i in range(dim)]
     snf = smith_normal_form(mat)
-    uinv = _invert_unimodular(snf.U)
+    unit_cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    uinv = _solve_integer(list(zip(*snf.U)), unit_cols)  # columns of U^-1
     basis = []
     for i in range(min(dim, len(generator_cols))):
         d = snf.D[i][i]
         if d:
-            basis.append([uinv[r][i] * d for r in range(dim)])
+            basis.append([x * d for x in uinv[i]])
     if len(basis) != dim:
         raise ValueError("lattice is not full rank")
     return basis
@@ -734,15 +707,12 @@ def _lattice_quotient_reps(big_cols: list[list[int]],
     quotient is the direct sum of Z/d_i on the b'_i directions.
     """
     small_basis = _lattice_basis(small_gen_cols, dim)
-    coords = [[0] * dim for _ in range(dim)]
-    for j in range(dim):
-        col = _solve_integer(big_cols, small_basis[j])
-        for i in range(dim):
-            coords[i][j] = col[i]
-    snf = smith_normal_form(coords)
-    uinv = _invert_unimodular(snf.U)
+    coords = _solve_integer(big_cols, small_basis)
+    snf = smith_normal_form(list(zip(*coords)))
+    unit_cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
+    uinv = _solve_integer(list(zip(*snf.U)), unit_cols)  # columns of U^-1
     diag = [snf.D[i][i] for i in range(dim)]
-    adapted = [[sum(big_cols[k][r] * uinv[k][i] for k in range(dim))
+    adapted = [[sum(big_cols[k][r] * uinv[i][k] for k in range(dim))
                 for r in range(dim)] for i in range(dim)]
     reps: list[list[int]] = []
 

@@ -17,7 +17,6 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 import click
 import numpy as np

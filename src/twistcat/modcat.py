@@ -15,10 +15,8 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (
-    FiniteGroup,
     GSet,
     Subgroup,
-    conjugate,
     direct_product,
     is_transitive,
     gset_isomorphisms,
@@ -31,7 +29,6 @@ from .algebra import (
     _kernel_mod_basis,
     _integer_kernel,
     _lattice_basis,
-    _solve_integer,
     _lattice_quotient_reps,
 )
 from .cohomology import (
@@ -39,7 +36,6 @@ from .cohomology import (
     _differential_raw,
     differential,
     differential_matrix,
-    inflate,
     normalize,
     omega_bar,
     deligne_omega,

@@ -14,13 +14,12 @@ from typing import Optional
 import numpy as np
 
 from ._matrix import SMatrix, matrix_rank, nullspace_basis
-from .algebra import FiniteGroup, GSet, orbits, product_gset
+from .algebra import FiniteGroup, orbits, product_gset
 from .cohomology import UnitCochain, differential
 from .errors import (LambdaConditionFailed, NotCyclic, NotEquivariant,
                      ShapeMismatch, SourceTargetMismatch, ValidationError)
 from .modcat import (BimoduleCategoryData, ModuleCategoryData, ValidationReport,
-                     _collect_failures, bimod_to_deligne,
-                     regular_module_category)
+                     bimod_to_deligne, regular_module_category)
 from .scalar import Scalar, Unit, unit_roots
 
 __all__ = [

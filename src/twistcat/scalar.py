@@ -5,6 +5,11 @@ coefficients, kept reduced modulo the N-th cyclotomic polynomial.  A
 :class:`Unit` is a root of unity ``zeta_N**e`` stored by exponent; units are
 the values of all cochains, while general scalars appear in matrices and
 6j symbols.  No floating point is used anywhere.
+
+:func:`_gauss_jordan` is the package's one exact elimination routine, over
+Fractions or Scalars.  ``Scalar.reduce_order`` uses it here; ``_matrix``
+(inverses, ranks, nullspaces) and ``algebra`` (integer lattice coordinates
+and unimodular inverses) import it.
 """
 from __future__ import annotations
 
@@ -98,35 +103,36 @@ def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def _solve_rational(columns: list[tuple[Fraction, ...]], rhs: tuple[Fraction, ...]):
-    """Solve sum_j y_j * columns[j] = rhs over Q; returns y or None."""
-    n_rows = len(rhs)
-    n_cols = len(columns)
-    aug = [[columns[j][i] for j in range(n_cols)] + [rhs[i]] for i in range(n_rows)]
-    pivots = []
-    row = 0
-    for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = Fraction(1) / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
+def _gauss_jordan(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form over Q or Q(zeta_N); the one exact elimination.
+
+    Pivots only in the first ``ncols`` columns, so the columns after them
+    carry right-hand sides (an augmented system) along.  Entries are
+    Fractions or Scalars; only ``-``, ``*``, truthiness and the pivot
+    reciprocal are used.  Returns new reduced rows and the pivot columns.
+    """
+    mat = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(mat):
             break
-    for r in range(row, n_rows):
-        if aug[r][n_cols] != 0:
-            return None
-    y = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivots):
-        y[col] = aug[r][n_cols]
-    return y
+        pr = next((r for r in range(row, len(mat)) if mat[r][col]), None)
+        if pr is None:
+            continue
+        mat[row], mat[pr] = mat[pr], mat[row]
+        prow = mat[row]
+        p = prow[col]
+        inv = p.inverse() if isinstance(p, Scalar) else 1 / p
+        # rows from `row` down are zero left of `col`, so the pivot row, and
+        # every row it is subtracted from, changes only from `col` on
+        tail = prow[col:] = [v * inv for v in prow[col:]]
+        for r, other in enumerate(mat):
+            f = other[col]
+            if r != row and f:
+                other[col:] = [v - f * w for v, w in zip(other[col:], tail)]
+        pivots.append(col)
+    return mat, pivots
 
 
 class Scalar:
@@ -324,8 +330,14 @@ class Scalar:
                 break
             columns = [Scalar.root_of_unity(d, j)._embedded_coeffs(n)
                        for j in range(_phi_degree(d))]
-            y = _solve_rational(columns, self.coeffs)
-            if y is not None:
+            ncols = len(columns)
+            aug = [[col[i] for col in columns] + [c]
+                   for i, c in enumerate(self.coeffs)]
+            reduced, pivots = _gauss_jordan(aug, ncols)
+            if not any(row[ncols] for row in reduced[len(pivots):]):
+                y = [Fraction(0)] * ncols
+                for row, col in zip(reduced, pivots):
+                    y[col] = row[ncols]
                 return Scalar(d, y)
         return self
 

@@ -755,15 +755,24 @@ def _orth_functor_right(ctx: SixJContext, scope, failures) -> int:
                             continue
                         checked += 1
                         total = _zero_matrix(size, size)
+                        bad = False
                         for a in range(ny):
                             t_mat = _t_matrix(ctx, (l, i, a, b, c), False)
                             if t_mat is None:
                                 continue
-                            t_inv = _t_matrix(ctx, (l, i, a, b, d), True)
+                            try:
+                                t_inv = _t_matrix(ctx, (l, i, a, b, d), True)
+                            except ValidationError as exc:
+                                _record(failures, "orthogonality[t;a-sum]",
+                                        (l, i, b, c, d), str(exc), "inverse")
+                                bad = True
+                                break
                             if t_inv is None:
                                 continue
                             dims = tgt_tr.unit(a) * src_tr.unit(d)
                             total = total + (t_inv @ t_mat).scale(dims)
+                        if bad:
+                            continue
                         expected = (
                             SMatrix.identity(size)
                             if c == d and c == int(act_xh[grp_h.inv(l), i])
@@ -786,15 +795,24 @@ def _orth_functor_right(ctx: SixJContext, scope, failures) -> int:
                         checked += 1
                         total = _zero_matrix(int(mult[i, a]),
                                              int(mult[i, d]))
+                        bad = False
                         for c in range(nx):
                             t_mat = _t_matrix(ctx, (l, i, a, b, c), False)
                             if t_mat is None:
                                 continue
-                            t_inv = _t_matrix(ctx, (l, i, d, b, c), True)
+                            try:
+                                t_inv = _t_matrix(ctx, (l, i, d, b, c), True)
+                            except ValidationError as exc:
+                                _record(failures, "orthogonality[t;c-sum]",
+                                        (l, i, a, d, b), str(exc), "inverse")
+                                bad = True
+                                break
                             if t_inv is None:
                                 continue
                             dims = src_tr.unit(c) * tgt_tr.unit(d)
                             total = total + (t_mat @ t_inv).scale(dims)
+                        if bad:
+                            continue
                         expected = (
                             SMatrix.identity(int(mult[i, a]))
                             if a == d and b == int(act_yh[grp_h.inv(l), a])

@@ -1,0 +1,219 @@
+"""Randomized cross-checks of the exact Gauss-Jordan elimination and its callers.
+
+Every exact solve in the package (integer lattice coordinates, unimodular
+inverses, SMatrix inverses, nullspaces, canonical scalar forms) reduces with
+``scalar._gauss_jordan``; these tests compare each caller against sympy or
+against an identity it must satisfy.
+"""
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from twistcat._matrix import SMatrix, matrix_rank, nullspace_basis
+from twistcat.algebra import _lattice_basis, _solve_integer, smith_normal_form
+from twistcat.scalar import Scalar, _gauss_jordan, _phi_degree
+
+CHECKS = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def _int_matrix(n_rows, n_cols, lo=-4, hi=4):
+    return st.lists(st.lists(st.integers(lo, hi), min_size=n_cols, max_size=n_cols),
+                    min_size=n_rows, max_size=n_rows)
+
+
+def _columns(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+@st.composite
+def _full_rank(draw, max_dim=4):
+    n = draw(st.integers(1, max_dim))
+    rows = draw(_int_matrix(n, n).filter(lambda m: sympy.Matrix(m).det() != 0))
+    return rows
+
+
+@st.composite
+def _unimodular(draw, max_dim=4):
+    """A product of random elementary integer row operations."""
+    n = draw(st.integers(1, max_dim))
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if src == dst:
+            u[dst] = [-x for x in u[dst]]
+        else:
+            c = draw(st.integers(-3, 3))
+            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+    return u
+
+
+@st.composite
+def _scalar(draw, root_order, nonzero=False):
+    deg = _phi_degree(root_order)
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=deg, max_size=deg)
+                  .filter(lambda cs: any(cs) or not nonzero))
+    return Scalar(root_order, coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the routine itself
+# ---------------------------------------------------------------------------
+
+@CHECKS
+@given(rows=st.integers(1, 4).flatmap(lambda m: st.integers(1, 4).flatmap(
+    lambda n: _int_matrix(m, n))))
+def test_gauss_jordan_matches_sympy_rref(rows):
+    ncols = len(rows[0])
+    reduced, pivots = _gauss_jordan([[Fraction(v) for v in r] for r in rows], ncols)
+    want, want_pivots = sympy.Matrix(rows).rref()
+    assert pivots == list(want_pivots)
+    assert [[sympy.Rational(v.numerator, v.denominator) for v in r]
+            for r in reduced] == want.tolist()
+
+
+def test_gauss_jordan_leaves_input_untouched():
+    rows = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(3)]]
+    _gauss_jordan(rows, 2)
+    assert rows == [[2, 4], [1, 3]]
+
+
+# ---------------------------------------------------------------------------
+# integer solver, unimodular inverse, lattice basis
+# ---------------------------------------------------------------------------
+
+@CHECKS
+@given(data=st.data())
+def test_solve_integer_recovers_coordinates(data):
+    b = data.draw(_full_rank())
+    n = len(b)
+    k = data.draw(st.integers(1, 3))
+    c = data.draw(_int_matrix(n, k, -6, 6))
+    targets = _columns(_matmul(b, c))
+    assert _solve_integer(_columns(b), targets) == _columns(c)
+
+
+def test_solve_integer_rejects_rational_coordinates():
+    with pytest.raises(ValueError, match="integer lattice"):
+        _solve_integer([[2, 0], [0, 2]], [[1, 0]])
+
+
+def test_solve_integer_rejects_target_outside_span():
+    with pytest.raises(ValueError, match="column span"):
+        _solve_integer([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]])
+
+
+@CHECKS
+@given(u=_unimodular())
+def test_unimodular_inverse_matches_sympy(u):
+    n = len(u)
+    unit_cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    uinv = [list(row) for row in zip(*_solve_integer(_columns(u), unit_cols))]
+    assert sympy.Matrix(uinv) == sympy.Matrix(u).inv()
+    assert _matmul(u, uinv) == [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+@CHECKS
+@given(data=st.data())
+def test_lattice_basis_spans_the_generated_lattice(data):
+    b = data.draw(_full_rank(3))
+    n = len(b)
+    extra = data.draw(_int_matrix(n, data.draw(st.integers(0, 2))))
+    gens = _columns(b) + _columns(extra)
+    basis = _lattice_basis(gens, n)
+    # same lattice: every generator has integer coordinates in the basis, and
+    # the covolumes agree with the Smith normal form's invariant factors
+    _solve_integer(basis, gens)
+    snf = smith_normal_form([list(r) for r in zip(*gens)])
+    covolume = 1
+    for d in snf.diagonal():
+        covolume *= d
+    assert abs(sympy.Matrix(basis).det()) == covolume
+
+
+# ---------------------------------------------------------------------------
+# SMatrix.inverse, nullspace_basis and matrix_rank over cyclotomic fields
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _invertible_smatrix(draw, root_order):
+    """L @ U with unit lower-triangular L and U upper-triangular, nonzero diagonal."""
+    n = draw(st.integers(1, 3))
+    one, zero = Scalar.one(), Scalar.zero()
+    lower = SMatrix([[one if i == j else draw(_scalar(root_order)) if i > j else zero
+                      for j in range(n)] for i in range(n)])
+    upper = SMatrix([[draw(_scalar(root_order, nonzero=True)) if i == j
+                      else draw(_scalar(root_order)) if i < j else zero
+                      for j in range(n)] for i in range(n)])
+    return lower @ upper
+
+
+@pytest.mark.parametrize("root_order", [3, 4])
+def test_smatrix_inverse_is_two_sided(root_order):
+    @CHECKS
+    @given(a=_invertible_smatrix(root_order))
+    def check(a):
+        inv = a.inverse()
+        assert inv is not None
+        assert (a @ inv).is_identity()
+        assert (inv @ a).is_identity()
+
+    check()
+
+
+@pytest.mark.parametrize("root_order", [3, 4])
+def test_smatrix_with_equal_rows_is_singular(root_order):
+    @CHECKS
+    @given(row=st.lists(_scalar(root_order), min_size=3, max_size=3),
+           other=st.lists(_scalar(root_order), min_size=3, max_size=3))
+    def check(row, other):
+        assert SMatrix([row, other, row]).inverse() is None
+
+    check()
+
+
+@CHECKS
+@given(data=st.data())
+def test_nullspace_vectors_are_annihilated(data):
+    root_order = data.draw(st.sampled_from([1, 3, 4]))
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+    rows = [[data.draw(_scalar(root_order)) for _ in range(n)] for _ in range(m)]
+    basis = nullspace_basis(rows, n)
+    assert len(basis) == n - matrix_rank(rows)
+    for vec in basis:
+        for row in rows:
+            assert sum((a * v for a, v in zip(row, vec)), Scalar.zero()).is_zero()
+
+
+@CHECKS
+@given(rows=st.integers(1, 4).flatmap(lambda m: st.integers(1, 4).flatmap(
+    lambda n: _int_matrix(m, n, -2, 2))))
+def test_matrix_rank_matches_sympy(rows):
+    scalars = [[Scalar.from_rational(v) for v in r] for r in rows]
+    assert matrix_rank(scalars) == sympy.Matrix(rows).rank()
+
+
+# ---------------------------------------------------------------------------
+# canonical scalar form
+# ---------------------------------------------------------------------------
+
+@CHECKS
+@given(data=st.data())
+def test_reduce_order_is_independent_of_the_embedding(data):
+    n = data.draw(st.integers(1, 6))
+    x = data.draw(_scalar(n))
+    m = n * data.draw(st.integers(1, 3))
+    got, want = x.embed(m).reduce_order(), x.reduce_order()
+    assert (got.root_order, got.coeffs) == (want.root_order, want.coeffs)
+
+
+def test_reduce_order_finds_the_subfield():
+    # zeta_12^2 = zeta_6 = 1 + zeta_3 lies in Q(zeta_3); zeta_8^4 = -1 in Q
+    assert Scalar.root_of_unity(12, 2).reduce_order().root_order == 3
+    neg = Scalar.root_of_unity(8, 4).reduce_order()
+    assert (neg.root_order, neg.coeffs) == (1, (Fraction(-1),))

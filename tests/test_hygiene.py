@@ -1,0 +1,60 @@
+"""Source hygiene: no module-level import in the package goes unused."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "twistcat"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each module-level import -> its line number."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            for arg in args.posonlyargs + args.args + args.kwonlyargs + [
+                    args.vararg, args.kwarg]:
+                if arg is not None and arg.annotation is not None:
+                    yield arg.annotation
+            if node.returns is not None:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # quoted forward references such as "Optional['SMatrix']"
+    for ann in _annotations(tree):
+        for const in ast.walk(ann):
+            if isinstance(const, ast.Constant) and isinstance(const.value, str):
+                parsed = ast.parse(const.value, mode="eval")
+                used |= {n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)}
+    return used
+
+
+def test_package_modules_found():
+    assert len(MODULES) >= 10
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _referenced_names(tree)
+    unused = sorted(f"{name} (line {line})"
+                    for name, line in _imported_names(tree).items()
+                    if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"

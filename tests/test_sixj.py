@@ -17,6 +17,7 @@ from twistcat.modcat import (
     validate_modcat,
 )
 from twistcat.modfun import (
+    BimoduleFunctorData,
     ModuleFunctorData,
     action_functor,
     deligne_to_bimodfun,
@@ -263,6 +264,22 @@ def test_corrupted_functor_fails_orthogonality():
     assert not report.ok
     assert report.failures
     assert report.failures[0]["kind"].startswith("orthogonality[s")
+
+
+def test_singular_right_action_block_fails_orthogonality():
+    # a singular B block is reported as a t-orthogonality failure, the way a
+    # singular A block is reported on the s side, instead of raising
+    fus = FusionData(G2, omega_cyclic(2, 0), triv_kappa(G2))
+    _, _, bim = product_bimodule(fus, fus)
+    idf = deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)), bim, bim)
+    bad_b = dict(idf.b)
+    bad_b[(1, 0, 0)] = SMatrix([[Scalar.zero()]])
+    bad = BimoduleFunctorData(bim, bim, idf.mult, idf.a, bad_b)
+    report = verify_orthogonality(functor_context(bad))
+    assert not report.ok
+    kinds = {f["kind"] for f in report.failures}
+    assert kinds <= {"orthogonality[t;a-sum]", "orthogonality[t;c-sum]"}
+    assert any("singular" in f["lhs"] for f in report.failures)
 
 
 # ---------------------------------------------------------------------------
