@@ -29,6 +29,14 @@ from .modfun import (BimoduleFunctorData, ModuleFunctorData, NatTransData,  # no
 from .sixj import (KINDS, SixJContext, SixJQuery, SixJValue,  # noqa: F401
                    bimodule_context, functor_context, fusion_context, sixj,
                    sixj_table, verify_biedenharn_elliott, verify_orthogonality)
-from .cli import SessionConfig, parse_config  # noqa: F401
 
 __version__ = "0.1.0"
+
+
+# The command-line layer loads on first use, so that ``python -m twistcat.cli``
+# runs cli.py once, as __main__, instead of importing it first as a submodule.
+def __getattr__(name):
+    if name in ("SessionConfig", "parse_config"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

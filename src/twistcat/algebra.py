@@ -2,15 +2,15 @@
 
 Groups are multiplication tables over 0-based element indices, validated at
 construction.  G-sets are action tables.  The Smith normal form drives every
-linear solve modulo N in the cohomology layer.  The integer lattice helpers
-solve for lattice coordinates and unimodular inverses with
-``_solve_integer``, one many-target call of ``scalar._gauss_jordan``.
+linear solve modulo N in the cohomology layer and every integer lattice
+computation: it returns U^-1 and V^-1 next to U and V, so lattice bases,
+lattice coordinates (``_solve_integer``, ``_kernel_mod_coords``) and
+unimodular inverses are read off one factorization, in integers only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ from .errors import (
     NoInverse,
     NotAssociative,
 )
-from .scalar import _gauss_jordan
 
 __all__ = [
     "FiniteGroup",
@@ -465,16 +464,23 @@ def gset_isomorphisms(x: GSet, y: GSet, bound: int = 8) -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """U * A * V = D with U, V unimodular and D diagonal, d_1 | d_2 | ..."""
+    """U * A * V = D with U, V unimodular and D diagonal, d_1 | d_2 | ...
+
+    U_inv and V_inv are the exact inverses of U and V.
+    """
 
     D: list[list[int]]
     U: list[list[int]]
     V: list[list[int]]
+    U_inv: list[list[int]]
+    V_inv: list[list[int]]
 
-    def diagonal(self) -> list[int]:
+    def diagonal(self, pad_to: int = 0) -> list[int]:
+        """d_1, d_2, ..., followed by zeros up to length pad_to."""
         rows = len(self.D)
         cols = len(self.D[0]) if rows else 0
-        return [self.D[i][i] for i in range(min(rows, cols))]
+        diag = [self.D[i][i] for i in range(min(rows, cols))]
+        return diag + [0] * (pad_to - len(diag))
 
 
 def _as_int_rows(matrix) -> tuple[list[list[int]], int, int]:
@@ -489,38 +495,70 @@ def _as_int_rows(matrix) -> tuple[list[list[int]], int, int]:
     return [[int(arr[i, j]) for j in range(cols)] for i in range(rows)], rows, cols
 
 
+def _transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
+
+
+def _axpy(dst: dict[int, int], src: dict[int, int], c: int) -> None:
+    """dst += c * src on sparse vectors {index: nonzero entry}."""
+    for k, y in src.items():
+        val = dst.get(k, 0) + c * y
+        if val:
+            dst[k] = val
+        else:
+            dst.pop(k, None)
+
+
+def _dense(vectors: list[dict[int, int]], n: int) -> list[list[int]]:
+    out = [[0] * n for _ in vectors]
+    for row, vec in zip(out, vectors):
+        for k, val in vec.items():
+            row[k] = val
+    return out
+
+
 def smith_normal_form(matrix) -> SNFResult:
     """Smith normal form by integer row/column reduction.
 
-    Pivots on the entry of minimal absolute value; the divisibility chain is
-    enforced by folding any offending row into the pivot row and reducing
-    again, which strictly shrinks the pivot.
+    Pivots on the first entry of minimal absolute value; the divisibility
+    chain is enforced by folding any offending row into the pivot row and
+    reducing again, which strictly shrinks the pivot.  Each row operation
+    E applied to U is undone on U^-1 as U^-1 E^-1 (a column operation), each
+    column operation F on V as F^-1 V^-1 (a row operation), so both inverses
+    come out exact without a further elimination.  The four unimodular
+    matrices stay sparse until the end: the differentials they reduce are.
     """
     a, rows, cols = _as_int_rows(matrix)
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    u = [{i: 1} for i in range(rows)]           # rows of U
+    u_inv_cols = [{i: 1} for i in range(rows)]  # columns of U^-1
+    v_cols = [{i: 1} for i in range(cols)]      # columns of V
+    v_inv = [{i: 1} for i in range(cols)]       # rows of V^-1
 
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
             u[i], u[j] = u[j], u[i]
+            u_inv_cols[i], u_inv_cols[j] = u_inv_cols[j], u_inv_cols[i]
 
     def swap_cols(i, j):
         if i != j:
             for row in a:
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            v_cols[i], v_cols[j] = v_cols[j], v_cols[i]
+            v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
+    # Rows and columns before t are reduced: their entries at and after
+    # index t are zero, so the operations at step t skip them.
     def add_row(src, dst, c):  # row_dst += c * row_src
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        a[dst][t:] = [x + c * y for x, y in zip(a[dst][t:], a[src][t:])]
+        _axpy(u[dst], u[src], c)
+        _axpy(u_inv_cols[src], u_inv_cols[dst], -c)
 
     def add_col(src, dst, c):  # col_dst += c * col_src
-        for row in a:
+        for row in a[t:]:
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        _axpy(v_cols[dst], v_cols[src], c)
+        _axpy(v_inv[src], v_inv[dst], -c)
 
     t = 0
     limit = min(rows, cols)
@@ -528,33 +566,44 @@ def smith_normal_form(matrix) -> SNFResult:
         pivot = None
         best = None
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                val = abs(a[i][j])
+                val = abs(row[j])
                 if val and (best is None or val < best):
                     best, pivot = val, (i, j)
+                    if val == 1:  # nothing smaller can follow
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
         while True:
+            # a swap leaves the old pivot off the diagonal: clear again
+            swapped = False
             for i in range(t + 1, rows):
                 if a[i][t]:
                     add_row(t, i, -(a[i][t] // a[t][t]))
                     if a[i][t]:
                         swap_rows(t, i)  # strictly smaller pivot; keep reducing
-            if any(a[i][t] for i in range(t + 1, rows)):
+                        swapped = True
+            if swapped:
                 continue
             for j in range(t + 1, cols):
                 if a[t][j]:
                     add_col(t, j, -(a[t][j] // a[t][t]))
                     if a[t][j]:
                         swap_cols(t, j)
-            if any(a[i][t] for i in range(t + 1, rows)) or \
-               any(a[t][j] for j in range(t + 1, cols)):
+                        swapped = True
+            if swapped:
                 continue
+            p = a[t][t]
+            if p in (1, -1):  # a unit pivot divides everything
+                break
             offender = None
             for i in range(t + 1, rows):
-                if any(a[i][j] % a[t][t] for j in range(t + 1, cols)):
+                if any(a[i][j] % p for j in range(t + 1, cols)):
                     offender = i
                     break
             if offender is None:
@@ -562,9 +611,11 @@ def smith_normal_form(matrix) -> SNFResult:
             add_row(offender, t, 1)
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+            u[t] = {k: -x for k, x in u[t].items()}
+            u_inv_cols[t] = {k: -x for k, x in u_inv_cols[t].items()}
         t += 1
-    return SNFResult(a, u, v)
+    return SNFResult(a, _dense(u, rows), _transpose(_dense(v_cols, cols)),
+                     _transpose(_dense(u_inv_cols, rows)), _dense(v_inv, cols))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:
@@ -584,15 +635,26 @@ def _modinv(a: int, n: int) -> int:
     return x % n
 
 
-def solve_mod(matrix, rhs, modulus: int) -> Optional[list[int]]:
+def _matvec(mat: list[list[int]], vec: list[int]) -> list[int]:
+    support = [(k, x) for k, x in enumerate(vec) if x]
+    return [sum(row[k] * x for k, x in support) for row in mat]
+
+
+def solve_mod(matrix, rhs, modulus: int,
+              snf: Optional[SNFResult] = None) -> Optional[list[int]]:
     """Some x with A x = b (mod modulus), or None when infeasible.
 
     Decided through the Smith normal form: with U A V = D the system becomes
     D y = U b, which splits into independent congruences d_i y_i = (Ub)_i.
+    A caller that solves several systems with the same A passes its Smith
+    form as ``snf``; A itself is then not read again.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
-    a, rows, cols = _as_int_rows(matrix)
+    if snf is None:
+        a, rows, cols = _as_int_rows(matrix)
+    else:
+        rows, cols = len(snf.U), len(snf.V)
     b = [int(v) for v in rhs]
     if len(b) != rows:
         raise ValueError("right-hand side length mismatch")
@@ -602,12 +664,11 @@ def solve_mod(matrix, rhs, modulus: int) -> Optional[list[int]]:
         return [] if all(val % modulus == 0 for val in b) else None
     if modulus == 1:
         return [0] * cols
-    snf = smith_normal_form(a)
-    ub = [sum(snf.U[i][k] * b[k] for k in range(rows)) % modulus for i in range(rows)]
+    if snf is None:
+        snf = smith_normal_form(a)
+    ub = [val % modulus for val in _matvec(snf.U, b)]
     y = [0] * cols
-    for i in range(rows):
-        d = snf.D[i][i] if i < min(rows, cols) else 0
-        r = ub[i]
+    for i, (d, r) in enumerate(zip(snf.diagonal(rows), ub)):
         if d == 0:
             if r % modulus != 0:
                 return None
@@ -617,113 +678,134 @@ def solve_mod(matrix, rhs, modulus: int) -> Optional[list[int]]:
             return None
         sub = modulus // g
         y[i] = ((r // g) * _modinv((d // g) % sub, sub)) % sub if sub > 1 else 0
-    return [sum(snf.V[i][k] * y[k] for k in range(cols)) % modulus for i in range(cols)]
+    return [val % modulus for val in _matvec(snf.V, y)]
 
 
 # ---------------------------------------------------------------------------
 # Integer lattice helpers (private; back the module-category enumeration)
 # ---------------------------------------------------------------------------
 
+# Most coset representatives _lattice_quotient_reps will enumerate.
+QUOTIENT_REPS_BOUND = 4096
+
+
 def _integer_kernel(matrix) -> list[list[int]]:
     """Basis of {x : A x = 0 over Z}, as a list of column vectors."""
-    a, rows, cols = _as_int_rows(matrix)
-    if rows == 0:
-        return [[int(i == j) for i in range(cols)] for j in range(cols)]
-    snf = smith_normal_form(a)
-    out = []
-    for j in range(cols):
-        d = snf.D[j][j] if j < min(rows, cols) else 0
-        if d == 0:
-            out.append([snf.V[i][j] for i in range(cols)])
-    return out
+    snf = smith_normal_form(matrix)
+    return [[row[j] for row in snf.V]
+            for j, d in enumerate(snf.diagonal(len(snf.V))) if d == 0]
 
 
-def _kernel_mod_basis(matrix, modulus: int) -> list[list[int]]:
+def _kernel_mod_scales(snf: SNFResult, modulus: int) -> list[int]:
+    """modulus / gcd(d_j, modulus) per column of A (1 where d_j = 0)."""
+    return [modulus // gcd(d, modulus) if d else 1
+            for d in snf.diagonal(len(snf.V))]
+
+
+def _kernel_mod_basis(snf: SNFResult, modulus: int) -> list[list[int]]:
     """Basis over Z of the full-rank lattice {x : A x = 0 mod modulus}.
 
-    The lattice contains modulus * Z^cols, so the basis has `cols` vectors:
-    column j of V scaled by modulus/gcd(d_j, modulus).
+    ``snf`` is A's Smith form.  The lattice contains modulus * Z^cols, so the
+    basis has `cols` vectors: column j of V scaled by modulus/gcd(d_j, modulus).
     """
-    a, rows, cols = _as_int_rows(matrix)
-    if rows == 0:
-        return [[int(i == j) for i in range(cols)] for j in range(cols)]
-    snf = smith_normal_form(a)
-    basis = []
-    for j in range(cols):
-        d = snf.D[j][j] if j < min(rows, cols) else 0
-        scale = modulus // gcd(d, modulus) if d else 1
-        basis.append([snf.V[i][j] * scale for i in range(cols)])
-    return basis
+    scales = _kernel_mod_scales(snf, modulus)
+    return [[row[j] * scale for row in snf.V] for j, scale in enumerate(scales)]
+
+
+def _kernel_mod_coords(snf: SNFResult, modulus: int,
+                       targets: list[list[int]]) -> list[list[int]]:
+    """Coordinates of each target in the basis of ``_kernel_mod_basis``.
+
+    That basis is B = V S with S the diagonal of scales, so the coordinates
+    are S^-1 V^-1 t; raises ValueError when one is not an integer.
+    """
+    scales = _kernel_mod_scales(snf, modulus)
+    out = []
+    for t in targets:
+        coords = []
+        for val, scale in zip(_matvec(snf.V_inv, t), scales):
+            q, r = divmod(val, scale)
+            if r:
+                raise ValueError("target not in the integer lattice")
+            coords.append(q)
+        out.append(coords)
+    return out
 
 
 def _solve_integer(basis_cols: list[list[int]],
                    targets: list[list[int]]) -> list[list[int]]:
     """Integer coordinates c_t with sum_j c_t[j] * basis_cols[j] = t, per target.
 
-    One exact elimination of [B | T_1 ... T_k] over Q; raises ValueError when
-    a target leaves the column span or its coordinates are not integers.
+    With U B V = D the Smith form of B, c = V D^-1 U t; raises ValueError
+    when a target leaves the column span (a nonzero (U t)_i where d_i = 0)
+    or its coordinates are not integers (d_i does not divide (U t)_i).
     With unit vectors as the targets and a unimodular B, the coordinates are
     the columns of B^-1.
     """
     nb = len(basis_cols)
-    aug = [[Fraction(col[i]) for col in basis_cols] +
-           [Fraction(t[i]) for t in targets] for i in range(len(targets[0]))]
-    reduced, pivots = _gauss_jordan(aug, nb)
-    if any(any(row[nb:]) for row in reduced[len(pivots):]):
+    n = len(targets[0])
+    snf = smith_normal_form([[col[i] for col in basis_cols] for i in range(n)])
+    diag = snf.diagonal(n)
+    uts = [_matvec(snf.U, t) for t in targets]
+    if any(r for ut in uts for r, d in zip(ut, diag) if d == 0):
         raise ValueError("target not in the column span")
-    out = [[0] * nb for _ in targets]
-    for row, col in zip(reduced, pivots):
-        for coords, val in zip(out, row[nb:]):
-            if val.denominator != 1:
-                raise ValueError("target not in the integer lattice")
-            coords[col] = int(val)
+    out = []
+    for ut in uts:
+        y = [0] * nb
+        for i, d in enumerate(diag[:nb]):
+            if d:
+                y[i], rem = divmod(ut[i], d)
+                if rem:
+                    raise ValueError("target not in the integer lattice")
+        out.append(_matvec(snf.V, y))
     return out
 
 
 def _lattice_basis(generator_cols: list[list[int]], dim: int) -> list[list[int]]:
-    """Square basis (as columns) of the full-rank lattice the generators span."""
-    mat = [[generator_cols[j][i] for j in range(len(generator_cols))]
-           for i in range(dim)]
-    snf = smith_normal_form(mat)
-    unit_cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
-    uinv = _solve_integer(list(zip(*snf.U)), unit_cols)  # columns of U^-1
+    """Square basis (as columns) of the full-rank lattice the generators span.
+
+    With U A V = D for the generator matrix A, the lattice is U^-1 D Z^dim:
+    the basis is column i of U^-1 scaled by d_i.
+    """
+    snf = smith_normal_form(_transpose(generator_cols))
     basis = []
-    for i in range(min(dim, len(generator_cols))):
-        d = snf.D[i][i]
+    for i, d in enumerate(snf.diagonal()):
         if d:
-            basis.append([x * d for x in uinv[i]])
+            basis.append([row[i] * d for row in snf.U_inv])
     if len(basis) != dim:
         raise ValueError("lattice is not full rank")
     return basis
 
 
 def _lattice_quotient_reps(big_cols: list[list[int]],
-                           small_gen_cols: list[list[int]],
+                           sub_coords: list[list[int]],
                            dim: int) -> list[list[int]]:
-    """Coset representatives of (lattice with basis big_cols) / (sublattice).
+    """Coset representatives of (lattice with basis B = big_cols) / (sublattice).
 
-    Writes the sublattice basis S in coordinates C with B*C = S, takes the
-    Smith form U*C*V = D, and uses the adapted basis B' = B*U^{-1}: the
-    quotient is the direct sum of Z/d_i on the b'_i directions.
+    The sublattice has basis B*C, given by the coordinate columns C =
+    sub_coords.  With the Smith form U*C*V = D and the adapted basis
+    B' = B*U^{-1}, the quotient is the direct sum of Z/d_i on the b'_i
+    directions.  Raises ValueError for a sublattice of infinite index and
+    EnumerationBoundExceeded when the index d_1 * ... * d_dim exceeds
+    QUOTIENT_REPS_BOUND, before any representative is built.
     """
-    small_basis = _lattice_basis(small_gen_cols, dim)
-    coords = _solve_integer(big_cols, small_basis)
-    snf = smith_normal_form(list(zip(*coords)))
-    unit_cols = [[int(i == j) for i in range(dim)] for j in range(dim)]
-    uinv = _solve_integer(list(zip(*snf.U)), unit_cols)  # columns of U^-1
-    diag = [snf.D[i][i] for i in range(dim)]
-    adapted = [[sum(big_cols[k][r] * uinv[i][k] for k in range(dim))
-                for r in range(dim)] for i in range(dim)]
+    snf = smith_normal_form(_transpose(sub_coords))
+    diag = snf.diagonal()
+    if 0 in diag:
+        raise ValueError("sublattice does not have finite index")
+    index = prod(diag)
+    if index > QUOTIENT_REPS_BOUND:
+        raise EnumerationBoundExceeded(
+            f"quotient has {index} cosets, above the bound {QUOTIENT_REPS_BOUND}")
+    big_rows = _transpose(big_cols)
+    adapted = [_matvec(big_rows, col) for col in _transpose(snf.U_inv)]
     reps: list[list[int]] = []
 
     def rec(i: int, acc: list[int]):
         if i == dim:
             reps.append(acc[:])
             return
-        d = abs(diag[i])
-        if d == 0:
-            raise ValueError("sublattice does not have finite index")
-        for t in range(d):
+        for t in range(diag[i]):
             rec(i + 1, [x + t * y for x, y in zip(acc, adapted[i])])
 
     rec(0, [0] * dim)

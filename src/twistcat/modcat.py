@@ -24,12 +24,16 @@ from .algebra import (
     product_embeddings,
     regular_gset,
     restrict_gset,
+    smith_normal_form,
     solve_mod,
     stabilizer,
     _kernel_mod_basis,
+    _kernel_mod_coords,
     _integer_kernel,
     _lattice_basis,
     _lattice_quotient_reps,
+    _matvec,
+    _transpose,
 )
 from .cohomology import (
     UnitCochain,
@@ -169,30 +173,28 @@ def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
     dim = m * m * x.size
 
     d2 = differential_matrix(grp, x, 2)
+    snf2 = smith_normal_form(d2)
     rhs = np.repeat((-omega.exponents) % n0, x.size, axis=-1)
     rhs_lifted = (rhs.ravel() * m) % lifted
-    particular = solve_mod(d2, rhs_lifted, lifted)
+    particular = solve_mod(d2, rhs_lifted, lifted, snf=snf2)
     if particular is None:
         return []
 
-    solution_lattice = _kernel_mod_basis(d2, lifted)
+    solution_lattice = _kernel_mod_basis(snf2, lifted)
 
     d1 = differential_matrix(grp, x, 1)
     further = lifted * m
-    ambient = [[int(d1[i][j]) for i in range(d1.shape[0])] for j in range(d1.shape[1])]
-    ambient += [[further * int(i == j) for i in range(dim)] for j in range(dim)]
-    ambient_basis = _lattice_basis(ambient, dim)
-    scaled = [[m * int(i == j) for i in range(dim)] for j in range(dim)]
+    ambient = d1.T.tolist() + [[further * int(i == j) for i in range(dim)]
+                               for j in range(dim)]
+    ambient_rows = _transpose(_lattice_basis(ambient, dim))
     # intersection of the ambient (coboundary-image) lattice with m*Z^dim
-    stacked = [[ambient_basis[j][i] for j in range(dim)] +
-               [-scaled[j][i] for j in range(dim)] for i in range(dim)]
-    kernel = _integer_kernel(stacked)
-    inter_gens = []
-    for vec in kernel:
-        u = vec[:dim]
-        w = [sum(ambient_basis[j][i] * u[j] for j in range(dim)) for i in range(dim)]
-        inter_gens.append([wi // m for wi in w])
-    reps = _lattice_quotient_reps(solution_lattice, inter_gens, dim)
+    stacked = [row + [-m * int(i == j) for j in range(dim)]
+               for i, row in enumerate(ambient_rows)]
+    inter_gens = [[wi // m for wi in _matvec(ambient_rows, vec[:dim])]
+                  for vec in _integer_kernel(stacked)]
+    # its basis in coordinates of the solution lattice, read off d2's factorization
+    inter_coords = _kernel_mod_coords(snf2, lifted, _lattice_basis(inter_gens, dim))
+    reps = _lattice_quotient_reps(solution_lattice, inter_coords, dim)
 
     base = np.array(particular, dtype=np.int64)
     out = []
@@ -249,12 +251,17 @@ def equivalent_modcats(m1: ModuleCategoryData, m2: ModuleCategoryData,
         return None
     grp = m1.fusion.group
     x = m1.X
-    for f in gset_isomorphisms(x, m2.X, bound=bound):
+    isos = gset_isomorphisms(x, m2.X, bound=bound)
+    if not isos:
+        return None
+    d1 = differential_matrix(grp, x, 1)
+    snf1 = smith_normal_form(d1)  # only the right-hand side depends on f
+    for f in isos:
         pulled = UnitCochain(2, x, m2.psi.root_order, m2.psi.exponents[..., f])
         diff = m1.psi * pulled.inverse()
         lifted = diff.root_order * grp.order
-        mat = differential_matrix(grp, x, 1)
-        vec = solve_mod(mat, (diff.exponents.ravel() * grp.order) % lifted, lifted)
+        vec = solve_mod(d1, (diff.exponents.ravel() * grp.order) % lifted, lifted,
+                        snf=snf1)
         if vec is None:
             continue
         mu = UnitCochain(1, x, lifted,

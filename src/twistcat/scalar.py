@@ -6,10 +6,10 @@ coefficients, kept reduced modulo the N-th cyclotomic polynomial.  A
 the values of all cochains, while general scalars appear in matrices and
 6j symbols.  No floating point is used anywhere.
 
-:func:`_gauss_jordan` is the package's one exact elimination routine, over
-Fractions or Scalars.  ``Scalar.reduce_order`` uses it here; ``_matrix``
-(inverses, ranks, nullspaces) and ``algebra`` (integer lattice coordinates
-and unimodular inverses) import it.
+:func:`_gauss_jordan` is the package's one exact elimination routine over a
+field, on Fractions or Scalars.  ``Scalar.reduce_order`` uses it here and
+``_matrix`` (inverses, ranks, nullspaces) imports it; integer work goes
+through ``algebra.smith_normal_form`` instead.
 """
 from __future__ import annotations
 
@@ -104,7 +104,7 @@ def _divisors(n: int) -> list[int]:
 
 
 def _gauss_jordan(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over Q or Q(zeta_N); the one exact elimination.
+    """Reduced row echelon form over Q or Q(zeta_N); the one field elimination.
 
     Pivots only in the first ``ncols`` columns, so the columns after them
     carry right-hand sides (an augmented system) along.  Entries are

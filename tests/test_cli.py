@@ -7,8 +7,11 @@ down the exit-code contract (0 success, 1 validation or relation failure,
 """
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -67,6 +70,21 @@ def test_golden_json_output(cfg, cmd):
     doc = json.loads(result.output)
     assert doc["ok"] is True
     assert doc["seed"] == 0
+
+
+def test_module_entry_point_runs_cleanly():
+    # ``python -m twistcat.cli`` must not import cli.py a second time as
+    # twistcat.cli, which runpy reports on stderr
+    src = str(HERE.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistcat.cli", "--config",
+         str(EXAMPLES / "z2.json"), "--format", "json", "validate"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == _golden_path("z2", "validate").read_text()
 
 
 def test_table_format_is_deterministic():

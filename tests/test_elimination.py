@@ -1,19 +1,28 @@
-"""Randomized cross-checks of the exact Gauss-Jordan elimination and its callers.
+"""Randomized cross-checks of the two exact elimination kernels and their callers.
 
-Every exact solve in the package (integer lattice coordinates, unimodular
-inverses, SMatrix inverses, nullspaces, canonical scalar forms) reduces with
-``scalar._gauss_jordan``; these tests compare each caller against sympy or
-against an identity it must satisfy.
+Every exact solve over a field (SMatrix inverses, nullspaces, canonical
+scalar forms) reduces with ``scalar._gauss_jordan``; every integer solve
+(lattice coordinates, unimodular inverses, solving mod N) goes through
+``algebra.smith_normal_form``.  These tests compare each caller against
+sympy or against an identity it must satisfy.
 """
 from fractions import Fraction
+from math import gcd
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twistcat._matrix import SMatrix, matrix_rank, nullspace_basis
-from twistcat.algebra import _lattice_basis, _solve_integer, smith_normal_form
+from twistcat.algebra import (QUOTIENT_REPS_BOUND, _kernel_mod_basis,
+                              _kernel_mod_coords, _lattice_basis,
+                              _lattice_quotient_reps, _solve_integer,
+                              smith_normal_form, solve_mod)
+from twistcat.errors import EnumerationBoundExceeded
 from twistcat.scalar import Scalar, _gauss_jordan, _phi_degree
+
+from oracles import oracle_snf_diagonal
 
 CHECKS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -134,6 +143,142 @@ def test_lattice_basis_spans_the_generated_lattice(data):
     for d in snf.diagonal():
         covolume *= d
     assert abs(sympy.Matrix(basis).det()) == covolume
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form with tracked inverses, and the solves that reuse it
+# ---------------------------------------------------------------------------
+
+def _obj(rows, n_rows, n_cols):
+    return np.array(rows, dtype=object).reshape(n_rows, n_cols)
+
+
+@st.composite
+def _sparse_int_matrix(draw, max_dim=5):
+    """An r x c integer matrix (r or c may be 0) with some rows and columns zeroed.
+
+    Half of the draws have no entry +-1, so that pivots above 1 and the
+    divisibility repair of the Smith form are exercised.
+    """
+    r, c = draw(st.integers(0, max_dim)), draw(st.integers(0, max_dim))
+    rows = draw(_int_matrix(r, c, -6, 6))
+    if draw(st.booleans()):
+        rows = [[3 * v if abs(v) == 1 else v for v in row] for row in rows]
+    dead_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=2)) if r else set()
+    dead_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=2)) if c else set()
+    return [[0 if i in dead_rows or j in dead_cols else v for j, v in enumerate(row)]
+            for i, row in enumerate(rows)], r, c
+
+
+@settings(CHECKS, max_examples=60)
+@given(drawn=_sparse_int_matrix())
+@example(drawn=([[2, 0], [0, 3]], 2, 2))   # 2 does not divide 3: repair
+@example(drawn=([[4, 6, 0], [6, 9, 2]], 2, 3))
+def test_smith_form_factorization_and_inverses(drawn):
+    rows, r, c = drawn
+    a = _obj(rows, r, c)
+    snf = smith_normal_form(a)
+    u, v = _obj(snf.U, r, r), _obj(snf.V, c, c)
+    u_inv, v_inv = _obj(snf.U_inv, r, r), _obj(snf.V_inv, c, c)
+    d = _obj(snf.D, r, c)
+    assert (u @ a @ v == d).all()
+    assert (u @ u_inv == np.eye(r, dtype=int)).all()
+    assert (u_inv @ u == np.eye(r, dtype=int)).all()
+    assert (v @ v_inv == np.eye(c, dtype=int)).all()
+    assert (v_inv @ v == np.eye(c, dtype=int)).all()
+    diag = snf.diagonal()
+    off_diagonal = d.copy()
+    for i in range(len(diag)):
+        off_diagonal[i, i] = 0
+    assert not off_diagonal.any()
+    nonzero = [val for val in diag if val]
+    assert diag == nonzero + [0] * (len(diag) - len(nonzero))
+    if r and c:
+        assert nonzero == oracle_snf_diagonal(rows)
+
+
+@CHECKS
+@given(drawn=_sparse_int_matrix(), modulus=st.integers(2, 12), data=st.data())
+def test_reused_smith_form_matches_a_fresh_solve(drawn, modulus, data):
+    rows, r, c = drawn
+    a = _obj(rows, r, c)
+    snf = smith_normal_form(a)
+    if data.draw(st.booleans()):  # a solvable system
+        x = data.draw(st.lists(st.integers(0, modulus - 1), min_size=c, max_size=c))
+        b = [int(val) % modulus for val in a.dot(np.array(x, dtype=object))] if r else []
+    else:
+        b = data.draw(st.lists(st.integers(0, modulus - 1), min_size=r, max_size=r))
+    assert solve_mod(a, b, modulus, snf=snf) == solve_mod(a, b, modulus)
+    basis = _kernel_mod_basis(snf, modulus)
+    assert len(basis) == c
+    # every basis vector solves A x = 0 (mod modulus), and the basis has the
+    # covolume of that lattice: modulus^c over the number of solutions mod
+    # modulus, which is the product of modulus / gcd(d_i, modulus) over the
+    # oracle's invariant factors (padded with zeros)
+    for vec in basis:
+        assert all(val % modulus == 0 for val in a.dot(np.array(vec, dtype=object)))
+    diag = oracle_snf_diagonal(rows) if r and c else []
+    covolume = 1
+    for d in diag + [0] * (c - len(diag)):
+        covolume *= modulus // gcd(d, modulus)
+    if c:
+        assert abs(sympy.Matrix(basis).det()) == covolume
+    # coordinates in that basis, read off the same factorization
+    coeffs = data.draw(_int_matrix(2, c, -5, 5))
+    targets = [[sum(k * vec[i] for k, vec in zip(cs, basis)) for i in range(c)]
+               for cs in coeffs]
+    if c:
+        assert _kernel_mod_coords(snf, modulus, targets) == coeffs
+
+
+def test_kernel_mod_coords_rejects_points_off_the_lattice():
+    # {x : 2x = 0 mod 4} = 2Z, and 1 is not in it
+    snf = smith_normal_form([[2]])
+    assert _kernel_mod_basis(snf, 4) == [[2]]
+    assert _kernel_mod_coords(snf, 4, [[6]]) == [[3]]
+    with pytest.raises(ValueError, match="integer lattice"):
+        _kernel_mod_coords(snf, 4, [[1]])
+
+
+# ---------------------------------------------------------------------------
+# coset representatives of a sublattice, and their bound
+# ---------------------------------------------------------------------------
+
+UNIT2 = [[1, 0], [0, 1]]
+
+
+def test_quotient_reps_of_a_diagonal_sublattice():
+    # Z^2 / (2Z x 3Z); with B = I the coordinates are the sublattice basis
+    reps = _lattice_quotient_reps(UNIT2, [[2, 0], [0, 3]], 2)
+    assert sorted((x % 2, y % 3) for x, y in reps) == [
+        (x, y) for x in range(2) for y in range(3)]
+
+
+def test_quotient_reps_in_an_adapted_basis():
+    # L = span{(1, 0), (1, 2)} over the sublattice 2L: four cosets, distinct mod 2L
+    big = [[1, 0], [1, 2]]
+    reps = _lattice_quotient_reps(big, [[2, 0], [0, 2]], 2)
+    big_inv = sympy.Matrix(big).T.inv()  # B has the columns of big
+    coords = [list(big_inv * sympy.Matrix(rep)) for rep in reps]
+    assert sorted((a % 2, b % 2) for a, b in coords) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_quotient_reps_at_the_bound():
+    side = 64
+    assert side * side == QUOTIENT_REPS_BOUND
+    reps = _lattice_quotient_reps(UNIT2, [[side, 0], [0, side]], 2)
+    assert len({tuple(v) for v in reps}) == QUOTIENT_REPS_BOUND
+
+
+@pytest.mark.parametrize("sub", [[[1000, 0], [0, 1000]], [[65, 0], [0, 64]]])
+def test_quotient_reps_above_the_bound_raise_before_enumerating(sub):
+    with pytest.raises(EnumerationBoundExceeded):
+        _lattice_quotient_reps(UNIT2, sub, 2)
+
+
+def test_quotient_reps_of_infinite_index_raise():
+    with pytest.raises(ValueError, match="finite index"):
+        _lattice_quotient_reps(UNIT2, [[1000, 1000], [2000, 2000]], 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Source hygiene: no module-level import in the package goes unused."""
+"""Source hygiene: no module-level import in the package goes unused, and the
+integer algebra module stays free of rational arithmetic."""
 import ast
 from pathlib import Path
 
@@ -58,3 +59,22 @@ def test_no_unused_module_imports(path):
                     for name, line in _imported_names(tree).items()
                     if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _modules_imported(tree: ast.Module) -> set[str]:
+    """Every module an import statement anywhere in the tree names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+    return out
+
+
+def test_integer_algebra_is_fraction_free():
+    # the lattice and Smith-form code works over the integers only; rational
+    # elimination belongs to scalar._gauss_jordan
+    path = SRC / "algebra.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "fractions" not in _modules_imported(tree)

@@ -1,4 +1,7 @@
 """Module and bimodule category structures: enumeration, classes, traces."""
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -90,6 +93,35 @@ def test_structure_count_on_cyclic_4_regular_carrier():
     got = modcats_for(f, reg4)
     assert len(got) == 1
     assert validate_modcat(got[0]).ok
+
+
+REGULAR_PSI = pathlib.Path(__file__).parent / "fixtures" / "regular_carrier_psi.json"
+
+
+def _regular_carrier_cases() -> dict:
+    z4 = cyclic_group(4)
+    v4 = direct_product(Z2, Z2)
+    cases = {f"Z4 s={s}": FusionData(z4, omega_cyclic(4, s), triv_kappa(z4))
+             for s in range(4)}
+    for a in (0, 1):
+        for b in (0, 1):
+            omega = deligne_omega(omega_cyclic(2, a), omega_cyclic(2, b))
+            cases[f"V4 s={a}{b}"] = FusionData(v4, omega, triv_kappa(v4))
+    return cases
+
+
+REGULAR_CASES = _regular_carrier_cases()
+
+
+@pytest.mark.parametrize("label", list(REGULAR_CASES))
+def test_regular_carrier_structures_are_pinned(label):
+    # the exact Psi tables, in output order, that the earlier Fraction-based
+    # lattice solver produced; no golden reaches these carriers
+    fusion = REGULAR_CASES[label]
+    want = json.loads(REGULAR_PSI.read_text())[label]
+    got = modcats_for(fusion, regular_gset(fusion.group))
+    assert [{"root_order": d.psi.root_order, "exponents": d.psi.exponents.tolist()}
+            for d in got] == want
 
 
 def test_regular_structure_validates_for_every_cyclic_twist():
