@@ -4,8 +4,8 @@ Groups are multiplication tables over 0-based element indices, validated at
 construction.  G-sets are action tables.  The Smith normal form drives every
 linear solve modulo N in the cohomology layer and every integer lattice
 computation: it returns U^-1 and V^-1 next to U and V, so lattice bases,
-lattice coordinates (``_solve_integer``, ``_kernel_mod_coords``) and
-unimodular inverses are read off one factorization, in integers only.
+lattice coordinates (``_kernel_mod_coords``) and unimodular inverses are
+read off one factorization, in integers only.
 """
 from __future__ import annotations
 
@@ -729,35 +729,6 @@ def _kernel_mod_coords(snf: SNFResult, modulus: int,
                 raise ValueError("target not in the integer lattice")
             coords.append(q)
         out.append(coords)
-    return out
-
-
-def _solve_integer(basis_cols: list[list[int]],
-                   targets: list[list[int]]) -> list[list[int]]:
-    """Integer coordinates c_t with sum_j c_t[j] * basis_cols[j] = t, per target.
-
-    With U B V = D the Smith form of B, c = V D^-1 U t; raises ValueError
-    when a target leaves the column span (a nonzero (U t)_i where d_i = 0)
-    or its coordinates are not integers (d_i does not divide (U t)_i).
-    With unit vectors as the targets and a unimodular B, the coordinates are
-    the columns of B^-1.
-    """
-    nb = len(basis_cols)
-    n = len(targets[0])
-    snf = smith_normal_form([[col[i] for col in basis_cols] for i in range(n)])
-    diag = snf.diagonal(n)
-    uts = [_matvec(snf.U, t) for t in targets]
-    if any(r for ut in uts for r, d in zip(ut, diag) if d == 0):
-        raise ValueError("target not in the column span")
-    out = []
-    for ut in uts:
-        y = [0] * nb
-        for i, d in enumerate(diag[:nb]):
-            if d:
-                y[i], rem = divmod(ut[i], d)
-                if rem:
-                    raise ValueError("target not in the integer lattice")
-        out.append(_matvec(snf.V, y))
     return out
 
 

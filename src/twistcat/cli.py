@@ -291,12 +291,7 @@ def _build_bimodcat(name: str, spec: dict,
                                 slot_groups=(left.group, right.group))
     data = _wrap_build(name, BimoduleCategoryData, left, right, x, psi, phi,
                        omid)
-    report = validate_bimodcat(data)
-    if not report.ok:
-        first = report.failures[0]
-        raise ValidationError(
-            f"entity {name!r}: {first['condition']} fails at "
-            f"{first['tuple']}: {first['lhs']} != {first['rhs']}")
+    _report_or_raise(name, validate_bimodcat(data))
     return data
 
 
@@ -881,9 +876,9 @@ def verify(obj, relation, refs):
                         "checked": report.checked,
                         "failures": report.failures})
         total_checked += report.checked
-        total_failures += len(report.failures)
+        total_failures += report.failed
         lines.append(f"{name}: checked {report.checked} identities, "
-                     f"{len(report.failures)} failures")
+                     f"{report.failed} failures")
         for failure in report.failures:
             lines.append(f"  {failure['kind']} at {failure['tuple']}: "
                          f"{failure['lhs']} != {failure['rhs']}")

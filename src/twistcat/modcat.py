@@ -8,7 +8,7 @@ dictionary, implemented here exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
@@ -51,6 +51,7 @@ from .scalar import Unit
 
 __all__ = [
     "ValidationReport",
+    "FailureLog",
     "ModuleCategoryData",
     "IndecomposableClass",
     "ModuleTrace",
@@ -72,32 +73,58 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of an invariant sweep: instance count and failing tuples."""
+    """Outcome of an invariant sweep: instance count, the true number of
+    failures, and the first few failing tuples as samples."""
 
-    ok: bool
     checked: int
-    failures: list[dict] = field(default_factory=list)
+    failed: int
+    failures: list[dict]
+
+    @property
+    def ok(self) -> bool:
+        return self.failed == 0
+
+    def raise_if_failed(self, what: str) -> None:
+        """Raise ValidationError naming the first failing condition."""
+        if not self.ok:
+            raise ValidationError(f"{what} failed validation: "
+                                  + self.failures[0]["condition"])
+
+
+class FailureLog:
+    """Failure accumulator of one sweep: counts every failure and turns only
+    the first MAX_FAILURES into sample dicts ``{key, tuple, lhs, rhs}``, with
+    lhs and rhs formatted by ``fmt``."""
 
     MAX_FAILURES = 20
 
-    def summary(self) -> str:
-        status = "ok" if self.ok else f"{len(self.failures)} failure(s)"
-        return f"checked {self.checked} condition instance(s): {status}"
+    def __init__(self, key: str = "condition", fmt=str):
+        self.key, self.fmt = key, fmt
+        self.failed = 0
+        self.samples: list[dict] = []
+
+    def add(self, condition: str, tup: tuple, lhs, rhs) -> None:
+        self.failed += 1
+        if len(self.samples) < self.MAX_FAILURES:
+            self.samples.append({self.key: condition, "tuple": tup,
+                                 "lhs": self.fmt(lhs), "rhs": self.fmt(rhs)})
+
+    def merge(self, report: ValidationReport) -> None:
+        """Take over the total and the samples of an earlier sweep's report."""
+        self.failed += report.failed
+        self.samples = (self.samples + report.failures)[:self.MAX_FAILURES]
+
+    def report(self, checked: int) -> ValidationReport:
+        return ValidationReport(checked, self.failed, self.samples)
 
 
-def _collect_failures(condition: str, mismatch: np.ndarray,
-                      lhs: np.ndarray, rhs: np.ndarray, root: int,
-                      failures: list[dict]) -> None:
-    """Append up to the report cap of failing tuples for one condition."""
-    bad = np.argwhere(mismatch)
-    for pos in bad[:max(0, ValidationReport.MAX_FAILURES - len(failures))]:
+def _collect_failures(log: FailureLog, condition: str, mismatch: np.ndarray,
+                      lhs: np.ndarray, rhs: np.ndarray, root: int) -> None:
+    """Log every failing tuple of one vectorized condition."""
+    for pos in np.argwhere(mismatch):
         tup = tuple(int(v) for v in pos)
-        failures.append({
-            "condition": condition,
-            "tuple": tup,
-            "lhs": repr(Unit(root, int(lhs[tup]))),
-            "rhs": repr(Unit(root, int(rhs[tup]))),
-        })
+        log.add(condition, tup, Unit(root, int(lhs[tup])),
+                Unit(root, int(rhs[tup])))
 
 
 @dataclass(frozen=True)
@@ -133,7 +160,7 @@ def validate_modcat(data: ModuleCategoryData) -> ValidationReport:
     """Check that Psi is normalized and satisfies d(Psi) = inflated omega^-1."""
     fusion, x, psi = data.fusion, data.X, data.psi
     grp = fusion.group
-    failures: list[dict] = []
+    log = FailureLog()
     checked = 0
 
     e = psi.exponents
@@ -142,8 +169,8 @@ def validate_modcat(data: ModuleCategoryData) -> ValidationReport:
     id_mask[ident, :, :] = True
     id_mask[:, ident, :] = True
     checked += int(id_mask.sum())
-    _collect_failures("psi_normalized", (e != 0) & id_mask, e,
-                      np.zeros_like(e), psi.root_order, failures)
+    _collect_failures(log, "psi_normalized", (e != 0) & id_mask, e,
+                      np.zeros_like(e), psi.root_order)
 
     omega = fusion.omega
     root = lcm(psi.root_order, omega.root_order)
@@ -151,9 +178,9 @@ def validate_modcat(data: ModuleCategoryData) -> ValidationReport:
     rhs_point = (-omega.exponents * (root // omega.root_order)) % root
     rhs = np.repeat(rhs_point, x.size, axis=-1)
     checked += lhs.size
-    _collect_failures("2cocycle", lhs != rhs, lhs, rhs, root, failures)
+    _collect_failures(log, "2cocycle", lhs != rhs, lhs, rhs, root)
 
-    return ValidationReport(not failures, checked, failures)
+    return log.report(checked)
 
 
 def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
@@ -203,10 +230,7 @@ def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
         exps = (base + np.array(rep, dtype=np.int64)) % lifted
         psi = normalize(UnitCochain(2, x, lifted, exps.reshape(shape)))
         data = ModuleCategoryData(fusion, x, psi)
-        report = validate_modcat(data)
-        if not report.ok:  # pragma: no cover - solver contract
-            raise ValidationError("enumerated structure failed validation: "
-                                  + report.failures[0]["condition"])
+        validate_modcat(data).raise_if_failed("enumerated structure")
         out.append(data)
     out.sort(key=lambda d: d.psi.exponents.tolist())
     return out
@@ -384,7 +408,7 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
     Omega on identities."""
     g_grp, h_grp = data.left.group, data.right.group
     x_g, x_h = data.x_g, data.x_h
-    failures: list[dict] = []
+    log = FailureLog()
     checked = 0
 
     # one-sided conditions
@@ -398,16 +422,16 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
         id_mask[ident, :, :] = True
         id_mask[:, ident, :] = True
         checked += int(id_mask.sum())
-        _collect_failures(name.split("_")[0] + "_normalized",
+        _collect_failures(log, name.split("_")[0] + "_normalized",
                           (e != 0) & id_mask, e, np.zeros_like(e),
-                          cochain.root_order, failures)
+                          cochain.root_order)
         root = lcm(cochain.root_order, om.root_order)
         lhs = (_differential_raw(e, grp, carrier, 2)
                * (root // cochain.root_order)) % root
         rhs_point = (-om.exponents * (root // om.root_order)) % root
         rhs = np.repeat(rhs_point, carrier.size, axis=-1)
         checked += lhs.size
-        _collect_failures(name, lhs != rhs, lhs, rhs, root, failures)
+        _collect_failures(log, name, lhs != rhs, lhs, rhs, root)
 
     e_om = data.omega_mid.exponents
     n_om = data.omega_mid.root_order
@@ -421,8 +445,8 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
     mask = np.zeros(e_om.shape, dtype=bool)
     mask[g_grp.identity, :, :] = True
     mask[:, h_grp.identity, :] = True
-    _collect_failures("omega_identities", (e_om != 0) & mask, e_om,
-                      np.zeros_like(e_om), n_om, failures)
+    _collect_failures(log, "omega_identities", (e_om != 0) & mask, e_om,
+                      np.zeros_like(e_om), n_om)
 
     e_psi, n_psi = data.psi.exponents, data.psi.root_order
     g1, g2, h, x = np.indices((g_grp.order, g_grp.order, h_grp.order, data.X.size))
@@ -433,7 +457,7 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
     rhs1 = ((e_psi[g1, g2, x]
              - e_psi[g1, g2, act_h[inv_h[h], x]]) * (root1 // n_psi)) % root1
     checked += lhs1.size
-    _collect_failures("omega_cond_1", lhs1 != rhs1, lhs1, rhs1, root1, failures)
+    _collect_failures(log, "omega_cond_1", lhs1 != rhs1, lhs1, rhs1, root1)
 
     e_phi, n_phi = data.phi.exponents, data.phi.root_order
     g, h1, h2, x = np.indices((g_grp.order, h_grp.order, h_grp.order, data.X.size))
@@ -444,9 +468,9 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
     rhs2 = ((e_phi[h1, h2, act_g[inv_g[g], x]]
              - e_phi[h1, h2, x]) * (root2 // n_phi)) % root2
     checked += lhs2.size
-    _collect_failures("omega_cond_2", lhs2 != rhs2, lhs2, rhs2, root2, failures)
+    _collect_failures(log, "omega_cond_2", lhs2 != rhs2, lhs2, rhs2, root2)
 
-    return ValidationReport(not failures, checked, failures)
+    return log.report(checked)
 
 
 def _product_kappa(left: FusionData, right: FusionData) -> UnitCochain:
@@ -487,10 +511,7 @@ def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:
          * (root // data.omega_mid.root_order)) % root
     gamma = UnitCochain(2, data.X, root, e)
     out = ModuleCategoryData(fusion, data.X, gamma)
-    report = validate_modcat(out)
-    if not report.ok:  # pragma: no cover - guaranteed by the correspondence
-        raise ValidationError("product structure failed validation: "
-                              + report.failures[0]["condition"])
+    validate_modcat(out).raise_if_failed("product structure")
     return out
 
 
@@ -527,10 +548,7 @@ def deligne_to_bimod(data: ModuleCategoryData, left: FusionData,
                             e[np.ix_(emb_g, emb_h, np.arange(sz))],
                             slot_groups=(g_grp, h_grp))
     out = BimoduleCategoryData(left, right, data.X, psi, phi, omega_mid)
-    report = validate_bimodcat(out)
-    if not report.ok:
-        raise ValidationError("extracted bimodule data failed validation: "
-                              + report.failures[0]["condition"])
+    validate_bimodcat(out).raise_if_failed("extracted bimodule data")
     return out
 
 

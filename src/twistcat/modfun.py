@@ -17,9 +17,10 @@ from ._matrix import SMatrix, matrix_rank, nullspace_basis
 from .algebra import FiniteGroup, orbits, product_gset
 from .cohomology import UnitCochain, differential
 from .errors import (LambdaConditionFailed, NotCyclic, NotEquivariant,
-                     ShapeMismatch, SourceTargetMismatch, ValidationError)
-from .modcat import (BimoduleCategoryData, ModuleCategoryData, ValidationReport,
-                     bimod_to_deligne, regular_module_category)
+                     ShapeMismatch, SourceTargetMismatch)
+from .modcat import (BimoduleCategoryData, FailureLog, ModuleCategoryData,
+                     ValidationReport, bimod_to_deligne,
+                     regular_module_category)
 from .scalar import Scalar, Unit, unit_roots
 
 __all__ = [
@@ -110,15 +111,11 @@ def _psi_unit(data: ModuleCategoryData, g: int, h: int, x: int) -> Unit:
 
 
 def _mult_invariance(mult: np.ndarray, act_x: np.ndarray, act_y: np.ndarray,
-                     condition: str, failures: list[dict]) -> int:
+                     condition: str, log: FailureLog) -> int:
     moved = mult[act_x[:, :, None], act_y[:, None, :]]
     for pos in np.argwhere(moved != mult[None, :, :]):
-        if len(failures) >= ValidationReport.MAX_FAILURES:
-            break
         tup = tuple(int(v) for v in pos)
-        failures.append({"condition": condition, "tuple": tup,
-                         "lhs": str(int(moved[tup])),
-                         "rhs": str(int(mult[tup[1:]]))})
+        log.add(condition, tup, int(moved[tup]), int(mult[tup[1:]]))
     return moved.size
 
 
@@ -127,30 +124,21 @@ def validate_modfun(f: ModuleFunctorData) -> ValidationReport:
     composition rule A_{gh} = Psi_X Psi_Y^-1 A_h A_g(shifted)."""
     grp = f.group
     act_x, act_y = f.source.X.action, f.target.X.action
-    failures: list[dict] = []
-    checked = 0
-
-    checked += _mult_invariance(f.mult, act_x, act_y, "mult_invariant", failures)
+    log = FailureLog()
+    checked = _mult_invariance(f.mult, act_x, act_y, "mult_invariant", log)
 
     support = f.support()
     ident = grp.identity
     for (x, y) in support:
         checked += 1
         mat = f.a[(ident, x, y)]
-        if not mat.is_identity() and len(failures) < ValidationReport.MAX_FAILURES:
-            failures.append({"condition": "a_identity", "tuple": (ident, x, y),
-                             "lhs": repr(mat), "rhs": "identity"})
+        if not mat.is_identity():
+            log.add("a_identity", (ident, x, y), mat, "identity")
 
-    inverses = {}
     for key, mat in f.a.items():
         checked += 1
-        inv = mat.inverse()
-        if inv is None:
-            if len(failures) < ValidationReport.MAX_FAILURES:
-                failures.append({"condition": "a_invertible", "tuple": key,
-                                 "lhs": repr(mat), "rhs": "invertible"})
-        else:
-            inverses[key] = inv
+        if mat.inverse() is None:
+            log.add("a_invertible", key, mat, "invertible")
 
     for g in grp.elements():
         for h in grp.elements():
@@ -162,19 +150,14 @@ def validate_modfun(f: ModuleFunctorData) -> ValidationReport:
                 right = f.a.get((g, hx, hy))
                 mid = f.a.get((h, x, y))
                 if lhs is None or right is None or mid is None:
-                    if len(failures) < ValidationReport.MAX_FAILURES:
-                        failures.append({
-                            "condition": "cond_A", "tuple": (g, h, x, y),
-                            "lhs": "missing entry", "rhs": "present"})
+                    log.add("cond_A", (g, h, x, y), "missing entry", "present")
                     continue
                 u = (_psi_unit(f.source, g, h, act_x[gh, x])
                      * _psi_unit(f.target, g, h, act_y[gh, y]).inverse())
                 rhs = (mid @ right).scale(u)
-                if lhs != rhs and len(failures) < ValidationReport.MAX_FAILURES:
-                    failures.append({"condition": "cond_A",
-                                     "tuple": (g, h, x, y),
-                                     "lhs": repr(lhs), "rhs": repr(rhs)})
-    return ValidationReport(not failures, checked, failures)
+                if lhs != rhs:
+                    log.add("cond_A", (g, h, x, y), lhs, rhs)
+    return log.report(checked)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,24 +197,20 @@ def validate_nat_trans(eta: NatTransData) -> ValidationReport:
     f, h = eta.source, eta.target
     grp = f.group
     act_x, act_y = f.source.X.action, f.target.X.action
-    failures: list[dict] = []
+    log = FailureLog()
     checked = 0
     for g in grp.elements():
         for (x, y), mat in eta.m.items():
             checked += 1
             moved = eta.m.get((int(act_x[g, x]), int(act_y[g, y])))
             if moved is None:
-                if len(failures) < ValidationReport.MAX_FAILURES:
-                    failures.append({"condition": "cond_M",
-                                     "tuple": (g, x, y),
-                                     "lhs": "missing entry", "rhs": "present"})
+                log.add("cond_M", (g, x, y), "missing entry", "present")
                 continue
             lhs = mat @ f.a[(g, x, y)]
             rhs = h.a[(g, x, y)] @ moved
-            if lhs != rhs and len(failures) < ValidationReport.MAX_FAILURES:
-                failures.append({"condition": "cond_M", "tuple": (g, x, y),
-                                 "lhs": repr(lhs), "rhs": repr(rhs)})
-    return ValidationReport(not failures, checked, failures)
+            if lhs != rhs:
+                log.add("cond_M", (g, x, y), lhs, rhs)
+    return log.report(checked)
 
 
 def identity_functor(data: ModuleCategoryData) -> ModuleFunctorData:
@@ -444,10 +423,7 @@ def adjoint(f: ModuleFunctorData) -> ModuleFunctorData:
                  * _psi_unit(f.target, g, ginv, gy).inverse())
             a[(g, y, x)] = f.a[(ginv, gx, gy)].transpose().scale(u)
     out = ModuleFunctorData(f.target, f.source, mult, a)
-    report = validate_modfun(out)
-    if not report.ok:  # pragma: no cover - formula guarantees validity
-        raise ValidationError("adjoint failed validation: "
-                              + report.failures[0]["condition"])
+    validate_modfun(out).raise_if_failed("adjoint")
     return out
 
 
@@ -578,28 +554,25 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
         ModuleCategoryData(f.source.left, f.source.x_g, f.source.psi),
         ModuleCategoryData(f.target.left, f.target.x_g, f.target.psi),
         f.mult, f.a))
-    failures = list(left.failures)
-    checked = left.checked
+    log = FailureLog()
+    log.merge(left)
 
     h_grp = f.source.right.group
     act_xh, act_yh = f.source.x_h.action, f.target.x_h.action
     support = f.support()
 
-    checked += _mult_invariance(f.mult, act_xh, act_yh, "mult_invariant_h",
-                                failures)
+    checked = left.checked + _mult_invariance(f.mult, act_xh, act_yh,
+                                              "mult_invariant_h", log)
 
     for (x, y) in support:
         checked += 1
         mat = f.b[(h_grp.identity, x, y)]
-        if not mat.is_identity() and len(failures) < ValidationReport.MAX_FAILURES:
-            failures.append({"condition": "b_identity",
-                             "tuple": (h_grp.identity, x, y),
-                             "lhs": repr(mat), "rhs": "identity"})
+        if not mat.is_identity():
+            log.add("b_identity", (h_grp.identity, x, y), mat, "identity")
     for key, mat in f.b.items():
         checked += 1
-        if mat.inverse() is None and len(failures) < ValidationReport.MAX_FAILURES:
-            failures.append({"condition": "b_invertible", "tuple": key,
-                             "lhs": repr(mat), "rhs": "invertible"})
+        if mat.inverse() is None:
+            log.add("b_invertible", key, mat, "invertible")
 
     phi_x, phi_y = f.source.phi, f.target.phi
     for g in h_grp.elements():
@@ -613,20 +586,16 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
                 first = f.b.get((g, x, y))
                 second = f.b.get((h, int(act_xh[ginv, x]), int(act_yh[ginv, y])))
                 if lhs is None or first is None or second is None:
-                    if len(failures) < ValidationReport.MAX_FAILURES:
-                        failures.append({
-                            "condition": "b_pentagon", "tuple": (g, h, x, y),
-                            "lhs": "missing entry", "rhs": "present"})
+                    log.add("b_pentagon", (g, h, x, y), "missing entry",
+                            "present")
                     continue
                 u = (_cochain_unit(phi_x, h_grp.inv(h), ginv,
                                    int(act_xh[ghinv, x]))
                      * _cochain_unit(phi_y, h_grp.inv(h), ginv,
                                      int(act_yh[ghinv, y])).inverse())
                 rhs = (first @ second).scale(u)
-                if lhs != rhs and len(failures) < ValidationReport.MAX_FAILURES:
-                    failures.append({"condition": "b_pentagon",
-                                     "tuple": (g, h, x, y),
-                                     "lhs": repr(lhs), "rhs": repr(rhs)})
+                if lhs != rhs:
+                    log.add("b_pentagon", (g, h, x, y), lhs, rhs)
 
     g_grp = f.source.left.group
     act_x, act_y = f.source.X.action, f.target.X.action
@@ -646,20 +615,15 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
                 a_right = f.a.get((g, x, y))
                 b_right = f.b.get((h, gx, gy))
                 if None in (b_left, a_left, a_right, b_right):
-                    if len(failures) < ValidationReport.MAX_FAILURES:
-                        failures.append({
-                            "condition": "hexagon", "tuple": (g, h, x, y),
-                            "lhs": "missing entry", "rhs": "present"})
+                    log.add("hexagon", (g, h, x, y), "missing entry", "present")
                     continue
                 lhs = (b_left @ a_left).scale(
                     _cochain_unit(om_x, g, hinv, int(act_x[mixed, x])))
                 rhs = (a_right @ b_right).scale(
                     _cochain_unit(om_y, g, hinv, int(act_y[mixed, y])))
-                if lhs != rhs and len(failures) < ValidationReport.MAX_FAILURES:
-                    failures.append({"condition": "hexagon",
-                                     "tuple": (g, h, x, y),
-                                     "lhs": repr(lhs), "rhs": repr(rhs)})
-    return ValidationReport(not failures, checked, failures)
+                if lhs != rhs:
+                    log.add("hexagon", (g, h, x, y), lhs, rhs)
+    return log.report(checked)
 
 
 def bimodfun_to_deligne(f: BimoduleFunctorData) -> ModuleFunctorData:
@@ -677,10 +641,7 @@ def bimodfun_to_deligne(f: BimoduleFunctorData) -> ModuleFunctorData:
                 a[(g * h_grp.order + h, x, y)] = \
                     f.a[(g, x, y)] @ f.b[(hinv, gx, gy)]
     out = ModuleFunctorData(src, tgt, f.mult, a)
-    report = validate_modfun(out)
-    if not report.ok:
-        raise ValidationError("product functor failed validation: "
-                              + report.failures[0]["condition"])
+    validate_modfun(out).raise_if_failed("product functor")
     return out
 
 
@@ -700,8 +661,5 @@ def deligne_to_bimodfun(k: ModuleFunctorData, source: BimoduleCategoryData,
         for h in h_grp.elements():
             b[(h, x, y)] = k.a[(g_grp.identity * h_grp.order + h_grp.inv(h), x, y)]
     out = BimoduleFunctorData(source, target, k.mult, a, b)
-    report = validate_bimodfun(out)
-    if not report.ok:
-        raise ValidationError("bimodule functor failed validation: "
-                              + report.failures[0]["condition"])
+    validate_bimodfun(out).raise_if_failed("bimodule functor")
     return out

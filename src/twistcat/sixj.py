@@ -26,9 +26,9 @@ from .errors import (IndexOutOfRange, NoTrace, NotSpherical, UndefinedLabels,
                      ValidationError)
 from .scalar import Scalar, Unit
 from .fusion import FusionData, fusion_6j
-from .modcat import (BimoduleCategoryData, ModuleTrace, ValidationReport,
-                     bimod_to_deligne, bimodule_trace, module_trace,
-                     regular_module_category)
+from .modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
+                     ValidationReport, bimod_to_deligne, bimodule_trace,
+                     module_trace, regular_module_category)
 from .modfun import BimoduleFunctorData, ModuleFunctorData, action_functor
 from ._matrix import SMatrix
 
@@ -226,63 +226,46 @@ def _b_value(data: BimoduleCategoryData, trace: ModuleTrace,
     return trace.unit(a) * val
 
 
-def _left_parts(functor):
-    """Group, actions, twist cochains, multiplicities and A of the left side."""
-    if isinstance(functor, BimoduleFunctorData):
-        src, tgt = functor.source, functor.target
-        return (src.left.group, src.x_g.action, tgt.x_g.action,
-                src.psi, tgt.psi, functor.mult, functor.a)
-    src, tgt = functor.source, functor.target
-    return (src.fusion.group, src.X.action, tgt.X.action,
-            src.psi, tgt.psi, functor.mult, functor.a)
+def _same(g: int) -> int:
+    return g
 
 
-def _right_parts(functor: BimoduleFunctorData):
-    """Group, actions, multiplicities and B of the right side."""
-    src, tgt = functor.source, functor.target
-    return (src.right.group, src.x_h.action, tgt.x_h.action,
-            functor.mult, functor.b)
+def _matrix_parts(ctx: SixJContext, kind: str):
+    """Group, source and target actions, multiplicities, matrix table and the
+    acting element of a label: A with g = i for the s kinds (left action),
+    B with g = l^-1 for the t kinds (right action of a bimodule functor)."""
+    f = ctx.functor
+    src, tgt = f.source, f.target
+    if kind in BIMODFUN_KINDS:
+        grp = src.right.group
+        return grp, src.x_h.action, tgt.x_h.action, f.mult, f.b, grp.inv
+    if isinstance(f, BimoduleFunctorData):
+        return (src.left.group, src.x_g.action, tgt.x_g.action, f.mult, f.a,
+                _same)
+    return src.fusion.group, src.X.action, tgt.X.action, f.mult, f.a, _same
 
 
-def _s_matrix(ctx: SixJContext, labels, inverse: bool) -> Optional[SMatrix]:
-    """The rescaled module-functor matrix symbol, or None if undefined.
+def _matrix_symbol(ctx: SixJContext, parts, labels,
+                   inverse: bool) -> Optional[SMatrix]:
+    """The rescaled matrix symbol at labels (l, j, a, b, c), or None.
 
-    ``s`` is target_trace(a) * A_{i,j,a}; ``s^-1`` is
-    source_trace(c) * A_{i,j,a}^-1.  A singular matrix (possible only for
+    With g the acting element of l and M the matrix table of ``parts``, the
+    symbol is defined when c = g.j, b = g.a and (j, a) is supported; ``s``
+    and ``t`` are target_trace(a) * M_{l,j,a}, ``s^-1`` and ``t^-1`` are
+    source_trace(c) * M_{l,j,a}^-1.  A singular matrix (possible only for
     corrupted data) raises ValidationError.
     """
-    grp, act_x, act_y, _, _, mult, table = _left_parts(ctx.functor)
-    i, j, a, b, c = labels
-    if c != int(act_x[i, j]) or b != int(act_y[i, a]) or not mult[j, a]:
+    _, act_x, act_y, mult, table, acting = parts
+    l, j, a, b, c = labels
+    g = acting(l)
+    if c != int(act_x[g, j]) or b != int(act_y[g, a]) or not mult[j, a]:
         return None
-    mat = table[(i, j, a)]
+    mat = table[(l, j, a)]
     if inverse:
         inv = mat.inverse()
         if inv is None:
             raise ValidationError(
-                f"coherence matrix at {(i, j, a)} is singular")
-        return inv.scale(ctx.source_trace.unit(c))
-    return mat.scale(ctx.target_trace.unit(a))
-
-
-def _t_matrix(ctx: SixJContext, labels, inverse: bool) -> Optional[SMatrix]:
-    """The rescaled right-action matrix symbol of a bimodule functor.
-
-    ``t`` is target_trace(a) * B_{l,i,a}; ``t^-1`` is
-    source_trace(c) * B_{l,i,a}^-1; defined when c = l^-1.i, b = l^-1.a.
-    """
-    grp_h, act_xh, act_yh, mult, table = _right_parts(ctx.functor)
-    l, i, a, b, c = labels
-    linv = grp_h.inv(l)
-    if (c != int(act_xh[linv, i]) or b != int(act_yh[linv, a])
-            or not mult[i, a]):
-        return None
-    mat = table[(l, i, a)]
-    if inverse:
-        inv = mat.inverse()
-        if inv is None:
-            raise ValidationError(
-                f"coherence matrix at {(l, i, a)} is singular")
+                f"coherence matrix at {(l, j, a)} is singular")
         return inv.scale(ctx.source_trace.unit(c))
     return mat.scale(ctx.target_trace.unit(a))
 
@@ -311,12 +294,10 @@ def _label_domains(ctx: SixJContext, kind: str):
         if kind.startswith("n"):
             return (nx, nh, nh, nx, nx, nh), "ijkabc"
         return (ng, nx, nh, nx, nx, nx), "ijkabc"
-    grp, act_x, act_y, _, _, mult, _ = _left_parts(ctx.functor)
+    grp, act_x, act_y, *_ = _matrix_parts(ctx, kind)
     nx, ny = act_x.shape[1], act_y.shape[1]
-    if kind in MODFUN_KINDS:
-        return (grp.order, nx, ny, ny, nx), "ijabc"
-    grp_h, act_xh, act_yh, _, _ = _right_parts(ctx.functor)
-    return (grp_h.order, nx, ny, ny, nx), "liabc"
+    return (grp.order, nx, ny, ny, nx), ("ijabc" if kind in MODFUN_KINDS
+                                         else "liabc")
 
 
 def sixj(query: SixJQuery) -> SixJValue:
@@ -340,10 +321,8 @@ def sixj(query: SixJQuery) -> SixJValue:
     _check_labels(labels, sizes, names)
 
     if kind in _MATRIX_KINDS:
-        if kind in MODFUN_KINDS:
-            mat = _s_matrix(ctx, labels, inverse=kind.endswith("^-1"))
-        else:
-            mat = _t_matrix(ctx, labels, inverse=kind.endswith("^-1"))
+        mat = _matrix_symbol(ctx, _matrix_parts(ctx, kind), labels,
+                             inverse=kind.endswith("^-1"))
         if mat is None:
             raise UndefinedLabels(
                 f"labels {labels} do not compose for kind {kind!r}")
@@ -445,34 +424,19 @@ def _admissible_labels(ctx: SixJContext, kind: str):
                         yield (i, j, k, int(act_h[kinv, j]),
                                int(act_h[kinv, c]), c)
         return
-    if kind in MODFUN_KINDS:
-        grp, act_x, act_y, _, _, mult, _ = _left_parts(ctx.functor)
-        for i in grp.elements():
-            for j in range(act_x.shape[1]):
-                c = int(act_x[i, j])
-                for a in range(act_y.shape[1]):
-                    if mult[j, a]:
-                        yield (i, j, a, int(act_y[i, a]), c)
-        return
-    grp_h, act_xh, act_yh, mult, _ = _right_parts(ctx.functor)
-    for l in grp_h.elements():
-        linv = grp_h.inv(l)
-        for i in range(act_xh.shape[1]):
-            c = int(act_xh[linv, i])
-            for a in range(act_yh.shape[1]):
-                if mult[i, a]:
-                    yield (l, i, a, int(act_yh[linv, a]), c)
+    grp, act_x, act_y, mult, _, acting = _matrix_parts(ctx, kind)
+    for l in grp.elements():
+        g = acting(l)
+        for j in range(act_x.shape[1]):
+            c = int(act_x[g, j])
+            for a in range(act_y.shape[1]):
+                if mult[j, a]:
+                    yield (l, j, a, int(act_y[g, a]), c)
 
 
 # ---------------------------------------------------------------------------
 # relation reports
 # ---------------------------------------------------------------------------
-
-def _record(failures: list, relation: str, tup, lhs, rhs) -> None:
-    if len(failures) < ValidationReport.MAX_FAILURES:
-        failures.append({"kind": relation, "tuple": tup,
-                         "lhs": repr(lhs), "rhs": repr(rhs)})
-
 
 def _zero_matrix(nrows: int, ncols: int) -> SMatrix:
     return SMatrix([[Scalar.zero()] * ncols for _ in range(nrows)])
@@ -490,7 +454,7 @@ def _normalize_scope(scope):
 
 # -- fusion relations -------------------------------------------------------
 
-def _orth_fusion(fusion: FusionData, scope, failures) -> int:
+def _orth_fusion(fusion: FusionData, scope, log) -> int:
     grp = fusion.group
     checked = 0
     els = grp.elements()
@@ -521,12 +485,12 @@ def _orth_fusion(fusion: FusionData, scope, failures) -> int:
                             expected = Scalar.from_rational(
                                 1 if admissible else 0)
                             if total != expected:
-                                _record(failures, "orthogonality[fusion]",
+                                log.add("orthogonality[fusion]",
                                         (i, j, k, b, c, d), total, expected)
     return checked
 
 
-def _ber_fusion(fusion: FusionData, scope, failures) -> int:
+def _ber_fusion(fusion: FusionData, scope, log) -> int:
     grp = fusion.group
     checked = 0
     els = grp.elements()
@@ -561,7 +525,7 @@ def _ber_fusion(fusion: FusionData, scope, failures) -> int:
                             rhs = rhs + (fusion.kappa_unit(f).to_scalar()
                                          * w1 * w2 * w3)
                         if lhs != rhs:
-                            _record(failures, "biedenharn-elliott[fusion]",
+                            log.add("biedenharn-elliott[fusion]",
                                     (i, j, k, m, n), lhs, rhs)
     return checked
 
@@ -569,7 +533,7 @@ def _ber_fusion(fusion: FusionData, scope, failures) -> int:
 # -- bimodule-category relations --------------------------------------------
 
 def _orth_scalar_pair(name, outer, middle, evaluate, dim_middle, dim_alt,
-                      admissible, scope, failures) -> int:
+                      admissible, scope, log) -> int:
     """Orthogonality for a scalar symbol pair.
 
     For each outer tuple (i, j, k, b, c, d), sums
@@ -594,11 +558,11 @@ def _orth_scalar_pair(name, outer, middle, evaluate, dim_middle, dim_alt,
         expected = Scalar.from_rational(
             1 if (c == d and admissible(i, j, k, b, c)) else 0)
         if total != expected:
-            _record(failures, name, (i, j, k, b, c, d), total, expected)
+            log.add(name, (i, j, k, b, c, d), total, expected)
     return checked
 
 
-def _orth_bimodule(ctx: SixJContext, scope, failures) -> int:
+def _orth_bimodule(ctx: SixJContext, scope, log) -> int:
     data, trace = ctx.bimodule, ctx.trace
     grp_g, grp_h = data.left.group, data.right.group
     act_g, act_h = data.x_g.action, data.x_h.action
@@ -622,7 +586,7 @@ def _orth_bimodule(ctx: SixJContext, scope, failures) -> int:
         xs, m_eval, trace.unit, data.left.kappa_unit,
         lambda i, j, k, b, c: (c == grp_g.op(i, j)
                                and b == int(act_g[c, k])),
-        scope, failures)
+        scope, log)
     checked += _orth_scalar_pair(
         "orthogonality[n]",
         ((i, j, k, b, c, d) for i in xs for j in hs for k in hs
@@ -630,7 +594,7 @@ def _orth_bimodule(ctx: SixJContext, scope, failures) -> int:
         xs, n_eval, trace.unit, data.right.kappa_unit,
         lambda i, j, k, b, c: (c == grp_h.op(j, k)
                                and b == int(act_h[grp_h.inv(c), i])),
-        scope, failures)
+        scope, log)
     checked += _orth_scalar_pair(
         "orthogonality[b]",
         ((i, j, k, b, c, d) for i in gs for j in xs for k in hs
@@ -638,62 +602,68 @@ def _orth_bimodule(ctx: SixJContext, scope, failures) -> int:
         xs, b_eval, trace.unit, trace.unit,
         lambda i, j, k, b, c: (c == int(act_g[i, j])
                                and b == int(act_h[grp_h.inv(k), c])),
-        scope, failures)
+        scope, log)
     return checked
 
 
 # -- module-functor relations -----------------------------------------------
 
-def _orth_functor_left(ctx: SixJContext, scope, failures) -> int:
-    """Both displayed orthogonality forms for the s symbols."""
-    grp, act_x, act_y, _, _, mult, _ = _left_parts(ctx.functor)
+def _orth_matrix_pair(ctx: SixJContext, kind: str, scope, log) -> int:
+    """Both displayed orthogonality forms for the s or the t symbols.
+
+    A singular block met in a sum is logged in place of the comparison.
+    """
+    parts = _matrix_parts(ctx, kind)
+    grp, act_x, act_y, mult, _, acting = parts
     nx, ny = act_x.shape[1], act_y.shape[1]
     src_tr, tgt_tr = ctx.source_trace, ctx.target_trace
     checked = 0
 
     # a-summed form: sum over a of dim(a) dim(d) s(..c) s^-1(..d) with the
     # inverse-symbol matrix indices chained through the summed one.
-    for i in grp.elements():
+    name = f"orthogonality[{kind};a-sum]"
+    for l in grp.elements():
+        g = acting(l)
         for j in range(nx):
             for b in range(ny):
-                a0 = int(act_y[grp.inv(i), b])
-                size = int(mult[j, a0])
+                size = int(mult[j, int(act_y[grp.inv(g), b])])
                 if not size:
                     continue
                 for c in range(nx):
                     for d in range(nx):
-                        if not _in_scope(scope, (i, j, b, c, d)):
+                        if not _in_scope(scope, (l, j, b, c, d)):
                             continue
                         checked += 1
                         total = _zero_matrix(size, size)
-                        bad = False
                         for a in range(ny):
-                            s_mat = _s_matrix(ctx, (i, j, a, b, c), False)
-                            if s_mat is None:
+                            mat = _matrix_symbol(ctx, parts, (l, j, a, b, c),
+                                                 False)
+                            if mat is None:
                                 continue
                             try:
-                                s_inv = _s_matrix(ctx, (i, j, a, b, d), True)
+                                inv = _matrix_symbol(ctx, parts,
+                                                     (l, j, a, b, d), True)
                             except ValidationError as exc:
-                                _record(failures, "orthogonality[s;a-sum]",
-                                        (i, j, b, c, d), str(exc), "inverse")
-                                bad = True
+                                log.add(name, (l, j, b, c, d), str(exc),
+                                        "inverse")
                                 break
-                            if s_inv is None:
+                            if inv is None:
                                 continue
                             dims = tgt_tr.unit(a) * src_tr.unit(d)
-                            total = total + (s_inv @ s_mat).scale(dims)
-                        if bad:
-                            continue
-                        expected = (SMatrix.identity(size)
-                                    if c == d and c == int(act_x[i, j])
-                                    else _zero_matrix(size, size))
-                        if total != expected:
-                            _record(failures, "orthogonality[s;a-sum]",
-                                    (i, j, b, c, d), total, expected)
+                            total = total + (inv @ mat).scale(dims)
+                        else:  # no singular block met
+                            expected = (SMatrix.identity(size)
+                                        if c == d and c == int(act_x[g, j])
+                                        else _zero_matrix(size, size))
+                            if total != expected:
+                                log.add(name, (l, j, b, c, d), total,
+                                        expected)
 
     # c-summed form: sum over c of dim(c) dim(d) s(.., a, ..) s^-1(.., d, ..)
     # with the column index of s chained to the row index of s^-1.
-    for i in grp.elements():
+    name = f"orthogonality[{kind};c-sum]"
+    for l in grp.elements():
+        g = acting(l)
         for j in range(nx):
             for a in range(ny):
                 if not mult[j, a]:
@@ -702,129 +672,39 @@ def _orth_functor_left(ctx: SixJContext, scope, failures) -> int:
                     if not mult[j, d]:
                         continue
                     for b in range(ny):
-                        if not _in_scope(scope, (i, j, a, d, b)):
+                        if not _in_scope(scope, (l, j, a, d, b)):
                             continue
                         checked += 1
                         total = _zero_matrix(int(mult[j, a]),
                                              int(mult[j, d]))
-                        bad = False
                         for c in range(nx):
-                            s_mat = _s_matrix(ctx, (i, j, a, b, c), False)
-                            if s_mat is None:
+                            mat = _matrix_symbol(ctx, parts, (l, j, a, b, c),
+                                                 False)
+                            if mat is None:
                                 continue
                             try:
-                                s_inv = _s_matrix(ctx, (i, j, d, b, c), True)
+                                inv = _matrix_symbol(ctx, parts,
+                                                     (l, j, d, b, c), True)
                             except ValidationError as exc:
-                                _record(failures, "orthogonality[s;c-sum]",
-                                        (i, j, a, d, b), str(exc), "inverse")
-                                bad = True
+                                log.add(name, (l, j, a, d, b), str(exc),
+                                        "inverse")
                                 break
-                            if s_inv is None:
+                            if inv is None:
                                 continue
                             dims = src_tr.unit(c) * tgt_tr.unit(d)
-                            total = total + (s_mat @ s_inv).scale(dims)
-                        if bad:
-                            continue
-                        expected = (SMatrix.identity(int(mult[j, a]))
-                                    if a == d and b == int(act_y[i, a])
-                                    else _zero_matrix(int(mult[j, a]),
-                                                      int(mult[j, d])))
-                        if total != expected:
-                            _record(failures, "orthogonality[s;c-sum]",
-                                    (i, j, a, d, b), total, expected)
+                            total = total + (mat @ inv).scale(dims)
+                        else:  # no singular block met
+                            expected = (SMatrix.identity(int(mult[j, a]))
+                                        if a == d and b == int(act_y[g, a])
+                                        else _zero_matrix(int(mult[j, a]),
+                                                          int(mult[j, d])))
+                            if total != expected:
+                                log.add(name, (l, j, a, d, b), total,
+                                        expected)
     return checked
 
 
-def _orth_functor_right(ctx: SixJContext, scope, failures) -> int:
-    """The same two orthogonality forms for the t symbols."""
-    grp_h, act_xh, act_yh, mult, _ = _right_parts(ctx.functor)
-    nx, ny = act_xh.shape[1], act_yh.shape[1]
-    src_tr, tgt_tr = ctx.source_trace, ctx.target_trace
-    checked = 0
-
-    for l in grp_h.elements():
-        for i in range(nx):
-            for b in range(ny):
-                a0 = int(act_yh[l, b])
-                size = int(mult[i, a0])
-                if not size:
-                    continue
-                for c in range(nx):
-                    for d in range(nx):
-                        if not _in_scope(scope, (l, i, b, c, d)):
-                            continue
-                        checked += 1
-                        total = _zero_matrix(size, size)
-                        bad = False
-                        for a in range(ny):
-                            t_mat = _t_matrix(ctx, (l, i, a, b, c), False)
-                            if t_mat is None:
-                                continue
-                            try:
-                                t_inv = _t_matrix(ctx, (l, i, a, b, d), True)
-                            except ValidationError as exc:
-                                _record(failures, "orthogonality[t;a-sum]",
-                                        (l, i, b, c, d), str(exc), "inverse")
-                                bad = True
-                                break
-                            if t_inv is None:
-                                continue
-                            dims = tgt_tr.unit(a) * src_tr.unit(d)
-                            total = total + (t_inv @ t_mat).scale(dims)
-                        if bad:
-                            continue
-                        expected = (
-                            SMatrix.identity(size)
-                            if c == d and c == int(act_xh[grp_h.inv(l), i])
-                            else _zero_matrix(size, size))
-                        if total != expected:
-                            _record(failures, "orthogonality[t;a-sum]",
-                                    (l, i, b, c, d), total, expected)
-
-    for l in grp_h.elements():
-        for i in range(nx):
-            for a in range(ny):
-                if not mult[i, a]:
-                    continue
-                for d in range(ny):
-                    if not mult[i, d]:
-                        continue
-                    for b in range(ny):
-                        if not _in_scope(scope, (l, i, a, d, b)):
-                            continue
-                        checked += 1
-                        total = _zero_matrix(int(mult[i, a]),
-                                             int(mult[i, d]))
-                        bad = False
-                        for c in range(nx):
-                            t_mat = _t_matrix(ctx, (l, i, a, b, c), False)
-                            if t_mat is None:
-                                continue
-                            try:
-                                t_inv = _t_matrix(ctx, (l, i, d, b, c), True)
-                            except ValidationError as exc:
-                                _record(failures, "orthogonality[t;c-sum]",
-                                        (l, i, a, d, b), str(exc), "inverse")
-                                bad = True
-                                break
-                            if t_inv is None:
-                                continue
-                            dims = src_tr.unit(c) * tgt_tr.unit(d)
-                            total = total + (t_mat @ t_inv).scale(dims)
-                        if bad:
-                            continue
-                        expected = (
-                            SMatrix.identity(int(mult[i, a]))
-                            if a == d and b == int(act_yh[grp_h.inv(l), a])
-                            else _zero_matrix(int(mult[i, a]),
-                                              int(mult[i, d])))
-                        if total != expected:
-                            _record(failures, "orthogonality[t;c-sum]",
-                                    (l, i, a, d, b), total, expected)
-    return checked
-
-
-def _ber_functor(ctx: SixJContext, scope, failures,
+def _ber_functor(ctx: SixJContext, scope, log,
                  relation: str = "biedenharn-elliott[s]") -> int:
     """The displayed Biedenharn-Elliott relation for module functors.
 
@@ -833,8 +713,9 @@ def _ber_functor(ctx: SixJContext, scope, failures,
     dim(m) [s] [left-action symbol of the source] [s], matched as exact
     matrices over the shared multiplicity space.
     """
-    functor = ctx.functor
-    grp, act_x, act_y, psi_x, psi_y, mult, _ = _left_parts(functor)
+    parts = _matrix_parts(ctx, "s")
+    grp, act_x, act_y, mult, _, _ = parts
+    psi_x, psi_y = ctx.functor.source.psi, ctx.functor.target.psi
     nx, ny = act_x.shape[1], act_y.shape[1]
     src_tr, tgt_tr = ctx.source_trace, ctx.target_trace
     checked = 0
@@ -854,30 +735,33 @@ def _ber_functor(ctx: SixJContext, scope, failures,
                     size = int(mult[l, k])
                     m_target = _m_value(grp, act_y, psi_y, tgt_tr,
                                         None, (i, j, k, a, b, c), False)
-                    s_outer = _s_matrix(ctx, (c, l, k, b, d), False)
+                    s_outer = _matrix_symbol(ctx, parts, (c, l, k, b, d),
+                                             False)
                     lhs = (_zero_matrix(size, size)
                            if m_target is None or s_outer is None
                            else s_outer.scale(m_target))
                     rhs = _zero_matrix(size, size)
                     for mm in range(nx):
-                        s_right = _s_matrix(ctx, (j, l, k, a, mm), False)
+                        s_right = _matrix_symbol(ctx, parts,
+                                                 (j, l, k, a, mm), False)
                         if s_right is None:
                             continue
                         m_source = _m_value(grp, act_x, psi_x, src_tr,
                                             None, (i, j, l, mm, d, c), False)
                         if m_source is None:
                             continue
-                        s_left = _s_matrix(ctx, (i, mm, a, b, d), False)
+                        s_left = _matrix_symbol(ctx, parts,
+                                                (i, mm, a, b, d), False)
                         if s_left is None:
                             continue
                         dims = src_tr.unit(mm) * m_source
                         rhs = rhs + (s_right @ s_left).scale(dims)
                     if lhs != rhs:
-                        _record(failures, relation, (i, j, l, k), lhs, rhs)
+                        log.add(relation, (i, j, l, k), lhs, rhs)
     return checked
 
 
-def _ber_bimodule(ctx: SixJContext, scope, failures) -> int:
+def _ber_bimodule(ctx: SixJContext, scope, log) -> int:
     """Biedenharn-Elliott for a bimodule category.
 
     The scalar symbols are the functor symbols of the point-action
@@ -894,7 +778,7 @@ def _ber_bimodule(ctx: SixJContext, scope, failures) -> int:
         fctx = SixJContext(functor=functor, source_trace=src_tr,
                            target_trace=ctx.trace)
         checked += _ber_functor(
-            fctx, scope, failures,
+            fctx, scope, log,
             relation=f"biedenharn-elliott[m;base={base}]")
     return checked
 
@@ -911,19 +795,18 @@ def verify_orthogonality(context: SixJContext,
     tuples; the default covers all admissible tuples.
     """
     scope = _normalize_scope(scope)
-    failures: list[dict] = []
+    log = FailureLog(key="kind", fmt=repr)
     if context.fusion is not None:
-        checked = _orth_fusion(context.fusion, scope, failures)
+        checked = _orth_fusion(context.fusion, scope, log)
     elif context.bimodule is not None:
-        checked = _orth_bimodule(context, scope, failures)
+        checked = _orth_bimodule(context, scope, log)
     elif context.functor is not None:
-        checked = _orth_functor_left(context, scope, failures)
+        checked = _orth_matrix_pair(context, "s", scope, log)
         if isinstance(context.functor, BimoduleFunctorData):
-            checked += _orth_functor_right(context, scope, failures)
+            checked += _orth_matrix_pair(context, "t", scope, log)
     else:
         raise ValueError("empty 6j context")
-    return ValidationReport(ok=not failures, checked=checked,
-                            failures=failures)
+    return log.report(checked)
 
 
 def verify_biedenharn_elliott(
@@ -938,14 +821,13 @@ def verify_biedenharn_elliott(
     of validate_bimodfun rather than a displayed relation here.
     """
     scope = _normalize_scope(scope)
-    failures: list[dict] = []
+    log = FailureLog(key="kind", fmt=repr)
     if context.fusion is not None:
-        checked = _ber_fusion(context.fusion, scope, failures)
+        checked = _ber_fusion(context.fusion, scope, log)
     elif context.bimodule is not None:
-        checked = _ber_bimodule(context, scope, failures)
+        checked = _ber_bimodule(context, scope, log)
     elif context.functor is not None:
-        checked = _ber_functor(context, scope, failures)
+        checked = _ber_functor(context, scope, log)
     else:
         raise ValueError("empty 6j context")
-    return ValidationReport(ok=not failures, checked=checked,
-                            failures=failures)
+    return log.report(checked)

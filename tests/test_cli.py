@@ -6,6 +6,7 @@ down the exit-code contract (0 success, 1 validation or relation failure,
 2 usage or parse errors) plus output determinism.
 """
 
+import itertools
 import json
 import os
 import pathlib
@@ -13,10 +14,15 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from twistcat.cli import main
+from twistcat.algebra import cyclic_group, point_gset
+from twistcat.cli import SessionConfig, main
+from twistcat.cohomology import UnitCochain
+from twistcat.fusion import FusionData
+from twistcat.sixj import fusion_context, verify_biedenharn_elliott
 
 HERE = pathlib.Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -152,6 +158,35 @@ def test_non_cocycle_omega_exits_1(tmp_path):
     assert result.exit_code == 1
     assert "not a 3-cocycle" in result.stderr
     assert "(g, h, k, l) = (1, 1, 1, 1)" in result.stderr
+
+
+def test_verify_prints_the_exact_failure_total(monkeypatch, tmp_path):
+    # a config whose fusion carries a random, non-cocycle omega (constructed
+    # past validation, which a parsed config never skips) fails more
+    # Biedenharn-Elliott tuples than the report keeps as samples
+    grp = cyclic_group(3)
+    exps = np.random.default_rng(3).integers(0, 3, size=(3, 3, 3, 1))
+    bad = object.__new__(FusionData)
+    object.__setattr__(bad, "group", grp)
+    object.__setattr__(bad, "omega", UnitCochain(3, point_gset(grp), 3, exps))
+    object.__setattr__(bad, "kappa", UnitCochain.trivial(1, point_gset(grp), 1))
+    object.__setattr__(bad, "spherical", True)
+    monkeypatch.setattr("twistcat.cli.parse_config",
+                        lambda path: SessionConfig(fusions={"F": bad}))
+    ctx = fusion_context(bad)
+    total = sum(not verify_biedenharn_elliott(ctx, scope=[tup]).ok
+                for tup in itertools.product(range(3), repeat=5))
+    assert total > 20
+
+    table = _invoke(tmp_path / "bad.json", "verify", "biedenharn-elliott")
+    assert table.exit_code == 1
+    lines = table.output.splitlines()
+    assert lines[0] == f"F: checked 243 identities, {total} failures"
+    assert lines[-1] == f"checked 243 identities, {total} failures"
+    doc = json.loads(_invoke(tmp_path / "bad.json", "--format", "json",
+                             "verify", "biedenharn-elliott").output)
+    assert doc["failures"] == total
+    assert len(doc["results"][0]["failures"]) == 20
 
 
 def test_unknown_entity_argument_exits_2():

@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 from twistcat._matrix import SMatrix, matrix_rank, nullspace_basis
 from twistcat.algebra import (QUOTIENT_REPS_BOUND, _kernel_mod_basis,
                               _kernel_mod_coords, _lattice_basis,
-                              _lattice_quotient_reps, _solve_integer,
-                              smith_normal_form, solve_mod)
+                              _lattice_quotient_reps, smith_normal_form,
+                              solve_mod)
 from twistcat.errors import EnumerationBoundExceeded
 from twistcat.scalar import Scalar, _gauss_jordan, _phi_degree
 
@@ -34,10 +34,6 @@ def _int_matrix(n_rows, n_cols, lo=-4, hi=4):
 
 def _columns(rows):
     return [list(col) for col in zip(*rows)]
-
-
-def _matmul(a, b):
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 @st.composite
@@ -93,38 +89,17 @@ def test_gauss_jordan_leaves_input_untouched():
 
 
 # ---------------------------------------------------------------------------
-# integer solver, unimodular inverse, lattice basis
+# unimodular inverse, lattice basis
 # ---------------------------------------------------------------------------
-
-@CHECKS
-@given(data=st.data())
-def test_solve_integer_recovers_coordinates(data):
-    b = data.draw(_full_rank())
-    n = len(b)
-    k = data.draw(st.integers(1, 3))
-    c = data.draw(_int_matrix(n, k, -6, 6))
-    targets = _columns(_matmul(b, c))
-    assert _solve_integer(_columns(b), targets) == _columns(c)
-
-
-def test_solve_integer_rejects_rational_coordinates():
-    with pytest.raises(ValueError, match="integer lattice"):
-        _solve_integer([[2, 0], [0, 2]], [[1, 0]])
-
-
-def test_solve_integer_rejects_target_outside_span():
-    with pytest.raises(ValueError, match="column span"):
-        _solve_integer([[1, 0, 0], [0, 1, 0]], [[0, 0, 1]])
-
 
 @CHECKS
 @given(u=_unimodular())
 def test_unimodular_inverse_matches_sympy(u):
-    n = len(u)
-    unit_cols = [[int(i == j) for i in range(n)] for j in range(n)]
-    uinv = [list(row) for row in zip(*_solve_integer(_columns(u), unit_cols))]
-    assert sympy.Matrix(uinv) == sympy.Matrix(u).inv()
-    assert _matmul(u, uinv) == [[int(i == j) for j in range(n)] for i in range(n)]
+    # U u V = D, so u^-1 = V D^-1 U
+    snf = smith_normal_form(u)
+    uinv = sympy.Matrix(snf.V) * sympy.Matrix(snf.D).inv() * sympy.Matrix(snf.U)
+    assert uinv == sympy.Matrix(u).inv()
+    assert all(v.is_integer for v in uinv)
 
 
 @CHECKS
@@ -137,7 +112,8 @@ def test_lattice_basis_spans_the_generated_lattice(data):
     basis = _lattice_basis(gens, n)
     # same lattice: every generator has integer coordinates in the basis, and
     # the covolumes agree with the Smith normal form's invariant factors
-    _solve_integer(basis, gens)
+    coords = sympy.Matrix(basis).T.inv() * sympy.Matrix(gens).T
+    assert all(v.is_integer for v in coords)
     snf = smith_normal_form([list(r) for r in zip(*gens)])
     covolume = 1
     for d in snf.diagonal():

@@ -1,5 +1,6 @@
-"""Source hygiene: no module-level import in the package goes unused, and the
-integer algebra module stays free of rational arithmetic."""
+"""Source hygiene: no module-level import in the package goes unused, the
+integer algebra module stays free of rational arithmetic, and failure reports
+are capped in one place."""
 import ast
 from pathlib import Path
 
@@ -78,3 +79,23 @@ def test_integer_algebra_is_fraction_free():
     path = SRC / "algebra.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "fractions" not in _modules_imported(tree)
+
+
+def test_failure_cap_lives_in_the_accumulator():
+    # every validator counts its failures through modcat.FailureLog; a sweep
+    # that capped its own list would report the cap instead of the total
+    inside, outside = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        log_nodes = set()
+        if path.name == "modcat.py":
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name == "FailureLog":
+                    log_nodes = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if "MAX_FAILURES" in (getattr(node, "id", None),
+                                  getattr(node, "attr", None)):
+                where = f"{path.name}:{node.lineno}"
+                (inside if id(node) in log_nodes else outside).append(where)
+    assert inside, "modcat.FailureLog no longer holds the failure cap"
+    assert not outside, f"MAX_FAILURES used outside FailureLog: {outside}"

@@ -33,7 +33,7 @@ from twistcat.modcat import (
     validate_modcat,
 )
 
-from oracles import oracle_modcat_classes_fast
+from oracles import oracle_differential, oracle_modcat_classes_fast
 
 
 def triv_kappa(g, root=1):
@@ -265,3 +265,35 @@ def test_validation_reports_name_the_failing_condition():
     report2 = validate_modcat(ModuleCategoryData(F2_0, PT2, unnorm))
     assert not report2.ok
     assert report2.failures[0]["condition"] == "psi_normalized"
+
+
+def test_validation_report_counts_failures_beyond_the_samples():
+    # a random Psi on the regular Z/3 carrier fails far more than 20 tuples:
+    # the report states the exact total and keeps the first 20 as samples
+    z3 = cyclic_group(3)
+    fus = FusionData(z3, omega_cyclic(3, 1), triv_kappa(z3))
+    reg = regular_gset(z3)
+    exps = np.random.default_rng(7).integers(0, 3, size=(3, 3, 3))
+    report = validate_modcat(
+        ModuleCategoryData(fus, reg, UnitCochain(2, reg, 3, exps)))
+
+    ident = z3.identity
+    norm_mask = np.zeros(exps.shape, dtype=bool)
+    norm_mask[ident] = exps[ident] != 0
+    norm_mask[:, ident] = exps[:, ident] != 0
+    d_psi = oracle_differential(
+        {(g, h, x): int(exps[g, h, x]) for g in range(3) for h in range(3)
+         for x in range(3)}, 2,
+        [[z3.op(g, h) for h in range(3)] for g in range(3)],
+        [z3.inv(g) for g in range(3)], reg.action.tolist(), 3)
+    omega = fus.omega.exponents[..., 0]
+    cocycle_mask = np.zeros((3, 3, 3, 3), dtype=bool)
+    for (g, h, k, x), val in d_psi.items():
+        cocycle_mask[g, h, k, x] = (val + omega[g, h, k]) % 3 != 0
+
+    total = np.count_nonzero(norm_mask) + np.count_nonzero(cocycle_mask)
+    assert total > 20
+    assert not report.ok and report.failed == total
+    first = ([tuple(int(v) for v in p) for p in np.argwhere(norm_mask)]
+             + [tuple(int(v) for v in p) for p in np.argwhere(cocycle_mask)])
+    assert [f["tuple"] for f in report.failures] == first[:20]

@@ -29,6 +29,7 @@ from twistcat.modcat import (
     regular_module_category,
 )
 from twistcat.modfun import (
+    BimoduleFunctorData,
     ModuleFunctorData,
     action_functor,
     adjoint,
@@ -304,6 +305,41 @@ def test_corrupted_coherence_entry_is_reported():
     assert not report.ok
     assert any(f["condition"] == "cond_A" and 1 in f["tuple"]
                for f in report.failures)
+
+
+def test_corrupted_functor_reports_its_exact_total():
+    # scaling every A_g with g != 1 by i breaks cond_A exactly where g and h
+    # are both nontrivial (i^[gh != 1] against i^2), at every supported pair
+    z4 = cyclic_group(4)
+    reg = regular_module_category(FusionData(z4, omega_cyclic(4, 1),
+                                             triv_kappa(z4)))
+    ident = identity_functor(reg)
+    bad_a = {key: mat if key[0] == z4.identity
+             else mat.scale(Unit(4, 1)) for key, mat in ident.a.items()}
+    report = validate_modfun(ModuleFunctorData(reg, reg, ident.mult, bad_a))
+    assert report.failed == (4 - 1) ** 2 * 4
+    assert len(report.failures) == 20
+    assert {f["condition"] for f in report.failures} == {"cond_A"}
+
+
+def test_bimodule_functor_report_carries_the_left_total():
+    # the same scaling of A keeps every B condition and the hexagon (A_g
+    # enters both sides once), so the whole total comes from the A side
+    z4, z2 = cyclic_group(4), cyclic_group(2)
+    left = FusionData(z4, omega_cyclic(4, 1), triv_kappa(z4))
+    right = FusionData(z2, omega_cyclic(2, 0), triv_kappa(z2))
+    reg = regular_module_category(FusionData(
+        direct_product(z4, z2), deligne_omega(left.omega, right.omega),
+        _product_kappa(left, right)))
+    bim = deligne_to_bimod(reg, left, right)
+    bf = deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)), bim, bim)
+    bad_a = {key: mat if key[0] == z4.identity
+             else mat.scale(Unit(4, 1)) for key, mat in bf.a.items()}
+    report = validate_bimodfun(
+        BimoduleFunctorData(bim, bim, bf.mult, bad_a, bf.b))
+    assert report.failed == (4 - 1) ** 2 * 8
+    assert len(report.failures) == 20
+    assert {f["condition"] for f in report.failures} == {"cond_A"}
 
 
 def test_missing_coherence_entry_is_a_shape_error():

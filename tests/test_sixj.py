@@ -1,4 +1,6 @@
 """Generalized 6j symbols: closed forms, relations, and negative controls."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from twistcat.modfun import (
     action_functor,
     deligne_to_bimodfun,
     identity_functor,
+    validate_bimodfun,
     validate_modfun,
 )
 from twistcat.scalar import Scalar, Unit
@@ -120,20 +123,65 @@ def test_verification_scope_restricts_the_sweep():
     assert ber.checked == 1 and ber.ok
 
 
+def corrupted_fusion(grp, omega, kappa):
+    """Fusion data that skips validation, marked spherical."""
+    bad = object.__new__(FusionData)
+    object.__setattr__(bad, "group", grp)
+    object.__setattr__(bad, "omega", omega)
+    object.__setattr__(bad, "kappa", kappa)
+    object.__setattr__(bad, "spherical", True)
+    return bad
+
+
 def test_fusion_negative_control_rejects_non_cocycle():
-    fus = FusionData(G2, omega_cyclic(2, 0), triv_kappa(G2))
     bad_exps = np.zeros((2, 2, 2, 1), dtype=np.int64)
     bad_exps[1, 1, 1, 0] = 1
     bad_omega = UnitCochain(3, point_gset(G2), 4, bad_exps)
-    corrupted = object.__new__(FusionData)
-    object.__setattr__(corrupted, "group", fus.group)
-    object.__setattr__(corrupted, "omega", bad_omega)
-    object.__setattr__(corrupted, "kappa", fus.kappa)
-    object.__setattr__(corrupted, "spherical", True)
+    corrupted = corrupted_fusion(G2, bad_omega, triv_kappa(G2))
     report = verify_biedenharn_elliott(fusion_context(corrupted))
     assert not report.ok
     assert report.failures
     assert {"kind", "tuple", "lhs", "rhs"} <= set(report.failures[0])
+
+
+G3 = cyclic_group(3)
+
+
+def _scaled_identity_functor():
+    # A_g scaled by i for every g != 1 on the regular Z/4 module category
+    z4 = cyclic_group(4)
+    reg = regular_module_category(FusionData(z4, omega_cyclic(4, 1),
+                                             triv_kappa(z4)))
+    ident = identity_functor(reg)
+    bad_a = {key: mat if key[0] == z4.identity
+             else mat.scale(Unit(4, 1)) for key, mat in ident.a.items()}
+    return ModuleFunctorData(reg, reg, ident.mult, bad_a)
+
+
+@pytest.mark.parametrize("case", ["fusion-omega", "fusion-kappa", "functor"])
+def test_relation_reports_count_every_failing_tuple(case):
+    # the sweep's total equals the number of failing single-tuple sweeps,
+    # with 20 of them kept as samples
+    if case == "fusion-omega":
+        exps = np.random.default_rng(3).integers(0, 3, size=(3, 3, 3, 1))
+        ctx = fusion_context(corrupted_fusion(
+            G3, UnitCochain(3, point_gset(G3), 3, exps), triv_kappa(G3)))
+        verify, tuples = verify_biedenharn_elliott, itertools.product(
+            range(3), repeat=5)
+    elif case == "fusion-kappa":
+        kappa = UnitCochain(1, point_gset(G3), 9, np.array([[0], [1], [2]]))
+        ctx = fusion_context(corrupted_fusion(G3, omega_cyclic(3, 1), kappa))
+        verify, tuples = verify_orthogonality, itertools.product(
+            range(3), repeat=6)
+    else:
+        ctx = functor_context(_scaled_identity_functor())
+        verify, tuples = verify_biedenharn_elliott, itertools.product(
+            range(4), repeat=4)
+    report = verify(ctx)
+    singles = sum(not verify(ctx, scope=[tup]).ok for tup in tuples)
+    assert singles > 20
+    assert not report.ok and report.failed == singles
+    assert len(report.failures) == 20
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +330,22 @@ def test_singular_right_action_block_fails_orthogonality():
     assert any("singular" in f["lhs"] for f in report.failures)
 
 
+def test_invertible_wrong_right_action_block_passes_orthogonality():
+    # both orthogonality forms pair each block with its own inverse, so any
+    # invertible B satisfies them; a wrong but invertible B block leaves
+    # the s and t sweeps clean and is caught by validate_bimodfun instead
+    fus = FusionData(G2, omega_cyclic(2, 0), triv_kappa(G2))
+    _, _, bim = product_bimodule(fus, fus)
+    idf = deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)), bim, bim)
+    bad_b = dict(idf.b)
+    bad_b[(1, 0, 0)] = bad_b[(1, 0, 0)].scale(Unit(4, 1))
+    bad = BimoduleFunctorData(bim, bim, idf.mult, idf.a, bad_b)
+    report = verify_orthogonality(functor_context(bad))
+    assert report.ok and report.checked == 320
+    assert {f["condition"] for f in validate_bimodfun(bad).failures} == {
+        "b_pentagon", "hexagon"}
+
+
 # ---------------------------------------------------------------------------
 # bimodule functors: the t kinds
 # ---------------------------------------------------------------------------
@@ -324,6 +388,31 @@ def test_t_symbols_match_wrapped_right_module_functor():
     for row in sixj_table(ctx, "t"):
         l, i, a, b, c = row["labels"]
         mirrored = sixj(SixJQuery("s", wctx, (G2.inv(l), i, a, b, c)))
+        assert row["value"] == mirrored.value
+
+
+def test_t_symbols_act_through_the_inverse_over_z3():
+    # over Z/3 the acting element l^-1 of a t label differs from l: every t
+    # symbol is the s symbol at l^-1 of the wrapped right module functor
+    left = FusionData(G3, omega_cyclic(3, 1), triv_kappa(G3))
+    right = FusionData(G3, omega_cyclic(3, 2), triv_kappa(G3))
+    _, _, bim = product_bimodule(left, right)
+    bf = deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)), bim, bim)
+    ctx = functor_context(bf)
+    assert verify_orthogonality(ctx).ok
+
+    wrap_src = ModuleCategoryData(
+        FusionData(G3, omega_bar(right.omega), triv_kappa(G3)), bim.x_h, bim.phi)
+    wrapped = ModuleFunctorData(
+        wrap_src, wrap_src, bf.mult,
+        {(h, x, y): bf.b[(G3.inv(h), x, y)] for (h, x, y) in bf.b})
+    wctx = functor_context(wrapped)
+    rows = sixj_table(ctx, "t^-1")
+    assert len(rows) == 27
+    for row in rows:
+        l, i, a, b, c = row["labels"]
+        assert c == int(bim.x_h.action[G3.inv(l), i])
+        mirrored = sixj(SixJQuery("s^-1", wctx, (G3.inv(l), i, a, b, c)))
         assert row["value"] == mirrored.value
 
 
