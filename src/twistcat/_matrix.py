@@ -14,9 +14,9 @@ from .scalar import Scalar, Unit, _gauss_jordan
 
 
 class SMatrix:
-    """Immutable rectangular matrix of Scalars."""
+    """Immutable rectangular matrix of Scalars; its inverse is computed once."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_inverse")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         out = []
@@ -81,10 +81,19 @@ class SMatrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by "
                 f"{other.nrows}x{other.ncols}")
-        return SMatrix([[sum((self.rows[i][k] * other.rows[k][j]
-                              for k in range(self.ncols)), Scalar.zero())
-                         for j in range(other.ncols)]
-                        for i in range(self.nrows)])
+        zero = Scalar.zero()
+        cols = list(zip(*other.rows))
+        out = []
+        for row in self.rows:
+            new = []
+            for col in cols:
+                acc = zero
+                for a, b in zip(row, col):
+                    if a and b:   # block and monomial matrices are mostly zero
+                        acc = acc + a * b
+                new.append(acc)
+            out.append(new)
+        return SMatrix(out)
 
     def __add__(self, other: "SMatrix") -> "SMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -102,7 +111,12 @@ class SMatrix:
                         for j in range(self.ncols)])
 
     def inverse(self) -> Optional["SMatrix"]:
-        """Exact inverse, or None when the matrix is singular."""
+        """Exact inverse, or None when the matrix is singular; the result
+        (None included) is kept, so each matrix is inverted once."""
+        try:
+            return self._inverse
+        except AttributeError:
+            pass
         if self.nrows != self.ncols:
             raise ShapeMismatch("only square matrices can be inverted")
         n = self.nrows
@@ -110,9 +124,9 @@ class SMatrix:
         aug = [list(row) + [one if i == j else zero for j in range(n)]
                for i, row in enumerate(self.rows)]
         reduced, pivots = _gauss_jordan(aug, n)
-        if len(pivots) < n:
-            return None
-        return SMatrix([row[n:] for row in reduced])
+        inv = SMatrix([row[n:] for row in reduced]) if len(pivots) == n else None
+        object.__setattr__(self, "_inverse", inv)
+        return inv
 
     def is_identity(self) -> bool:
         if self.nrows != self.ncols:

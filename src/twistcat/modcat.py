@@ -9,6 +9,7 @@ dictionary, implemented here exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 from typing import Optional
 
@@ -391,12 +392,12 @@ class BimoduleCategoryData:
                 or self.omega_mid.carrier != self.X:
             raise ValueError("omega_mid must be a (G, H)-slot table over X")
 
-    @property
+    @cached_property
     def x_g(self) -> GSet:
         emb, _ = product_embeddings(self.left.group, self.right.group)
         return restrict_gset(self.X, emb, self.left.group)
 
-    @property
+    @cached_property
     def x_h(self) -> GSet:
         _, emb = product_embeddings(self.left.group, self.right.group)
         return restrict_gset(self.X, emb, self.right.group)

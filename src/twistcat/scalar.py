@@ -1,15 +1,25 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
 A :class:`Scalar` is a polynomial in ``zeta_N = exp(2*pi*i/N)`` with rational
-coefficients, kept reduced modulo the N-th cyclotomic polynomial.  A
-:class:`Unit` is a root of unity ``zeta_N**e`` stored by exponent; units are
-the values of all cochains, while general scalars appear in matrices and
+coefficients, kept reduced modulo the N-th cyclotomic polynomial Phi_N.  It
+is stored as phi(N) integer numerators over one positive common denominator,
+divided through by their gcd, so a value has exactly one representation at
+each root order.  Addition, multiplication, equality and inversion run on
+Python ints: reduction modulo the monic Phi_N, the embeddings
+Q(zeta_n) -> Q(zeta_m) and the Galois automorphisms are integer maps read off
+one cached table of the reduced powers of zeta_N.  Fractions appear only at
+the boundaries: the constructor, ``coeffs``, ``from_rational``,
+``as_rational``, printing and JSON.
+
+A :class:`Unit` is a root of unity ``zeta_N**e`` stored by exponent; units
+are the values of all cochains, while general scalars appear in matrices and
 6j symbols.  No floating point is used anywhere.
 
 :func:`_gauss_jordan` is the package's one exact elimination routine over a
-field, on Fractions or Scalars.  ``Scalar.reduce_order`` uses it here and
-``_matrix`` (inverses, ranks, nullspaces) imports it; integer work goes
-through ``algebra.smith_normal_form`` instead.
+field, on Fractions or Scalars.  ``_matrix`` (inverses, ranks, nullspaces)
+imports it, and ``Scalar.reduce_order`` uses it once per pair of root orders
+to build its integer subfield test; integer work goes through
+``algebra.smith_normal_form`` instead.
 """
 from __future__ import annotations
 
@@ -32,7 +42,7 @@ __all__ = [
 # integer polynomial helpers (coefficient lists, constant term first)
 # ---------------------------------------------------------------------------
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def _poly_mul(a, b) -> tuple[int, ...]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -84,23 +94,89 @@ def _phi_degree(n: int) -> int:
     return len(cyclotomic_polynomial(n)) - 1
 
 
-def _reduce_mod_phi(coeffs: list[Fraction], n: int) -> tuple[Fraction, ...]:
-    """Reduce a rational polynomial modulo Phi_n; returns exactly deg(Phi_n) coeffs."""
+# ---------------------------------------------------------------------------
+# integer maps between coefficient vectors
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _powers(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta_n**j reduced modulo Phi_n, as integer vectors, for j = 0..n-1.
+
+    Phi_n divides x**n - 1, so x**k reduces to entry k mod n for every k.
+    """
     phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    work = list(coeffs)
-    for top in range(len(work) - 1, deg - 1, -1):
-        c = work[top]
+    vec = [1] + [0] * (len(phi) - 2)
+    out = []
+    for _ in range(n):
+        out.append(tuple(vec))
+        # x * vec, with x**deg replaced by -(phi without its leading 1)
+        top = vec[-1]
+        vec = [v - top * p for v, p in zip([0] + vec[:-1], phi)]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _power_images(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``_powers(n)`` as sparse (index, coefficient) pairs."""
+    return tuple(tuple((i, c) for i, c in enumerate(vec) if c)
+                 for vec in _powers(n))
+
+
+@lru_cache(maxsize=None)
+def _power_map(n: int, m: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse images of the basis zeta_n**i of Q(zeta_n) under the field map
+    zeta_n -> zeta_m**k: the embedding into Q(zeta_m) when k = m/n, the
+    Galois automorphism sigma_k when m = n and k is a unit mod n."""
+    powers = _power_images(m)
+    return tuple(powers[i * k % m] for i in range(_phi_degree(n)))
+
+
+def _apply(images, nums, deg: int) -> list[int]:
+    """The integer linear map with the given sparse basis images, on nums."""
+    out = [0] * deg
+    for c, img in zip(nums, images):
         if c:
-            for i, pc in enumerate(phi):
-                work[top - deg + i] -= c * pc
-    work = work[:deg]
-    work.extend([Fraction(0)] * (deg - len(work)))
-    return tuple(Fraction(c) for c in work)
+            for i, v in img:
+                out[i] += c * v
+    return out
+
+
+def _reduce(poly, n: int) -> list[int]:
+    """An integer polynomial (constant term first) reduced modulo Phi_n."""
+    deg = _phi_degree(n)
+    out = list(poly[:deg])
+    out += [0] * (deg - len(out))
+    powers = _power_images(n)
+    for k in range(deg, len(poly)):
+        c = poly[k]
+        if c:
+            for i, v in powers[k % n]:
+                out[i] += c * v
+    return out
 
 
 def _divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@lru_cache(maxsize=None)
+def _subfield_test(d: int, n: int):
+    """Integer rows that test membership of Q(zeta_d) in Q(zeta_n).
+
+    Elimination of [E | I], E the embedding's matrix, gives an invertible M
+    with M E = [I; 0]: x lies in the image exactly when the last rows of M x
+    vanish, and then the first phi(d) rows give its coordinates.  Returns
+    (coordinate rows, vanishing rows, denominator) of M scaled to integers.
+    """
+    k, deg = _phi_degree(d), _phi_degree(n)
+    columns = [_powers(n)[j * (n // d)] for j in range(k)]
+    aug = [[Fraction(col[i]) for col in columns]
+           + [Fraction(int(i == j)) for j in range(deg)] for i in range(deg)]
+    reduced, pivots = _gauss_jordan(aug, k)
+    assert len(pivots) == k, "the embedding is injective"
+    scale = lcm(*(v.denominator for row in reduced for v in row[k:]))
+    rows = [tuple(int(v * scale) for v in row[k:]) for row in reduced]
+    return rows[:k], rows[k:], scale
 
 
 def _gauss_jordan(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
@@ -135,72 +211,117 @@ def _gauss_jordan(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     return mat, pivots
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _raw(n: int, nums, den: int) -> "Scalar":
+    """A Scalar from numerators already reduced mod Phi_n and in lowest terms."""
+    s = _new(Scalar)
+    _set(s, "root_order", n)
+    _set(s, "_num", tuple(nums))
+    _set(s, "_den", den)
+    _set(s, "_canon", None)
+    return s
+
+
+def _scalar(n: int, nums, den: int) -> "Scalar":
+    """A Scalar from numerators reduced mod Phi_n over a nonzero denominator,
+    divided through by their gcd."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return _raw(n, nums, den)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(n: int, e: int) -> "Scalar":
+    return _raw(n, _powers(n)[e], 1)
+
+
+def _fractions(nums, den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c, den) for c in nums)
+
+
 class Scalar:
     """An exact element of Q(zeta_N), reduced modulo Phi_N.
 
     Arithmetic between scalars of different root orders embeds both into
     Q(zeta_lcm) first; the embedding zeta_N -> zeta_M**(M/N) is injective and
-    preserves all field operations.
+    preserves all field operations.  It also keeps numerators in lowest
+    terms (Z[zeta_M] meets Q(zeta_N) in Z[zeta_N], whose integral basis is
+    the power basis), so embedded values compare by their integers.
     """
 
-    __slots__ = ("root_order", "coeffs")
+    __slots__ = ("root_order", "_num", "_den", "_canon")
 
     def __init__(self, root_order: int, coeffs) -> None:
         if root_order < 1:
             raise ValueError("root_order must be >= 1")
         vec = [Fraction(c) for c in coeffs]
-        deg = _phi_degree(root_order)
-        if len(vec) != deg:
-            vec = list(_reduce_mod_phi(vec, root_order))
-        object.__setattr__(self, "root_order", root_order)
-        object.__setattr__(self, "coeffs", tuple(vec))
+        den = lcm(*(c.denominator for c in vec))
+        nums = _reduce([c.numerator * (den // c.denominator) for c in vec],
+                       root_order)
+        g = gcd(den, *nums)
+        _set(self, "root_order", root_order)
+        _set(self, "_num", tuple(c // g for c in nums))
+        _set(self, "_den", den // g)
+        _set(self, "_canon", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Scalar is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The phi(N) rational coefficients of 1, zeta_N, ..., zeta_N**(phi(N)-1)."""
+        return _fractions(self._num, self._den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def from_rational(cls, value) -> "Scalar":
-        return cls(1, [Fraction(value)])
+        q = Fraction(value)
+        return _raw(1, (q.numerator,), q.denominator)
 
     @classmethod
     def zero(cls, root_order: int = 1) -> "Scalar":
-        return cls(root_order, [Fraction(0)] * _phi_degree(root_order))
+        return _raw(root_order, (0,) * _phi_degree(root_order), 1)
 
     @classmethod
     def one(cls, root_order: int = 1) -> "Scalar":
-        coeffs = [Fraction(0)] * _phi_degree(root_order)
-        coeffs[0] = Fraction(1)
-        return cls(root_order, coeffs)
+        return _root_of_unity(root_order, 0)
 
     @classmethod
     def root_of_unity(cls, root_order: int, exponent: int = 1) -> "Scalar":
-        e = exponent % root_order
-        return cls(root_order, _reduce_mod_phi(
-            [Fraction(0)] * e + [Fraction(1)], root_order))
+        return _root_of_unity(root_order, exponent % root_order)
 
     # -- embedding ---------------------------------------------------------
 
-    def _embedded_coeffs(self, m: int) -> tuple[Fraction, ...]:
+    def _num_at(self, m: int):
+        """The numerators embedded in Q(zeta_m), for m a multiple of N."""
         n = self.root_order
         if m == n:
-            return self.coeffs
-        if m % n != 0:
-            raise ValueError(f"cannot embed Q(zeta_{n}) into Q(zeta_{m})")
-        step = m // n
-        poly = [Fraction(0)] * (step * (len(self.coeffs) - 1) + 1)
-        for i, c in enumerate(self.coeffs):
-            poly[i * step] = c
-        return _reduce_mod_phi(poly, m)
+            return self._num
+        return tuple(_apply(_power_map(n, m, m // n), self._num, _phi_degree(m)))
 
     def embed(self, root_order: int) -> "Scalar":
         """The same element viewed in Q(zeta_root_order); requires N | root_order."""
-        return Scalar(root_order, self._embedded_coeffs(root_order))
+        if root_order % self.root_order != 0:
+            raise ValueError(f"cannot embed Q(zeta_{self.root_order}) "
+                             f"into Q(zeta_{root_order})")
+        return _raw(root_order, self._num_at(root_order), self._den)
 
     def _coerce(self, other: "Scalar"):
-        m = lcm(self.root_order, other.root_order)
-        return self._embedded_coeffs(m), other._embedded_coeffs(m), m
+        """The common root order and both numerator vectors at it."""
+        n, k = self.root_order, other.root_order
+        if n == k:
+            return n, self._num, other._num
+        m = lcm(n, k)
+        return m, self._num_at(m), other._num_at(m)
 
     @staticmethod
     def _wrap(value) -> "Scalar | None":
@@ -218,13 +339,16 @@ class Scalar:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        a, b, m = self._coerce(other)
-        return Scalar(m, [x + y for x, y in zip(a, b)])
+        m, a, b = self._coerce(other)
+        da, db = self._den, other._den
+        if da == db:
+            return _scalar(m, [x + y for x, y in zip(a, b)], da)
+        return _scalar(m, [x * db + y * da for x, y in zip(a, b)], da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar(self.root_order, [-c for c in self.coeffs])
+        return _raw(self.root_order, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
         other = self._wrap(other)
@@ -242,39 +366,26 @@ class Scalar:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        a, b, m = self._coerce(other)
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        prod[i + j] += ai * bj
-        return Scalar(m, _reduce_mod_phi(prod, m))
+        m, a, b = self._coerce(other)
+        return _scalar(m, _reduce(_poly_mul(a, b), m), self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse, by an extended-gcd computation modulo Phi_N."""
+        """Multiplicative inverse: the product of the nontrivial Galois
+        conjugates of x divided by the norm of x, a nonzero rational."""
         if self.is_zero():
             raise DivisionByZero("cannot invert the zero scalar")
-        n = self.root_order
-        phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-        # extended Euclid on (f, phi) over Q[x]; phi is irreducible over Q so
-        # the gcd is a nonzero constant.
-        r0, r1 = phi, list(self.coeffs)
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while any(c != 0 for c in r1):
-            while r1 and r1[-1] == 0:
-                r1.pop()
-            if len(r1) == 1:
-                const = r1[0]
-                inv_coeffs = [c / const for c in s1]
-                return Scalar(n, _reduce_mod_phi(inv_coeffs, n))
-            quot, rem = _rat_divmod(r0, r1)
-            new_s = _rat_sub(s0, _rat_mul(quot, s1))
-            r0, r1 = r1, list(rem)
-            s0, s1 = s1, new_s
-        raise DivisionByZero("unexpected zero remainder chain")  # pragma: no cover
+        n, a = self.root_order, self._num
+        deg = len(a)
+        conj = (1,)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                sigma = _apply(_power_map(n, n, k), a, deg)
+                conj = _reduce(_poly_mul(conj, sigma), n)
+        # x = a/den, so 1/x = den * conj(a) / (a * conj(a)), a rational
+        norm = _reduce(_poly_mul(a, conj), n)[0]
+        return _scalar(n, [c * self._den for c in conj], norm)
 
     def __truediv__(self, other):
         other = self._wrap(other)
@@ -306,46 +417,53 @@ class Scalar:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
-        a, b, _ = self._coerce(other)
-        return a == b
+        _, a, b = self._coerce(other)
+        return self._den == other._den and a == b
 
     def __hash__(self):
-        reduced = self.reduce_order()
-        return hash((reduced.root_order, reduced.coeffs))
+        n, nums, den = self._canonical()
+        return hash((n, nums if den == 1 else _fractions(nums, den)))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._num)
 
     def is_one(self) -> bool:
-        return self == Scalar.one()
+        return self._den == 1 and self._num[0] == 1 and not any(self._num[1:])
 
     def __bool__(self) -> bool:
-        return not self.is_zero()
+        return any(self._num)
+
+    def _canonical(self) -> tuple[int, tuple[int, ...], int]:
+        """(root order, numerators, denominator) in the smallest cyclotomic
+        subfield containing self, computed once per object."""
+        canon = self._canon
+        if canon is None:
+            n, a, den = self.root_order, self._num, self._den
+            canon = (n, a, den)
+            for d in _divisors(n)[:-1]:
+                coords, vanish, scale = _subfield_test(d, n)
+                if not any(sum(r * c for r, c in zip(row, a)) for row in vanish):
+                    y = _scalar(d, [sum(r * c for r, c in zip(row, a))
+                                    for row in coords], scale * den)
+                    canon = (d, y._num, y._den)
+                    break
+            _set(self, "_canon", canon)
+        return canon
 
     def reduce_order(self) -> "Scalar":
         """Canonical form in the smallest cyclotomic subfield containing self."""
-        n = self.root_order
-        for d in _divisors(n):
-            if d == n:
-                break
-            columns = [Scalar.root_of_unity(d, j)._embedded_coeffs(n)
-                       for j in range(_phi_degree(d))]
-            ncols = len(columns)
-            aug = [[col[i] for col in columns] + [c]
-                   for i, c in enumerate(self.coeffs)]
-            reduced, pivots = _gauss_jordan(aug, ncols)
-            if not any(row[ncols] for row in reduced[len(pivots):]):
-                y = [Fraction(0)] * ncols
-                for row, col in zip(reduced, pivots):
-                    y[col] = row[ncols]
-                return Scalar(d, y)
-        return self
+        canon = self._canonical()
+        if canon[0] == self.root_order:
+            return self
+        out = _raw(*canon)
+        _set(out, "_canon", canon)
+        return out
 
     def as_rational(self) -> Fraction | None:
         """The value as a Fraction if it is rational, else None."""
-        reduced = self.reduce_order()
-        if reduced.root_order == 1:
-            return reduced.coeffs[0]
+        n, nums, den = self._canonical()
+        if n == 1:
+            return Fraction(nums[0], den)
         return None
 
     # -- presentation --------------------------------------------------------
@@ -354,10 +472,9 @@ class Scalar:
         return f"Scalar({self.root_order}, {[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        reduced = self.reduce_order()
-        n = reduced.root_order
+        n, nums, den = self._canonical()
         terms = []
-        for i, c in enumerate(reduced.coeffs):
+        for i, c in enumerate(_fractions(nums, den)):
             if c == 0:
                 continue
             if i == 0:
@@ -378,54 +495,15 @@ class Scalar:
         return out
 
     def to_json(self) -> dict:
-        reduced = self.reduce_order()
+        n, nums, den = self._canonical()
         return {
-            "root_order": reduced.root_order,
-            "coeffs": [str(c) for c in reduced.coeffs],
+            "root_order": n,
+            "coeffs": [str(c) for c in _fractions(nums, den)],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "Scalar":
         return cls(int(data["root_order"]), [Fraction(c) for c in data["coeffs"]])
-
-
-def _rat_divmod(num: list[Fraction], den: list[Fraction]):
-    den = list(den)
-    while den and den[-1] == 0:
-        den.pop()
-    rem = list(num)
-    deg_d = len(den) - 1
-    lead = den[-1]
-    quot = [Fraction(0)] * max(len(rem) - deg_d, 1)
-    for top in range(len(rem) - 1, deg_d - 1, -1):
-        c = rem[top]
-        if c:
-            factor = c / lead
-            quot[top - deg_d] += factor
-            for i, dc in enumerate(den):
-                rem[top - deg_d + i] -= factor * dc
-    while len(rem) > 1 and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
-def _rat_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _rat_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
 
 
 def scalar_arith(a: Scalar, b: Scalar | None, op: str):

@@ -1,6 +1,6 @@
 """Source hygiene: no module-level import in the package goes unused, the
-integer algebra module stays free of rational arithmetic, and failure reports
-are capped in one place."""
+integer algebra module and Scalar arithmetic stay free of rational arithmetic,
+and failure reports are capped in one place."""
 import ast
 from pathlib import Path
 
@@ -79,6 +79,27 @@ def test_integer_algebra_is_fraction_free():
     path = SRC / "algebra.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "fractions" not in _modules_imported(tree)
+
+
+def test_scalar_arithmetic_is_fraction_free():
+    # Scalar stores integer numerators over one denominator; Fractions belong
+    # at the boundaries (constructor, coeffs, from_rational, as_rational,
+    # JSON, printing) and in _gauss_jordan's reciprocal branch
+    path = SRC / "scalar.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scalar = next(node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name == "Scalar")
+    functions = {f"Scalar.{node.name}": node for node in scalar.body
+                 if isinstance(node, ast.FunctionDef)}
+    functions.update((node.name, node) for node in tree.body
+                     if isinstance(node, ast.FunctionDef))
+    integer_path = ["Scalar.__add__", "Scalar.__mul__", "Scalar.__neg__",
+                    "Scalar.__eq__", "Scalar.inverse", "Scalar._coerce",
+                    "Scalar._num_at", "_poly_mul", "_apply", "_reduce",
+                    "_raw", "_scalar"]
+    for name in integer_path:
+        used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
+        assert "Fraction" not in used, f"{name} uses Fraction"
 
 
 def test_failure_cap_lives_in_the_accumulator():
