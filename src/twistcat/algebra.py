@@ -75,7 +75,8 @@ class FiniteGroup:
                 break
         if identity is None:
             raise NoIdentity("table has no two-sided identity")
-        if not np.array_equal(tab[tab, :], tab[:, tab].transpose(1, 2, 0)):
+        # (ij)k against i(jk), indexed [i, j, k]
+        if not np.array_equal(tab[tab, :], tab[:, tab]):
             raise NotAssociative("table is not associative")
         inverse = np.full(n, -1, dtype=np.int64)
         for i in range(n):
@@ -689,13 +690,6 @@ def solve_mod(matrix, rhs, modulus: int,
 QUOTIENT_REPS_BOUND = 4096
 
 
-def _integer_kernel(matrix) -> list[list[int]]:
-    """Basis of {x : A x = 0 over Z}, as a list of column vectors."""
-    snf = smith_normal_form(matrix)
-    return [[row[j] for row in snf.V]
-            for j, d in enumerate(snf.diagonal(len(snf.V))) if d == 0]
-
-
 def _kernel_mod_scales(snf: SNFResult, modulus: int) -> list[int]:
     """modulus / gcd(d_j, modulus) per column of A (1 where d_j = 0)."""
     return [modulus // gcd(d, modulus) if d else 1
@@ -732,17 +726,21 @@ def _kernel_mod_coords(snf: SNFResult, modulus: int,
     return out
 
 
-def _lattice_basis(generator_cols: list[list[int]], dim: int) -> list[list[int]]:
-    """Square basis (as columns) of the full-rank lattice the generators span.
+def _multiples_in_lattice(generator_cols: list[list[int]], dim: int,
+                          m: int) -> list[list[int]]:
+    """Square basis (as columns) of (L meet m*Z^dim) / m, for L the full-rank
+    lattice the generators span.
 
-    With U A V = D for the generator matrix A, the lattice is U^-1 D Z^dim:
-    the basis is column i of U^-1 scaled by d_i.
+    With U A V = D for the generator matrix A, L = U^-1 D Z^dim.  U is
+    unimodular, so x lies in m*Z^dim exactly when U x does: the meet is
+    U^-1 diag(lcm(d_i, m)) Z^dim, and the basis is column i of U^-1 scaled by
+    lcm(d_i, m) / m.
     """
     snf = smith_normal_form(_transpose(generator_cols))
     basis = []
     for i, d in enumerate(snf.diagonal()):
         if d:
-            basis.append([row[i] * d for row in snf.U_inv])
+            basis.append([row[i] * (lcm(d, m) // m) for row in snf.U_inv])
     if len(basis) != dim:
         raise ValueError("lattice is not full rank")
     return basis

@@ -30,11 +30,8 @@ from .algebra import (
     stabilizer,
     _kernel_mod_basis,
     _kernel_mod_coords,
-    _integer_kernel,
-    _lattice_basis,
     _lattice_quotient_reps,
-    _matvec,
-    _transpose,
+    _multiples_in_lattice,
 )
 from .cohomology import (
     UnitCochain,
@@ -159,29 +156,34 @@ def make_modcat(fusion: FusionData, x: GSet, psi: UnitCochain) -> ModuleCategory
 
 def validate_modcat(data: ModuleCategoryData) -> ValidationReport:
     """Check that Psi is normalized and satisfies d(Psi) = inflated omega^-1."""
-    fusion, x, psi = data.fusion, data.X, data.psi
-    grp = fusion.group
     log = FailureLog()
-    checked = 0
+    checked = _check_twisted_cocycle(log, "psi_normalized", "2cocycle",
+                                     data.psi, data.fusion.omega, data.X)
+    return log.report(checked)
 
-    e = psi.exponents
+
+def _check_twisted_cocycle(log: FailureLog, normalized: str, cocycle: str,
+                           cochain: UnitCochain, omega: UnitCochain,
+                           carrier: GSet) -> int:
+    """Log where a 2-cochain on carrier is not normalized (condition
+    ``normalized``) or its differential is not the inflated omega^-1
+    (condition ``cocycle``); returns the number of checks."""
+    e = cochain.exponents
+    grp = carrier.group
     ident = grp.identity
     id_mask = np.zeros(e.shape, dtype=bool)
     id_mask[ident, :, :] = True
     id_mask[:, ident, :] = True
-    checked += int(id_mask.sum())
-    _collect_failures(log, "psi_normalized", (e != 0) & id_mask, e,
-                      np.zeros_like(e), psi.root_order)
+    _collect_failures(log, normalized, (e != 0) & id_mask, e,
+                      np.zeros_like(e), cochain.root_order)
 
-    omega = fusion.omega
-    root = lcm(psi.root_order, omega.root_order)
-    lhs = (_differential_raw(e, grp, x, 2) * (root // psi.root_order)) % root
+    root = lcm(cochain.root_order, omega.root_order)
+    lhs = (_differential_raw(e, grp, carrier, 2)
+           * (root // cochain.root_order)) % root
     rhs_point = (-omega.exponents * (root // omega.root_order)) % root
-    rhs = np.repeat(rhs_point, x.size, axis=-1)
-    checked += lhs.size
-    _collect_failures(log, "2cocycle", lhs != rhs, lhs, rhs, root)
-
-    return log.report(checked)
+    rhs = np.repeat(rhs_point, carrier.size, axis=-1)
+    _collect_failures(log, cocycle, lhs != rhs, lhs, rhs, root)
+    return int(id_mask.sum()) + lhs.size
 
 
 def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
@@ -214,14 +216,10 @@ def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
     further = lifted * m
     ambient = d1.T.tolist() + [[further * int(i == j) for i in range(dim)]
                                for j in range(dim)]
-    ambient_rows = _transpose(_lattice_basis(ambient, dim))
-    # intersection of the ambient (coboundary-image) lattice with m*Z^dim
-    stacked = [row + [-m * int(i == j) for j in range(dim)]
-               for i, row in enumerate(ambient_rows)]
-    inter_gens = [[wi // m for wi in _matvec(ambient_rows, vec[:dim])]
-                  for vec in _integer_kernel(stacked)]
-    # its basis in coordinates of the solution lattice, read off d2's factorization
-    inter_coords = _kernel_mod_coords(snf2, lifted, _lattice_basis(inter_gens, dim))
+    # intersection of the ambient (coboundary-image) lattice with m*Z^dim,
+    # divided by m, in coordinates of the solution lattice
+    inter = _multiples_in_lattice(ambient, dim, m)
+    inter_coords = _kernel_mod_coords(snf2, lifted, inter)
     reps = _lattice_quotient_reps(solution_lattice, inter_coords, dim)
 
     base = np.array(particular, dtype=np.int64)
@@ -410,29 +408,13 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
     g_grp, h_grp = data.left.group, data.right.group
     x_g, x_h = data.x_g, data.x_h
     log = FailureLog()
-    checked = 0
 
     # one-sided conditions
-    for name, cochain, om, carrier in (
-            ("psi_2cocycle", data.psi, data.left.omega, x_g),
-            ("phi_2cocycle", data.phi, omega_bar(data.right.omega), x_h)):
-        e = cochain.exponents
-        grp = carrier.group
-        ident = grp.identity
-        id_mask = np.zeros(e.shape, dtype=bool)
-        id_mask[ident, :, :] = True
-        id_mask[:, ident, :] = True
-        checked += int(id_mask.sum())
-        _collect_failures(log, name.split("_")[0] + "_normalized",
-                          (e != 0) & id_mask, e, np.zeros_like(e),
-                          cochain.root_order)
-        root = lcm(cochain.root_order, om.root_order)
-        lhs = (_differential_raw(e, grp, carrier, 2)
-               * (root // cochain.root_order)) % root
-        rhs_point = (-om.exponents * (root // om.root_order)) % root
-        rhs = np.repeat(rhs_point, carrier.size, axis=-1)
-        checked += lhs.size
-        _collect_failures(log, name, lhs != rhs, lhs, rhs, root)
+    checked = _check_twisted_cocycle(log, "psi_normalized", "psi_2cocycle",
+                                     data.psi, data.left.omega, x_g)
+    checked += _check_twisted_cocycle(log, "phi_normalized", "phi_2cocycle",
+                                      data.phi, omega_bar(data.right.omega),
+                                      x_h)
 
     e_om = data.omega_mid.exponents
     n_om = data.omega_mid.root_order

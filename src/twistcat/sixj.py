@@ -3,7 +3,7 @@
 Twelve symbol kinds are supported, each given by a closed form:
 
 * ``fusion+`` / ``fusion-`` -- associator symbols of a spherical
-  twisted group category, evaluated through :func:`twistcat.fusion.fusion_6j`.
+  twisted group category.
 * ``m`` / ``m^-1``, ``n`` / ``n^-1``, ``b`` / ``b^-1`` -- the scalar symbols
   of a traced bimodule category: left action (``m``), right action (``n``)
   and middle constraint (``b``).
@@ -15,17 +15,28 @@ Twelve symbol kinds are supported, each given by a closed form:
 The symbols come with exact orthogonality and Biedenharn-Elliott checks:
 sums of products of symbols that must collapse to Kronecker patterns or to
 matching pentagon-type expansions.  All arithmetic is exact.
+
+The four scalar families share one layout (:class:`_ScalarLayout`): three
+free labels determine the other three, and a symbol is zero off the composed
+tuples and a root of unity on them.  So every scalar orthogonality or
+Biedenharn-Elliott sum has at most one nonzero term, and the sweeps evaluate
+only the composed tuples; the others hold as 0 = 0 and still count as
+checked.  Scalar orthogonality multiplies out to dim(a)^2 dim(c)^2 = 1, so
+it sees dimensions that are not signs (kappa, the trace) and never the twists
+omega, Psi, Phi, Omega; those show in Biedenharn-Elliott or in validation.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from math import prod
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import (IndexOutOfRange, NoTrace, NotSpherical, UndefinedLabels,
                      ValidationError)
 from .scalar import Scalar, Unit
-from .fusion import FusionData, fusion_6j
+from .fusion import FusionData
 from .modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
                      ValidationReport, bimod_to_deligne, bimodule_trace,
                      module_trace, regular_module_category)
@@ -151,79 +162,125 @@ class SixJValue:
 
 
 # ---------------------------------------------------------------------------
-# closed-form evaluators (return None when the labels do not compose)
+# scalar symbol layouts
 # ---------------------------------------------------------------------------
 
-def _fusion_value(fusion: FusionData, labels) -> tuple[Optional[Scalar],
-                                                       Optional[Scalar]]:
-    """Both fusion symbols at one label tuple, or (None, None)."""
-    try:
-        plus = fusion_6j(fusion, "+", *labels)
-        minus = fusion_6j(fusion, "-", *labels)
-    except UndefinedLabels:
-        return None, None
-    return plus, minus
+@dataclass(frozen=True)
+class _ScalarLayout:
+    """One family of scalar symbols (fusion, m, n or b) on (i, j, k, a, b, c).
 
-
-def _m_value(grp, act, psi, trace: ModuleTrace, kappa_unit,
-             labels, inverse: bool) -> Optional[Unit]:
-    """The left-action symbol of a module structure (psi on carrier X).
-
-    ``m`` is trace(a) * psi(i, j, b), ``m^-1`` is kappa(c) / psi(i, j, b);
-    defined when c = ij, a = j.k and b = c.k.
+    ``sizes`` bounds the six labels.  The free labels (i, j, k) fix the
+    other three through ``compose``; off the composed tuples the symbols
+    vanish, and on them they are roots of unity: with u the twist at
+    (i, j, k, b), the direct symbol is dim_a(a) * u and the inverse one
+    dim_c(c) / u, the two roles exchanged for a ``swapped`` family.  A
+    layout that only ever gives direct symbols may leave ``dim_c`` unset.
     """
-    i, j, k, a, b, c = labels
-    if c != grp.op(i, j) or a != int(act[j, k]) or b != int(act[c, k]):
-        return None
-    val = Unit(psi.root_order, int(psi.exponents[i, j, b]))
-    if inverse:
-        return kappa_unit(c) * val.inverse()
-    return trace.unit(a) * val
+
+    sizes: tuple[int, ...]
+    compose: Callable[[int, int, int], tuple[int, int, int]]
+    twist: Callable[[int, int, int, int], Unit]
+    dim_a: Callable[[int], Unit]
+    dim_c: Optional[Callable[[int], Unit]]
+    swapped: bool = False
+
+    def symbol(self, labels, inverse: bool) -> Unit:
+        """The symbol at composed labels."""
+        i, j, k, a, b, c = labels
+        u = self.twist(i, j, k, b)
+        if inverse == self.swapped:
+            return self.dim_a(a) * u
+        return self.dim_c(c) * u.inverse()
+
+    def value(self, labels, inverse: bool) -> Optional[Unit]:
+        """The symbol at labels, or None when they do not compose."""
+        if labels[3:] != self.compose(*labels[:3]):
+            return None
+        return self.symbol(labels, inverse)
+
+    def composed(self):
+        """Every composed label tuple, in lexicographic order."""
+        si, sj, sk = self.sizes[:3]
+        for i, j, k in itertools.product(range(si), range(sj), range(sk)):
+            yield (i, j, k) + self.compose(i, j, k)
 
 
-def _n_value(data: BimoduleCategoryData, trace: ModuleTrace,
-             labels, inverse: bool) -> Optional[Unit]:
-    """The right-action symbol: phi evaluated at inverted slots.
+def _twist(cochain, slots) -> Callable[[int, int, int, int], Unit]:
+    """The twist (i, j, k, b) -> the cochain's value at slots(i, j, k, b)."""
+    root, exps = cochain.root_order, cochain.exponents
+    return lambda i, j, k, b: Unit(root, int(exps[slots(i, j, k, b)]))
 
-    ``n`` is kappa_H(c) / phi(k^-1, j^-1, b), ``n^-1`` is
-    trace(a) * phi(k^-1, j^-1, b); defined when c = jk, a = i.j, b = i.c
-    for the right H-action on X.
+
+def _m_layout(grp, act, psi, trace: ModuleTrace, kappa_unit) -> _ScalarLayout:
+    """The left-action symbols of a module structure psi on a carrier with
+    action table ``act``: m = trace(a) psi(i, j, b) and
+    m^-1 = kappa(c) / psi(i, j, b), at c = ij, a = j.k, b = c.k."""
+    def compose(i, j, k):
+        c = grp.op(i, j)
+        return int(act[j, k]), int(act[c, k]), c
+
+    n, nx = grp.order, act.shape[1]
+    return _ScalarLayout((n, n, nx, nx, nx, n), compose,
+                         _twist(psi, lambda i, j, k, b: (i, j, b)),
+                         trace.unit, kappa_unit)
+
+
+def _scalar_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
+    """The layout of the fusion, m, n or b symbols of a context.
+
+    * fusion: c = ij, a = jk, b = ck; fusion+ = kappa(a) omega(i, j, k),
+      fusion- = kappa(c) / omega(i, j, k).
+    * n: c = jk, a = i.j, b = i.c (right H-action on X);
+      n = kappa_H(c) / phi(k^-1, j^-1, b), n^-1 = trace(a) phi(k^-1, j^-1, b).
+    * b: c = i.j (left), a = j.k, b = c.k (right);
+      b = trace(a) Omega(i, k^-1, b), b^-1 = trace(c) / Omega(i, k^-1, b).
+    * m: see :func:`_m_layout`.
     """
-    i, j, k, a, b, c = labels
-    grp_h = data.right.group
-    act_h = data.x_h.action
-    if (c != grp_h.op(j, k) or a != int(act_h[grp_h.inv(j), i])
-            or b != int(act_h[grp_h.inv(c), i])):
-        return None
-    phi = data.phi
-    val = Unit(phi.root_order,
-               int(phi.exponents[grp_h.inv(k), grp_h.inv(j), b]))
-    if inverse:
-        return trace.unit(a) * val
-    return data.right.kappa_unit(c) * val.inverse()
+    if family == "fusion":
+        grp = ctx.fusion.group
+        kappa = tuple(map(ctx.fusion.kappa_unit, grp.elements())).__getitem__
+
+        def compose_f(i, j, k):
+            c = grp.op(i, j)
+            return grp.op(j, k), grp.op(c, k), c
+
+        return _ScalarLayout((grp.order,) * 6, compose_f,
+                             _twist(ctx.fusion.omega,
+                                    lambda i, j, k, b: (i, j, k, 0)),
+                             kappa, kappa)
+    data, trace = ctx.bimodule, ctx.trace
+    if family == "m":
+        return _m_layout(data.left.group, data.x_g.action, data.psi, trace,
+                         data.left.kappa_unit)
+    ng, nh, nx = data.left.group.order, data.right.group.order, data.X.size
+    act_g, act_h = data.x_g.action, data.x_h.action
+    inv = data.right.group.inv
+    if family == "n":
+        def compose_n(i, j, k):
+            c = data.right.group.op(j, k)
+            return int(act_h[inv(j), i]), int(act_h[inv(c), i]), c
+
+        return _ScalarLayout((nx, nh, nh, nx, nx, nh), compose_n,
+                             _twist(data.phi,
+                                    lambda i, j, k, b: (inv(k), inv(j), b)),
+                             trace.unit, data.right.kappa_unit, swapped=True)
+
+    def compose_b(i, j, k):
+        c = int(act_g[i, j])
+        return int(act_h[inv(k), j]), int(act_h[inv(k), c]), c
+
+    return _ScalarLayout((ng, nx, nh, nx, nx, nx), compose_b,
+                         _twist(data.omega_mid,
+                                lambda i, j, k, b: (i, inv(k), b)),
+                         trace.unit, trace.unit)
 
 
-def _b_value(data: BimoduleCategoryData, trace: ModuleTrace,
-             labels, inverse: bool) -> Optional[Unit]:
-    """The middle-constraint symbol: omega_mid at an inverted right slot.
+def _family(kind: str) -> str:
+    return "fusion" if kind in FUSION_KINDS else kind[0]
 
-    ``b`` is trace(a) * omega_mid(i, k^-1, b), ``b^-1`` is
-    trace(c) / omega_mid(i, k^-1, b); defined when c = i.j (left),
-    a = j.k and b = c.k (right).
-    """
-    i, j, k, a, b, c = labels
-    grp_h = data.right.group
-    act_g = data.x_g.action
-    act_h = data.x_h.action
-    kinv = grp_h.inv(k)
-    if (c != int(act_g[i, j]) or a != int(act_h[kinv, j])
-            or b != int(act_h[kinv, c])):
-        return None
-    om = data.omega_mid
-    val = Unit(om.root_order, int(om.exponents[i, kinv, b]))
-    if inverse:
-        return trace.unit(c) * val.inverse()
-    return trace.unit(a) * val
+
+def _is_inverse(kind: str) -> bool:
+    return kind == "fusion-" or kind.endswith("^-1")
 
 
 def _same(g: int) -> int:
@@ -283,17 +340,8 @@ def _check_labels(labels, sizes, names) -> None:
 
 def _label_domains(ctx: SixJContext, kind: str):
     """Per-kind label sizes and names, for range validation."""
-    if kind in FUSION_KINDS:
-        n = ctx.fusion.group.order
-        return (n,) * 6, "ijkabc"
-    if kind in BIMODULE_KINDS:
-        data = ctx.bimodule
-        ng, nh, nx = data.left.group.order, data.right.group.order, data.X.size
-        if kind.startswith("m"):
-            return (ng, ng, nx, nx, nx, ng), "ijkabc"
-        if kind.startswith("n"):
-            return (nx, nh, nh, nx, nx, nh), "ijkabc"
-        return (ng, nx, nh, nx, nx, nx), "ijkabc"
+    if kind not in _MATRIX_KINDS:
+        return _scalar_layout(ctx, _family(kind)).sizes, "ijkabc"
     grp, act_x, act_y, *_ = _matrix_parts(ctx, kind)
     nx, ny = act_x.shape[1], act_y.shape[1]
     return (grp.order, nx, ny, ny, nx), ("ijabc" if kind in MODFUN_KINDS
@@ -320,46 +368,28 @@ def sixj(query: SixJQuery) -> SixJValue:
             f"kind {kind!r} takes {len(sizes)} labels, got {len(labels)}")
     _check_labels(labels, sizes, names)
 
+    inverse = _is_inverse(kind)
     if kind in _MATRIX_KINDS:
-        mat = _matrix_symbol(ctx, _matrix_parts(ctx, kind), labels,
-                             inverse=kind.endswith("^-1"))
-        if mat is None:
-            raise UndefinedLabels(
-                f"labels {labels} do not compose for kind {kind!r}")
-        indices = query.indices or (1, 1)
-        if len(indices) != 2:
-            raise IndexOutOfRange(
-                f"kind {kind!r} takes two multiplicity indices")
-        row, col = indices
-        if not (1 <= row <= mat.nrows and 1 <= col <= mat.ncols):
-            raise IndexOutOfRange(
-                f"indices {indices} outside 1..{mat.nrows}")
-        return SixJValue(value=mat.entry(row - 1, col - 1), matrix=mat)
-
-    if query.indices:
+        value = _matrix_symbol(ctx, _matrix_parts(ctx, kind), labels, inverse)
+    elif query.indices:
         raise IndexOutOfRange(
             f"kind {kind!r} admits no multiplicity indices")
-    if kind in FUSION_KINDS:
-        plus, minus = _fusion_value(ctx.fusion, labels)
-        val = plus if kind == "fusion+" else minus
-        if val is None:
-            raise UndefinedLabels(
-                f"labels {labels} do not compose for kind {kind!r}")
-        return SixJValue(value=val)
-
-    data, trace = ctx.bimodule, ctx.trace
-    inverse = kind.endswith("^-1")
-    if kind.startswith("m"):
-        unit = _m_value(data.left.group, data.x_g.action, data.psi, trace,
-                        data.left.kappa_unit, labels, inverse)
-    elif kind.startswith("n"):
-        unit = _n_value(data, trace, labels, inverse)
     else:
-        unit = _b_value(data, trace, labels, inverse)
-    if unit is None:
+        value = _scalar_layout(ctx, _family(kind)).value(labels, inverse)
+    if value is None:
         raise UndefinedLabels(
             f"labels {labels} do not compose for kind {kind!r}")
-    return SixJValue(value=unit.to_scalar())
+    if kind not in _MATRIX_KINDS:
+        return SixJValue(value=value.to_scalar())
+    indices = query.indices or (1, 1)
+    if len(indices) != 2:
+        raise IndexOutOfRange(
+            f"kind {kind!r} takes two multiplicity indices")
+    row, col = indices
+    if not (1 <= row <= value.nrows and 1 <= col <= value.ncols):
+        raise IndexOutOfRange(
+            f"indices {indices} outside 1..{value.nrows}")
+    return SixJValue(value=value.entry(row - 1, col - 1), matrix=value)
 
 
 def sixj_table(context: SixJContext, kind: str) -> list[dict]:
@@ -389,40 +419,8 @@ def sixj_table(context: SixJContext, kind: str) -> list[dict]:
 
 def _admissible_labels(ctx: SixJContext, kind: str):
     """Yield every label tuple that composes, in lexicographic free order."""
-    if kind in FUSION_KINDS:
-        grp = ctx.fusion.group
-        for i in grp.elements():
-            for j in grp.elements():
-                c = grp.op(i, j)
-                for k in grp.elements():
-                    yield (i, j, k, grp.op(j, k), grp.op(c, k), c)
-        return
-    if kind in BIMODULE_KINDS:
-        data = ctx.bimodule
-        grp_g, grp_h = data.left.group, data.right.group
-        act_g, act_h = data.x_g.action, data.x_h.action
-        nx = data.X.size
-        if kind.startswith("m"):
-            for i in grp_g.elements():
-                for j in grp_g.elements():
-                    c = grp_g.op(i, j)
-                    for k in range(nx):
-                        yield (i, j, k, int(act_g[j, k]), int(act_g[c, k]), c)
-        elif kind.startswith("n"):
-            for i in range(nx):
-                for j in grp_h.elements():
-                    a = int(act_h[grp_h.inv(j), i])
-                    for k in grp_h.elements():
-                        c = grp_h.op(j, k)
-                        yield (i, j, k, a, int(act_h[grp_h.inv(c), i]), c)
-        else:
-            for i in grp_g.elements():
-                for j in range(nx):
-                    c = int(act_g[i, j])
-                    for k in grp_h.elements():
-                        kinv = grp_h.inv(k)
-                        yield (i, j, k, int(act_h[kinv, j]),
-                               int(act_h[kinv, c]), c)
+    if kind not in _MATRIX_KINDS:
+        yield from _scalar_layout(ctx, _family(kind)).composed()
         return
     grp, act_x, act_y, mult, _, acting = _matrix_parts(ctx, kind)
     for l in grp.elements():
@@ -452,158 +450,75 @@ def _normalize_scope(scope):
     return {tuple(int(v) for v in t) for t in scope}
 
 
-# -- fusion relations -------------------------------------------------------
-
-def _orth_fusion(fusion: FusionData, scope, log) -> int:
-    grp = fusion.group
-    checked = 0
-    els = grp.elements()
-    for i in els:
-        for j in els:
-            for k in els:
-                for b in els:
-                    for c in els:
-                        for d in els:
-                            if not _in_scope(scope, (i, j, k, b, c, d)):
-                                continue
-                            checked += 1
-                            total = Scalar.zero()
-                            dim_d = fusion.kappa_unit(d)
-                            for a in els:
-                                plus, _ = _fusion_value(fusion,
-                                                        (i, j, k, a, b, c))
-                                if plus is None:
-                                    continue
-                                _, minus = _fusion_value(fusion,
-                                                         (i, j, k, a, b, d))
-                                if minus is None:
-                                    continue
-                                dims = fusion.kappa_unit(a) * dim_d
-                                total = total + dims.to_scalar() * plus * minus
-                            admissible = (c == d and c == grp.op(i, j)
-                                          and b == grp.op(c, k))
-                            expected = Scalar.from_rational(
-                                1 if admissible else 0)
-                            if total != expected:
-                                log.add("orthogonality[fusion]",
-                                        (i, j, k, b, c, d), total, expected)
-    return checked
+def _box_count(box, scope) -> int:
+    """How many tuples of a label box a sweep checks: all of them, or the
+    scope tuples inside the box."""
+    if scope is None:
+        return prod(box)
+    return sum(len(t) == len(box)
+               and all(0 <= v < size for v, size in zip(t, box))
+               for t in scope)
 
 
-def _ber_fusion(fusion: FusionData, scope, log) -> int:
-    grp = fusion.group
-    checked = 0
-    els = grp.elements()
-    for i in els:
-        for j in els:
-            for k in els:
-                for m in els:
-                    for n in els:
-                        if not _in_scope(scope, (i, j, k, m, n)):
-                            continue
-                        checked += 1
-                        c = grp.op(i, j)
-                        a = grp.op(j, k)
-                        b = grp.op(c, k)
-                        d = grp.op(c, m)
-                        lhs = Scalar.zero()
-                        v1, _ = _fusion_value(fusion, (i, j, k, a, b, c))
-                        v2, _ = _fusion_value(fusion, (c, m, n, k, b, d))
-                        if v1 is not None and v2 is not None:
-                            lhs = v1 * v2
-                        rhs = Scalar.zero()
-                        for f in els:
-                            w1, _ = _fusion_value(fusion, (i, f, n, a, b, d))
-                            if w1 is None:
-                                continue
-                            w2, _ = _fusion_value(fusion, (i, j, m, f, d, c))
-                            if w2 is None:
-                                continue
-                            w3, _ = _fusion_value(fusion, (j, m, n, k, a, f))
-                            if w3 is None:
-                                continue
-                            rhs = rhs + (fusion.kappa_unit(f).to_scalar()
-                                         * w1 * w2 * w3)
-                        if lhs != rhs:
-                            log.add("biedenharn-elliott[fusion]",
-                                    (i, j, k, m, n), lhs, rhs)
-    return checked
+# -- scalar relations -------------------------------------------------------
 
+def _orth_scalar(ctx: SixJContext, family: str, scope, log) -> int:
+    """Orthogonality of the fusion, m, n or b symbols.
 
-# -- bimodule-category relations --------------------------------------------
-
-def _orth_scalar_pair(name, outer, middle, evaluate, dim_middle, dim_alt,
-                      admissible, scope, log) -> int:
-    """Orthogonality for a scalar symbol pair.
-
-    For each outer tuple (i, j, k, b, c, d), sums
-    dim(a) * dim(d) * sym(i,j,k,a,b,c) * sym_inv(i,j,k,a,b,d) over the
-    middle label a and compares with the Kronecker/admissibility pattern.
+    For each outer tuple (i, j, k, b, c, d) the sum over a of
+    dim(a) dim(d) sym(i,j,k,a,b,c) sym^-1(i,j,k,a,b,d) must be 1 when
+    (a, b, c) composes from (i, j, k) and d = c, and 0 otherwise.  Both
+    factors vanish unless their labels compose, so the sum has at most one
+    term, and only at a composed tuple with d = c; every other outer tuple
+    sums to 0 as required.  Only the composed tuples are evaluated, but every
+    tuple of the outer box (or of the scope inside it) counts as checked.
     """
-    checked = 0
-    for (i, j, k, b, c, d) in outer:
-        if not _in_scope(scope, (i, j, k, b, c, d)):
+    lay = _scalar_layout(ctx, family)
+    name = f"orthogonality[{family}]"
+    for labels in lay.composed():
+        i, j, k, a, b, c = labels
+        tup = (i, j, k, b, c, c)
+        if not _in_scope(scope, tup):
             continue
-        checked += 1
-        total = Scalar.zero()
-        for a in middle:
-            direct = evaluate((i, j, k, a, b, c), False)
-            if direct is None:
-                continue
-            inv = evaluate((i, j, k, a, b, d), True)
-            if inv is None:
-                continue
-            dims = dim_middle(a) * dim_alt(d)
-            total = total + (dims * direct * inv).to_scalar()
-        expected = Scalar.from_rational(
-            1 if (c == d and admissible(i, j, k, b, c)) else 0)
-        if total != expected:
-            log.add(name, (i, j, k, b, c, d), total, expected)
-    return checked
+        total = (lay.dim_a(a) * lay.dim_c(c) * lay.symbol(labels, False)
+                 * lay.symbol(labels, True))
+        if total != Unit.one():
+            log.add(name, tup, total.to_scalar(), Scalar.from_rational(1))
+    si, sj, sk, _, sb, sc = lay.sizes
+    return _box_count((si, sj, sk, sb, sc, sc), scope)
 
 
-def _orth_bimodule(ctx: SixJContext, scope, log) -> int:
-    data, trace = ctx.bimodule, ctx.trace
-    grp_g, grp_h = data.left.group, data.right.group
-    act_g, act_h = data.x_g.action, data.x_h.action
-    xs = range(data.X.size)
-    gs, hs = grp_g.elements(), grp_h.elements()
+def _ber_fusion(ctx: SixJContext, scope, log) -> int:
+    """Biedenharn-Elliott for the fusion symbols over (i, j, k, m, n) in G^5.
 
-    def m_eval(labels, inverse):
-        return _m_value(grp_g, act_g, data.psi, trace,
-                        data.left.kappa_unit, labels, inverse)
+    With c = ij, a = jk, b = ck and d = cm, the left side
+    F(i,j,k,a,b,c) F(c,m,n,k,b,d) and each term of the right side's sum
+    over f of dim(f) F(i,f,n,a,b,d) F(i,j,m,f,d,c) F(j,m,n,k,a,f) vanish
+    unless k = mn, and the sum's only term is at f = jm.  So only
+    n = m^-1 k is evaluated; every other tuple holds as 0 = 0 and, like all
+    of G^5 (or the scope inside it), counts as checked.
+    """
+    lay = _scalar_layout(ctx, "fusion")
+    grp = ctx.fusion.group
 
-    def n_eval(labels, inverse):
-        return _n_value(data, trace, labels, inverse)
+    def sym(*labels) -> Unit:
+        return lay.symbol(labels, False)
 
-    def b_eval(labels, inverse):
-        return _b_value(data, trace, labels, inverse)
-
-    checked = _orth_scalar_pair(
-        "orthogonality[m]",
-        ((i, j, k, b, c, d) for i in gs for j in gs for k in xs
-         for b in xs for c in gs for d in gs),
-        xs, m_eval, trace.unit, data.left.kappa_unit,
-        lambda i, j, k, b, c: (c == grp_g.op(i, j)
-                               and b == int(act_g[c, k])),
-        scope, log)
-    checked += _orth_scalar_pair(
-        "orthogonality[n]",
-        ((i, j, k, b, c, d) for i in xs for j in hs for k in hs
-         for b in xs for c in hs for d in hs),
-        xs, n_eval, trace.unit, data.right.kappa_unit,
-        lambda i, j, k, b, c: (c == grp_h.op(j, k)
-                               and b == int(act_h[grp_h.inv(c), i])),
-        scope, log)
-    checked += _orth_scalar_pair(
-        "orthogonality[b]",
-        ((i, j, k, b, c, d) for i in gs for j in xs for k in hs
-         for b in xs for c in xs for d in xs),
-        xs, b_eval, trace.unit, trace.unit,
-        lambda i, j, k, b, c: (c == int(act_g[i, j])
-                               and b == int(act_h[grp_h.inv(k), c])),
-        scope, log)
-    return checked
+    for i, j, k, m in itertools.product(grp.elements(), repeat=4):
+        n = grp.op(grp.inv(m), k)
+        if not _in_scope(scope, (i, j, k, m, n)):
+            continue
+        a, b, c = lay.compose(i, j, k)
+        d, f = grp.op(c, m), grp.op(j, m)
+        lhs = (sym(i, j, k, a, b, c), sym(c, m, n, k, b, d))
+        rhs = (lay.dim_a(f), sym(i, f, n, a, b, d),
+               sym(i, j, m, f, d, c), sym(j, m, n, k, a, f))
+        if prod(lhs, start=Unit.one()) != prod(rhs, start=Unit.one()):
+            # reported as products of the factors' Scalars
+            log.add("biedenharn-elliott[fusion]", (i, j, k, m, n),
+                    prod(u.to_scalar() for u in lhs),
+                    prod(u.to_scalar() for u in rhs))
+    return _box_count((grp.order,) * 5, scope)
 
 
 # -- module-functor relations -----------------------------------------------
@@ -715,9 +630,11 @@ def _ber_functor(ctx: SixJContext, scope, log,
     """
     parts = _matrix_parts(ctx, "s")
     grp, act_x, act_y, mult, _, _ = parts
-    psi_x, psi_y = ctx.functor.source.psi, ctx.functor.target.psi
-    nx, ny = act_x.shape[1], act_y.shape[1]
     src_tr, tgt_tr = ctx.source_trace, ctx.target_trace
+    # only the direct m symbols appear, so no kappa is needed
+    m_x = _m_layout(grp, act_x, ctx.functor.source.psi, src_tr, None)
+    m_y = _m_layout(grp, act_y, ctx.functor.target.psi, tgt_tr, None)
+    nx, ny = act_x.shape[1], act_y.shape[1]
     checked = 0
     for i in grp.elements():
         for j in grp.elements():
@@ -733,8 +650,7 @@ def _ber_functor(ctx: SixJContext, scope, log,
                     a = int(act_y[j, k])
                     b = int(act_y[i, a])
                     size = int(mult[l, k])
-                    m_target = _m_value(grp, act_y, psi_y, tgt_tr,
-                                        None, (i, j, k, a, b, c), False)
+                    m_target = m_y.value((i, j, k, a, b, c), False)
                     s_outer = _matrix_symbol(ctx, parts, (c, l, k, b, d),
                                              False)
                     lhs = (_zero_matrix(size, size)
@@ -746,8 +662,7 @@ def _ber_functor(ctx: SixJContext, scope, log,
                                                  (j, l, k, a, mm), False)
                         if s_right is None:
                             continue
-                        m_source = _m_value(grp, act_x, psi_x, src_tr,
-                                            None, (i, j, l, mm, d, c), False)
+                        m_source = m_x.value((i, j, l, mm, d, c), False)
                         if m_source is None:
                             continue
                         s_left = _matrix_symbol(ctx, parts,
@@ -792,14 +707,22 @@ def verify_orthogonality(context: SixJContext,
     """Check every orthogonality identity the context supports.
 
     ``scope`` optionally restricts to an explicit set of outer label
-    tuples; the default covers all admissible tuples.
+    tuples; the default covers all of them.  ``checked`` counts the outer
+    tuples: |G|^6 for a fusion context, and for a bimodule context the sum
+    of the m, n and b boxes, a scope tuple counting once for each box that
+    contains it.  A scalar sum has at most one nonzero term, so only the
+    composed tuples are evaluated; every other tuple holds as 0 = 0.  The
+    scalar identities reduce to dim(a)^2 dim(c)^2 = 1: they detect kappa or
+    trace values that are not signs, never a defect of omega, Psi, Phi or
+    Omega.
     """
     scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)
     if context.fusion is not None:
-        checked = _orth_fusion(context.fusion, scope, log)
+        checked = _orth_scalar(context, "fusion", scope, log)
     elif context.bimodule is not None:
-        checked = _orth_bimodule(context, scope, log)
+        checked = sum(_orth_scalar(context, family, scope, log)
+                      for family in "mnb")
     elif context.functor is not None:
         checked = _orth_matrix_pair(context, "s", scope, log)
         if isinstance(context.functor, BimoduleFunctorData):
@@ -814,16 +737,21 @@ def verify_biedenharn_elliott(
         scope: Optional[Sequence] = None) -> ValidationReport:
     """Check every Biedenharn-Elliott identity the context supports.
 
-    Fusion contexts expand the pentagon over all of G; functor contexts
-    check the displayed mixed relation; bimodule contexts reduce to the
-    functor relation through the point-action functors.  The right-action
-    matrices of a bimodule functor satisfy a composition law that is part
-    of validate_bimodfun rather than a displayed relation here.
+    Fusion contexts expand the pentagon over all of G: ``checked`` is
+    |G|^5 (or the scope tuples inside G^5), and only the tuples with
+    n = m^-1 k, where the sum's one term sits at f = jm, are evaluated; the
+    rest hold as 0 = 0.  The fusion relation detects a non-cocycle omega and
+    kappa values that are not signs.  Functor contexts check the displayed
+    mixed relation; bimodule contexts reduce to the functor relation through
+    the point-action functors, and a Psi, Phi or Omega that breaks the
+    bimodule conditions raises ValidationError there.  The right-action
+    matrices of a bimodule functor satisfy a composition law that is part of
+    validate_bimodfun rather than a displayed relation here.
     """
     scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)
     if context.fusion is not None:
-        checked = _ber_fusion(context.fusion, scope, log)
+        checked = _ber_fusion(context, scope, log)
     elif context.bimodule is not None:
         checked = _ber_bimodule(context, scope, log)
     elif context.functor is not None:

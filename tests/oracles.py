@@ -65,6 +65,46 @@ def cyclic_table(n: int) -> list[list[int]]:
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
 
+def closure_table(identity, generators, mul) -> list[list[int]]:
+    """Multiplication table of the group the generators span under mul,
+    elements in order of discovery from the identity (index 0)."""
+    elements = [identity]
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in generators:
+                y = mul(x, g)
+                if y not in elements:
+                    elements.append(y)
+                    fresh.append(y)
+        frontier = fresh
+    index = {x: i for i, x in enumerate(elements)}
+    return [[index[mul(x, y)] for y in elements] for x in elements]
+
+
+def compose_permutations(p, q) -> tuple[int, ...]:
+    """The permutation v -> p[q[v]]."""
+    return tuple(p[v] for v in q)
+
+
+def hamilton_product(p, q) -> tuple[int, int, int, int]:
+    """Product of integer quaternions (a, b, c, d) = a + bi + cj + dk."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+S3_TABLE = closure_table((0, 1, 2), [(1, 0, 2), (1, 2, 0)], compose_permutations)
+D4_TABLE = closure_table((0, 1, 2, 3), [(1, 2, 3, 0), (0, 3, 2, 1)],
+                         compose_permutations)
+Q8_TABLE = closure_table((1, 0, 0, 0), [(0, 1, 0, 0), (0, 0, 1, 0)],
+                         hamilton_product)
+
+
 def table_identity(table: list[list[int]]) -> int:
     n = len(table)
     for e in range(n):

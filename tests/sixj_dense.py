@@ -1,0 +1,272 @@
+"""Dense reference sweeps for the scalar 6j relations (test-only).
+
+These are the straightforward loops over every label of the fusion and the
+bimodule symbols: orthogonality visits every outer tuple (i, j, k, b, c, d)
+and sums over every middle label a, Biedenharn-Elliott visits every
+(i, j, k, m, n) and sums over every f.  They evaluate each symbol from its
+closed form, independently of the symbol layouts in ``twistcat.sixj``, and
+report through the same failure accumulator, so the support-driven sweeps
+can be compared with them report for report.
+"""
+from __future__ import annotations
+
+from typing import Optional
+
+from twistcat.errors import UndefinedLabels
+from twistcat.fusion import FusionData, fusion_6j
+from twistcat.modcat import BimoduleCategoryData, FailureLog, ModuleTrace
+from twistcat.scalar import Scalar, Unit
+
+
+def corrupted_fusion(grp, omega, kappa):
+    """Fusion data that skips validation, marked spherical."""
+    bad = object.__new__(FusionData)
+    object.__setattr__(bad, "group", grp)
+    object.__setattr__(bad, "omega", omega)
+    object.__setattr__(bad, "kappa", kappa)
+    object.__setattr__(bad, "spherical", True)
+    return bad
+
+
+def _in_scope(scope, tup) -> bool:
+    return scope is None or tup in scope
+
+
+def _normalize_scope(scope):
+    if scope is None:
+        return None
+    return {tuple(int(v) for v in t) for t in scope}
+
+
+def _fusion_value(fusion: FusionData, labels):
+    """Both fusion symbols at one label tuple, or (None, None)."""
+    try:
+        plus = fusion_6j(fusion, "+", *labels)
+        minus = fusion_6j(fusion, "-", *labels)
+    except UndefinedLabels:
+        return None, None
+    return plus, minus
+
+
+def _m_value(data: BimoduleCategoryData, trace: ModuleTrace, labels,
+             inverse: bool) -> Optional[Unit]:
+    """m = trace(a) psi(i, j, b), m^-1 = kappa(c) / psi(i, j, b)."""
+    grp, act = data.left.group, data.x_g.action
+    i, j, k, a, b, c = labels
+    if c != grp.op(i, j) or a != int(act[j, k]) or b != int(act[c, k]):
+        return None
+    val = Unit(data.psi.root_order, int(data.psi.exponents[i, j, b]))
+    if inverse:
+        return data.left.kappa_unit(c) * val.inverse()
+    return trace.unit(a) * val
+
+
+def _n_value(data: BimoduleCategoryData, trace: ModuleTrace, labels,
+             inverse: bool) -> Optional[Unit]:
+    """n = kappa_H(c) / phi(k^-1, j^-1, b), n^-1 = trace(a) phi(k^-1, j^-1, b)."""
+    i, j, k, a, b, c = labels
+    grp_h = data.right.group
+    act_h = data.x_h.action
+    if (c != grp_h.op(j, k) or a != int(act_h[grp_h.inv(j), i])
+            or b != int(act_h[grp_h.inv(c), i])):
+        return None
+    phi = data.phi
+    val = Unit(phi.root_order,
+               int(phi.exponents[grp_h.inv(k), grp_h.inv(j), b]))
+    if inverse:
+        return trace.unit(a) * val
+    return data.right.kappa_unit(c) * val.inverse()
+
+
+def _b_value(data: BimoduleCategoryData, trace: ModuleTrace, labels,
+             inverse: bool) -> Optional[Unit]:
+    """b = trace(a) Omega(i, k^-1, b), b^-1 = trace(c) / Omega(i, k^-1, b)."""
+    i, j, k, a, b, c = labels
+    grp_h = data.right.group
+    act_g = data.x_g.action
+    act_h = data.x_h.action
+    kinv = grp_h.inv(k)
+    if (c != int(act_g[i, j]) or a != int(act_h[kinv, j])
+            or b != int(act_h[kinv, c])):
+        return None
+    om = data.omega_mid
+    val = Unit(om.root_order, int(om.exponents[i, kinv, b]))
+    if inverse:
+        return trace.unit(c) * val.inverse()
+    return trace.unit(a) * val
+
+
+def _orth_fusion(fusion: FusionData, scope, log) -> int:
+    grp = fusion.group
+    checked = 0
+    els = grp.elements()
+    for i in els:
+        for j in els:
+            for k in els:
+                for b in els:
+                    for c in els:
+                        for d in els:
+                            if not _in_scope(scope, (i, j, k, b, c, d)):
+                                continue
+                            checked += 1
+                            total = Scalar.zero()
+                            dim_d = fusion.kappa_unit(d)
+                            for a in els:
+                                plus, _ = _fusion_value(fusion,
+                                                        (i, j, k, a, b, c))
+                                if plus is None:
+                                    continue
+                                _, minus = _fusion_value(fusion,
+                                                         (i, j, k, a, b, d))
+                                if minus is None:
+                                    continue
+                                dims = fusion.kappa_unit(a) * dim_d
+                                total = total + dims.to_scalar() * plus * minus
+                            admissible = (c == d and c == grp.op(i, j)
+                                          and b == grp.op(c, k))
+                            expected = Scalar.from_rational(
+                                1 if admissible else 0)
+                            if total != expected:
+                                log.add("orthogonality[fusion]",
+                                        (i, j, k, b, c, d), total, expected)
+    return checked
+
+
+def _ber_fusion(fusion: FusionData, scope, log) -> int:
+    grp = fusion.group
+    checked = 0
+    els = grp.elements()
+    for i in els:
+        for j in els:
+            for k in els:
+                for m in els:
+                    for n in els:
+                        if not _in_scope(scope, (i, j, k, m, n)):
+                            continue
+                        checked += 1
+                        c = grp.op(i, j)
+                        a = grp.op(j, k)
+                        b = grp.op(c, k)
+                        d = grp.op(c, m)
+                        lhs = Scalar.zero()
+                        v1, _ = _fusion_value(fusion, (i, j, k, a, b, c))
+                        v2, _ = _fusion_value(fusion, (c, m, n, k, b, d))
+                        if v1 is not None and v2 is not None:
+                            lhs = v1 * v2
+                        rhs = Scalar.zero()
+                        for f in els:
+                            w1, _ = _fusion_value(fusion, (i, f, n, a, b, d))
+                            if w1 is None:
+                                continue
+                            w2, _ = _fusion_value(fusion, (i, j, m, f, d, c))
+                            if w2 is None:
+                                continue
+                            w3, _ = _fusion_value(fusion, (j, m, n, k, a, f))
+                            if w3 is None:
+                                continue
+                            rhs = rhs + (fusion.kappa_unit(f).to_scalar()
+                                         * w1 * w2 * w3)
+                        if lhs != rhs:
+                            log.add("biedenharn-elliott[fusion]",
+                                    (i, j, k, m, n), lhs, rhs)
+    return checked
+
+
+def _orth_scalar_pair(name, outer, middle, evaluate, dim_middle, dim_alt,
+                      admissible, scope, log) -> int:
+    """For each outer tuple (i, j, k, b, c, d), the sum over a of
+    dim(a) dim(d) sym(i,j,k,a,b,c) sym_inv(i,j,k,a,b,d) against the
+    Kronecker/admissibility pattern."""
+    checked = 0
+    for (i, j, k, b, c, d) in outer:
+        if not _in_scope(scope, (i, j, k, b, c, d)):
+            continue
+        checked += 1
+        total = Scalar.zero()
+        for a in middle:
+            direct = evaluate((i, j, k, a, b, c), False)
+            if direct is None:
+                continue
+            inv = evaluate((i, j, k, a, b, d), True)
+            if inv is None:
+                continue
+            dims = dim_middle(a) * dim_alt(d)
+            total = total + (dims * direct * inv).to_scalar()
+        expected = Scalar.from_rational(
+            1 if (c == d and admissible(i, j, k, b, c)) else 0)
+        if total != expected:
+            log.add(name, (i, j, k, b, c, d), total, expected)
+    return checked
+
+
+def _orth_bimodule(data: BimoduleCategoryData, trace: ModuleTrace, scope,
+                   log) -> int:
+    grp_g, grp_h = data.left.group, data.right.group
+    act_g, act_h = data.x_g.action, data.x_h.action
+    xs = range(data.X.size)
+    gs, hs = grp_g.elements(), grp_h.elements()
+
+    def m_eval(labels, inverse):
+        return _m_value(data, trace, labels, inverse)
+
+    def n_eval(labels, inverse):
+        return _n_value(data, trace, labels, inverse)
+
+    def b_eval(labels, inverse):
+        return _b_value(data, trace, labels, inverse)
+
+    checked = _orth_scalar_pair(
+        "orthogonality[m]",
+        ((i, j, k, b, c, d) for i in gs for j in gs for k in xs
+         for b in xs for c in gs for d in gs),
+        xs, m_eval, trace.unit, data.left.kappa_unit,
+        lambda i, j, k, b, c: (c == grp_g.op(i, j)
+                               and b == int(act_g[c, k])),
+        scope, log)
+    checked += _orth_scalar_pair(
+        "orthogonality[n]",
+        ((i, j, k, b, c, d) for i in xs for j in hs for k in hs
+         for b in xs for c in hs for d in hs),
+        xs, n_eval, trace.unit, data.right.kappa_unit,
+        lambda i, j, k, b, c: (c == grp_h.op(j, k)
+                               and b == int(act_h[grp_h.inv(c), i])),
+        scope, log)
+    checked += _orth_scalar_pair(
+        "orthogonality[b]",
+        ((i, j, k, b, c, d) for i in gs for j in xs for k in hs
+         for b in xs for c in xs for d in xs),
+        xs, b_eval, trace.unit, trace.unit,
+        lambda i, j, k, b, c: (c == int(act_g[i, j])
+                               and b == int(act_h[grp_h.inv(k), c])),
+        scope, log)
+    return checked
+
+
+def dense_orthogonality(context, scope=None):
+    """Report of the dense scalar orthogonality sweep of a fusion or
+    bimodule context, shaped like ``sixj.verify_orthogonality``'s."""
+    scope = _normalize_scope(scope)
+    log = FailureLog(key="kind", fmt=repr)
+    if context.fusion is not None:
+        checked = _orth_fusion(context.fusion, scope, log)
+    else:
+        checked = _orth_bimodule(context.bimodule, context.trace, scope, log)
+    return log.report(checked)
+
+
+def dense_biedenharn_elliott(context, scope=None):
+    """Report of the dense fusion Biedenharn-Elliott sweep."""
+    scope = _normalize_scope(scope)
+    log = FailureLog(key="kind", fmt=repr)
+    return log.report(_ber_fusion(context.fusion, scope, log))
+
+
+def dense_symbol(context, kind: str, labels) -> Optional[Scalar]:
+    """One scalar symbol from its closed form, or None off the support."""
+    inverse = kind == "fusion-" or kind.endswith("^-1")
+    if kind.startswith("fusion"):
+        plus, minus = _fusion_value(context.fusion, labels)
+        return minus if inverse else plus
+    value = {"m": _m_value, "n": _n_value, "b": _b_value}[kind[0]](
+        context.bimodule, context.trace, labels, inverse)
+    return None if value is None else value.to_scalar()

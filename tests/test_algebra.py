@@ -1,6 +1,9 @@
 """Finite groups, G-sets, and integer linear algebra mod N."""
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twistcat.algebra import (
     FiniteGroup,
@@ -30,6 +33,9 @@ from twistcat.algebra import (
 from twistcat.errors import NoIdentity, NoInverse, NotAssociative
 
 from oracles import (
+    D4_TABLE,
+    Q8_TABLE,
+    S3_TABLE,
     cyclic_table,
     oracle_characters,
     oracle_gset_isomorphisms,
@@ -79,6 +85,68 @@ def test_group_table_validation():
         FiniteGroup([[0, 1]])
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 7]])
+
+
+def test_nonabelian_groups_are_accepted():
+    for table, order in ((S3_TABLE, 6), (D4_TABLE, 8), (Q8_TABLE, 8)):
+        grp = FiniteGroup(table)
+        assert grp.order == order and grp.identity == 0
+        assert not np.array_equal(grp.table, grp.table.T)
+
+
+def test_commutative_loop_is_not_a_group():
+    # identity 0 and two-sided inverses, commutative, but
+    # (2*2)*3 = 4*3 = 0 while 2*(2*3) = 2*5 = 1
+    with pytest.raises(NotAssociative):
+        FiniteGroup([[0, 1, 2, 3, 4, 5],
+                     [1, 0, 3, 2, 5, 4],
+                     [2, 3, 4, 5, 0, 1],
+                     [3, 2, 5, 4, 1, 0],
+                     [4, 5, 0, 1, 3, 2],
+                     [5, 4, 1, 0, 2, 3]])
+
+
+SMALL_GROUP_TABLES = [cyclic_table(n) for n in range(1, 7)] + [
+    klein_group().table.tolist(), S3_TABLE, D4_TABLE, Q8_TABLE]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_relabelled_group_tables_are_accepted(data):
+    table = data.draw(st.sampled_from(SMALL_GROUP_TABLES))
+    n = len(table)
+    perm = data.draw(st.permutations(range(n)))
+    relabelled = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            relabelled[perm[i]][perm[j]] = perm[table[i][j]]
+    grp = FiniteGroup(relabelled)
+    assert grp.identity == perm[0]
+    assert grp.order == n
+
+
+def _brute_associative(table) -> bool:
+    n = len(table)
+    return all(table[table[i][j]][k] == table[i][table[j][k]]
+               for i, j, k in itertools.product(range(n), repeat=3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_tables_with_identity_and_inverses_are_groups_iff_associative(data):
+    n = data.draw(st.integers(2, 4))
+    table = [list(range(n))] + [
+        [i] + data.draw(st.lists(st.integers(0, n - 1), min_size=n - 1,
+                                 max_size=n - 1))
+        for i in range(1, n)]
+    # every element has a two-sided inverse
+    assume(all(any(table[i][j] == 0 == table[j][i] for j in range(n))
+               for i in range(n)))
+    if _brute_associative(table):
+        assert FiniteGroup(table).order == n
+    else:
+        with pytest.raises(NotAssociative):
+            FiniteGroup(table)
 
 
 def test_monoid_without_inverses_is_rejected():

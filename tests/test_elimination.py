@@ -6,18 +6,19 @@ scalar forms) reduces with ``scalar._gauss_jordan``; every integer solve
 ``algebra.smith_normal_form``.  These tests compare each caller against
 sympy or against an identity it must satisfy.
 """
+import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from twistcat._matrix import SMatrix, matrix_rank, nullspace_basis
 from twistcat.algebra import (QUOTIENT_REPS_BOUND, _kernel_mod_basis,
-                              _kernel_mod_coords, _lattice_basis,
-                              _lattice_quotient_reps, smith_normal_form,
+                              _kernel_mod_coords, _lattice_quotient_reps,
+                              _multiples_in_lattice, smith_normal_form,
                               solve_mod)
 from twistcat.errors import EnumerationBoundExceeded
 from twistcat.scalar import Scalar, _gauss_jordan, _phi_degree
@@ -34,13 +35,6 @@ def _int_matrix(n_rows, n_cols, lo=-4, hi=4):
 
 def _columns(rows):
     return [list(col) for col in zip(*rows)]
-
-
-@st.composite
-def _full_rank(draw, max_dim=4):
-    n = draw(st.integers(1, max_dim))
-    rows = draw(_int_matrix(n, n).filter(lambda m: sympy.Matrix(m).det() != 0))
-    return rows
 
 
 @st.composite
@@ -102,23 +96,46 @@ def test_unimodular_inverse_matches_sympy(u):
     assert all(v.is_integer for v in uinv)
 
 
+def _subgroup_mod(generators, modulus, dim) -> set[tuple[int, ...]]:
+    """The subgroup of (Z/modulus)^dim the generators span, by closure."""
+    gens = [tuple(v % modulus for v in g) for g in generators]
+    seen = {(0,) * dim}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = tuple((a + b) % modulus for a, b in zip(x, g))
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return seen
+
+
 @CHECKS
 @given(data=st.data())
-def test_lattice_basis_spans_the_generated_lattice(data):
-    b = data.draw(_full_rank(3))
-    n = len(b)
-    extra = data.draw(_int_matrix(n, data.draw(st.integers(0, 2))))
+def test_multiples_in_lattice_by_brute_force(data):
+    # S = {y : m y in L} for L spanned by the generators.  With N = lcm(m,
+    # det B) for a full-rank block B of generators, N Z^dim lies in L, so m y
+    # lies in L exactly when m y mod N lies in L mod N, found by closure;
+    # the claimed basis must lie in S and have S's index in Z^dim.
+    n = data.draw(st.integers(1, 3))
+    b = data.draw(_int_matrix(n, n, -2, 2).filter(
+        lambda rows: sympy.Matrix(rows).det() != 0))
+    extra = data.draw(_int_matrix(n, data.draw(st.integers(0, 2)), -2, 2))
+    m = data.draw(st.integers(1, 4))
+    big = lcm(m, abs(int(sympy.Matrix(b).det())))
+    assume(big ** n <= 4096)
     gens = _columns(b) + _columns(extra)
-    basis = _lattice_basis(gens, n)
-    # same lattice: every generator has integer coordinates in the basis, and
-    # the covolumes agree with the Smith normal form's invariant factors
-    coords = sympy.Matrix(basis).T.inv() * sympy.Matrix(gens).T
-    assert all(v.is_integer for v in coords)
-    snf = smith_normal_form([list(r) for r in zip(*gens)])
-    covolume = 1
-    for d in snf.diagonal():
-        covolume *= d
-    assert abs(sympy.Matrix(basis).det()) == covolume
+    basis = _multiples_in_lattice(gens, n, m)
+    in_l = _subgroup_mod(gens, big, n)
+    step = big // m
+    s_mod = [y for y in itertools.product(range(step), repeat=n)
+             if tuple(m * v % big for v in y) in in_l]
+    for col in basis:
+        assert tuple(m * v % big for v in col) in in_l
+    assert abs(sympy.Matrix(basis).det()) * len(s_mod) == step ** n
 
 
 # ---------------------------------------------------------------------------

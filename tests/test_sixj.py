@@ -40,6 +40,8 @@ from twistcat.sixj import (
     verify_orthogonality,
 )
 
+from sixj_dense import corrupted_fusion
+
 G2 = cyclic_group(2)
 C1 = cyclic_group(1)
 
@@ -121,16 +123,6 @@ def test_verification_scope_restricts_the_sweep():
     assert narrowed.checked == 1 and narrowed.ok
     ber = verify_biedenharn_elliott(ctx, scope={(1, 1, 1, 1, 1)})
     assert ber.checked == 1 and ber.ok
-
-
-def corrupted_fusion(grp, omega, kappa):
-    """Fusion data that skips validation, marked spherical."""
-    bad = object.__new__(FusionData)
-    object.__setattr__(bad, "group", grp)
-    object.__setattr__(bad, "omega", omega)
-    object.__setattr__(bad, "kappa", kappa)
-    object.__setattr__(bad, "spherical", True)
-    return bad
 
 
 def test_fusion_negative_control_rejects_non_cocycle():

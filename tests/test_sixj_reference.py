@@ -1,0 +1,352 @@
+"""The support-driven scalar 6j sweeps against the dense reference sweeps.
+
+``sixj_dense`` loops over every label of the fusion and bimodule symbols;
+``twistcat.sixj`` visits only the composed label tuples.  The two must agree
+report for report -- checked and failed counts, failing tuples and their
+order, printed values -- on valid data, on corrupted omega, kappa, trace and
+bimodule cochains, and under explicit scopes.  A last matrix pins which
+relation detects which kind of corruption.
+"""
+import itertools
+import pathlib
+import random
+
+import numpy as np
+import pytest
+
+from twistcat.algebra import (FiniteGroup, Subgroup, coset_gset,
+                              cyclic_group, direct_product, point_gset)
+from twistcat.cli import parse_config
+from twistcat.cohomology import (UnitCochain, deligne_omega, differential,
+                                 omega_cyclic)
+from twistcat.errors import UndefinedLabels, ValidationError
+from twistcat.fusion import FusionData, spherical_structures
+from twistcat.modcat import (BimoduleCategoryData, ModuleCategoryData,
+                             ModuleTrace, _product_kappa, deligne_to_bimod,
+                             validate_bimodcat)
+from twistcat.scalar import Scalar, Unit
+from twistcat.sixj import (SixJContext, SixJQuery, bimodule_context,
+                           fusion_context, sixj, verify_biedenharn_elliott,
+                           verify_orthogonality)
+
+from oracles import S3_TABLE
+from sixj_dense import (corrupted_fusion, dense_biedenharn_elliott,
+                        dense_orthogonality, dense_symbol)
+
+EXAMPLES = pathlib.Path(__file__).parent.parent / "docs" / "examples"
+
+
+def _kappa(grp, root, exps):
+    return UnitCochain(1, point_gset(grp), root,
+                       np.array(exps, dtype=np.int64).reshape(grp.order, 1))
+
+
+def _random_omega(grp, root, seed):
+    exps = np.random.default_rng(seed).integers(
+        0, root, size=(grp.order,) * 3 + (1,))
+    return UnitCochain(3, point_gset(grp), root, exps)
+
+
+def assert_same_report(new, ref, root_order_may_differ=False):
+    """Counts, tuples, kinds and printed values agree.
+
+    With ``root_order_may_differ`` an lhs may print the same value at a
+    different root order (the fusion orthogonality sum of a kappa that is
+    not a sign, printed at the reduced order of its one unit product).
+    """
+    assert (new.checked, new.failed) == (ref.checked, ref.failed)
+    assert ([(f["kind"], f["tuple"], f["rhs"]) for f in new.failures]
+            == [(f["kind"], f["tuple"], f["rhs"]) for f in ref.failures])
+    for got, want in zip(new.failures, ref.failures):
+        if root_order_may_differ:
+            assert (eval(got["lhs"], {"Scalar": Scalar})
+                    == eval(want["lhs"], {"Scalar": Scalar}))
+        else:
+            assert got["lhs"] == want["lhs"]
+
+
+def _both(ctx, scope=None):
+    """(new, dense) report pairs of every scalar relation of a context."""
+    pairs = [(verify_orthogonality(ctx, scope), dense_orthogonality(ctx, scope))]
+    if ctx.fusion is not None:
+        pairs.append((verify_biedenharn_elliott(ctx, scope),
+                      dense_biedenharn_elliott(ctx, scope)))
+    return pairs
+
+
+# ---------------------------------------------------------------------------
+# fusion contexts
+# ---------------------------------------------------------------------------
+
+def _fusion_cases():
+    for n in (2, 3, 4, 5):
+        grp = cyclic_group(n)
+        for s in ((0, 1) if n < 4 else (1,)):
+            for fus in spherical_structures(grp, omega_cyclic(n, s)):
+                yield f"Z{n}-s{s}-k{fus.kappa.exponents.ravel().tolist()}", fus
+    g2 = cyclic_group(2)
+    om = omega_cyclic(2, 1)
+    for kl in spherical_structures(g2, om):
+        right = FusionData(g2, omega_cyclic(2, 0), kl.kappa)
+        prod = direct_product(g2, g2)
+        yield (f"Z2xZ2-k{kl.kappa.exponents.ravel().tolist()}",
+               FusionData(prod, deligne_omega(om, right.omega),
+                          _product_kappa(kl, right)))
+
+
+FUSION_CASES = dict(_fusion_cases())
+
+
+@pytest.mark.parametrize("name", sorted(FUSION_CASES))
+def test_fusion_sweeps_match_the_dense_reference(name):
+    ctx = fusion_context(FUSION_CASES[name])
+    n = ctx.fusion.group.order
+    (orth, orth_ref), (ber, ber_ref) = _both(ctx)
+    assert orth.ok and orth.checked == n ** 6
+    assert ber.ok and ber.checked == n ** 5
+    assert_same_report(orth, orth_ref)
+    assert_same_report(ber, ber_ref)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (4, 2), (3, 5)])
+def test_corrupted_omega_matches_the_dense_reference(n, seed):
+    grp = cyclic_group(n)
+    bad = corrupted_fusion(grp, _random_omega(grp, n, seed),
+                           _kappa(grp, 1, [0] * n))
+    (orth, orth_ref), (ber, ber_ref) = _both(fusion_context(bad))
+    assert orth.ok
+    assert not ber.ok
+    assert_same_report(orth, orth_ref)
+    assert_same_report(ber, ber_ref)
+
+
+def test_nonabelian_fusion_sweeps_match_the_dense_reference():
+    # on S3, n = m^-1 k and k m^-1 differ
+    s3 = FiniteGroup(S3_TABLE)
+    bad = corrupted_fusion(s3, _random_omega(s3, 2, 4),
+                           _kappa(s3, 1, [0] * 6))
+    (orth, orth_ref), (ber, ber_ref) = _both(fusion_context(bad))
+    assert orth.ok and not ber.ok
+    assert_same_report(orth, orth_ref)
+    assert_same_report(ber, ber_ref)
+
+
+@pytest.mark.parametrize("n,root,exps,detected", [
+    (3, 9, [0, 1, 2], True),      # neither a character nor a sign
+    (3, 3, [0, 1, 2], True),      # a character, not a sign
+    (4, 2, [0, 1, 1, 0], False),  # signs, not a character
+])
+def test_corrupted_kappa_matches_the_dense_reference(n, root, exps, detected):
+    # both relations multiply out to squares of kappa values, so only a
+    # kappa that is not a sign shows
+    grp = cyclic_group(n)
+    bad = corrupted_fusion(grp, omega_cyclic(n, 1), _kappa(grp, root, exps))
+    (orth, orth_ref), (ber, ber_ref) = _both(fusion_context(bad))
+    assert orth.ok == ber.ok == (not detected)
+    assert_same_report(orth, orth_ref, root_order_may_differ=True)
+    assert_same_report(ber, ber_ref)
+
+
+def test_fusion_symbols_match_the_closed_forms_on_the_whole_label_box():
+    fus = FUSION_CASES["Z3-s1-k[0, 0, 0]"]
+    ctx = fusion_context(fus)
+    for kind in ("fusion+", "fusion-"):
+        for labels in itertools.product(range(3), repeat=6):
+            _assert_symbol(ctx, kind, labels)
+
+
+def _assert_symbol(ctx, kind, labels):
+    want = dense_symbol(ctx, kind, labels)
+    query = SixJQuery(kind, ctx, labels)
+    if want is None:
+        with pytest.raises(UndefinedLabels):
+            sixj(query)
+    else:
+        assert sixj(query).value == want
+
+
+# ---------------------------------------------------------------------------
+# bimodule contexts: the z2 bimodule B of docs/examples/z2.json, and a Z/3
+# bimodule on three points whose right action tells k from k^-1
+# ---------------------------------------------------------------------------
+
+def _with(data, **cochains):
+    fields = {name: getattr(data, name) for name in
+              ("left", "right", "X", "psi", "phi", "omega_mid")}
+    fields.update(cochains)
+    return BimoduleCategoryData(**fields)
+
+
+def _z3_bimodule():
+    """Z/3 x Z/3 acting on the cosets of the diagonal, untwisted, with
+    Psi and Omega from a random gauge of the product structure and a Phi
+    that is a nonzero coboundary constant along X."""
+    g3 = cyclic_group(3)
+    fus = FusionData(g3, omega_cyclic(3, 0), _kappa(g3, 1, [0, 0, 0]))
+    prod = direct_product(g3, g3)
+    pf = FusionData(prod, deligne_omega(fus.omega, fus.omega),
+                    _product_kappa(fus, fus))
+    x = coset_gset(prod, Subgroup(prod, (0, 4, 8)))
+    mu = np.random.default_rng(0).integers(0, 3, size=(9, 3))
+    mu[prod.identity] = 0
+    gauged = ModuleCategoryData(pf, x, differential(UnitCochain(1, x, 3, mu)))
+    bim = deligne_to_bimod(gauged, fus, fus)
+    nu = np.array([[0, 0, 0], [1, 1, 1], [0, 0, 0]])
+    bim = _with(bim, phi=differential(UnitCochain(1, bim.x_h, 3, nu)))
+    assert validate_bimodcat(bim).ok
+    return bim
+
+
+def _bump(cochain, index, root):
+    exps = cochain.exponents * (root // cochain.root_order)
+    exps[index] = (exps[index] + 1) % root
+    return UnitCochain(cochain.degree, cochain.carrier, root, exps,
+                       slot_groups=cochain.slot_groups)
+
+
+def _bimodule_cases(example="z2"):
+    if example == "z2":
+        bim = parse_config(str(EXAMPLES / "z2.json")).bimodcats["B"]
+        root, point, bad_dim = 4, 3, Unit(4, 1)
+    else:
+        bim = _z3_bimodule()
+        root, point, bad_dim = 9, 2, Unit(3, 1)
+    trace = bimodule_context(bim).trace
+    values = list(trace.values)
+    values[1] = bad_dim
+    return {
+        "valid": SixJContext(bimodule=bim, trace=trace),
+        "trace": SixJContext(bimodule=bim, trace=ModuleTrace(tuple(values))),
+        "psi": SixJContext(
+            bimodule=_with(bim, psi=_bump(bim.psi, (1, 1, point), root)),
+            trace=trace),
+        "phi": SixJContext(
+            bimodule=_with(bim, phi=_bump(bim.phi, (1, 1, 0), root)),
+            trace=trace),
+        "omega": SixJContext(
+            bimodule=_with(bim, omega_mid=_bump(bim.omega_mid, (1, 1, point),
+                                                root)),
+            trace=trace),
+    }
+
+
+BIMODULE_CASES = list(itertools.product(
+    ["z2", "z3"], ["valid", "trace", "psi", "phi", "omega"]))
+
+
+@pytest.mark.parametrize("example,case", BIMODULE_CASES)
+def test_bimodule_orthogonality_matches_the_dense_reference(example, case):
+    ctx = _bimodule_cases(example)[case]
+    new, ref = _both(ctx)[0]
+    assert new.checked == {"z2": 1536, "z3": 2187}[example]
+    assert new.ok == (case != "trace")
+    assert_same_report(new, ref)
+
+
+@pytest.mark.parametrize("example,case", [("z2", "omega"), ("z3", "valid"),
+                                          ("z3", "phi")])
+def test_bimodule_symbols_match_the_closed_forms_on_the_whole_label_box(
+        example, case):
+    ctx = _bimodule_cases(example)[case]
+    data = ctx.bimodule
+    ng, nh, nx = data.left.group.order, data.right.group.order, data.X.size
+    boxes = {"m": (ng, ng, nx, nx, nx, ng), "n": (nx, nh, nh, nx, nx, nh),
+             "b": (ng, nx, nh, nx, nx, nx)}
+    for kind in ctx.kinds():
+        for labels in itertools.product(*map(range, boxes[kind[0]])):
+            _assert_symbol(ctx, kind, labels)
+
+
+# ---------------------------------------------------------------------------
+# explicit scopes
+# ---------------------------------------------------------------------------
+
+def _scope(rng, box, count):
+    """Random tuples of the box, a few outside it and a few too short."""
+    tuples = [tuple(rng.randrange(size) for size in box) for _ in range(count)]
+    tuples += [tuple(box), (0,) * (len(box) - 1),
+               (-1,) + (0,) * (len(box) - 1)]
+    return tuples
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_scoped_fusion_sweeps_match_the_dense_reference(seed):
+    rng = random.Random(seed)
+    grp = cyclic_group(3)
+    bad = corrupted_fusion(grp, _random_omega(grp, 3, seed),
+                           _kappa(grp, 3, [0, 1, 2]))
+    ctx = fusion_context(bad)
+    orth_scope = _scope(rng, (3,) * 6, 150)
+    # the composed orthogonality tuples, where the failures are
+    orth_scope += [(i, j, k, (i + j + k) % 3, (i + j) % 3, (i + j) % 3)
+                   for i, j, k in itertools.product(range(3), repeat=3)
+                   if rng.random() < 0.5]
+    ber_scope = _scope(rng, (3,) * 5, 150)
+    (orth, orth_ref), _ = _both(ctx, orth_scope)
+    _, (ber, ber_ref) = _both(ctx, ber_scope)
+    assert orth.failed and ber.failed
+    assert_same_report(orth, orth_ref, root_order_may_differ=True)
+    assert_same_report(ber, ber_ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scoped_bimodule_sweep_matches_the_dense_reference(seed):
+    # a scope tuple counts once for each family whose box contains it
+    rng = random.Random(seed)
+    ctx = _bimodule_cases("z2" if seed % 2 else "z3")["trace"]
+    scope = _scope(rng, (4,) * 6, 400)
+    new, ref = _both(ctx, scope)[0]
+    assert new.failed
+    assert_same_report(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# which relation sees which defect
+# ---------------------------------------------------------------------------
+
+def _fusion_corruption(kind):
+    grp = cyclic_group(3)
+    if kind == "omega":
+        return fusion_context(corrupted_fusion(
+            grp, _random_omega(grp, 3, 1), _kappa(grp, 1, [0, 0, 0])))
+    return fusion_context(corrupted_fusion(
+        grp, omega_cyclic(3, 1), _kappa(grp, 3, [0, 1, 2])))
+
+
+# Scalar orthogonality reduces to dim(a) dim(c) sym sym^-1 = dim(a)^2
+# dim(c)^2 = 1: it sees dimensions that are not signs and nothing of the
+# twists omega, Psi, Phi, Omega.  Fusion Biedenharn-Elliott multiplies out
+# omega and leaves kappa(f)^2 uncancelled.  The bimodule relation runs on the
+# point-action functors of the product module category: the target trace
+# appears once on each side and cancels, and a Psi, Phi or Omega that breaks
+# the bimodule conditions makes that product structure invalid, so the sweep
+# raises ValidationError before any symbol is compared.
+DETECTION = [
+    ("fusion-omega", "orthogonality", "passes"),
+    ("fusion-omega", "biedenharn-elliott", "fails"),
+    ("fusion-kappa", "orthogonality", "fails"),
+    ("fusion-kappa", "biedenharn-elliott", "fails"),
+    ("bimodule-trace", "orthogonality", "fails"),
+    ("bimodule-trace", "biedenharn-elliott", "passes"),
+    ("bimodule-psi", "orthogonality", "passes"),
+    ("bimodule-psi", "biedenharn-elliott", "raises"),
+    ("bimodule-phi", "orthogonality", "passes"),
+    ("bimodule-phi", "biedenharn-elliott", "raises"),
+    ("bimodule-omega", "orthogonality", "passes"),
+    ("bimodule-omega", "biedenharn-elliott", "raises"),
+]
+
+
+@pytest.mark.parametrize("corruption,relation,outcome", DETECTION)
+def test_detection_matrix(corruption, relation, outcome):
+    family, what = corruption.split("-")
+    contexts = ([_fusion_corruption(what)] if family == "fusion"
+                else [_bimodule_cases(ex)[what] for ex in ("z2", "z3")])
+    verify = (verify_orthogonality if relation == "orthogonality"
+              else verify_biedenharn_elliott)
+    for ctx in contexts:
+        if outcome == "raises":
+            with pytest.raises(ValidationError):
+                verify(ctx)
+        else:
+            assert verify(ctx).ok == (outcome == "passes")
