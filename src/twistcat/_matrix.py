@@ -39,6 +39,16 @@ class SMatrix:
         raise AttributeError("SMatrix is immutable")
 
     @classmethod
+    def _trusted(cls, rows) -> "SMatrix":
+        """A matrix on rows whose entries are Scalars already, of equal
+        positive lengths: the constructor behind products, sums, scalings,
+        transposes, inverses and block sums, which skips the checks and
+        conversions of ``__init__``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", tuple(map(tuple, rows)))
+        return out
+
+    @classmethod
     def identity(cls, n: int) -> "SMatrix":
         one, zero = Scalar.one(), Scalar.zero()
         return cls([[one if i == j else zero for j in range(n)]
@@ -63,7 +73,7 @@ class SMatrix:
                     grid[r0 + i][c0 + j] = b.rows[i][j]
             r0 += b.nrows
             c0 += b.ncols
-        return cls(grid)
+        return cls._trusted(grid)
 
     @property
     def nrows(self) -> int:
@@ -93,22 +103,21 @@ class SMatrix:
                         acc = acc + a * b
                 new.append(acc)
             out.append(new)
-        return SMatrix(out)
+        return SMatrix._trusted(out)
 
     def __add__(self, other: "SMatrix") -> "SMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ShapeMismatch("matrix shapes differ")
-        return SMatrix([[a + b for a, b in zip(r1, r2)]
-                        for r1, r2 in zip(self.rows, other.rows)])
+        return SMatrix._trusted([[a + b for a, b in zip(r1, r2)]
+                                 for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, s) -> "SMatrix":
         if isinstance(s, Unit):
             s = s.to_scalar()
-        return SMatrix([[s * v for v in row] for row in self.rows])
+        return SMatrix._trusted([[s * v for v in row] for row in self.rows])
 
     def transpose(self) -> "SMatrix":
-        return SMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                        for j in range(self.ncols)])
+        return SMatrix._trusted(zip(*self.rows))
 
     def inverse(self) -> Optional["SMatrix"]:
         """Exact inverse, or None when the matrix is singular; the result
@@ -124,7 +133,8 @@ class SMatrix:
         aug = [list(row) + [one if i == j else zero for j in range(n)]
                for i, row in enumerate(self.rows)]
         reduced, pivots = _gauss_jordan(aug, n)
-        inv = SMatrix([row[n:] for row in reduced]) if len(pivots) == n else None
+        inv = (SMatrix._trusted([row[n:] for row in reduced])
+               if len(pivots) == n else None)
         object.__setattr__(self, "_inverse", inv)
         return inv
 

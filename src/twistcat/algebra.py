@@ -1,19 +1,25 @@
 """Finite groups, G-sets, and exact integer linear algebra.
 
-Groups are multiplication tables over 0-based element indices, validated at
-construction.  G-sets are action tables.  The Smith normal form drives every
-linear solve modulo N in the cohomology layer and every integer lattice
-computation: it returns U^-1 and V^-1 next to U and V, so lattice bases,
-lattice coordinates (``_kernel_mod_coords``) and unimodular inverses are
-read off one factorization, in integers only.
+Every table is a flat tuple of Python ints in row-major order next to its
+shape: a group stores its multiplication table as ``table_flat``
+(``table_flat[i * order + j]`` is i*j) and its inverses as ``inverse_flat``,
+a G-set its action as ``action_flat`` (``action_flat[g * size + x]`` is
+g.x).  The tables hold at most |G|^2 |X| small ints, so plain loops over
+them need no array library.  The public ``table``, ``inverse`` and
+``action`` attributes are read-only ndarray views built on first access by
+:func:`_array_view`, the package's only use of numpy; constructors take
+ndarrays, nested lists and nested tuples alike (:func:`_flatten`).
+
+The Smith normal form drives every linear solve modulo N in the cohomology
+layer and every integer lattice computation: it returns U^-1 and V^-1 next
+to U and V, so lattice bases, lattice coordinates (``_kernel_mod_coords``)
+and unimodular inverses are read off one factorization, in integers only.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import (
     EnumerationBoundExceeded,
@@ -51,54 +57,141 @@ __all__ = [
 ]
 
 
+# ---------------------------------------------------------------------------
+# flat integer tables
+# ---------------------------------------------------------------------------
+
+_NESTED = (list, tuple, range)
+
+
+def _flatten(data) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The entries (row-major, as ints) and the shape of a rectangular table.
+
+    ``data`` is an ndarray or anything else with ``tolist``, or nested lists
+    or tuples; a ragged table raises ValueError.  An array with a zero-length
+    axis keeps its own shape.
+    """
+    hint = getattr(data, "shape", None)
+    if hasattr(data, "tolist"):
+        data = data.tolist()
+    shape = []
+    probe = data
+    while isinstance(probe, _NESTED):
+        shape.append(len(probe))
+        if not probe:
+            break
+        probe = probe[0]
+    flat: list[int] = []
+
+    def walk(node, depth: int) -> None:
+        if not isinstance(node, _NESTED) or len(node) != shape[depth]:
+            raise ValueError("table is not rectangular")
+        if depth < len(shape) - 1:
+            for child in node:
+                walk(child, depth + 1)
+            return
+        try:
+            flat.extend(map(int, node))
+        except TypeError:   # a nested entry below the last axis
+            raise ValueError("table is not rectangular") from None
+
+    if shape:
+        walk(data, 0)
+    else:
+        flat.append(int(data))
+    if not flat and hint is not None:
+        shape = list(hint)
+    return tuple(flat), tuple(shape)
+
+
+def _rows(flat: Sequence[int], width: int) -> list[tuple[int, ...]]:
+    """The rows of a flat table with rows of the given width."""
+    return [tuple(flat[i:i + width]) for i in range(0, len(flat), width)]
+
+
+def _array_view(cache: dict, name: str, flat: Sequence[int],
+                shape: tuple[int, ...]):
+    """The read-only int64 ndarray of a flat table, built once per owner.
+
+    This is the only place the package imports numpy: the runtime works on
+    the flat tuples, and the arrays exist for callers that index, reshape or
+    serialize them.
+    """
+    view = cache.get(name)
+    if view is None:
+        import numpy as np
+        view = np.array(flat, dtype=np.int64).reshape(shape)
+        view.setflags(write=False)
+        cache[name] = view
+    return view
+
+
+# ---------------------------------------------------------------------------
+# groups
+# ---------------------------------------------------------------------------
+
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    Elements are the indices 0..order-1; ``table[i, j]`` is the product i*j.
-    Associativity, the identity, and two-sided inverses are all checked at
-    construction.
+    Elements are the indices 0..order-1; ``table_flat[i * order + j]`` (and
+    the view ``table[i, j]``) is the product i*j.  Associativity, the
+    identity, and two-sided inverses are all checked at construction.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse")
+    __slots__ = ("order", "table_flat", "identity", "inverse_flat", "_views")
 
     def __init__(self, table) -> None:
-        tab = np.asarray(table, dtype=np.int64)
-        if tab.ndim != 2 or tab.shape[0] != tab.shape[1]:
+        flat, shape = _flatten(table)
+        if len(shape) != 2 or shape[0] != shape[1]:
             raise ValueError("multiplication table must be square")
-        n = tab.shape[0]
-        if n == 0 or tab.min() < 0 or tab.max() >= n:
+        n = shape[0]
+        if n == 0 or min(flat) < 0 or max(flat) >= n:
             raise ValueError("table entries must be element indices")
-        identity = None
-        for e in range(n):
-            if np.array_equal(tab[e], np.arange(n)) and np.array_equal(tab[:, e], np.arange(n)):
-                identity = e
-                break
+        rows = _rows(flat, n)
+        elements = tuple(range(n))
+        identity = next((e for e in elements
+                         if rows[e] == elements and flat[e::n] == elements),
+                        None)
         if identity is None:
             raise NoIdentity("table has no two-sided identity")
-        # (ij)k against i(jk), indexed [i, j, k]
-        if not np.array_equal(tab[tab, :], tab[:, tab]):
-            raise NotAssociative("table is not associative")
-        inverse = np.full(n, -1, dtype=np.int64)
-        for i in range(n):
-            hits = np.nonzero(tab[i] == identity)[0]
-            if len(hits) != 1 or tab[hits[0], i] != identity:
+        # (ij)k against i(jk): row ij of the table against row j relabelled
+        # by row i
+        for row_i in rows:
+            for j, ij in enumerate(row_i):
+                if rows[ij] != tuple(row_i[jk] for jk in rows[j]):
+                    raise NotAssociative("table is not associative")
+        inverse = []
+        for i, row_i in enumerate(rows):
+            hits = [j for j, ij in enumerate(row_i) if ij == identity]
+            if len(hits) != 1 or rows[hits[0]][i] != identity:
                 raise NoInverse(f"element {i} has no two-sided inverse")
-            inverse[i] = hits[0]
-        tab.setflags(write=False)
-        inverse.setflags(write=False)
+            inverse.append(hits[0])
         object.__setattr__(self, "order", n)
-        object.__setattr__(self, "table", tab)
+        object.__setattr__(self, "table_flat", flat)
         object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "inverse_flat", tuple(inverse))
+        object.__setattr__(self, "_views", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("FiniteGroup is immutable")
 
+    @property
+    def table(self):
+        """The multiplication table as a read-only (order, order) ndarray."""
+        return _array_view(self._views, "table", self.table_flat,
+                           (self.order, self.order))
+
+    @property
+    def inverse(self):
+        """The inverses as a read-only ndarray of length order."""
+        return _array_view(self._views, "inverse", self.inverse_flat,
+                           (self.order,))
+
     def op(self, i: int, j: int) -> int:
-        return int(self.table[i, j])
+        return self.table_flat[i * self.order + j]
 
     def inv(self, i: int) -> int:
-        return int(self.inverse[i])
+        return self.inverse_flat[i]
 
     def elements(self) -> range:
         return range(self.order)
@@ -119,10 +212,10 @@ class FiniteGroup:
     def __eq__(self, other):
         if not isinstance(other, FiniteGroup):
             return NotImplemented
-        return np.array_equal(self.table, other.table)
+        return self.table_flat == other.table_flat
 
     def __hash__(self):
-        return hash(self.table.tobytes())
+        return hash(self.table_flat)
 
     def __repr__(self):
         return f"FiniteGroup(order={self.order})"
@@ -132,8 +225,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Z/n with table (i + j) mod n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n)
+    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def group_from_table(table) -> FiniteGroup:
@@ -143,19 +235,21 @@ def group_from_table(table) -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with pair (a, b) encoded as index a*|H| + b."""
     nh = h.order
-    ga, gb = np.divmod(np.arange(g.order * nh), nh)
-    prod = g.table[np.ix_(ga, ga)] * nh + h.table[np.ix_(gb, gb)]
-    return FiniteGroup(prod)
+    pairs = [divmod(p, nh) for p in range(g.order * nh)]
+    return FiniteGroup([[g.op(a1, a2) * nh + h.op(b1, b2) for a2, b2 in pairs]
+                        for a1, b1 in pairs])
 
 
 def opposite_group(g: FiniteGroup) -> FiniteGroup:
-    return FiniteGroup(g.table.T)
+    return FiniteGroup([[g.op(j, i) for j in g.elements()]
+                        for i in g.elements()])
 
 
-def product_embeddings(g: FiniteGroup, h: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays embedding G and H into direct_product(G, H)."""
-    left = np.arange(g.order) * h.order + h.identity
-    right = g.identity * h.order + np.arange(h.order)
+def product_embeddings(g: FiniteGroup,
+                       h: FiniteGroup) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Index tuples embedding G and H into direct_product(G, H)."""
+    left = tuple(a * h.order + h.identity for a in g.elements())
+    right = tuple(g.identity * h.order + b for b in h.elements())
     return left, right
 
 
@@ -289,98 +383,111 @@ def characters(group: FiniteGroup, root_order: int):
     point = point_gset(group)
     out = []
     for tab in sorted(tables):
-        exps = np.array(tab, dtype=np.int64).reshape(order, 1)
-        out.append(UnitCochain(1, point, root_order, exps))
+        out.append(UnitCochain(1, point, root_order, [[v] for v in tab]))
     return out
 
 
 class GSet:
-    """A finite G-set: ``action[g, x]`` is the point g acting on x."""
+    """A finite G-set: ``action_flat[g * size + x]`` (and the view
+    ``action[g, x]``) is the point g acting on x."""
 
-    __slots__ = ("group", "size", "action")
+    __slots__ = ("group", "size", "action_flat", "_views")
 
     def __init__(self, group: FiniteGroup, action) -> None:
-        act = np.asarray(action, dtype=np.int64)
-        if act.ndim != 2 or act.shape[0] != group.order:
+        flat, shape = _flatten(action)
+        if len(shape) != 2 or shape[0] != group.order:
             raise ValueError("action table must have one row per group element")
-        size = act.shape[1]
-        if size < 1 or act.min() < 0 or act.max() >= size:
+        size = shape[1]
+        if size < 1 or min(flat) < 0 or max(flat) >= size:
             raise ValueError("action entries must be point indices")
-        if not np.array_equal(act[group.identity], np.arange(size)):
+        rows = _rows(flat, size)
+        if rows[group.identity] != tuple(range(size)):
             raise ValueError("identity must act trivially")
-        composed = act[:, act]                 # (g, h, x) -> g(h x)
-        direct = act[group.table]              # (g, h, x) -> (gh) x
-        if not np.array_equal(composed, direct):
-            raise ValueError("action is not compatible with the group law")
-        act.setflags(write=False)
+        # g(h x) against (gh) x
+        for g, row_g in enumerate(rows):
+            for h, row_h in enumerate(rows):
+                if tuple(row_g[p] for p in row_h) != rows[group.op(g, h)]:
+                    raise ValueError(
+                        "action is not compatible with the group law")
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "size", size)
-        object.__setattr__(self, "action", act)
+        object.__setattr__(self, "action_flat", flat)
+        object.__setattr__(self, "_views", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("GSet is immutable")
 
+    @property
+    def action(self):
+        """The action table as a read-only (|G|, size) ndarray."""
+        return _array_view(self._views, "action", self.action_flat,
+                           (self.group.order, self.size))
+
     def apply(self, g: int, x: int) -> int:
-        return int(self.action[g, x])
+        return self.action_flat[g * self.size + x]
 
     def __eq__(self, other):
         if not isinstance(other, GSet):
             return NotImplemented
-        return self.group == other.group and np.array_equal(self.action, other.action)
+        return self.group == other.group and self.action_flat == other.action_flat
 
     def __hash__(self):
-        return hash((hash(self.group), self.action.tobytes()))
+        return hash((hash(self.group), self.action_flat))
 
     def __repr__(self):
         return f"GSet(group_order={self.group.order}, size={self.size})"
 
 
 def point_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, np.zeros((group.order, 1), dtype=np.int64))
+    return GSet(group, [[0]] * group.order)
 
 
 def regular_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, group.table.copy())
+    return GSet(group, _rows(group.table_flat, group.order))
 
 
 def trivial_gset(group: FiniteGroup, size: int) -> GSet:
-    return GSet(group, np.tile(np.arange(size), (group.order, 1)))
+    return GSet(group, [range(size)] * group.order)
 
 
 def coset_gset(group: FiniteGroup, sub: Subgroup) -> GSet:
     """Left cosets gH with action g'(gH) = (g'g)H; the coset H has index 0."""
     cosets: list[frozenset[int]] = []
     index: dict[frozenset[int], int] = {}
-    member = np.empty(group.order, dtype=np.int64)
+    member = []
     for g in group.elements():
         coset = frozenset(group.op(g, h) for h in sub.elements)
         if coset not in index:
             index[coset] = len(cosets)
             cosets.append(coset)
-        member[g] = index[coset]
+        member.append(index[coset])
     reps = [min(c) for c in cosets]
-    action = member[group.table[:, reps]]
-    return GSet(group, action)
+    return GSet(group, [[member[group.op(g, r)] for r in reps]
+                        for g in group.elements()])
 
 
 def disjoint_union_gset(x: GSet, y: GSet) -> GSet:
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
-    action = np.concatenate([x.action, y.action + x.size], axis=1)
-    return GSet(x.group, action)
+    return GSet(x.group, [rx + tuple(p + x.size for p in ry) for rx, ry in
+                          zip(_rows(x.action_flat, x.size),
+                              _rows(y.action_flat, y.size))])
 
 
 def product_gset(x: GSet, y: GSet) -> GSet:
     """X x Y with the diagonal action; pair (a, b) encoded as a*|Y| + b."""
     if x.group != y.group:
         raise ValueError("G-sets over different groups")
-    action = x.action[:, :, None] * y.size + y.action[:, None, :]
-    return GSet(x.group, action.reshape(x.group.order, -1))
+    return GSet(x.group, [[a * y.size + b for a in rx for b in ry] for rx, ry in
+                          zip(_rows(x.action_flat, x.size),
+                              _rows(y.action_flat, y.size))])
 
 
 def restrict_gset(x: GSet, embedding, group: FiniteGroup) -> GSet:
-    """The same points, acted on through an index-array embedding into x.group."""
-    return GSet(group, x.action[np.asarray(embedding, dtype=np.int64)])
+    """The same points, acted on through an index-sequence embedding into
+    x.group."""
+    rows = _rows(x.action_flat, x.size)
+    return GSet(group, [rows[int(g)] for g in embedding])
 
 
 def orbits(x: GSet) -> list[list[int]]:
@@ -390,23 +497,23 @@ def orbits(x: GSet) -> list[list[int]]:
     for p in range(x.size):
         if p in seen:
             continue
-        orb = sorted(set(int(v) for v in x.action[:, p]))
+        orb = sorted(set(x.action_flat[p::x.size]))
         out.append(orb)
         seen.update(orb)
     return out
 
 
 def stabilizer(x: GSet, point: int) -> Subgroup:
-    els = tuple(int(g) for g in np.nonzero(x.action[:, point] == point)[0])
-    return Subgroup(x.group, els)
+    column = x.action_flat[point::x.size]
+    return Subgroup(x.group, tuple(g for g, p in enumerate(column) if p == point))
 
 
 def is_transitive(x: GSet) -> bool:
     return len(orbits(x)) == 1
 
 
-def gset_isomorphisms(x: GSet, y: GSet, bound: int = 8) -> list[np.ndarray]:
-    """All equivariant bijections X -> Y, as index arrays, sorted lexicographically.
+def gset_isomorphisms(x: GSet, y: GSet, bound: int = 8) -> list[tuple[int, ...]]:
+    """All equivariant bijections X -> Y, as index tuples, sorted lexicographically.
 
     Searches per orbit: a transitive orbit with base point x0 maps onto a
     same-size orbit of Y at exactly those y0 with Stab(y0) = Stab(x0), the
@@ -422,24 +529,24 @@ def gset_isomorphisms(x: GSet, y: GSet, bound: int = 8) -> list[np.ndarray]:
     if sorted(map(len, orbs_x)) != sorted(map(len, orbs_y)):
         return []
 
-    results: list[np.ndarray] = []
-    assignment = np.full(x.size, -1, dtype=np.int64)
+    results: list[tuple[int, ...]] = []
+    assignment = [-1] * x.size
     used = [False] * len(orbs_y)
 
     def orbit_maps(ox: list[int], oy: list[int]) -> list[dict[int, int]]:
         x0 = ox[0]
-        stab_x = set(stabilizer(x, x0).elements)
+        stab_x = stabilizer(x, x0).elements
         maps = []
         for y0 in oy:
-            if set(int(g) for g in np.nonzero(y.action[:, y0] == y0)[0]) != stab_x:
+            if stabilizer(y, y0).elements != stab_x:
                 continue
-            maps.append({int(x.action[g, x0]): int(y.action[g, y0])
+            maps.append({x.apply(g, x0): y.apply(g, y0)
                          for g in group.elements()})
         return maps
 
     def recurse(i: int):
         if i == len(orbs_x):
-            results.append(assignment.copy())
+            results.append(tuple(assignment))
             return
         ox = orbs_x[i]
         for j, oy in enumerate(orbs_y):
@@ -455,7 +562,7 @@ def gset_isomorphisms(x: GSet, y: GSet, bound: int = 8) -> list[np.ndarray]:
                     assignment[a] = -1
 
     recurse(0)
-    results.sort(key=lambda arr: arr.tolist())
+    results.sort()
     return results
 
 
@@ -485,15 +592,13 @@ class SNFResult:
 
 
 def _as_int_rows(matrix) -> tuple[list[list[int]], int, int]:
-    arr = np.asarray(matrix, dtype=object)
-    if arr.ndim == 1:
-        if arr.size:
-            raise ValueError("matrix must be two-dimensional")
-        arr = arr.reshape(0, 0)
-    if arr.ndim != 2:
+    flat, shape = _flatten(matrix)
+    if shape == (0,):   # an empty one-dimensional input is the 0 x 0 matrix
+        shape = (0, 0)
+    if len(shape) != 2:
         raise ValueError("matrix must be two-dimensional")
-    rows, cols = arr.shape
-    return [[int(arr[i, j]) for j in range(cols)] for i in range(rows)], rows, cols
+    rows, cols = shape
+    return [list(flat[i * cols:(i + 1) * cols]) for i in range(rows)], rows, cols
 
 
 def _transpose(rows: list[list[int]]) -> list[list[int]]:

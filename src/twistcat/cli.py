@@ -17,9 +17,9 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 import click
-import numpy as np
 
 from .errors import (NoTrace, NotCocycle, ParseError, TwistcatError,
                      ValidationError)
@@ -30,7 +30,7 @@ from .algebra import (FiniteGroup, GSet, Subgroup, coset_gset, cyclic_group,
 from .cohomology import UnitCochain, deligne_omega, differential, omega_cyclic
 from .fusion import FusionData, spherical_structures
 from .modcat import (BimoduleCategoryData, ModuleCategoryData,
-                     _product_kappa, bimod_to_deligne, bimodule_trace,
+                     _product_kappa, _unravel, bimod_to_deligne, bimodule_trace,
                      classify_indecomposable, deligne_to_bimod,
                      equivalent_modcats, make_modcat, modcats_for,
                      module_trace, regular_module_category, validate_bimodcat,
@@ -162,14 +162,13 @@ def _build_table_cochain(name: str, spec: dict, degree: int, carrier: GSet,
     groups = slot_groups or (carrier.group,) * degree
     shape = tuple(g.order for g in groups) + (carrier.size,)
     flat = _field(spec, "exponents", name)
-    want = int(np.prod(shape))
+    want = prod(shape)
     if len(flat) != want:
         raise ValidationError(
             f"entity {name!r}: exponent table has {len(flat)} entries, "
             f"expected {want} (lexicographic argument order)")
-    exps = np.array([int(v) for v in flat], dtype=np.int64).reshape(shape)
-    return _wrap_build(name, UnitCochain, degree, carrier, root, exps,
-                       slot_groups=slot_groups)
+    return _wrap_build(name, UnitCochain.from_flat, degree, carrier, root,
+                       [int(v) for v in flat], slot_groups=slot_groups)
 
 
 def _build_cochain(name: str, spec: dict, cfg: SessionConfig) -> UnitCochain:
@@ -218,11 +217,13 @@ def _build_fusion(name: str, spec: dict, cfg: SessionConfig) -> FusionData:
     grp = _require(cfg.groups, _field(spec, "group", name), "group", name)
     omega = _require(cfg.cochains, _field(spec, "omega", name), "cochain", name)
     if omega.degree == 3 and omega.carrier.size == 1:
-        bad = np.argwhere(differential(omega).exponents)
-        if len(bad):
+        d_omega = differential(omega)
+        bad = next((p for p, e in enumerate(d_omega.exponents_flat) if e),
+                   None)
+        if bad is not None:
             raise NotCocycle(
                 f"entity {name!r}: omega is not a 3-cocycle; first failing "
-                f"tuple (g, h, k, l) = {tuple(int(v) for v in bad[0][:4])}")
+                f"tuple (g, h, k, l) = {_unravel(bad, d_omega.shape)[:4]}")
     if "kappa" in spec:
         kappa = _require(cfg.cochains, spec["kappa"], "cochain", name)
     else:
@@ -345,7 +346,7 @@ def _build_functor(name: str, spec: dict, cfg: SessionConfig):
                           "modcat", name)
         target = _require(cfg.modcats, _field(spec, "target", name),
                           "modcat", name)
-        f = np.array([int(v) for v in _field(spec, "f", name)], dtype=np.int64)
+        f = [int(v) for v in _field(spec, "f", name)]
         lam_spec = _field(spec, "lam", name)
         lkind = _spec_type(lam_spec, name, ("trivial", "table"))
         if lkind == "trivial":
@@ -366,7 +367,7 @@ def _build_functor(name: str, spec: dict, cfg: SessionConfig):
         target = _require(cfg.bimodcats, _field(spec, "target", name),
                           "bimodcat", name)
         return _wrap_build(name, deligne_to_bimodfun, inner, source, target)
-    mult = np.array(_field(spec, "mult", name), dtype=np.int64)
+    mult = _field(spec, "mult", name)
     a = _parse_matrix_table(name, _field(spec, "a", name), "A")
     if kind == "explicit":
         source = _require(cfg.modcats, _field(spec, "source", name),
@@ -435,12 +436,10 @@ def parse_config(path: str) -> SessionConfig:
 def _cochain_json(c: UnitCochain) -> dict:
     return {"degree": c.degree, "root_order": c.root_order,
             "carrier_size": c.carrier.size,
-            "exponents": [int(v) for v in c.exponents.ravel()]}
+            "exponents": list(c.exponents_flat)}
 
 
 def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
     if isinstance(value, Scalar):
         return value.to_json()
     if isinstance(value, Unit):
@@ -566,7 +565,7 @@ def spherical(obj):
         entry = {"id": name, "count": len(structures), "kappas": []}
         lines.append(f"{name}: {len(structures)} spherical structures")
         for st in structures:
-            exps = [int(v) for v in st.kappa.exponents.ravel()]
+            exps = list(st.kappa.exponents_flat)
             matches = st.kappa == fus.kappa
             entry["kappas"].append({"root_order": st.kappa.root_order,
                                     "exponents": exps,

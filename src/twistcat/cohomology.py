@@ -2,21 +2,28 @@
 
 A degree-n cochain stores an integer exponent table e(g_1..g_n, x) mod N,
 representing the function (g_1,...,g_n) -> zeta_N^{e(...)}(x) with values in
-Map(X, mu_N).  The differential is an alternating Z-linear combination of
-index maps, so every cohomological condition becomes an exact linear solve
+Map(X, mu_N).  The table is a flat tuple of Python ints in row-major order
+(``exponents_flat``, argument slots first and the carrier point last) next
+to its ``shape``; ``exponents`` is a read-only ndarray view of it, built on
+first access.  The differential is an alternating Z-linear combination of
+index maps, precomputed once per (group, carrier, degree) as flat index
+tuples, so every cohomological condition becomes an exact linear solve
 modulo N through the Smith normal form.
 """
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
-from math import lcm
+from itertools import chain
+from math import lcm, prod
+from operator import add, itemgetter, sub
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .algebra import (
     FiniteGroup,
     GSet,
+    _array_view,
+    _flatten,
     direct_product,
     is_transitive,
     point_gset,
@@ -28,6 +35,7 @@ from .errors import (
     DegreeMismatch,
     NotNormalizable,
 )
+from .scalar import Unit
 
 __all__ = [
     "UnitCochain",
@@ -45,19 +53,49 @@ __all__ = [
 ]
 
 
+def _identity_positions(shape: tuple[int, ...], identities) -> list[int]:
+    """The flat row-major positions of a table of ``shape`` whose index on
+    some axis i is identities[i], in increasing order."""
+    out = set()
+    for axis, e in enumerate(identities):
+        stride = prod(shape[axis + 1:])
+        for start in range(e * stride, prod(shape), shape[axis] * stride):
+            out.update(range(start, start + stride))
+    return sorted(out)
+
+
 class UnitCochain:
     """An n-cochain with values in Map(X, mu_N), stored as exponents mod N.
 
-    ``exponents`` has one axis per argument slot plus a final carrier axis:
-    shape (|G_1|, ..., |G_n|, |X|).  Slots normally all range over
-    carrier.group; mixed-slot cochains (used for two-sided structures) pass
-    ``slot_groups`` explicitly.
+    The exponent table has one axis per argument slot plus a final carrier
+    axis, ``shape`` = (|G_1|, ..., |G_n|, |X|), and is stored flat in
+    row-major order as ``exponents_flat``; ``exponents`` is its read-only
+    ndarray view.  The constructor takes the table as an ndarray, nested
+    lists or nested tuples; :meth:`from_flat` takes the flat sequence.
+    Slots normally all range over carrier.group; mixed-slot cochains (used
+    for two-sided structures) pass ``slot_groups`` explicitly.
     """
 
-    __slots__ = ("degree", "carrier", "root_order", "exponents", "slot_groups")
+    __slots__ = ("degree", "carrier", "root_order", "exponents_flat", "shape",
+                 "slot_groups", "_views")
 
     def __init__(self, degree: int, carrier: GSet, root_order: int, exponents,
                  slot_groups: Optional[tuple[FiniteGroup, ...]] = None) -> None:
+        flat, shape = _flatten(exponents)
+        self._init(degree, carrier, root_order, flat, slot_groups, shape)
+
+    @classmethod
+    def from_flat(cls, degree: int, carrier: GSet, root_order: int,
+                  exponents: Sequence[int],
+                  slot_groups: Optional[tuple[FiniteGroup, ...]] = None
+                  ) -> "UnitCochain":
+        """The cochain whose exponent ints are given flat, in row-major order."""
+        out = object.__new__(cls)
+        out._init(degree, carrier, root_order, exponents, slot_groups, None)
+        return out
+
+    def _init(self, degree, carrier, root_order, flat, slot_groups,
+              shape) -> None:
         if degree < 0:
             raise ValueError("degree must be >= 0")
         if root_order < 1:
@@ -67,19 +105,29 @@ class UnitCochain:
         slot_groups = tuple(slot_groups)
         if len(slot_groups) != degree:
             raise ValueError("one slot group per degree required")
-        exps = np.asarray(exponents, dtype=np.int64) % root_order
         want = tuple(g.order for g in slot_groups) + (carrier.size,)
-        if exps.shape != want:
-            raise ValueError(f"exponent table has shape {exps.shape}, expected {want}")
-        exps.setflags(write=False)
+        if shape is None and len(flat) != prod(want):
+            raise ValueError(f"exponent table has {len(flat)} entries, "
+                             f"expected {prod(want)}")
+        if shape is not None and shape != want:
+            raise ValueError(f"exponent table has shape {shape}, expected {want}")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "carrier", carrier)
         object.__setattr__(self, "root_order", root_order)
-        object.__setattr__(self, "exponents", exps)
+        object.__setattr__(self, "exponents_flat",
+                           tuple([e % root_order for e in flat]))
+        object.__setattr__(self, "shape", want)
         object.__setattr__(self, "slot_groups", slot_groups)
+        object.__setattr__(self, "_views", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitCochain is immutable")
+
+    @property
+    def exponents(self):
+        """The exponent table as a read-only ndarray of ``shape``."""
+        return _array_view(self._views, "exponents", self.exponents_flat,
+                           self.shape)
 
     # -- construction helpers ------------------------------------------------
 
@@ -87,9 +135,9 @@ class UnitCochain:
     def trivial(cls, degree: int, carrier: GSet, root_order: int,
                 slot_groups: Optional[tuple[FiniteGroup, ...]] = None) -> "UnitCochain":
         groups = slot_groups if slot_groups is not None else (carrier.group,) * degree
-        shape = tuple(g.order for g in groups) + (carrier.size,)
-        return cls(degree, carrier, root_order, np.zeros(shape, dtype=np.int64),
-                   slot_groups=groups)
+        size = prod(g.order for g in groups) * carrier.size
+        return cls.from_flat(degree, carrier, root_order, (0,) * size,
+                             slot_groups=groups)
 
     # -- basic structure -----------------------------------------------------
 
@@ -100,38 +148,52 @@ class UnitCochain:
     @property
     def normalized(self) -> bool:
         """True when every entry with an identity argument is trivial."""
-        for i, g in enumerate(self.slot_groups):
-            if np.take(self.exponents, g.identity, axis=i).any():
-                return False
-        return True
+        flat = self.exponents_flat
+        return not any(flat[p] for p in _identity_positions(
+            self.shape, [g.identity for g in self.slot_groups]))
 
     def is_trivial(self) -> bool:
-        return not self.exponents.any()
+        return not any(self.exponents_flat)
+
+    def _index(self, args: Sequence[int]) -> int:
+        """Flat position of (g_1..g_n, x); on a point carrier x may be left
+        out."""
+        if len(args) != self.degree + 1 and not (
+                len(args) == self.degree and self.carrier.size == 1):
+            raise ValueError("expected one index per slot plus carrier point")
+        idx = 0
+        for a, dim in zip(args, self.shape):
+            if not 0 <= a < dim:
+                raise IndexError(f"index {a} is out of range for an axis "
+                                 f"of size {dim}")
+            idx = idx * dim + a
+        return idx
 
     def exponent(self, args: Sequence[int]) -> int:
-        args = tuple(int(a) for a in args)
-        if len(args) == self.degree and self.carrier.size == 1:
-            args = args + (0,)
-        if len(args) != self.degree + 1:
-            raise ValueError("expected one index per slot plus carrier point")
-        return int(self.exponents[args])
+        return self.exponents_flat[self._index(args)]
 
-    def value(self, args: Sequence[int]):
-        from .scalar import Unit
-        return Unit(self.root_order, self.exponent(args))
+    def value(self, args: Sequence[int]) -> Unit:
+        return Unit(self.root_order, self.exponents_flat[self._index(args)])
 
     def _same_shape(self, other: "UnitCochain") -> bool:
         return (self.degree == other.degree
                 and self.carrier == other.carrier
                 and self.slot_groups == other.slot_groups)
 
+    def _scaled(self, root_order: int) -> list[int]:
+        """The exponents read at a multiple of the root order."""
+        scale = root_order // self.root_order
+        return [e * scale for e in self.exponents_flat]
+
+    def _like(self, root_order: int, flat: Sequence[int]) -> "UnitCochain":
+        return UnitCochain.from_flat(self.degree, self.carrier, root_order,
+                                     flat, slot_groups=self.slot_groups)
+
     def with_root_order(self, root_order: int) -> "UnitCochain":
         """The same cochain viewed in mu_root_order (a multiple of the root)."""
         if root_order % self.root_order != 0:
             raise ValueError("new root order must be a multiple of the old")
-        scale = root_order // self.root_order
-        return UnitCochain(self.degree, self.carrier, root_order,
-                           self.exponents * scale, slot_groups=self.slot_groups)
+        return self._like(root_order, self._scaled(root_order))
 
     # -- pointwise group structure --------------------------------------------
 
@@ -141,20 +203,15 @@ class UnitCochain:
         if not self._same_shape(other):
             raise DegreeMismatch("cochains have different shapes")
         n = lcm(self.root_order, other.root_order)
-        exps = (self.exponents * (n // self.root_order)
-                + other.exponents * (n // other.root_order)) % n
-        return UnitCochain(self.degree, self.carrier, n, exps,
-                           slot_groups=self.slot_groups)
+        return self._like(n, [a + b for a, b in zip(self._scaled(n),
+                                                     other._scaled(n))])
 
     def inverse(self) -> "UnitCochain":
-        return UnitCochain(self.degree, self.carrier, self.root_order,
-                           (-self.exponents) % self.root_order,
-                           slot_groups=self.slot_groups)
+        return self._like(self.root_order, [-e for e in self.exponents_flat])
 
     def __pow__(self, k: int) -> "UnitCochain":
-        return UnitCochain(self.degree, self.carrier, self.root_order,
-                           (self.exponents * int(k)) % self.root_order,
-                           slot_groups=self.slot_groups)
+        k = int(k)
+        return self._like(self.root_order, [e * k for e in self.exponents_flat])
 
     def __eq__(self, other):
         if not isinstance(other, UnitCochain):
@@ -162,85 +219,120 @@ class UnitCochain:
         if not self._same_shape(other):
             return False
         n = lcm(self.root_order, other.root_order)
-        return np.array_equal(
-            (self.exponents * (n // self.root_order)) % n,
-            (other.exponents * (n // other.root_order)) % n)
+        return self._scaled(n) == other._scaled(n)
 
     def __repr__(self):
         return (f"UnitCochain(degree={self.degree}, root_order={self.root_order}, "
                 f"carrier_size={self.carrier.size})")
 
     def to_json(self) -> dict:
+        nested = list(self.exponents_flat)
+        for dim in reversed(self.shape[1:]):
+            nested = [nested[i:i + dim] for i in range(0, len(nested), dim)]
         return {
             "degree": self.degree,
             "root_order": self.root_order,
-            "exponents": self.exponents.tolist(),
+            "exponents": nested,
         }
+
+
+def _pull_back(eta: UnitCochain, f: Sequence[int],
+               carrier: GSet) -> UnitCochain:
+    """The cochain (g_1..g_n, x) -> eta(g_1..g_n, f(x)) on ``carrier``, for a
+    map f from carrier's points to eta's carrier points."""
+    e, size = eta.exponents_flat, eta.carrier.size
+    exps = [e[start + int(y)] for start in range(0, len(e), size) for y in f]
+    return UnitCochain.from_flat(eta.degree, carrier, eta.root_order, exps,
+                                 slot_groups=eta.slot_groups)
 
 
 # ---------------------------------------------------------------------------
 # the differential
 # ---------------------------------------------------------------------------
 
+def _gather(index: Sequence[int]):
+    """A function returning the entries of a flat table at index, as a tuple."""
+    if len(index) == 1:
+        i, = index
+        return lambda flat: (flat[i],)
+    return itemgetter(*index)
+
+
+def _concat(parts) -> list[int]:
+    return list(chain.from_iterable(parts))
+
+
 @lru_cache(maxsize=256)
 def _diff_terms(group: FiniteGroup, carrier: GSet, degree: int):
-    """Signed index maps building d on degree-`degree` exponent tables.
+    """The terms of d on degree-`degree` exponent tables.
 
-    Each term is (sign, flat index array): output position (g_1..g_{n+1}, x)
-    reads the input at the given flat index.  The first term uses the
-    coefficient action (g . f)(x) = f(g^-1 . x); the middle terms fuse
-    adjacent arguments; the last drops the final argument.
+    Each term is (sign, index): the output entry at flat position p, for
+    (g_1..g_{n+1}, x) in row-major order, reads the input entry at flat
+    position index[p].  The first term uses the coefficient action
+    (g . f)(x) = f(g^-1 . x); the middle terms fuse adjacent arguments; the
+    last drops the final argument.  The indices are assembled from slices
+    of the input positions, so every term shares their int objects.
     """
     n = degree
     m = group.order
     size = carrier.size
-    shape_out = (m,) * (n + 1) + (size,)
-    shape_in = (m,) * n + (size,)
-    idx = np.indices(shape_out)
-    args = [idx[i] for i in range(n + 1)]
-    x = idx[n + 1]
-    act_inv = carrier.action[group.inverse]
-    terms = []
-    # e(g_2..g_{n+1}, g_1^-1 . x)
-    coords = tuple(args[1:]) + (act_inv[args[0], x],)
-    terms.append((1, np.ravel_multi_index(coords, shape_in).ravel()))
+    tab, inv, act = group.table_flat, group.inverse_flat, carrier.action_flat
+    pos = list(range(m ** n * size))     # input positions (g_1..g_n, x)
+    block = len(pos)
+    # e(g_2..g_{n+1}, g_1^-1 . x): one strided copy per (g_1, x)
+    first = [0] * (m * block)
+    for g, g_inv in enumerate(inv):
+        for x in range(size):
+            first[g * block + x:(g + 1) * block:size] = \
+                pos[act[g_inv * size + x]::size]
+    terms = [(1, tuple(first))]
+    # e(g_1..g_i g_{i+1}..g_{n+1}, x): one gather per prefix (g_1..g_{i-1})
     for i in range(1, n + 1):
-        fused = group.table[args[i - 1], args[i]]
-        coords = tuple(args[:i - 1]) + (fused,) + tuple(args[i + 1:]) + (x,)
-        terms.append(((-1) ** i, np.ravel_multi_index(coords, shape_in).ravel()))
-    coords = tuple(args[:n]) + (x,)
-    terms.append(((-1) ** (n + 1), np.ravel_multi_index(coords, shape_in).ravel()))
-    return shape_out, terms
+        tail = m ** (n - i) * size
+        row = m * tail
+        fuse = _gather(_concat(range(ab * tail, (ab + 1) * tail) for ab in tab))
+        terms.append(((-1) ** i, tuple(_concat(
+            fuse(pos[s:s + row]) for s in range(0, block, row)))))
+    # e(g_1..g_n, x): one strided copy per (g_{n+1}, x)
+    last = [0] * (m * block)
+    for g in range(m):
+        for x in range(size):
+            last[g * size + x::m * size] = pos[x::size]
+    terms.append(((-1) ** (n + 1), tuple(last)))
+    return (m,) * (n + 1) + (size,), terms
 
 
-def _differential_raw(exponents: np.ndarray, group: FiniteGroup,
-                      carrier: GSet, degree: int) -> np.ndarray:
-    """The alternating sum over Z (no reduction mod N)."""
-    shape_out, terms = _diff_terms(group, carrier, degree)
-    flat = exponents.ravel()
-    out = np.zeros(int(np.prod(shape_out)), dtype=np.int64)
-    for sign, index in terms:
-        out += sign * flat[index]
-    return out.reshape(shape_out)
+def _differential_raw(exponents: Sequence[int], group: FiniteGroup,
+                      carrier: GSet, degree: int) -> list[int]:
+    """The alternating sum over Z (no reduction mod N) of flat exponents,
+    as flat exponents of the next degree."""
+    _, terms = _diff_terms(group, carrier, degree)
+    out = _gather(terms[0][1])(exponents)
+    for sign, index in terms[1:]:
+        out = map(add if sign > 0 else sub, out, _gather(index)(exponents))
+    return list(out)
 
 
 def differential(eta: UnitCochain) -> UnitCochain:
     """d(eta): the degree n+1 cochain of the alternating-sum exponents mod N."""
     if any(g != eta.group for g in eta.slot_groups):
         raise DegreeMismatch("differential requires all slots over the carrier group")
-    raw = _differential_raw(eta.exponents, eta.group, eta.carrier, eta.degree)
-    return UnitCochain(eta.degree + 1, eta.carrier, eta.root_order, raw)
+    raw = _differential_raw(eta.exponents_flat, eta.group, eta.carrier,
+                            eta.degree)
+    return UnitCochain.from_flat(eta.degree + 1, eta.carrier, eta.root_order,
+                                 raw)
 
 
-def differential_matrix(group: FiniteGroup, carrier: GSet, degree: int) -> np.ndarray:
-    """Integer matrix of d on flattened degree-`degree` exponent vectors."""
+def differential_matrix(group: FiniteGroup, carrier: GSet,
+                        degree: int) -> list[list[int]]:
+    """Integer matrix of d on flattened degree-`degree` exponent vectors, as
+    a list of rows (the form ``smith_normal_form`` works on)."""
     shape_out, terms = _diff_terms(group, carrier, degree)
-    rows = int(np.prod(shape_out))
     cols = group.order ** degree * carrier.size
-    mat = np.zeros((rows, cols), dtype=np.int64)
-    r = np.arange(rows)
+    mat = [[0] * cols for _ in range(prod(shape_out))]
     for sign, index in terms:
-        np.add.at(mat, (r, index), sign)
+        for row, col in zip(mat, index):
+            row[col] += sign
     return mat
 
 
@@ -266,7 +358,7 @@ def is_coboundary(eta: UnitCochain) -> bool:
     order = eta.group.order
     lifted = eta.root_order * order
     mat = differential_matrix(eta.group, eta.carrier, eta.degree - 1)
-    rhs = (eta.exponents.ravel() * order) % lifted
+    rhs = [(e * order) % lifted for e in eta.exponents_flat]
     return solve_mod(mat, rhs, lifted) is not None
 
 
@@ -292,21 +384,13 @@ def normalize(eta: UnitCochain) -> UnitCochain:
     if n == 0:
         return eta  # no argument slots: vacuously normalized (unreachable)
     mat = differential_matrix(group, eta.carrier, n - 1)
-    shape_out = eta.exponents.shape
-    mask = np.zeros(shape_out, dtype=bool)
-    for i in range(n):
-        sl = [slice(None)] * (n + 1)
-        sl[i] = group.identity
-        mask[tuple(sl)] = True
-    flat_mask = mask.ravel()
-    rhs = (-eta.exponents.ravel()[flat_mask]) % eta.root_order
-    mu_vec = solve_mod(mat[flat_mask], rhs, eta.root_order)
+    rows = _identity_positions(eta.shape, (group.identity,) * n)
+    rhs = [(-eta.exponents_flat[p]) % eta.root_order for p in rows]
+    mu_vec = solve_mod([mat[p] for p in rows], rhs, eta.root_order)
     if mu_vec is None:
         raise NotNormalizable(
             "no normalizing coboundary exists at this root order")
-    shape_mu = (group.order,) * (n - 1) + (eta.carrier.size,)
-    mu = UnitCochain(n - 1, eta.carrier, eta.root_order,
-                     np.array(mu_vec, dtype=np.int64).reshape(shape_mu))
+    mu = UnitCochain.from_flat(n - 1, eta.carrier, eta.root_order, mu_vec)
     result = eta * differential(mu)
     assert result.normalized
     return result
@@ -325,9 +409,9 @@ def omega_cyclic(n: int, s: int) -> UnitCochain:
     if n < 1:
         raise ValueError("n must be >= 1")
     group = cyclic_group(n)
-    k, l, m = np.indices((n, n, n))
-    exps = (s * k * ((l + m) // n)) % n
-    return UnitCochain(3, point_gset(group), n, exps[..., None])
+    exps = [s * k * ((l + m) // n)
+            for k, l, m in itertools.product(range(n), repeat=3)]
+    return UnitCochain.from_flat(3, point_gset(group), n, exps)
 
 
 def shapiro_restrict(eta: UnitCochain) -> UnitCochain:
@@ -341,10 +425,10 @@ def shapiro_restrict(eta: UnitCochain) -> UnitCochain:
     if not is_transitive(eta.carrier):
         raise CarrierNotCosetSpace("carrier is not a transitive G-set")
     sub = stabilizer(eta.carrier, 0)
-    h_group = sub.to_group()
-    emb = np.array(sub.elements, dtype=np.int64)
-    exps = eta.exponents[np.ix_(*([emb] * eta.degree), np.array([0]))]
-    return UnitCochain(eta.degree, point_gset(h_group), eta.root_order, exps)
+    exps = [eta.exponent(args + (0,))
+            for args in itertools.product(sub.elements, repeat=eta.degree)]
+    return UnitCochain.from_flat(eta.degree, point_gset(sub.to_group()),
+                                 eta.root_order, exps)
 
 
 def inflate(eta: UnitCochain, carrier: GSet) -> UnitCochain:
@@ -353,9 +437,16 @@ def inflate(eta: UnitCochain, carrier: GSet) -> UnitCochain:
         raise ValueError("inflate expects a point-carrier cochain")
     if carrier.group != eta.group:
         raise ValueError("carrier group mismatch")
-    exps = np.repeat(eta.exponents, carrier.size, axis=-1)
-    return UnitCochain(eta.degree, carrier, eta.root_order, exps,
-                       slot_groups=eta.slot_groups)
+    exps = [e for e in eta.exponents_flat for _ in range(carrier.size)]
+    return UnitCochain.from_flat(eta.degree, carrier, eta.root_order, exps,
+                                 slot_groups=eta.slot_groups)
+
+
+def _flipped(omega: UnitCochain) -> list[int]:
+    """The point-carrier table (a, b, c) -> omega(c^-1, b^-1, a^-1)."""
+    m, inv, e = omega.group.order, omega.group.inverse_flat, omega.exponents_flat
+    return [e[(inv[c] * m + inv[b]) * m + inv[a]]
+            for a, b, c in itertools.product(range(m), repeat=3)]
 
 
 def deligne_omega(omega_g: UnitCochain, omega_h: UnitCochain) -> UnitCochain:
@@ -369,16 +460,16 @@ def deligne_omega(omega_g: UnitCochain, omega_h: UnitCochain) -> UnitCochain:
     if omega_g.carrier.size != 1 or omega_h.carrier.size != 1:
         raise ValueError("product cocycle requires point carriers")
     g_grp, h_grp = omega_g.group, omega_h.group
-    prod = direct_product(g_grp, h_grp)
+    prod_grp = direct_product(g_grp, h_grp)
     n = lcm(omega_g.root_order, omega_h.root_order)
-    k = prod.order
-    ga, ha = np.divmod(np.arange(k), h_grp.order)
-    eg = omega_g.exponents[..., 0]
-    inv = h_grp.inverse
-    eh = omega_h.exponents[np.ix_(inv, inv, inv)][..., 0].transpose(2, 1, 0)
-    big = (eg[np.ix_(ga, ga, ga)] * (n // omega_g.root_order)
-           - eh[np.ix_(ha, ha, ha)] * (n // omega_h.root_order)) % n
-    return UnitCochain(3, point_gset(prod), n, big[..., None])
+    mg, mh = g_grp.order, h_grp.order
+    eg = omega_g._scaled(n)
+    eh = [e * (n // omega_h.root_order) for e in _flipped(omega_h)]
+    pairs = [divmod(p, mh) for p in range(prod_grp.order)]
+    exps = [eg[(g1 * mg + g2) * mg + g3] - eh[(h1 * mh + h2) * mh + h3]
+            for (g1, h1), (g2, h2), (g3, h3) in itertools.product(pairs,
+                                                                 repeat=3)]
+    return UnitCochain.from_flat(3, point_gset(prod_grp), n, exps)
 
 
 def omega_bar(omega: UnitCochain) -> UnitCochain:
@@ -387,7 +478,5 @@ def omega_bar(omega: UnitCochain) -> UnitCochain:
         raise DegreeMismatch("expected a degree 3 cochain")
     if omega.carrier.size != 1:
         raise ValueError("expected a point carrier")
-    inv = omega.group.inverse
-    flipped = omega.exponents[np.ix_(inv, inv, inv)][..., 0].transpose(2, 1, 0)
-    exps = (-flipped) % omega.root_order
-    return UnitCochain(3, omega.carrier, omega.root_order, exps[..., None])
+    return UnitCochain.from_flat(3, omega.carrier, omega.root_order,
+                                 [-e for e in _flipped(omega)])

@@ -41,13 +41,13 @@ class FusionData:
             raise NotCocycle("omega is not a 3-cocycle")
         if kappa.degree != 1 or kappa.carrier.size != 1 or kappa.group != group:
             raise ValueError("kappa must be a degree-1 point-carrier cochain on G")
-        ek = kappa.exponents[:, 0]
+        ek = kappa.exponents_flat
         nk = kappa.root_order
         for a in group.elements():
             for b in group.elements():
                 if (ek[a] + ek[b]) % nk != ek[group.op(a, b)]:
                     raise NotCocycle(f"kappa is not a character at ({a}, {b})")
-        spherical = bool(((2 * ek) % nk == 0).all())
+        spherical = all((2 * e) % nk == 0 for e in ek)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "kappa", kappa)

@@ -8,12 +8,11 @@ dictionary, implemented here exactly.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 from typing import Optional
-
-import numpy as np
 
 from .algebra import (
     GSet,
@@ -36,6 +35,8 @@ from .algebra import (
 from .cohomology import (
     UnitCochain,
     _differential_raw,
+    _identity_positions,
+    _pull_back,
     differential,
     differential_matrix,
     normalize,
@@ -116,13 +117,26 @@ class FailureLog:
         return ValidationReport(checked, self.failed, self.samples)
 
 
-def _collect_failures(log: FailureLog, condition: str, mismatch: np.ndarray,
-                      lhs: np.ndarray, rhs: np.ndarray, root: int) -> None:
-    """Log every failing tuple of one vectorized condition."""
-    for pos in np.argwhere(mismatch):
-        tup = tuple(int(v) for v in pos)
-        log.add(condition, tup, Unit(root, int(lhs[tup])),
-                Unit(root, int(rhs[tup])))
+def _unravel(pos: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The index tuple of a flat row-major position in a table of shape."""
+    out = []
+    for dim in reversed(shape):
+        pos, r = divmod(pos, dim)
+        out.append(r)
+    return tuple(reversed(out))
+
+
+def _collect_failures(log: FailureLog, condition: str, shape: tuple[int, ...],
+                      lhs, rhs, root: int, positions=None) -> None:
+    """Log every failing tuple of one condition on a table of ``shape``.
+
+    lhs and rhs are flat exponent sequences at root order ``root``, compared
+    at ``positions`` (every position by default) in row-major order.
+    """
+    for p in range(len(lhs)) if positions is None else positions:
+        if lhs[p] != rhs[p]:
+            log.add(condition, _unravel(p, shape), Unit(root, lhs[p]),
+                    Unit(root, rhs[p]))
 
 
 @dataclass(frozen=True)
@@ -168,22 +182,22 @@ def _check_twisted_cocycle(log: FailureLog, normalized: str, cocycle: str,
     """Log where a 2-cochain on carrier is not normalized (condition
     ``normalized``) or its differential is not the inflated omega^-1
     (condition ``cocycle``); returns the number of checks."""
-    e = cochain.exponents
+    e = cochain.exponents_flat
     grp = carrier.group
-    ident = grp.identity
-    id_mask = np.zeros(e.shape, dtype=bool)
-    id_mask[ident, :, :] = True
-    id_mask[:, ident, :] = True
-    _collect_failures(log, normalized, (e != 0) & id_mask, e,
-                      np.zeros_like(e), cochain.root_order)
+    id_rows = _identity_positions(cochain.shape, (grp.identity,) * 2)
+    _collect_failures(log, normalized, cochain.shape, e, (0,) * len(e),
+                      cochain.root_order, id_rows)
 
     root = lcm(cochain.root_order, omega.root_order)
-    lhs = (_differential_raw(e, grp, carrier, 2)
-           * (root // cochain.root_order)) % root
-    rhs_point = (-omega.exponents * (root // omega.root_order)) % root
-    rhs = np.repeat(rhs_point, carrier.size, axis=-1)
-    _collect_failures(log, cocycle, lhs != rhs, lhs, rhs, root)
-    return int(id_mask.sum()) + lhs.size
+    scale = root // cochain.root_order
+    lhs = [(v * scale) % root
+           for v in _differential_raw(e, grp, carrier, 2)]
+    scale = root // omega.root_order
+    rhs = [(-w * scale) % root
+           for w in omega.exponents_flat for _ in range(carrier.size)]
+    _collect_failures(log, cocycle, (grp.order,) * 3 + (carrier.size,),
+                      lhs, rhs, root)
+    return len(id_rows) + len(lhs)
 
 
 def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
@@ -204,8 +218,8 @@ def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
 
     d2 = differential_matrix(grp, x, 2)
     snf2 = smith_normal_form(d2)
-    rhs = np.repeat((-omega.exponents) % n0, x.size, axis=-1)
-    rhs_lifted = (rhs.ravel() * m) % lifted
+    rhs_lifted = [((-w) % n0 * m) % lifted
+                  for w in omega.exponents_flat for _ in range(x.size)]
     particular = solve_mod(d2, rhs_lifted, lifted, snf=snf2)
     if particular is None:
         return []
@@ -214,7 +228,7 @@ def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
 
     d1 = differential_matrix(grp, x, 1)
     further = lifted * m
-    ambient = d1.T.tolist() + [[further * int(i == j) for i in range(dim)]
+    ambient = [list(col) for col in zip(*d1)] + [[further * int(i == j) for i in range(dim)]
                                for j in range(dim)]
     # intersection of the ambient (coboundary-image) lattice with m*Z^dim,
     # divided by m, in coordinates of the solution lattice
@@ -222,16 +236,14 @@ def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
     inter_coords = _kernel_mod_coords(snf2, lifted, inter)
     reps = _lattice_quotient_reps(solution_lattice, inter_coords, dim)
 
-    base = np.array(particular, dtype=np.int64)
     out = []
-    shape = (m, m, x.size)
     for rep in reps:
-        exps = (base + np.array(rep, dtype=np.int64)) % lifted
-        psi = normalize(UnitCochain(2, x, lifted, exps.reshape(shape)))
+        exps = [a + b for a, b in zip(particular, rep)]
+        psi = normalize(UnitCochain.from_flat(2, x, lifted, exps))
         data = ModuleCategoryData(fusion, x, psi)
         validate_modcat(data).raise_if_failed("enumerated structure")
         out.append(data)
-    out.sort(key=lambda d: d.psi.exponents.tolist())
+    out.sort(key=lambda d: d.psi.exponents_flat)
     return out
 
 
@@ -264,10 +276,10 @@ def classify_indecomposable(data: ModuleCategoryData) -> IndecomposableClass:
 
 
 def equivalent_modcats(m1: ModuleCategoryData, m2: ModuleCategoryData,
-                       bound: int = 8) -> Optional[tuple[np.ndarray, UnitCochain]]:
+                       bound: int = 8) -> Optional[tuple[tuple[int, ...], UnitCochain]]:
     """A witness (f, mu) of equivalence, or None.
 
-    f is a G-set isomorphism X -> Y and mu a 1-cochain with
+    f is a G-set isomorphism X -> Y (an index tuple) and mu a 1-cochain with
     d(mu) = Psi_X * (Psi_Y o f)^-1 at the lifted root order.
     """
     if m1.fusion.group != m2.fusion.group or m1.fusion.omega != m2.fusion.omega:
@@ -280,15 +292,13 @@ def equivalent_modcats(m1: ModuleCategoryData, m2: ModuleCategoryData,
     d1 = differential_matrix(grp, x, 1)
     snf1 = smith_normal_form(d1)  # only the right-hand side depends on f
     for f in isos:
-        pulled = UnitCochain(2, x, m2.psi.root_order, m2.psi.exponents[..., f])
-        diff = m1.psi * pulled.inverse()
+        diff = m1.psi * _pull_back(m2.psi, f, x).inverse()
         lifted = diff.root_order * grp.order
-        vec = solve_mod(d1, (diff.exponents.ravel() * grp.order) % lifted, lifted,
-                        snf=snf1)
+        vec = solve_mod(d1, [(e * grp.order) % lifted
+                             for e in diff.exponents_flat], lifted, snf=snf1)
         if vec is None:
             continue
-        mu = UnitCochain(1, x, lifted,
-                         np.array(vec, dtype=np.int64).reshape(grp.order, x.size))
+        mu = UnitCochain.from_flat(1, x, lifted, vec)
         assert differential(mu) == diff.with_root_order(lifted)
         return f, mu
     return None
@@ -322,7 +332,7 @@ def module_trace(data: ModuleCategoryData) -> Optional[ModuleTrace]:
     the per-orbit scale is fixed to +1 at the minimal representative.
     """
     fusion, x = data.fusion, data.X
-    kap = fusion.kappa.exponents[:, 0]
+    kap = fusion.kappa.exponents_flat
     nk = fusion.kappa.root_order
     values: list[Optional[Unit]] = [None] * x.size
     for orbit in orbits(x):
@@ -332,7 +342,7 @@ def module_trace(data: ModuleCategoryData) -> Optional[ModuleTrace]:
         for g in fusion.group.elements():
             p = x.apply(g, rep)
             if values[p] is None:
-                values[p] = Unit(nk, int(kap[g]))
+                values[p] = Unit(nk, kap[g])
     return ModuleTrace(tuple(values))
 
 
@@ -345,10 +355,10 @@ def regular_module_category(fusion: FusionData) -> ModuleCategoryData:
     grp = fusion.group
     reg = regular_gset(grp)
     m = grp.order
-    om = fusion.omega.exponents[..., 0]
-    g, h, y = np.indices((m, m, m))
-    z = grp.table[grp.inverse[grp.table[g, h]], y]
-    psi = UnitCochain(2, reg, fusion.omega.root_order, om[g, h, z])
+    om = fusion.omega.exponents_flat
+    exps = [om[(g * m + h) * m + grp.op(grp.inv(grp.op(g, h)), y)]
+            for g, h, y in itertools.product(range(m), repeat=3)]
+    psi = UnitCochain.from_flat(2, reg, fusion.omega.root_order, exps)
     data = ModuleCategoryData(fusion, reg, psi)
     report = validate_modcat(data)
     assert report.ok, report.failures[:1]
@@ -416,42 +426,47 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
                                       data.phi, omega_bar(data.right.omega),
                                       x_h)
 
-    e_om = data.omega_mid.exponents
-    n_om = data.omega_mid.root_order
-    act_g = x_g.action
-    act_h = x_h.action
-    inv_g = g_grp.inverse
-    inv_h = h_grp.inverse
+    om, n_om = data.omega_mid.exponents_flat, data.omega_mid.root_order
+    ng, nh, sz = g_grp.order, h_grp.order, data.X.size
+    act_g, act_h = x_g.action_flat, x_h.action_flat
+    inv_g, inv_h = g_grp.inverse_flat, h_grp.inverse_flat
+
+    def at(a: int, b: int, nb: int, x: int) -> int:  # flat (a, b, x)
+        return (a * nb + b) * sz + x
 
     # identity slices of the middle constraint
-    checked += e_om[g_grp.identity, :, :].size + e_om[:, h_grp.identity, :].size
-    mask = np.zeros(e_om.shape, dtype=bool)
-    mask[g_grp.identity, :, :] = True
-    mask[:, h_grp.identity, :] = True
-    _collect_failures(log, "omega_identities", (e_om != 0) & mask, e_om,
-                      np.zeros_like(e_om), n_om)
+    checked += (ng + nh) * sz
+    _collect_failures(log, "omega_identities", data.omega_mid.shape, om,
+                      (0,) * len(om), n_om,
+                      _identity_positions(data.omega_mid.shape,
+                                          (g_grp.identity, h_grp.identity)))
 
-    e_psi, n_psi = data.psi.exponents, data.psi.root_order
-    g1, g2, h, x = np.indices((g_grp.order, g_grp.order, h_grp.order, data.X.size))
+    psi, n_psi = data.psi.exponents_flat, data.psi.root_order
     root1 = lcm(n_om, n_psi)
-    lhs1 = ((e_om[g2, h, act_g[inv_g[g1], x]]
-             - e_om[g_grp.table[g1, g2], h, x]
-             + e_om[g1, h, x]) * (root1 // n_om)) % root1
-    rhs1 = ((e_psi[g1, g2, x]
-             - e_psi[g1, g2, act_h[inv_h[h], x]]) * (root1 // n_psi)) % root1
-    checked += lhs1.size
-    _collect_failures(log, "omega_cond_1", lhs1 != rhs1, lhs1, rhs1, root1)
+    lhs1, rhs1 = [], []
+    for g1, g2, h, x in itertools.product(range(ng), range(ng), range(nh),
+                                          range(sz)):
+        lhs1.append(((om[at(g2, h, nh, act_g[inv_g[g1] * sz + x])]
+                      - om[at(g_grp.op(g1, g2), h, nh, x)]
+                      + om[at(g1, h, nh, x)]) * (root1 // n_om)) % root1)
+        rhs1.append(((psi[at(g1, g2, ng, x)]
+                      - psi[at(g1, g2, ng, act_h[inv_h[h] * sz + x])])
+                     * (root1 // n_psi)) % root1)
+    checked += len(lhs1)
+    _collect_failures(log, "omega_cond_1", (ng, ng, nh, sz), lhs1, rhs1, root1)
 
-    e_phi, n_phi = data.phi.exponents, data.phi.root_order
-    g, h1, h2, x = np.indices((g_grp.order, h_grp.order, h_grp.order, data.X.size))
+    phi, n_phi = data.phi.exponents_flat, data.phi.root_order
     root2 = lcm(n_om, n_phi)
-    lhs2 = ((e_om[g, h2, act_h[inv_h[h1], x]]
-             - e_om[g, h_grp.table[h1, h2], x]
-             + e_om[g, h1, x]) * (root2 // n_om)) % root2
-    rhs2 = ((e_phi[h1, h2, act_g[inv_g[g], x]]
-             - e_phi[h1, h2, x]) * (root2 // n_phi)) % root2
-    checked += lhs2.size
-    _collect_failures(log, "omega_cond_2", lhs2 != rhs2, lhs2, rhs2, root2)
+    lhs2, rhs2 = [], []
+    for g, h1, h2, x in itertools.product(range(ng), range(nh), range(nh),
+                                          range(sz)):
+        lhs2.append(((om[at(g, h2, nh, act_h[inv_h[h1] * sz + x])]
+                      - om[at(g, h_grp.op(h1, h2), nh, x)]
+                      + om[at(g, h1, nh, x)]) * (root2 // n_om)) % root2)
+        rhs2.append(((phi[at(h1, h2, nh, act_g[inv_g[g] * sz + x])]
+                      - phi[at(h1, h2, nh, x)]) * (root2 // n_phi)) % root2)
+    checked += len(lhs2)
+    _collect_failures(log, "omega_cond_2", (ng, nh, nh, sz), lhs2, rhs2, root2)
 
     return log.report(checked)
 
@@ -461,10 +476,10 @@ def _product_kappa(left: FusionData, right: FusionData) -> UnitCochain:
     from .algebra import point_gset
     prod = direct_product(left.group, right.group)
     nk = lcm(left.kappa.root_order, right.kappa.root_order)
-    ga, ha = np.divmod(np.arange(prod.order), right.group.order)
-    e = (left.kappa.exponents[ga, 0] * (nk // left.kappa.root_order)
-         - right.kappa.exponents[ha, 0] * (nk // right.kappa.root_order)) % nk
-    return UnitCochain(1, point_gset(prod), nk, e.reshape(-1, 1))
+    el, er = left.kappa._scaled(nk), right.kappa._scaled(nk)
+    e = [el[g] - er[h] for g in left.group.elements()
+         for h in right.group.elements()]
+    return UnitCochain.from_flat(1, point_gset(prod), nk, e)
 
 
 def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:
@@ -478,21 +493,19 @@ def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:
     prod = direct_product(g_grp, h_grp)
     fusion = FusionData(prod, deligne_omega(data.left.omega, data.right.omega),
                         _product_kappa(data.left, data.right))
-    k = prod.order
-    sz = data.X.size
+    ng, nh, sz = g_grp.order, h_grp.order, data.X.size
     root = lcm(data.psi.root_order, data.phi.root_order, data.omega_mid.root_order)
-    ga, ha = np.divmod(np.arange(k), h_grp.order)
-    a1, a2, x = np.indices((k, k, sz))
-    g1, h1 = ga[a1], ha[a1]
-    g2, h2 = ga[a2], ha[a2]
-    act_h = data.x_h.action
-    inv_h = h_grp.inverse
-    hh = h_grp.table[inv_h[h2], inv_h[h1]]
-    e = (data.psi.exponents[g1, g2, act_h[hh, x]] * (root // data.psi.root_order)
-         + data.phi.exponents[h1, h2, x] * (root // data.phi.root_order)
-         + data.omega_mid.exponents[g1, h2, act_h[inv_h[h1], x]]
-         * (root // data.omega_mid.root_order)) % root
-    gamma = UnitCochain(2, data.X, root, e)
+    psi, phi = data.psi._scaled(root), data.phi._scaled(root)
+    om = data.omega_mid._scaled(root)
+    act_h, inv_h = data.x_h.action_flat, h_grp.inverse_flat
+    pairs = [divmod(p, nh) for p in range(prod.order)]
+    e = [psi[(g1 * ng + g2) * sz
+             + act_h[h_grp.op(inv_h[h2], inv_h[h1]) * sz + x]]
+         + phi[(h1 * nh + h2) * sz + x]
+         + om[(g1 * nh + h2) * sz + act_h[inv_h[h1] * sz + x]]
+         for (g1, h1), (g2, h2) in itertools.product(pairs, repeat=2)
+         for x in range(sz)]
+    gamma = UnitCochain.from_flat(2, data.X, root, e)
     out = ModuleCategoryData(fusion, data.X, gamma)
     validate_modcat(out).raise_if_failed("product structure")
     return out
@@ -512,24 +525,28 @@ def deligne_to_bimod(data: ModuleCategoryData, left: FusionData,
         raise ValueError("module category is not over the product group")
     if data.fusion.omega != deligne_omega(left.omega, right.omega):
         raise ValueError("twist does not factor over the given one-sided twists")
-    gamma0 = data.psi
-    n = gamma0.root_order
+    n = data.psi.root_order
     k = prod.order
     sz = data.X.size
     emb_g, emb_h = product_embeddings(g_grp, h_grp)
-    ga, ha = np.divmod(np.arange(k), h_grp.order)
-    mu = UnitCochain(1, data.X, n, gamma0.exponents[emb_h[ha], emb_g[ga], :])
-    gamma = gamma0 * differential(mu)
-    e = gamma.exponents
-    if e[np.ix_(emb_h, emb_g, np.arange(sz))].any():
+
+    def block(e, rows, cols) -> list[int]:  # (a, b, x) for a in rows, b in cols
+        return [e[(a * k + b) * sz + x] for a in rows for b in cols
+                for x in range(sz)]
+
+    e0 = data.psi.exponents_flat
+    mu = UnitCochain.from_flat(1, data.X, n, [
+        e0[(emb_h[p % h_grp.order] * k + emb_g[p // h_grp.order]) * sz + x]
+        for p in range(k) for x in range(sz)])
+    e = (data.psi * differential(mu)).exponents_flat
+    if any(block(e, emb_h, emb_g)):
         raise ValidationError("normalization failed to enforce the mixed condition")
     x_g = restrict_gset(data.X, emb_g, g_grp)
     x_h = restrict_gset(data.X, emb_h, h_grp)
-    psi = UnitCochain(2, x_g, n, e[np.ix_(emb_g, emb_g, np.arange(sz))])
-    phi = UnitCochain(2, x_h, n, e[np.ix_(emb_h, emb_h, np.arange(sz))])
-    omega_mid = UnitCochain(2, data.X, n,
-                            e[np.ix_(emb_g, emb_h, np.arange(sz))],
-                            slot_groups=(g_grp, h_grp))
+    psi = UnitCochain.from_flat(2, x_g, n, block(e, emb_g, emb_g))
+    phi = UnitCochain.from_flat(2, x_h, n, block(e, emb_h, emb_h))
+    omega_mid = UnitCochain.from_flat(2, data.X, n, block(e, emb_g, emb_h),
+                                      slot_groups=(g_grp, h_grp))
     out = BimoduleCategoryData(left, right, data.X, psi, phi, omega_mid)
     validate_bimodcat(out).raise_if_failed("extracted bimodule data")
     return out

@@ -8,14 +8,14 @@ the A data; hom spaces are computed exactly over the cyclotomic field.
 """
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from ._matrix import SMatrix, matrix_rank, nullspace_basis
-from .algebra import FiniteGroup, orbits, product_gset
-from .cohomology import UnitCochain, differential
+from .algebra import (FiniteGroup, GSet, _array_view, _flatten, _rows, orbits,
+                      product_gset)
+from .cohomology import UnitCochain, _pull_back, differential
 from .errors import (LambdaConditionFailed, NotCyclic, NotEquivariant,
                      ShapeMismatch, SourceTargetMismatch)
 from .modcat import (BimoduleCategoryData, FailureLog, ModuleCategoryData,
@@ -47,85 +47,118 @@ __all__ = [
 ]
 
 
-def _cochain_unit(cochain: UnitCochain, *args: int) -> Unit:
-    return Unit(cochain.root_order, int(cochain.exponents[args]))
+class _FunctorTable:
+    """The multiplicity table of module and bimodule functor data.
+
+    m_{x,y} over X x Y is stored flat in row-major order as ``mult_flat``;
+    ``mult`` is its read-only ndarray view, and the constructors take it as
+    an ndarray, nested lists or nested tuples.
+    """
+
+    __slots__ = ()
+
+    def _set_mult(self, mult) -> None:
+        flat, shape = _flatten(mult)
+        if shape != self.mult_shape:
+            raise ShapeMismatch("multiplicity table has the wrong shape")
+        if min(flat, default=0) < 0:
+            raise ShapeMismatch("multiplicities must be natural numbers")
+        ny = shape[1]
+        object.__setattr__(self, "mult_flat", flat)
+        object.__setattr__(self, "_support", tuple(
+            divmod(p, ny) for p, m in enumerate(flat) if m))
+        object.__setattr__(self, "_views", {})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def mult_shape(self) -> tuple[int, int]:
+        return (self.source.X.size, self.target.X.size)
+
+    @property
+    def mult(self):
+        """The multiplicity table as a read-only (|X|, |Y|) ndarray."""
+        return _array_view(self._views, "mult", self.mult_flat,
+                           self.mult_shape)
+
+    def multiplicity(self, x: int, y: int) -> int:
+        return self.mult_flat[x * self.target.X.size + y]
+
+    def _mult_rows(self) -> list[tuple[int, ...]]:
+        return _rows(self.mult_flat, self.target.X.size)
+
+    def support(self) -> list[tuple[int, int]]:
+        """The pairs (x, y) with m_{x,y} > 0, in row-major order."""
+        return list(self._support)
 
 
-def _check_tables(group: FiniteGroup, x_size: int, y_size: int,
-                  mult: np.ndarray, a: dict, slot: str) -> None:
-    if mult.shape != (x_size, y_size):
-        raise ShapeMismatch("multiplicity table has the wrong shape")
-    if mult.min(initial=0) < 0:
-        raise ShapeMismatch("multiplicities must be natural numbers")
-    support = {(int(x), int(y)) for x, y in zip(*np.nonzero(mult))}
-    keys = {(g, x, y) for g in group.elements() for (x, y) in support}
+def _check_tables(group: FiniteGroup, f: _FunctorTable, a: dict,
+                  slot: str) -> None:
+    keys = {(g, x, y) for g in group.elements() for (x, y) in f.support()}
     if set(a) != keys:
         raise ShapeMismatch(
             f"{slot} table keys must be exactly (g, x, y) over the support")
     for (g, x, y), mat in a.items():
         if not isinstance(mat, SMatrix):
             raise ShapeMismatch(f"{slot} entries must be SMatrix values")
-        n = int(mult[x, y])
+        n = f.multiplicity(x, y)
         if (mat.nrows, mat.ncols) != (n, n):
             raise ShapeMismatch(
                 f"{slot}[{(g, x, y)}] must be {n}x{n}, got "
                 f"{mat.nrows}x{mat.ncols}")
 
 
-@dataclass(frozen=True, eq=False)
-class ModuleFunctorData:
+class ModuleFunctorData(_FunctorTable):
     """Matrix presentation (m, A) of a module functor."""
 
-    source: ModuleCategoryData
-    target: ModuleCategoryData
-    mult: np.ndarray
-    a: dict
+    __slots__ = ("source", "target", "mult_flat", "a", "_support", "_views")
 
-    def __post_init__(self):
-        if self.source.fusion != self.target.fusion:
+    def __init__(self, source: ModuleCategoryData, target: ModuleCategoryData,
+                 mult, a: dict) -> None:
+        if source.fusion != target.fusion:
             raise SourceTargetMismatch(
                 "source and target are over different fusion data")
-        mult = np.array(self.mult, dtype=np.int64)
-        mult.setflags(write=False)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "a", dict(self.a))
-        _check_tables(self.group, self.source.X.size, self.target.X.size,
-                      mult, self.a, "A")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "a", dict(a))
+        self._set_mult(mult)
+        _check_tables(self.group, self, self.a, "A")
 
     @property
     def group(self) -> FiniteGroup:
         return self.source.fusion.group
 
-    def support(self) -> list[tuple[int, int]]:
-        return [(int(x), int(y)) for x, y in zip(*np.nonzero(self.mult))]
-
     def __eq__(self, other):
         if not isinstance(other, ModuleFunctorData):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
-                and np.array_equal(self.mult, other.mult) and self.a == other.a)
+                and self.mult_flat == other.mult_flat and self.a == other.a)
 
 
-def _psi_unit(data: ModuleCategoryData, g: int, h: int, x: int) -> Unit:
-    return _cochain_unit(data.psi, g, h, x)
-
-
-def _mult_invariance(mult: np.ndarray, act_x: np.ndarray, act_y: np.ndarray,
+def _mult_invariance(f: _FunctorTable, x_set: GSet, y_set: GSet,
                      condition: str, log: FailureLog) -> int:
-    moved = mult[act_x[:, :, None], act_y[:, None, :]]
-    for pos in np.argwhere(moved != mult[None, :, :]):
-        tup = tuple(int(v) for v in pos)
-        log.add(condition, tup, int(moved[tup]), int(mult[tup[1:]]))
-    return moved.size
+    """Log every (g, x, y) with m_{g.x, g.y} != m_{x,y}; returns the count."""
+    nx, ny = x_set.size, y_set.size
+    mult = f.mult_flat
+    for g in x_set.group.elements():
+        for x in range(nx):
+            row = x_set.apply(g, x) * ny
+            for y in range(ny):
+                moved = mult[row + y_set.apply(g, y)]
+                if moved != mult[x * ny + y]:
+                    log.add(condition, (g, x, y), moved, mult[x * ny + y])
+    return x_set.group.order * nx * ny
 
 
 def validate_modfun(f: ModuleFunctorData) -> ValidationReport:
     """Check multiplicity invariance, A_1 = id, invertibility and the
     composition rule A_{gh} = Psi_X Psi_Y^-1 A_h A_g(shifted)."""
     grp = f.group
-    act_x, act_y = f.source.X.action, f.target.X.action
+    x_set, y_set = f.source.X, f.target.X
+    psi_x, psi_y = f.source.psi, f.target.psi
     log = FailureLog()
-    checked = _mult_invariance(f.mult, act_x, act_y, "mult_invariant", log)
+    checked = _mult_invariance(f, x_set, y_set, "mult_invariant", log)
 
     support = f.support()
     ident = grp.identity
@@ -145,15 +178,15 @@ def validate_modfun(f: ModuleFunctorData) -> ValidationReport:
             gh = grp.op(g, h)
             for (x, y) in support:
                 checked += 1
-                hx, hy = act_x[h, x], act_y[h, y]
+                hx, hy = x_set.apply(h, x), y_set.apply(h, y)
                 lhs = f.a.get((gh, x, y))
                 right = f.a.get((g, hx, hy))
                 mid = f.a.get((h, x, y))
                 if lhs is None or right is None or mid is None:
                     log.add("cond_A", (g, h, x, y), "missing entry", "present")
                     continue
-                u = (_psi_unit(f.source, g, h, act_x[gh, x])
-                     * _psi_unit(f.target, g, h, act_y[gh, y]).inverse())
+                u = (psi_x.value((g, h, x_set.apply(gh, x)))
+                     * psi_y.value((g, h, y_set.apply(gh, y))).inverse())
                 rhs = (mid @ right).scale(u)
                 if lhs != rhs:
                     log.add("cond_A", (g, h, x, y), lhs, rhs)
@@ -174,14 +207,14 @@ class NatTransData:
             raise SourceTargetMismatch(
                 "functors do not share source and target categories")
         object.__setattr__(self, "m", dict(self.m))
-        pairs = {p for p in f.support() if h.mult[p] > 0}
+        pairs = {p for p in f.support() if h.multiplicity(*p) > 0}
         if set(self.m) != pairs:
             raise ShapeMismatch(
                 "M table keys must be the pairs supported by both functors")
         for (x, y), mat in self.m.items():
             if not isinstance(mat, SMatrix):
                 raise ShapeMismatch("M entries must be SMatrix values")
-            want = (int(h.mult[x, y]), int(f.mult[x, y]))
+            want = (h.multiplicity(x, y), f.multiplicity(x, y))
             if (mat.nrows, mat.ncols) != want:
                 raise ShapeMismatch(f"M[{(x, y)}] must be {want[0]}x{want[1]}")
 
@@ -196,13 +229,13 @@ def validate_nat_trans(eta: NatTransData) -> ValidationReport:
     """Check M_{x,y} A^F_{g,x,y} = A^H_{g,x,y} M_{g.x, g.y} on all entries."""
     f, h = eta.source, eta.target
     grp = f.group
-    act_x, act_y = f.source.X.action, f.target.X.action
+    x_set, y_set = f.source.X, f.target.X
     log = FailureLog()
     checked = 0
     for g in grp.elements():
         for (x, y), mat in eta.m.items():
             checked += 1
-            moved = eta.m.get((int(act_x[g, x]), int(act_y[g, y])))
+            moved = eta.m.get((x_set.apply(g, x), y_set.apply(g, y)))
             if moved is None:
                 log.add("cond_M", (g, x, y), "missing entry", "present")
                 continue
@@ -216,7 +249,7 @@ def validate_nat_trans(eta: NatTransData) -> ValidationReport:
 def identity_functor(data: ModuleCategoryData) -> ModuleFunctorData:
     """The identity functor: m the Kronecker delta, every A the 1x1 identity."""
     size = data.X.size
-    mult = np.eye(size, dtype=np.int64)
+    mult = [[int(x == y) for y in range(size)] for x in range(size)]
     a = {(g, x, x): SMatrix.identity(1)
          for g in data.fusion.group.elements() for x in range(size)}
     return ModuleFunctorData(data, data, mult, a)
@@ -229,28 +262,27 @@ def functor_from_equivariant(f, lam: UnitCochain, source: ModuleCategoryData,
     Requires d(Lambda) = Psi_X^-1 * (Psi_Y pulled back along f); the functor
     has m_{x,y} = delta_{f(x),y} and A_{g,x,f(x)} = [Lambda(g, g.x)].
     """
-    f = np.asarray(f, dtype=np.int64)
+    f, shape = _flatten(f)
     x_set, y_set = source.X, target.X
     grp = source.fusion.group
-    if f.shape != (x_set.size,) or f.min(initial=0) < 0 \
-            or f.max(initial=0) >= y_set.size:
+    if shape != (x_set.size,) or not all(0 <= v < y_set.size for v in f):
         raise NotEquivariant("map table has the wrong shape or range")
-    if not np.array_equal(y_set.action[:, f], f[x_set.action]):
+    if any(y_set.apply(g, f[x]) != f[x_set.apply(g, x)]
+           for g in grp.elements() for x in range(x_set.size)):
         raise NotEquivariant("map does not commute with the group action")
     if lam.degree != 1 or lam.carrier != x_set:
         raise LambdaConditionFailed("Lambda must be a degree-1 cochain on X")
-    pulled = UnitCochain(2, x_set, target.psi.root_order,
-                         target.psi.exponents[..., f])
-    if differential(lam) != source.psi.inverse() * pulled:
+    if differential(lam) != source.psi.inverse() * _pull_back(target.psi, f,
+                                                               x_set):
         raise LambdaConditionFailed(
             "d(Lambda) does not match Psi_X^-1 * (Psi_Y o f)")
-    mult = np.zeros((x_set.size, y_set.size), dtype=np.int64)
-    mult[np.arange(x_set.size), f] = 1
+    mult = [[int(f[x] == y) for y in range(y_set.size)]
+            for x in range(x_set.size)]
     a = {}
     for g in grp.elements():
         for x in range(x_set.size):
-            u = _cochain_unit(lam, g, int(x_set.action[g, x]))
-            a[(g, x, int(f[x]))] = SMatrix.from_unit(u)
+            u = lam.value((g, x_set.apply(g, x)))
+            a[(g, x, f[x])] = SMatrix.from_unit(u)
     return ModuleFunctorData(source, target, mult, a)
 
 
@@ -262,12 +294,10 @@ def action_functor(data: ModuleCategoryData, base: int) -> ModuleFunctorData:
     """
     grp = data.fusion.group
     reg = regular_module_category(data.fusion)
-    z = np.arange(grp.order)
-    f = data.X.action[z, base]
-    g_idx = np.repeat(z, grp.order).reshape(grp.order, grp.order)
-    zinv = grp.table[grp.inverse[g_idx], z[None, :]]
-    lam = UnitCochain(1, reg.X, data.psi.root_order,
-                      data.psi.exponents[g_idx, zinv, f[None, :].repeat(grp.order, 0)])
+    f = [data.X.apply(z, base) for z in grp.elements()]
+    lam = UnitCochain.from_flat(1, reg.X, data.psi.root_order, [
+        data.psi.exponent((g, grp.op(grp.inv(g), z), f[z]))
+        for g in grp.elements() for z in grp.elements()])
     return functor_from_equivariant(f, lam, reg, data)
 
 
@@ -276,25 +306,25 @@ def _hom_system(f: ModuleFunctorData, h: ModuleFunctorData):
     if f.source != h.source or f.target != h.target:
         raise SourceTargetMismatch(
             "hom spaces need functors with equal source and target")
-    pairs = sorted(p for p in f.support() if h.mult[p] > 0)
+    pairs = sorted(p for p in f.support() if h.multiplicity(*p) > 0)
     offsets = {}
     total = 0
     for p in pairs:
         offsets[p] = total
-        total += int(h.mult[p]) * int(f.mult[p])
+        total += h.multiplicity(*p) * f.multiplicity(*p)
 
     def slot(p, i, j):
-        return offsets[p] + i * int(f.mult[p]) + j
+        return offsets[p] + i * f.multiplicity(*p) + j
 
     grp = f.group
-    act_x, act_y = f.source.X.action, f.target.X.action
+    x_set, y_set = f.source.X, f.target.X
     rows: list[list[Scalar]] = []
     for g in grp.elements():
         for (x, y) in pairs:
-            gp = (int(act_x[g, x]), int(act_y[g, y]))
+            gp = (x_set.apply(g, x), y_set.apply(g, y))
             af = f.a[(g, x, y)]
             ah = h.a[(g, x, y)]
-            mh, mf = int(h.mult[x, y]), int(f.mult[x, y])
+            mh, mf = h.multiplicity(x, y), f.multiplicity(x, y)
             for i in range(mh):
                 for j in range(mf):
                     row = [Scalar.zero()] * total
@@ -323,7 +353,7 @@ def hom_basis(f: ModuleFunctorData, h: ModuleFunctorData) -> list[NatTransData]:
     for vec in nullspace_basis(rows, total):
         m = {}
         for p in pairs:
-            mh, mf = int(h.mult[p]), int(f.mult[p])
+            mh, mf = h.multiplicity(*p), f.multiplicity(*p)
             base = offsets[p]
             m[p] = SMatrix([[vec[base + i * mf + j] for j in range(mf)]
                             for i in range(mh)])
@@ -339,7 +369,7 @@ def invertible_hom(f: ModuleFunctorData,
     integer combinations (a generic combination is invertible whenever an
     invertible element exists).
     """
-    if not np.array_equal(f.mult, h.mult):
+    if (f.mult_shape, f.mult_flat) != (h.mult_shape, h.mult_flat):
         return None
     basis = hom_basis(f, h)
     if not basis:
@@ -352,9 +382,9 @@ def invertible_hom(f: ModuleFunctorData,
     for eta in basis:
         if all_invertible(eta.m):
             return eta
-    rng = np.random.default_rng(0)
+    rng = random.Random(0)
     for _ in range(64):
-        coeffs = [int(c) for c in rng.integers(-3, 4, size=len(basis))]
+        coeffs = [rng.randint(-3, 3) for _ in basis]
         if not any(coeffs):
             continue
         m = {}
@@ -377,14 +407,16 @@ def direct_sum(functors: list[ModuleFunctorData]) -> ModuleFunctorData:
         if other.source != first.source or other.target != first.target:
             raise SourceTargetMismatch(
                 "all summands must share source and target")
-    mult = sum(np.asarray(f.mult) for f in functors)
+    mult = [sum(col) for col in zip(*(f.mult_flat for f in functors))]
+    ny = first.target.X.size
+    support = [divmod(p, ny) for p, m in enumerate(mult) if m]
     a = {}
     for g in first.group.elements():
-        for x, y in zip(*np.nonzero(mult)):
-            x, y = int(x), int(y)
-            blocks = [f.a[(g, x, y)] for f in functors if f.mult[x, y] > 0]
+        for x, y in support:
+            blocks = [f.a[(g, x, y)] for f in functors
+                      if f.multiplicity(x, y) > 0]
             a[(g, x, y)] = SMatrix.block_diag(blocks)
-    return ModuleFunctorData(first.source, first.target, mult, a)
+    return ModuleFunctorData(first.source, first.target, _rows(mult, ny), a)
 
 
 def orbit_decompose(f: ModuleFunctorData) -> dict:
@@ -398,11 +430,10 @@ def orbit_decompose(f: ModuleFunctorData) -> dict:
     out = {}
     for orbit in orbits(prod):
         pairs = tuple((p // y_size, p % y_size) for p in orbit)
-        if f.mult[pairs[0]] == 0:
+        if f.multiplicity(*pairs[0]) == 0:
             continue
-        mult = np.zeros_like(f.mult)
-        for p in pairs:
-            mult[p] = f.mult[p]
+        mult = [m if p in orbit else 0 for p, m in enumerate(f.mult_flat)]
+        mult = _rows(mult, y_size)
         a = {key: mat for key, mat in f.a.items() if (key[1], key[2]) in set(pairs)}
         out[pairs] = ModuleFunctorData(f.source, f.target, mult, a)
     return out
@@ -412,15 +443,15 @@ def adjoint(f: ModuleFunctorData) -> ModuleFunctorData:
     """The (two-sided) adjoint functor, with transposed multiplicities and
     A'_{g,y,x} = Psi_X(g,g^-1,g.x) Psi_Y^-1(g,g^-1,g.y) (A_{g^-1,g.x,g.y})^T."""
     grp = f.group
-    act_x, act_y = f.source.X.action, f.target.X.action
-    mult = np.asarray(f.mult).T
+    x_set, y_set = f.source.X, f.target.X
+    mult = list(zip(*f._mult_rows()))
     a = {}
     for g in grp.elements():
         ginv = grp.inv(g)
         for (x, y) in f.support():
-            gx, gy = int(act_x[g, x]), int(act_y[g, y])
-            u = (_psi_unit(f.source, g, ginv, gx)
-                 * _psi_unit(f.target, g, ginv, gy).inverse())
+            gx, gy = x_set.apply(g, x), y_set.apply(g, y)
+            u = (f.source.psi.value((g, ginv, gx))
+                 * f.target.psi.value((g, ginv, gy)).inverse())
             a[(g, y, x)] = f.a[(ginv, gx, gy)].transpose().scale(u)
     out = ModuleFunctorData(f.target, f.source, mult, a)
     validate_modfun(out).raise_if_failed("adjoint")
@@ -464,7 +495,7 @@ def classify_simple_cyclic(source: ModuleCategoryData,
     grp = source.fusion.group
     n = grp.order
     gen, powers = _cyclic_generator(grp)
-    act_x, act_y = source.X.action, target.X.action
+    x_set, y_set = source.X, target.X
     y_size = target.X.size
     prod = product_gset(source.X, target.X)
     out = []
@@ -474,14 +505,13 @@ def classify_simple_cyclic(source: ModuleCategoryData,
         x0, y0 = pairs[0]
         gamma = Unit.one()
         for t in range(1, n):
-            gamma = gamma * _psi_unit(source, gen, powers[t],
-                                      int(act_x[powers[t + 1], x0])).inverse()
-            gamma = gamma * _psi_unit(target, gen, powers[t],
-                                      int(act_y[powers[t + 1], y0]))
+            gamma = gamma * source.psi.value(
+                (gen, powers[t], x_set.apply(powers[t + 1], x0))).inverse()
+            gamma = gamma * target.psi.value(
+                (gen, powers[t], y_set.apply(powers[t + 1], y0)))
         roots = unit_roots(gamma, n)
-        mult = np.zeros((source.X.size, y_size), dtype=np.int64)
-        for p in pairs:
-            mult[p] = 1
+        mult = [[int((x, y) in pairs) for y in range(y_size)]
+                for x in range(source.X.size)]
         for j in range(n // r):
             xi = roots[j]
             a = {}
@@ -489,10 +519,11 @@ def classify_simple_cyclic(source: ModuleCategoryData,
                 for (x, y) in pairs:
                     val = xi ** k
                     for t in range(1, k):
-                        val = val * _psi_unit(source, gen, powers[t],
-                                              int(act_x[powers[t + 1], x]))
-                        val = val * _psi_unit(target, gen, powers[t],
-                                              int(act_y[powers[t + 1], y])).inverse()
+                        val = val * source.psi.value(
+                            (gen, powers[t], x_set.apply(powers[t + 1], x)))
+                        val = val * target.psi.value(
+                            (gen, powers[t], y_set.apply(powers[t + 1], y))
+                        ).inverse()
                     a[(powers[k], x, y)] = SMatrix.from_unit(val)
             functor = ModuleFunctorData(source, target, mult, a)
             out.append(SimpleFunctorClass(pairs, xi, functor))
@@ -512,39 +543,31 @@ def count_simple_cyclic(source: ModuleCategoryData,
 # bimodule functors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class BimoduleFunctorData:
+class BimoduleFunctorData(_FunctorTable):
     """Module-functor data plus the right-action matrices B over H."""
 
-    source: BimoduleCategoryData
-    target: BimoduleCategoryData
-    mult: np.ndarray
-    a: dict
-    b: dict
+    __slots__ = ("source", "target", "mult_flat", "a", "b", "_support",
+                 "_views")
 
-    def __post_init__(self):
-        if (self.source.left, self.source.right) != \
-                (self.target.left, self.target.right):
+    def __init__(self, source: BimoduleCategoryData,
+                 target: BimoduleCategoryData, mult, a: dict,
+                 b: dict) -> None:
+        if (source.left, source.right) != (target.left, target.right):
             raise SourceTargetMismatch(
                 "source and target are over different fusion data pairs")
-        mult = np.array(self.mult, dtype=np.int64)
-        mult.setflags(write=False)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "a", dict(self.a))
-        object.__setattr__(self, "b", dict(self.b))
-        _check_tables(self.source.left.group, self.source.X.size,
-                      self.target.X.size, mult, self.a, "A")
-        _check_tables(self.source.right.group, self.source.X.size,
-                      self.target.X.size, mult, self.b, "B")
-
-    def support(self) -> list[tuple[int, int]]:
-        return [(int(x), int(y)) for x, y in zip(*np.nonzero(self.mult))]
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "a", dict(a))
+        object.__setattr__(self, "b", dict(b))
+        self._set_mult(mult)
+        _check_tables(source.left.group, self, self.a, "A")
+        _check_tables(source.right.group, self, self.b, "B")
 
     def __eq__(self, other):
         if not isinstance(other, BimoduleFunctorData):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
-                and np.array_equal(self.mult, other.mult)
+                and self.mult_flat == other.mult_flat
                 and self.a == other.a and self.b == other.b)
 
 
@@ -553,16 +576,16 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
     left = validate_modfun(ModuleFunctorData(
         ModuleCategoryData(f.source.left, f.source.x_g, f.source.psi),
         ModuleCategoryData(f.target.left, f.target.x_g, f.target.psi),
-        f.mult, f.a))
+        f._mult_rows(), f.a))
     log = FailureLog()
     log.merge(left)
 
     h_grp = f.source.right.group
-    act_xh, act_yh = f.source.x_h.action, f.target.x_h.action
+    xh, yh = f.source.x_h, f.target.x_h
     support = f.support()
 
-    checked = left.checked + _mult_invariance(f.mult, act_xh, act_yh,
-                                              "mult_invariant_h", log)
+    checked = left.checked + _mult_invariance(f, xh, yh, "mult_invariant_h",
+                                              log)
 
     for (x, y) in support:
         checked += 1
@@ -584,22 +607,21 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
                 checked += 1
                 lhs = f.b.get((gh, x, y))
                 first = f.b.get((g, x, y))
-                second = f.b.get((h, int(act_xh[ginv, x]), int(act_yh[ginv, y])))
+                second = f.b.get((h, xh.apply(ginv, x), yh.apply(ginv, y)))
                 if lhs is None or first is None or second is None:
                     log.add("b_pentagon", (g, h, x, y), "missing entry",
                             "present")
                     continue
-                u = (_cochain_unit(phi_x, h_grp.inv(h), ginv,
-                                   int(act_xh[ghinv, x]))
-                     * _cochain_unit(phi_y, h_grp.inv(h), ginv,
-                                     int(act_yh[ghinv, y])).inverse())
+                u = (phi_x.value((h_grp.inv(h), ginv, xh.apply(ghinv, x)))
+                     * phi_y.value((h_grp.inv(h), ginv,
+                                    yh.apply(ghinv, y))).inverse())
                 rhs = (first @ second).scale(u)
                 if lhs != rhs:
                     log.add("b_pentagon", (g, h, x, y), lhs, rhs)
 
     g_grp = f.source.left.group
-    act_x, act_y = f.source.X.action, f.target.X.action
-    act_xg, act_yg = f.source.x_g.action, f.target.x_g.action
+    x_set, y_set = f.source.X, f.target.X
+    xg, yg = f.source.x_g, f.target.x_g
     om_x, om_y = f.source.omega_mid, f.target.omega_mid
     h_ord = h_grp.order
     for g in g_grp.elements():
@@ -608,8 +630,8 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
             mixed = g * h_ord + hinv
             for (x, y) in support:
                 checked += 1
-                hx, hy = int(act_xh[hinv, x]), int(act_yh[hinv, y])
-                gx, gy = int(act_xg[g, x]), int(act_yg[g, y])
+                hx, hy = xh.apply(hinv, x), yh.apply(hinv, y)
+                gx, gy = xg.apply(g, x), yg.apply(g, y)
                 b_left = f.b.get((h, x, y))
                 a_left = f.a.get((g, hx, hy))
                 a_right = f.a.get((g, x, y))
@@ -618,9 +640,9 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
                     log.add("hexagon", (g, h, x, y), "missing entry", "present")
                     continue
                 lhs = (b_left @ a_left).scale(
-                    _cochain_unit(om_x, g, hinv, int(act_x[mixed, x])))
+                    om_x.value((g, hinv, x_set.apply(mixed, x))))
                 rhs = (a_right @ b_right).scale(
-                    _cochain_unit(om_y, g, hinv, int(act_y[mixed, y])))
+                    om_y.value((g, hinv, y_set.apply(mixed, y))))
                 if lhs != rhs:
                     log.add("hexagon", (g, h, x, y), lhs, rhs)
     return log.report(checked)
@@ -631,16 +653,16 @@ def bimodfun_to_deligne(f: BimoduleFunctorData) -> ModuleFunctorData:
     src = bimod_to_deligne(f.source)
     tgt = bimod_to_deligne(f.target)
     g_grp, h_grp = f.source.left.group, f.source.right.group
-    act_xg, act_yg = f.source.x_g.action, f.target.x_g.action
+    xg, yg = f.source.x_g, f.target.x_g
     a = {}
     for g in g_grp.elements():
         for h in h_grp.elements():
             hinv = h_grp.inv(h)
             for (x, y) in f.support():
-                gx, gy = int(act_xg[g, x]), int(act_yg[g, y])
+                gx, gy = xg.apply(g, x), yg.apply(g, y)
                 a[(g * h_grp.order + h, x, y)] = \
                     f.a[(g, x, y)] @ f.b[(hinv, gx, gy)]
-    out = ModuleFunctorData(src, tgt, f.mult, a)
+    out = ModuleFunctorData(src, tgt, f._mult_rows(), a)
     validate_modfun(out).raise_if_failed("product functor")
     return out
 
@@ -660,6 +682,6 @@ def deligne_to_bimodfun(k: ModuleFunctorData, source: BimoduleCategoryData,
             a[(g, x, y)] = k.a[(g * h_grp.order + h_grp.identity, x, y)]
         for h in h_grp.elements():
             b[(h, x, y)] = k.a[(g_grp.identity * h_grp.order + h_grp.inv(h), x, y)]
-    out = BimoduleFunctorData(source, target, k.mult, a, b)
+    out = BimoduleFunctorData(source, target, k._mult_rows(), a, b)
     validate_bimodfun(out).raise_if_failed("bimodule functor")
     return out

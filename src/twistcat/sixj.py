@@ -206,20 +206,28 @@ class _ScalarLayout:
 
 
 def _twist(cochain, slots) -> Callable[[int, int, int, int], Unit]:
-    """The twist (i, j, k, b) -> the cochain's value at slots(i, j, k, b)."""
-    root, exps = cochain.root_order, cochain.exponents
-    return lambda i, j, k, b: Unit(root, int(exps[slots(i, j, k, b)]))
+    """The twist (i, j, k, b) -> the cochain's value at slots(i, j, k, b),
+    three indices into the first three axes of its table (omega has a fourth,
+    the point carrier, of size 1).  Composed labels are in range, so the
+    flat table is read directly."""
+    root, exps = cochain.root_order, cochain.exponents_flat
+    d1, d2 = cochain.shape[1:3]
+
+    def twist(i, j, k, b):
+        p, q, r = slots(i, j, k, b)
+        return Unit(root, exps[(p * d1 + q) * d2 + r])
+    return twist
 
 
-def _m_layout(grp, act, psi, trace: ModuleTrace, kappa_unit) -> _ScalarLayout:
-    """The left-action symbols of a module structure psi on a carrier with
-    action table ``act``: m = trace(a) psi(i, j, b) and
-    m^-1 = kappa(c) / psi(i, j, b), at c = ij, a = j.k, b = c.k."""
+def _m_layout(grp, x_set, psi, trace: ModuleTrace, kappa_unit) -> _ScalarLayout:
+    """The left-action symbols of a module structure psi on the carrier
+    ``x_set``: m = trace(a) psi(i, j, b) and m^-1 = kappa(c) / psi(i, j, b),
+    at c = ij, a = j.k, b = c.k."""
     def compose(i, j, k):
         c = grp.op(i, j)
-        return int(act[j, k]), int(act[c, k]), c
+        return x_set.apply(j, k), x_set.apply(c, k), c
 
-    n, nx = grp.order, act.shape[1]
+    n, nx = grp.order, x_set.size
     return _ScalarLayout((n, n, nx, nx, nx, n), compose,
                          _twist(psi, lambda i, j, k, b: (i, j, b)),
                          trace.unit, kappa_unit)
@@ -246,19 +254,19 @@ def _scalar_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
 
         return _ScalarLayout((grp.order,) * 6, compose_f,
                              _twist(ctx.fusion.omega,
-                                    lambda i, j, k, b: (i, j, k, 0)),
+                                    lambda i, j, k, b: (i, j, k)),
                              kappa, kappa)
     data, trace = ctx.bimodule, ctx.trace
     if family == "m":
-        return _m_layout(data.left.group, data.x_g.action, data.psi, trace,
+        return _m_layout(data.left.group, data.x_g, data.psi, trace,
                          data.left.kappa_unit)
     ng, nh, nx = data.left.group.order, data.right.group.order, data.X.size
-    act_g, act_h = data.x_g.action, data.x_h.action
+    x_g, x_h = data.x_g, data.x_h
     inv = data.right.group.inv
     if family == "n":
         def compose_n(i, j, k):
             c = data.right.group.op(j, k)
-            return int(act_h[inv(j), i]), int(act_h[inv(c), i]), c
+            return x_h.apply(inv(j), i), x_h.apply(inv(c), i), c
 
         return _ScalarLayout((nx, nh, nh, nx, nx, nh), compose_n,
                              _twist(data.phi,
@@ -266,8 +274,8 @@ def _scalar_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
                              trace.unit, data.right.kappa_unit, swapped=True)
 
     def compose_b(i, j, k):
-        c = int(act_g[i, j])
-        return int(act_h[inv(k), j]), int(act_h[inv(k), c]), c
+        c = x_g.apply(i, j)
+        return x_h.apply(inv(k), j), x_h.apply(inv(k), c), c
 
     return _ScalarLayout((ng, nx, nh, nx, nx, nx), compose_b,
                          _twist(data.omega_mid,
@@ -288,18 +296,18 @@ def _same(g: int) -> int:
 
 
 def _matrix_parts(ctx: SixJContext, kind: str):
-    """Group, source and target actions, multiplicities, matrix table and the
-    acting element of a label: A with g = i for the s kinds (left action),
-    B with g = l^-1 for the t kinds (right action of a bimodule functor)."""
+    """Group, source and target carriers, the functor (for its
+    multiplicities), matrix table and the acting element of a label: A with
+    g = i for the s kinds (left action), B with g = l^-1 for the t kinds
+    (right action of a bimodule functor)."""
     f = ctx.functor
     src, tgt = f.source, f.target
     if kind in BIMODFUN_KINDS:
         grp = src.right.group
-        return grp, src.x_h.action, tgt.x_h.action, f.mult, f.b, grp.inv
+        return grp, src.x_h, tgt.x_h, f, f.b, grp.inv
     if isinstance(f, BimoduleFunctorData):
-        return (src.left.group, src.x_g.action, tgt.x_g.action, f.mult, f.a,
-                _same)
-    return src.fusion.group, src.X.action, tgt.X.action, f.mult, f.a, _same
+        return src.left.group, src.x_g, tgt.x_g, f, f.a, _same
+    return src.fusion.group, src.X, tgt.X, f, f.a, _same
 
 
 def _matrix_symbol(ctx: SixJContext, parts, labels,
@@ -312,10 +320,11 @@ def _matrix_symbol(ctx: SixJContext, parts, labels,
     source_trace(c) * M_{l,j,a}^-1.  A singular matrix (possible only for
     corrupted data) raises ValidationError.
     """
-    _, act_x, act_y, mult, table, acting = parts
+    _, x_set, y_set, f, table, acting = parts
     l, j, a, b, c = labels
     g = acting(l)
-    if c != int(act_x[g, j]) or b != int(act_y[g, a]) or not mult[j, a]:
+    if (c != x_set.apply(g, j) or b != y_set.apply(g, a)
+            or not f.multiplicity(j, a)):
         return None
     mat = table[(l, j, a)]
     if inverse:
@@ -342,8 +351,8 @@ def _label_domains(ctx: SixJContext, kind: str):
     """Per-kind label sizes and names, for range validation."""
     if kind not in _MATRIX_KINDS:
         return _scalar_layout(ctx, _family(kind)).sizes, "ijkabc"
-    grp, act_x, act_y, *_ = _matrix_parts(ctx, kind)
-    nx, ny = act_x.shape[1], act_y.shape[1]
+    grp, x_set, y_set, *_ = _matrix_parts(ctx, kind)
+    nx, ny = x_set.size, y_set.size
     return (grp.order, nx, ny, ny, nx), ("ijabc" if kind in MODFUN_KINDS
                                          else "liabc")
 
@@ -422,14 +431,14 @@ def _admissible_labels(ctx: SixJContext, kind: str):
     if kind not in _MATRIX_KINDS:
         yield from _scalar_layout(ctx, _family(kind)).composed()
         return
-    grp, act_x, act_y, mult, _, acting = _matrix_parts(ctx, kind)
+    grp, x_set, y_set, f, _, acting = _matrix_parts(ctx, kind)
     for l in grp.elements():
         g = acting(l)
-        for j in range(act_x.shape[1]):
-            c = int(act_x[g, j])
-            for a in range(act_y.shape[1]):
-                if mult[j, a]:
-                    yield (l, j, a, int(act_y[g, a]), c)
+        for j in range(x_set.size):
+            c = x_set.apply(g, j)
+            for a in range(y_set.size):
+                if f.multiplicity(j, a):
+                    yield (l, j, a, y_set.apply(g, a), c)
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +538,8 @@ def _orth_matrix_pair(ctx: SixJContext, kind: str, scope, log) -> int:
     A singular block met in a sum is logged in place of the comparison.
     """
     parts = _matrix_parts(ctx, kind)
-    grp, act_x, act_y, mult, _, acting = parts
-    nx, ny = act_x.shape[1], act_y.shape[1]
+    grp, x_set, y_set, f, _, acting = parts
+    nx, ny = x_set.size, y_set.size
     src_tr, tgt_tr = ctx.source_trace, ctx.target_trace
     checked = 0
 
@@ -541,7 +550,7 @@ def _orth_matrix_pair(ctx: SixJContext, kind: str, scope, log) -> int:
         g = acting(l)
         for j in range(nx):
             for b in range(ny):
-                size = int(mult[j, int(act_y[grp.inv(g), b])])
+                size = f.multiplicity(j, y_set.apply(grp.inv(g), b))
                 if not size:
                     continue
                 for c in range(nx):
@@ -568,7 +577,7 @@ def _orth_matrix_pair(ctx: SixJContext, kind: str, scope, log) -> int:
                             total = total + (inv @ mat).scale(dims)
                         else:  # no singular block met
                             expected = (SMatrix.identity(size)
-                                        if c == d and c == int(act_x[g, j])
+                                        if c == d and c == x_set.apply(g, j)
                                         else _zero_matrix(size, size))
                             if total != expected:
                                 log.add(name, (l, j, b, c, d), total,
@@ -581,17 +590,17 @@ def _orth_matrix_pair(ctx: SixJContext, kind: str, scope, log) -> int:
         g = acting(l)
         for j in range(nx):
             for a in range(ny):
-                if not mult[j, a]:
+                if not f.multiplicity(j, a):
                     continue
                 for d in range(ny):
-                    if not mult[j, d]:
+                    if not f.multiplicity(j, d):
                         continue
                     for b in range(ny):
                         if not _in_scope(scope, (l, j, a, d, b)):
                             continue
                         checked += 1
-                        total = _zero_matrix(int(mult[j, a]),
-                                             int(mult[j, d]))
+                        total = _zero_matrix(f.multiplicity(j, a),
+                                             f.multiplicity(j, d))
                         for c in range(nx):
                             mat = _matrix_symbol(ctx, parts, (l, j, a, b, c),
                                                  False)
@@ -609,10 +618,10 @@ def _orth_matrix_pair(ctx: SixJContext, kind: str, scope, log) -> int:
                             dims = src_tr.unit(c) * tgt_tr.unit(d)
                             total = total + (mat @ inv).scale(dims)
                         else:  # no singular block met
-                            expected = (SMatrix.identity(int(mult[j, a]))
-                                        if a == d and b == int(act_y[g, a])
-                                        else _zero_matrix(int(mult[j, a]),
-                                                          int(mult[j, d])))
+                            expected = (SMatrix.identity(f.multiplicity(j, a))
+                                        if a == d and b == y_set.apply(g, a)
+                                        else _zero_matrix(f.multiplicity(j, a),
+                                                          f.multiplicity(j, d)))
                             if total != expected:
                                 log.add(name, (l, j, a, d, b), total,
                                         expected)
@@ -624,32 +633,32 @@ def _ber_functor(ctx: SixJContext, scope, log,
     """The displayed Biedenharn-Elliott relation for module functors.
 
     Left side: [left-action symbol of the target] x [s at the product
-    label]; right side: the sum over middle points of the source of
-    dim(m) [s] [left-action symbol of the source] [s], matched as exact
-    matrices over the shared multiplicity space.
+    label]; right side: the sum over middle points mm of the source of
+    dim(mm) [s] [left-action symbol of the source] [s], matched as exact
+    matrices over the shared multiplicity space.  The first s factor,
+    s(j, l, k, a, mm), vanishes unless mm = j.l, so only that term is
+    evaluated.
     """
     parts = _matrix_parts(ctx, "s")
-    grp, act_x, act_y, mult, _, _ = parts
+    grp, x_set, y_set, f, _, _ = parts
     src_tr, tgt_tr = ctx.source_trace, ctx.target_trace
     # only the direct m symbols appear, so no kappa is needed
-    m_x = _m_layout(grp, act_x, ctx.functor.source.psi, src_tr, None)
-    m_y = _m_layout(grp, act_y, ctx.functor.target.psi, tgt_tr, None)
-    nx, ny = act_x.shape[1], act_y.shape[1]
+    m_x = _m_layout(grp, x_set, ctx.functor.source.psi, src_tr, None)
+    m_y = _m_layout(grp, y_set, ctx.functor.target.psi, tgt_tr, None)
     checked = 0
     for i in grp.elements():
         for j in grp.elements():
             c = grp.op(i, j)
-            for l in range(nx):
-                d = int(act_x[c, l])
-                for k in range(ny):
-                    if not mult[l, k]:
-                        continue
-                    if not _in_scope(scope, (i, j, l, k)):
+            for l in range(x_set.size):
+                d = x_set.apply(c, l)
+                mm = x_set.apply(j, l)
+                for k in range(y_set.size):
+                    size = f.multiplicity(l, k)
+                    if not size or not _in_scope(scope, (i, j, l, k)):
                         continue
                     checked += 1
-                    a = int(act_y[j, k])
-                    b = int(act_y[i, a])
-                    size = int(mult[l, k])
+                    a = y_set.apply(j, k)
+                    b = y_set.apply(i, a)
                     m_target = m_y.value((i, j, k, a, b, c), False)
                     s_outer = _matrix_symbol(ctx, parts, (c, l, k, b, d),
                                              False)
@@ -657,20 +666,15 @@ def _ber_functor(ctx: SixJContext, scope, log,
                            if m_target is None or s_outer is None
                            else s_outer.scale(m_target))
                     rhs = _zero_matrix(size, size)
-                    for mm in range(nx):
-                        s_right = _matrix_symbol(ctx, parts,
-                                                 (j, l, k, a, mm), False)
-                        if s_right is None:
-                            continue
-                        m_source = m_x.value((i, j, l, mm, d, c), False)
-                        if m_source is None:
-                            continue
-                        s_left = _matrix_symbol(ctx, parts,
-                                                (i, mm, a, b, d), False)
-                        if s_left is None:
-                            continue
-                        dims = src_tr.unit(mm) * m_source
-                        rhs = rhs + (s_right @ s_left).scale(dims)
+                    s_right = _matrix_symbol(ctx, parts, (j, l, k, a, mm),
+                                             False)
+                    m_source = m_x.value((i, j, l, mm, d, c), False)
+                    if s_right is not None and m_source is not None:
+                        s_left = _matrix_symbol(ctx, parts, (i, mm, a, b, d),
+                                                False)
+                        if s_left is not None:
+                            dims = src_tr.unit(mm) * m_source
+                            rhs = rhs + (s_right @ s_left).scale(dims)
                     if lhs != rhs:
                         log.add(relation, (i, j, l, k), lhs, rhs)
     return checked

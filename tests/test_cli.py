@@ -218,3 +218,53 @@ def test_adjoint_rejects_bimodule_functor():
     result = _invoke(EXAMPLES / "z2.json", "adjoint", "BF")
     assert result.exit_code == 2
     assert "deligne" in result.stderr
+
+
+# Runs in a fresh interpreter: every golden command and the three exit-code
+# cases through CliRunner, then reports which numpy modules got imported.
+_NUMPY_FREE_SCRIPT = """
+import json, sys
+from click.testing import CliRunner
+from twistcat.cli import main
+cases = json.load(sys.stdin)
+results = []
+for argv in cases:
+    res = CliRunner().invoke(main, argv)
+    results.append([res.exit_code, res.stdout, res.stderr])
+print(json.dumps({"results": results,
+                  "numpy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "numpy")}))
+"""
+
+
+def test_cli_commands_never_import_numpy(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "groups": {"G": {"type": "cyclic", "n": 2}},
+        "cochains": {"w": {"type": "table", "group": "G", "degree": 3,
+                           "root_order": 4,
+                           "exponents": [0, 0, 0, 0, 0, 0, 0, 1]}},
+        "fusions": {"F": {"group": "G", "omega": "w"}},
+    }))
+    cases = [["--config", str(EXAMPLES / f"{cfg}.json"), "--format", "json",
+              *shlex.split(cmd)] for cfg, cmd in BATTERY]
+    cases += [["--config", str(tmp_path / "missing.json"), "validate"],
+              ["--config", str(EXAMPLES / "z2.json"), "classify", "NOPE"],
+              ["--config", str(bad), "validate"]]
+    src = str(HERE.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_FREE_SCRIPT],
+                          input=json.dumps(cases), capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    results = doc["results"]
+    for (cfg, cmd), (code, out, _) in zip(BATTERY, results):
+        assert code == 0, (cfg, cmd)
+        assert out.encode() == _golden_path(cfg, cmd).read_bytes(), (cfg, cmd)
+    missing, unknown, not_cocycle = results[len(BATTERY):]
+    assert missing[0] == 2 and "parse error" in missing[2]
+    assert unknown[0] == 2 and "NOPE" in unknown[2]
+    assert not_cocycle[0] == 1 and "not a 3-cocycle" in not_cocycle[2]
+    assert doc["numpy"] == []

@@ -1,6 +1,7 @@
 """Source hygiene: no module-level import in the package goes unused, the
 integer algebra module and Scalar arithmetic stay free of rational arithmetic,
-and failure reports are capped in one place."""
+failure reports are capped in one place, and numpy loads only in the array
+view helper."""
 import ast
 from pathlib import Path
 
@@ -120,3 +121,29 @@ def test_failure_cap_lives_in_the_accumulator():
                 (inside if id(node) in log_nodes else outside).append(where)
     assert inside, "modcat.FailureLog no longer holds the failure cap"
     assert not outside, f"MAX_FAILURES used outside FailureLog: {outside}"
+
+
+def test_numpy_loads_only_in_the_array_view_helper():
+    # the runtime works on flat int tuples; numpy is imported only when an
+    # ndarray view (table, inverse, action, exponents, mult) is first read,
+    # so no command pays for the import
+    module_level, in_functions = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                where = (path.name, owner.get(id(node)))
+                (in_functions if where[1] else module_level).append(where)
+    assert not module_level, f"module-level numpy imports: {module_level}"
+    assert in_functions == [("algebra.py", "_array_view")]

@@ -172,7 +172,7 @@ def test_equivalence_finds_witness_on_regular_carrier():
     witness = equivalent_modcats(only, m_reg)
     assert witness is not None
     f_iso, mu = witness
-    assert sorted(f_iso.tolist()) == [0, 1]
+    assert sorted(f_iso) == [0, 1]
 
 
 def test_equivalence_distinguishes_carriers_and_twists():

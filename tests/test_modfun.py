@@ -176,6 +176,21 @@ def test_double_adjoint_is_isomorphic_to_original():
     assert validate_nat_trans(witness).ok
 
 
+def test_invertible_hom_combines_singular_basis_elements():
+    # End(F + F) is 2x2 matrices over each supported pair: every hom_basis
+    # element is a matrix unit, so the witness must be a combination
+    twice = direct_sum([IDENT, IDENT])
+    basis = hom_basis(twice, twice)
+    assert len(basis) == 4
+    assert all(any(mat.inverse() is None for mat in eta.m.values())
+               for eta in basis)
+    witness = invertible_hom(twice, twice)
+    assert witness is not None
+    assert all(mat.inverse() is not None for mat in witness.m.values())
+    assert validate_nat_trans(witness).ok
+    assert invertible_hom(twice, twice).m == witness.m   # deterministic
+
+
 # ---------------------------------------------------------------------------
 # classification of simple functors
 # ---------------------------------------------------------------------------
