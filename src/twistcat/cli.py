@@ -106,14 +106,14 @@ def _wrap_build(entity: str, fn, *args, **kwargs):
         raise ValidationError(f"entity {entity!r}: {exc}") from exc
 
 
-def _build_group(name: str, spec: dict, groups: dict) -> FiniteGroup:
+def _build_group(name: str, spec: dict, cfg: SessionConfig) -> FiniteGroup:
     kind = _spec_type(spec, name, ("cyclic", "table", "product"))
     if kind == "cyclic":
         return _wrap_build(name, cyclic_group, int(_field(spec, "n", name)))
     if kind == "table":
         return _wrap_build(name, FiniteGroup, _field(spec, "table", name))
-    left = _require(groups, _field(spec, "left", name), "group", name)
-    right = _require(groups, _field(spec, "right", name), "group", name)
+    left = _require(cfg.groups, _field(spec, "left", name), "group", name)
+    right = _require(cfg.groups, _field(spec, "right", name), "group", name)
     return _wrap_build(name, direct_product, left, right)
 
 
@@ -387,15 +387,19 @@ def _build_functor(name: str, spec: dict, cfg: SessionConfig):
     return out
 
 
-_SECTIONS = ("groups", "gsets", "cochains", "fusions", "modcats",
-             "bimodcats", "functors")
+# the config sections in build order, each with its entity builder
+_BUILDERS = {"groups": _build_group, "gsets": _build_gset,
+             "cochains": _build_cochain, "fusions": _build_fusion,
+             "modcats": _build_modcat, "bimodcats": _build_bimodcat,
+             "functors": _build_functor}
 
 
 def parse_config(path: str) -> SessionConfig:
     """Load and fully validate a session config.
 
-    Raises ParseError for malformed documents and unresolved references,
-    ValidationError when a declared table fails its owning validator.
+    Raises ParseError for malformed documents, malformed values and
+    unresolved references, ValidationError when a declared table fails its
+    owning validator.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -406,26 +410,25 @@ def parse_config(path: str) -> SessionConfig:
         raise ParseError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("config document must be a JSON object")
-    unknown = set(doc) - set(_SECTIONS) - {"root_order"}
+    unknown = set(doc) - set(_BUILDERS) - {"root_order"}
     if unknown:
         raise ParseError(
             f"unknown config sections: {', '.join(sorted(unknown))}")
-    cfg = SessionConfig(root_order=int(doc.get("root_order", 1)))
-    builders = {
-        "groups": lambda n, s: _build_group(n, s, cfg.groups),
-        "gsets": lambda n, s: _build_gset(n, s, cfg),
-        "cochains": lambda n, s: _build_cochain(n, s, cfg),
-        "fusions": lambda n, s: _build_fusion(n, s, cfg),
-        "modcats": lambda n, s: _build_modcat(n, s, cfg),
-        "bimodcats": lambda n, s: _build_bimodcat(n, s, cfg),
-        "functors": lambda n, s: _build_functor(n, s, cfg),
-    }
-    for section in _SECTIONS:
-        entries = doc.get(section, {})
-        if not isinstance(entries, dict):
-            raise ParseError(f"config section {section!r} must be an object")
-        for name, spec in entries.items():
-            getattr(cfg, section)[name] = builders[section](name, spec)
+    where = "field 'root_order'"
+    try:
+        cfg = SessionConfig(root_order=int(doc.get("root_order", 1)))
+        for section, build in _BUILDERS.items():
+            entries = doc.get(section, {})
+            if not isinstance(entries, dict):
+                raise ParseError(
+                    f"config section {section!r} must be an object")
+            for name, spec in entries.items():
+                where = f"entity {name!r}"
+                getattr(cfg, section)[name] = build(name, spec, cfg)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        # a scalar field of the wrong type or form (a non-integer count,
+        # exponent, index or key, a rational with denominator 0)
+        raise ParseError(f"{where} has a malformed value: {exc}") from exc
     return cfg
 
 
@@ -617,9 +620,8 @@ def classify(obj, modcat):
     cls = classify_indecomposable(mc)
     payload = {
         "modcat": modcat,
-        "stabilizer": [int(v) for v in cls.subgroup.elements],
-        "conjugacy_class_representative": [int(v)
-                                           for v in cls.subgroup_class_rep],
+        "stabilizer": list(cls.subgroup.elements),
+        "conjugacy_class_representative": list(cls.subgroup_class_rep),
         "restricted_psi": _cochain_json(cls.psi),
     }
     lines = [f"{modcat}: stabilizer {payload['stabilizer']} "
@@ -646,7 +648,7 @@ def equiv(obj, m1, m2):
     else:
         f, mu = witness
         payload = {"m1": m1, "m2": m2, "equivalent": True,
-                   "carrier_map": [int(v) for v in f],
+                   "carrier_map": list(f),
                    "mu": _cochain_json(mu)}
         lines = [f"{m1} and {m2} are equivalent",
                  f"carrier map {payload['carrier_map']}",
@@ -710,7 +712,7 @@ def deligne(obj, entity, inverse):
         fwd = bimodfun_to_deligne(fn)
         payload = {"entity": entity, "kind": "bimodfun",
                    "product_group_order": fwd.source.fusion.group.order,
-                   "support": [[int(x), int(y)] for x, y in fwd.support()]}
+                   "support": [list(p) for p in fwd.support()]}
         lines = [f"{entity}: product-group module functor, support "
                  f"{payload['support']}"]
         if inverse:
@@ -739,7 +741,7 @@ def classify_simple(obj, src, tgt):
     classes = classify_simple_cyclic(source, target)
     count = count_simple_cyclic(source, target)
     rows = [{"index": i,
-             "orbit": [[int(x), int(y)] for x, y in c.orbit],
+             "orbit": [list(p) for p in c.orbit],
              "xi": c.xi.to_json()} for i, c in enumerate(classes)]
     lines = [f"{count} simple functors {src} -> {tgt}"]
     for i, c in enumerate(classes):
@@ -765,7 +767,7 @@ def adjoint_cmd(obj, functor):
     adj = adjoint(fn)
     rep = validate_modfun(adj)
     payload = {"functor": functor, "ok": rep.ok,
-               "support": [[int(x), int(y)] for x, y in adj.support()],
+               "support": [list(p) for p in adj.support()],
                "checked": rep.checked}
     lines = [f"adjoint of {functor}: support {payload['support']}, "
              f"{'valid' if rep.ok else 'INVALID'} ({rep.checked} checks)"]

@@ -108,11 +108,6 @@ class FailureLog:
             self.samples.append({self.key: condition, "tuple": tup,
                                  "lhs": self.fmt(lhs), "rhs": self.fmt(rhs)})
 
-    def merge(self, report: ValidationReport) -> None:
-        """Take over the total and the samples of an earlier sweep's report."""
-        self.failed += report.failed
-        self.samples = (self.samples + report.failures)[:self.MAX_FAILURES]
-
     def report(self, checked: int) -> ValidationReport:
         return ValidationReport(checked, self.failed, self.samples)
 

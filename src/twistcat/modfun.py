@@ -5,6 +5,16 @@ multiplicity table m over X x Y together with, for every group element and
 every supported pair, an invertible square matrix A satisfying the twisted
 composition rule.  Natural transformations are matrix families intertwining
 the A data; hom spaces are computed exactly over the cyclotomic field.
+
+Each coherence table is a side (:class:`CoherenceSide`): T_{l,x,y} carries
+the block at (x, y) to (g.x, g.y) for the acting element g of l, which is l
+on the left side A (twists Psi) and l^-1 on the right side B of a bimodule
+functor (twists Phi: the right action read over the reversed associator).
+One routine checks a side: invariance of m, T_1 = id, invertibility and
+T_{gh} = tw_X tw_Y^-1 T_p T_q(shifted by p), where p, the factor that acts
+first, is h on A and g on B, q is the other, and the twists are read at
+(q, p, gh.x) through the acting elements.  :mod:`twistcat.sixj` reads the
+same sides.
 """
 from __future__ import annotations
 
@@ -136,61 +146,91 @@ class ModuleFunctorData(_FunctorTable):
                 and self.mult_flat == other.mult_flat and self.a == other.a)
 
 
-def _mult_invariance(f: _FunctorTable, x_set: GSet, y_set: GSet,
-                     condition: str, log: FailureLog) -> int:
-    """Log every (g, x, y) with m_{g.x, g.y} != m_{x,y}; returns the count."""
-    nx, ny = x_set.size, y_set.size
-    mult = f.mult_flat
-    for g in x_set.group.elements():
-        for x in range(nx):
-            row = x_set.apply(g, x) * ny
-            for y in range(ny):
-                moved = mult[row + y_set.apply(g, y)]
-                if moved != mult[x * ny + y]:
-                    log.add(condition, (g, x, y), moved, mult[x * ny + y])
-    return x_set.group.order * nx * ny
+@dataclass(frozen=True, eq=False)
+class CoherenceSide:
+    """One coherence table of a functor, its twists, the names of its four
+    conditions and whether it is a right side; see the module docstring."""
+
+    functor: _FunctorTable
+    group: FiniteGroup
+    source: GSet
+    target: GSet
+    twist_source: UnitCochain
+    twist_target: UnitCochain
+    table: dict
+    names: tuple[str, str, str, str]
+    right: bool = False
+
+    def acting(self, l: int) -> int:
+        """The element a label acts by: l on a left side, l^-1 on a right."""
+        return self.group.inv(l) if self.right else l
 
 
-def validate_modfun(f: ModuleFunctorData) -> ValidationReport:
-    """Check multiplicity invariance, A_1 = id, invertibility and the
-    composition rule A_{gh} = Psi_X Psi_Y^-1 A_h A_g(shifted)."""
-    grp = f.group
-    x_set, y_set = f.source.X, f.target.X
-    psi_x, psi_y = f.source.psi, f.target.psi
-    log = FailureLog()
-    checked = _mult_invariance(f, x_set, y_set, "mult_invariant", log)
+def coherence_sides(f) -> tuple[CoherenceSide, ...]:
+    """The sides of a module functor, (A,), or of a bimodule functor, (A, B)."""
+    src, tgt = f.source, f.target
+    a_names = ("mult_invariant", "a_identity", "a_invertible", "cond_A")
+    if isinstance(f, ModuleFunctorData):
+        return (CoherenceSide(f, f.group, src.X, tgt.X, src.psi, tgt.psi, f.a,
+                              a_names),)
+    return (CoherenceSide(f, src.left.group, src.x_g, tgt.x_g, src.psi,
+                          tgt.psi, f.a, a_names),
+            CoherenceSide(f, src.right.group, src.x_h, tgt.x_h, src.phi,
+                          tgt.phi, f.b, ("mult_invariant_h", "b_identity",
+                                         "b_invertible", "b_pentagon"),
+                          right=True))
 
+
+def _check_side(side: CoherenceSide, log: FailureLog) -> int:
+    """Check one side's four conditions; returns how many instances."""
+    grp, x_set, y_set, table = side.group, side.source, side.target, side.table
+    f = side.functor
+    invariant, identity, invertible, composition = side.names
+    for g in grp.elements():
+        for x in range(x_set.size):
+            for y in range(y_set.size):
+                moved = f.multiplicity(x_set.apply(g, x), y_set.apply(g, y))
+                if moved != f.multiplicity(x, y):
+                    log.add(invariant, (g, x, y), moved, f.multiplicity(x, y))
     support = f.support()
     ident = grp.identity
     for (x, y) in support:
-        checked += 1
-        mat = f.a[(ident, x, y)]
+        mat = table[(ident, x, y)]
         if not mat.is_identity():
-            log.add("a_identity", (ident, x, y), mat, "identity")
-
-    for key, mat in f.a.items():
-        checked += 1
+            log.add(identity, (ident, x, y), mat, "identity")
+    for key, mat in table.items():
         if mat.inverse() is None:
-            log.add("a_invertible", key, mat, "invertible")
+            log.add(invertible, key, mat, "invertible")
 
+    act, tw_x, tw_y = side.acting, side.twist_source, side.twist_target
     for g in grp.elements():
         for h in grp.elements():
             gh = grp.op(g, h)
+            p, q = (g, h) if side.right else (h, g)
+            a_p, a_q, a_gh = act(p), act(q), act(gh)
             for (x, y) in support:
-                checked += 1
-                hx, hy = x_set.apply(h, x), y_set.apply(h, y)
-                lhs = f.a.get((gh, x, y))
-                right = f.a.get((g, hx, hy))
-                mid = f.a.get((h, x, y))
-                if lhs is None or right is None or mid is None:
-                    log.add("cond_A", (g, h, x, y), "missing entry", "present")
+                second = table.get((q, x_set.apply(a_p, x),
+                                    y_set.apply(a_p, y)))
+                if second is None:
+                    log.add(composition, (g, h, x, y), "missing entry",
+                            "present")
                     continue
-                u = (psi_x.value((g, h, x_set.apply(gh, x)))
-                     * psi_y.value((g, h, y_set.apply(gh, y))).inverse())
-                rhs = (mid @ right).scale(u)
+                u = (tw_x.value((a_q, a_p, x_set.apply(a_gh, x)))
+                     * tw_y.value((a_q, a_p, y_set.apply(a_gh, y))).inverse())
+                lhs = table[(gh, x, y)]
+                rhs = (table[(p, x, y)] @ second).scale(u)
                 if lhs != rhs:
-                    log.add("cond_A", (g, h, x, y), lhs, rhs)
-    return log.report(checked)
+                    log.add(composition, (g, h, x, y), lhs, rhs)
+    return (grp.order * x_set.size * y_set.size + len(support) + len(table)
+            + grp.order ** 2 * len(support))
+
+
+def validate_modfun(f: ModuleFunctorData) -> ValidationReport:
+    """Check the A side: multiplicity invariance, A_1 = id, invertibility
+    and the composition rule A_{gh} = Psi_X Psi_Y^-1 A_h A_g(shifted)."""
+    log = FailureLog()
+    (side,) = coherence_sides(f)
+    return log.report(_check_side(side, log))
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,64 +612,22 @@ class BimoduleFunctorData(_FunctorTable):
 
 
 def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
-    """One-sided conditions for A and B plus the mixed hexagon."""
-    left = validate_modfun(ModuleFunctorData(
-        ModuleCategoryData(f.source.left, f.source.x_g, f.source.psi),
-        ModuleCategoryData(f.target.left, f.target.x_g, f.target.psi),
-        f._mult_rows(), f.a))
+    """The A and B sides' conditions plus the mixed hexagon
+    B_{h,x,y} A_{g,h.x,h.y} Omega_X = A_{g,x,y} B_{h,g.x,g.y} Omega_Y, with h
+    acting by h^-1 and Omega read at (g, h^-1, (g, h^-1).x)."""
     log = FailureLog()
-    log.merge(left)
-
-    h_grp = f.source.right.group
-    xh, yh = f.source.x_h, f.target.x_h
-    support = f.support()
-
-    checked = left.checked + _mult_invariance(f, xh, yh, "mult_invariant_h",
-                                              log)
-
-    for (x, y) in support:
-        checked += 1
-        mat = f.b[(h_grp.identity, x, y)]
-        if not mat.is_identity():
-            log.add("b_identity", (h_grp.identity, x, y), mat, "identity")
-    for key, mat in f.b.items():
-        checked += 1
-        if mat.inverse() is None:
-            log.add("b_invertible", key, mat, "invertible")
-
-    phi_x, phi_y = f.source.phi, f.target.phi
-    for g in h_grp.elements():
-        ginv = h_grp.inv(g)
-        for h in h_grp.elements():
-            gh = h_grp.op(g, h)
-            ghinv = h_grp.inv(gh)
-            for (x, y) in support:
-                checked += 1
-                lhs = f.b.get((gh, x, y))
-                first = f.b.get((g, x, y))
-                second = f.b.get((h, xh.apply(ginv, x), yh.apply(ginv, y)))
-                if lhs is None or first is None or second is None:
-                    log.add("b_pentagon", (g, h, x, y), "missing entry",
-                            "present")
-                    continue
-                u = (phi_x.value((h_grp.inv(h), ginv, xh.apply(ghinv, x)))
-                     * phi_y.value((h_grp.inv(h), ginv,
-                                    yh.apply(ghinv, y))).inverse())
-                rhs = (first @ second).scale(u)
-                if lhs != rhs:
-                    log.add("b_pentagon", (g, h, x, y), lhs, rhs)
-
-    g_grp = f.source.left.group
+    a_side, b_side = coherence_sides(f)
+    checked = _check_side(a_side, log) + _check_side(b_side, log)
+    xg, yg, xh, yh = a_side.source, a_side.target, b_side.source, b_side.target
     x_set, y_set = f.source.X, f.target.X
-    xg, yg = f.source.x_g, f.target.x_g
     om_x, om_y = f.source.omega_mid, f.target.omega_mid
-    h_ord = h_grp.order
-    for g in g_grp.elements():
-        for h in h_grp.elements():
-            hinv = h_grp.inv(h)
+    h_ord = b_side.group.order
+    support = f.support()
+    for g in a_side.group.elements():
+        for h in b_side.group.elements():
+            hinv = b_side.acting(h)
             mixed = g * h_ord + hinv
             for (x, y) in support:
-                checked += 1
                 hx, hy = xh.apply(hinv, x), yh.apply(hinv, y)
                 gx, gy = xg.apply(g, x), yg.apply(g, y)
                 b_left = f.b.get((h, x, y))
@@ -645,7 +643,7 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
                     om_y.value((g, hinv, y_set.apply(mixed, y))))
                 if lhs != rhs:
                     log.add("hexagon", (g, h, x, y), lhs, rhs)
-    return log.report(checked)
+    return log.report(checked + a_side.group.order * h_ord * len(support))
 
 
 def bimodfun_to_deligne(f: BimoduleFunctorData) -> ModuleFunctorData:

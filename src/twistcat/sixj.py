@@ -12,6 +12,9 @@ Twelve symbol kinds are supported, each given by a closed form:
 * ``t`` / ``t^-1`` -- the matrix symbols of the right-action side of a
   bimodule functor, given by the ``B`` matrices.
 
+The matrix symbols read the sides A and B of :mod:`twistcat.modfun`, which
+fix the acting element of a label: l for s, l^-1 for t.
+
 The symbols come with exact orthogonality and Biedenharn-Elliott checks:
 sums of products of symbols that must collapse to Kronecker patterns or to
 matching pentagon-type expansions.  All arithmetic is exact.
@@ -40,7 +43,8 @@ from .fusion import FusionData
 from .modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
                      ValidationReport, bimod_to_deligne, bimodule_trace,
                      module_trace, regular_module_category)
-from .modfun import BimoduleFunctorData, ModuleFunctorData, action_functor
+from .modfun import (BimoduleFunctorData, CoherenceSide, ModuleFunctorData,
+                     action_functor, coherence_sides)
 from ._matrix import SMatrix
 
 FUSION_KINDS = ("fusion+", "fusion-")
@@ -291,42 +295,27 @@ def _is_inverse(kind: str) -> bool:
     return kind == "fusion-" or kind.endswith("^-1")
 
 
-def _same(g: int) -> int:
-    return g
+def _side(ctx: SixJContext, kind: str) -> CoherenceSide:
+    """The coherence side of a matrix kind: A for s, B for t."""
+    return coherence_sides(ctx.functor)[kind in BIMODFUN_KINDS]
 
 
-def _matrix_parts(ctx: SixJContext, kind: str):
-    """Group, source and target carriers, the functor (for its
-    multiplicities), matrix table and the acting element of a label: A with
-    g = i for the s kinds (left action), B with g = l^-1 for the t kinds
-    (right action of a bimodule functor)."""
-    f = ctx.functor
-    src, tgt = f.source, f.target
-    if kind in BIMODFUN_KINDS:
-        grp = src.right.group
-        return grp, src.x_h, tgt.x_h, f, f.b, grp.inv
-    if isinstance(f, BimoduleFunctorData):
-        return src.left.group, src.x_g, tgt.x_g, f, f.a, _same
-    return src.fusion.group, src.X, tgt.X, f, f.a, _same
-
-
-def _matrix_symbol(ctx: SixJContext, parts, labels,
+def _matrix_symbol(ctx: SixJContext, side: CoherenceSide, labels,
                    inverse: bool) -> Optional[SMatrix]:
     """The rescaled matrix symbol at labels (l, j, a, b, c), or None.
 
-    With g the acting element of l and M the matrix table of ``parts``, the
-    symbol is defined when c = g.j, b = g.a and (j, a) is supported; ``s``
-    and ``t`` are target_trace(a) * M_{l,j,a}, ``s^-1`` and ``t^-1`` are
-    source_trace(c) * M_{l,j,a}^-1.  A singular matrix (possible only for
+    With g the acting element of l and T the side's table, the symbol is
+    defined when c = g.j, b = g.a and (j, a) is supported; ``s`` and ``t``
+    are target_trace(a) * T_{l,j,a}, ``s^-1`` and ``t^-1`` are
+    source_trace(c) * T_{l,j,a}^-1.  A singular matrix (possible only for
     corrupted data) raises ValidationError.
     """
-    _, x_set, y_set, f, table, acting = parts
     l, j, a, b, c = labels
-    g = acting(l)
-    if (c != x_set.apply(g, j) or b != y_set.apply(g, a)
-            or not f.multiplicity(j, a)):
+    g = side.acting(l)
+    if (c != side.source.apply(g, j) or b != side.target.apply(g, a)
+            or not side.functor.multiplicity(j, a)):
         return None
-    mat = table[(l, j, a)]
+    mat = side.table[(l, j, a)]
     if inverse:
         inv = mat.inverse()
         if inv is None:
@@ -351,10 +340,9 @@ def _label_domains(ctx: SixJContext, kind: str):
     """Per-kind label sizes and names, for range validation."""
     if kind not in _MATRIX_KINDS:
         return _scalar_layout(ctx, _family(kind)).sizes, "ijkabc"
-    grp, x_set, y_set, *_ = _matrix_parts(ctx, kind)
-    nx, ny = x_set.size, y_set.size
-    return (grp.order, nx, ny, ny, nx), ("ijabc" if kind in MODFUN_KINDS
-                                         else "liabc")
+    side = _side(ctx, kind)
+    nx, ny = side.source.size, side.target.size
+    return (side.group.order, nx, ny, ny, nx), "liabc" if side.right else "ijabc"
 
 
 def sixj(query: SixJQuery) -> SixJValue:
@@ -379,7 +367,7 @@ def sixj(query: SixJQuery) -> SixJValue:
 
     inverse = _is_inverse(kind)
     if kind in _MATRIX_KINDS:
-        value = _matrix_symbol(ctx, _matrix_parts(ctx, kind), labels, inverse)
+        value = _matrix_symbol(ctx, _side(ctx, kind), labels, inverse)
     elif query.indices:
         raise IndexOutOfRange(
             f"kind {kind!r} admits no multiplicity indices")
@@ -431,13 +419,14 @@ def _admissible_labels(ctx: SixJContext, kind: str):
     if kind not in _MATRIX_KINDS:
         yield from _scalar_layout(ctx, _family(kind)).composed()
         return
-    grp, x_set, y_set, f, _, acting = _matrix_parts(ctx, kind)
-    for l in grp.elements():
-        g = acting(l)
+    side = _side(ctx, kind)
+    x_set, y_set = side.source, side.target
+    for l in side.group.elements():
+        g = side.acting(l)
         for j in range(x_set.size):
             c = x_set.apply(g, j)
             for a in range(y_set.size):
-                if f.multiplicity(j, a):
+                if side.functor.multiplicity(j, a):
                     yield (l, j, a, y_set.apply(g, a), c)
 
 
@@ -532,99 +521,84 @@ def _ber_fusion(ctx: SixJContext, scope, log) -> int:
 
 # -- module-functor relations -----------------------------------------------
 
-def _orth_matrix_pair(ctx: SixJContext, kind: str, scope, log) -> int:
-    """Both displayed orthogonality forms for the s or the t symbols.
+def _orth_sum(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
+              pairs, term, shape: tuple[int, int], diagonal: bool) -> None:
+    """Check one matrix orthogonality identity at the outer tuple ``tup``.
 
-    A singular block met in a sum is logged in place of the comparison.
+    The sum over ``pairs`` of (direct labels, inverse labels) of
+    ``term(symbol, inverse symbol, direct labels, inverse labels)``, a pair
+    adding nothing where a symbol vanishes, must be the identity (when
+    ``diagonal``) or the zero matrix of ``shape``.  A singular block met in
+    the sum is logged in place of the comparison.
     """
-    parts = _matrix_parts(ctx, kind)
-    grp, x_set, y_set, f, _, acting = parts
+    total = _zero_matrix(*shape)
+    for direct, inverse in pairs:
+        mat = _matrix_symbol(ctx, side, direct, False)
+        if mat is None:
+            continue
+        try:
+            inv = _matrix_symbol(ctx, side, inverse, True)
+        except ValidationError as exc:
+            log.add(name, tup, str(exc), "inverse")
+            return
+        if inv is not None:
+            total = total + term(mat, inv, direct, inverse)
+    expected = SMatrix.identity(shape[0]) if diagonal else _zero_matrix(*shape)
+    if total != expected:
+        log.add(name, tup, total, expected)
+
+
+def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
+                      log) -> int:
+    """Both displayed orthogonality forms for the s symbols of a side A or
+    the t symbols of a side B, with g the acting element of l:
+
+    * a-sum: the sum over a of dim(a) dim(d) s^-1(l,j,a,b,d) s(l,j,a,b,c) is
+      I when c = d = g.j and 0 otherwise;
+    * c-sum: the sum over c of dim(c) dim(d) s(l,j,a,b,c) s^-1(l,j,d,b,c) is
+      I when a = d and b = g.a and 0 otherwise.
+    """
+    grp, x_set, y_set, f = side.group, side.source, side.target, side.functor
     nx, ny = x_set.size, y_set.size
-    src_tr, tgt_tr = ctx.source_trace, ctx.target_trace
+    src, tgt = ctx.source_trace.unit, ctx.target_trace.unit
+    kind = "t" if side.right else "s"
     checked = 0
 
-    # a-summed form: sum over a of dim(a) dim(d) s(..c) s^-1(..d) with the
-    # inverse-symbol matrix indices chained through the summed one.
+    def a_term(mat, inv, direct, inverse):
+        return (inv @ mat).scale(tgt(direct[2]) * src(inverse[4]))
+
+    def c_term(mat, inv, direct, inverse):
+        return (mat @ inv).scale(src(direct[4]) * tgt(inverse[2]))
+
     name = f"orthogonality[{kind};a-sum]"
     for l in grp.elements():
-        g = acting(l)
-        for j in range(nx):
-            for b in range(ny):
-                size = f.multiplicity(j, y_set.apply(grp.inv(g), b))
-                if not size:
-                    continue
-                for c in range(nx):
-                    for d in range(nx):
-                        if not _in_scope(scope, (l, j, b, c, d)):
-                            continue
-                        checked += 1
-                        total = _zero_matrix(size, size)
-                        for a in range(ny):
-                            mat = _matrix_symbol(ctx, parts, (l, j, a, b, c),
-                                                 False)
-                            if mat is None:
-                                continue
-                            try:
-                                inv = _matrix_symbol(ctx, parts,
-                                                     (l, j, a, b, d), True)
-                            except ValidationError as exc:
-                                log.add(name, (l, j, b, c, d), str(exc),
-                                        "inverse")
-                                break
-                            if inv is None:
-                                continue
-                            dims = tgt_tr.unit(a) * src_tr.unit(d)
-                            total = total + (inv @ mat).scale(dims)
-                        else:  # no singular block met
-                            expected = (SMatrix.identity(size)
-                                        if c == d and c == x_set.apply(g, j)
-                                        else _zero_matrix(size, size))
-                            if total != expected:
-                                log.add(name, (l, j, b, c, d), total,
-                                        expected)
+        g = side.acting(l)
+        for j, b in itertools.product(range(nx), range(ny)):
+            size = f.multiplicity(j, y_set.apply(grp.inv(g), b))
+            if not size:
+                continue
+            for c, d in itertools.product(range(nx), repeat=2):
+                if _in_scope(scope, (l, j, b, c, d)):
+                    checked += 1
+                    _orth_sum(ctx, side, log, name, (l, j, b, c, d),
+                              (((l, j, a, b, c), (l, j, a, b, d))
+                               for a in range(ny)),
+                              a_term, (size, size), c == d == x_set.apply(g, j))
 
-    # c-summed form: sum over c of dim(c) dim(d) s(.., a, ..) s^-1(.., d, ..)
-    # with the column index of s chained to the row index of s^-1.
     name = f"orthogonality[{kind};c-sum]"
     for l in grp.elements():
-        g = acting(l)
-        for j in range(nx):
-            for a in range(ny):
-                if not f.multiplicity(j, a):
-                    continue
-                for d in range(ny):
-                    if not f.multiplicity(j, d):
-                        continue
-                    for b in range(ny):
-                        if not _in_scope(scope, (l, j, a, d, b)):
-                            continue
-                        checked += 1
-                        total = _zero_matrix(f.multiplicity(j, a),
-                                             f.multiplicity(j, d))
-                        for c in range(nx):
-                            mat = _matrix_symbol(ctx, parts, (l, j, a, b, c),
-                                                 False)
-                            if mat is None:
-                                continue
-                            try:
-                                inv = _matrix_symbol(ctx, parts,
-                                                     (l, j, d, b, c), True)
-                            except ValidationError as exc:
-                                log.add(name, (l, j, a, d, b), str(exc),
-                                        "inverse")
-                                break
-                            if inv is None:
-                                continue
-                            dims = src_tr.unit(c) * tgt_tr.unit(d)
-                            total = total + (mat @ inv).scale(dims)
-                        else:  # no singular block met
-                            expected = (SMatrix.identity(f.multiplicity(j, a))
-                                        if a == d and b == y_set.apply(g, a)
-                                        else _zero_matrix(f.multiplicity(j, a),
-                                                          f.multiplicity(j, d)))
-                            if total != expected:
-                                log.add(name, (l, j, a, d, b), total,
-                                        expected)
+        g = side.acting(l)
+        for j, a, d in itertools.product(range(nx), range(ny), range(ny)):
+            shape = (f.multiplicity(j, a), f.multiplicity(j, d))
+            if not all(shape):
+                continue
+            for b in range(ny):
+                if _in_scope(scope, (l, j, a, d, b)):
+                    checked += 1
+                    _orth_sum(ctx, side, log, name, (l, j, a, d, b),
+                              (((l, j, a, b, c), (l, j, d, b, c))
+                               for c in range(nx)),
+                              c_term, shape, a == d and b == y_set.apply(g, a))
     return checked
 
 
@@ -639,12 +613,12 @@ def _ber_functor(ctx: SixJContext, scope, log,
     s(j, l, k, a, mm), vanishes unless mm = j.l, so only that term is
     evaluated.
     """
-    parts = _matrix_parts(ctx, "s")
-    grp, x_set, y_set, f, _, _ = parts
+    side = _side(ctx, "s")
+    grp, x_set, y_set, f = side.group, side.source, side.target, side.functor
     src_tr, tgt_tr = ctx.source_trace, ctx.target_trace
     # only the direct m symbols appear, so no kappa is needed
-    m_x = _m_layout(grp, x_set, ctx.functor.source.psi, src_tr, None)
-    m_y = _m_layout(grp, y_set, ctx.functor.target.psi, tgt_tr, None)
+    m_x = _m_layout(grp, x_set, side.twist_source, src_tr, None)
+    m_y = _m_layout(grp, y_set, side.twist_target, tgt_tr, None)
     checked = 0
     for i in grp.elements():
         for j in grp.elements():
@@ -660,17 +634,17 @@ def _ber_functor(ctx: SixJContext, scope, log,
                     a = y_set.apply(j, k)
                     b = y_set.apply(i, a)
                     m_target = m_y.value((i, j, k, a, b, c), False)
-                    s_outer = _matrix_symbol(ctx, parts, (c, l, k, b, d),
+                    s_outer = _matrix_symbol(ctx, side, (c, l, k, b, d),
                                              False)
                     lhs = (_zero_matrix(size, size)
                            if m_target is None or s_outer is None
                            else s_outer.scale(m_target))
                     rhs = _zero_matrix(size, size)
-                    s_right = _matrix_symbol(ctx, parts, (j, l, k, a, mm),
+                    s_right = _matrix_symbol(ctx, side, (j, l, k, a, mm),
                                              False)
                     m_source = m_x.value((i, j, l, mm, d, c), False)
                     if s_right is not None and m_source is not None:
-                        s_left = _matrix_symbol(ctx, parts, (i, mm, a, b, d),
+                        s_left = _matrix_symbol(ctx, side, (i, mm, a, b, d),
                                                 False)
                         if s_left is not None:
                             dims = src_tr.unit(mm) * m_source
@@ -718,7 +692,10 @@ def verify_orthogonality(context: SixJContext,
     composed tuples are evaluated; every other tuple holds as 0 = 0.  The
     scalar identities reduce to dim(a)^2 dim(c)^2 = 1: they detect kappa or
     trace values that are not signs, never a defect of omega, Psi, Phi or
-    Omega.
+    Omega.  A functor context's forms pair each coherence block with its
+    own inverse, so they see only singular A blocks (in the s forms) and
+    singular B blocks (in the t forms); a wrong but invertible block shows
+    in Biedenharn-Elliott (A) or in validate_bimodfun (A and B).
     """
     scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)
@@ -728,9 +705,8 @@ def verify_orthogonality(context: SixJContext,
         checked = sum(_orth_scalar(context, family, scope, log)
                       for family in "mnb")
     elif context.functor is not None:
-        checked = _orth_matrix_pair(context, "s", scope, log)
-        if isinstance(context.functor, BimoduleFunctorData):
-            checked += _orth_matrix_pair(context, "t", scope, log)
+        checked = sum(_orth_matrix_pair(context, side, scope, log)
+                      for side in coherence_sides(context.functor))
     else:
         raise ValueError("empty 6j context")
     return log.report(checked)

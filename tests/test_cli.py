@@ -189,6 +189,51 @@ def test_verify_prints_the_exact_failure_total(monkeypatch, tmp_path):
     assert len(doc["results"][0]["failures"]) == 20
 
 
+def _example_with(stem, edit):
+    doc = json.loads((EXAMPLES / f"{stem}.json").read_text())
+    edit(doc)
+    return doc
+
+
+# (config with one malformed scalar field, the entity the message names)
+MALFORMED = {
+    "root_order": (_example_with("z2", lambda d: d.update(root_order="x")),
+                   "root_order"),
+    "cyclic n": (_example_with(
+        "z2", lambda d: d["groups"]["G"].update(n="x")), "'G'"),
+    "exponent": (_example_with(
+        "z2", lambda d: d["bimodcats"]["B"]["psi"].update(
+            exponents=["a"] * 16)), "'B'"),
+    "cosets subgroup": (_example_with("z2", lambda d: d["gsets"].update(
+        cos={"type": "cosets", "group": "G", "subgroup": 5})), "'cos'"),
+    "solve index": (_example_with(
+        "z3", lambda d: d["modcats"]["M"]["psi"].update(index="q")), "'M'"),
+    "matrix entry": (_example_with(
+        "z2", lambda d: d["functors"]["idM"]["a"].update(
+            {"1,1,1": [["1/0"]]})), "'idM'"),
+    "A key": (_example_with(
+        "z2", lambda d: d["functors"]["idM"]["a"].update(
+            {"0,0,x": [[1]]})), "'idM'"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_scalar_field_exits_2_naming_the_entity(case, tmp_path):
+    doc, entity = MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    src = str(HERE.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistcat.cli", "--config", str(bad),
+         "validate"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("parse error:")
+    assert entity in proc.stderr
+
+
 def test_unknown_entity_argument_exits_2():
     result = _invoke(EXAMPLES / "z2.json", "classify", "NOPE")
     assert result.exit_code == 2

@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from twistcat._matrix import SMatrix
 from twistcat.algebra import (FiniteGroup, Subgroup, coset_gset,
                               cyclic_group, direct_product, point_gset)
 from twistcat.cli import parse_config
@@ -22,12 +23,15 @@ from twistcat.cohomology import (UnitCochain, deligne_omega, differential,
 from twistcat.errors import UndefinedLabels, ValidationError
 from twistcat.fusion import FusionData, spherical_structures
 from twistcat.modcat import (BimoduleCategoryData, ModuleCategoryData,
-                             ModuleTrace, _product_kappa, deligne_to_bimod,
+                             ModuleTrace, _product_kappa, bimod_to_deligne,
+                             deligne_to_bimod, regular_module_category,
                              validate_bimodcat)
+from twistcat.modfun import (BimoduleFunctorData, deligne_to_bimodfun,
+                             identity_functor, validate_bimodfun)
 from twistcat.scalar import Scalar, Unit
 from twistcat.sixj import (SixJContext, SixJQuery, bimodule_context,
-                           fusion_context, sixj, verify_biedenharn_elliott,
-                           verify_orthogonality)
+                           functor_context, fusion_context, sixj,
+                           verify_biedenharn_elliott, verify_orthogonality)
 
 from oracles import S3_TABLE
 from sixj_dense import (corrupted_fusion, dense_biedenharn_elliott,
@@ -320,7 +324,11 @@ def _fusion_corruption(kind):
 # point-action functors of the product module category: the target trace
 # appears once on each side and cancels, and a Psi, Phi or Omega that breaks
 # the bimodule conditions makes that product structure invalid, so the sweep
-# raises ValidationError before any symbol is compared.
+# raises ValidationError before any symbol is compared.  Functor
+# orthogonality pairs each coherence block with its own inverse, so it sees
+# only singular blocks, on the side (s for A, t for B) that holds them; the
+# functor Biedenharn-Elliott relation reads A alone and sees a wrong A block,
+# singular or not; a wrong B block shows only in validate_bimodfun.
 DETECTION = [
     ("fusion-omega", "orthogonality", "passes"),
     ("fusion-omega", "biedenharn-elliott", "fails"),
@@ -334,12 +342,68 @@ DETECTION = [
     ("bimodule-phi", "biedenharn-elliott", "raises"),
     ("bimodule-omega", "orthogonality", "passes"),
     ("bimodule-omega", "biedenharn-elliott", "raises"),
+    ("functor-Awrong", "orthogonality[s]", "passes"),
+    ("functor-Awrong", "orthogonality[t]", "passes"),
+    ("functor-Awrong", "biedenharn-elliott[s]", "fails"),
+    ("functor-Awrong", "validate", "fails"),
+    ("functor-Bwrong", "orthogonality[s]", "passes"),
+    ("functor-Bwrong", "orthogonality[t]", "passes"),
+    ("functor-Bwrong", "biedenharn-elliott[s]", "passes"),
+    ("functor-Bwrong", "validate", "fails"),
+    ("functor-Asingular", "orthogonality[s]", "fails"),
+    ("functor-Asingular", "orthogonality[t]", "passes"),
+    ("functor-Asingular", "biedenharn-elliott[s]", "fails"),
+    ("functor-Asingular", "validate", "fails"),
+    ("functor-Bsingular", "orthogonality[s]", "passes"),
+    ("functor-Bsingular", "orthogonality[t]", "fails"),
+    ("functor-Bsingular", "biedenharn-elliott[s]", "passes"),
+    ("functor-Bsingular", "validate", "fails"),
 ]
+
+
+def _functor_corruption(example, what):
+    """The identity bimodule functor of the product bimodule over Z/2 x Z/2
+    (twists 1, 0) or Z/3 x Z/3 (twists 1, 2) with its A or B block at
+    (1, 0, 0) scaled by i (``wrong``) or made zero (``singular``)."""
+    n, sh = {"z2": (2, 0), "z3": (3, 2)}[example]
+    g = cyclic_group(n)
+    trivial = UnitCochain.trivial(1, point_gset(g), 1)
+    left = FusionData(g, omega_cyclic(n, 1), trivial)
+    right = FusionData(g, omega_cyclic(n, sh), trivial)
+    prod = FusionData(direct_product(g, g), deligne_omega(left.omega,
+                                                          right.omega),
+                      _product_kappa(left, right))
+    bim = deligne_to_bimod(regular_module_category(prod), left, right)
+    bf = deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)), bim, bim)
+    tables = {"A": dict(bf.a), "B": dict(bf.b)}
+    side, how = what[0], what[1:]
+    block = tables[side][(1, 0, 0)]
+    tables[side][(1, 0, 0)] = (block.scale(Unit(4, 1)) if how == "wrong"
+                               else SMatrix([[Scalar.zero()]]))
+    return BimoduleFunctorData(bim, bim, bf.mult, tables["A"], tables["B"])
+
+
+def _functor_check_passes(functor, relation) -> bool:
+    """Whether one relation of a functor context (``orthogonality[s]``,
+    ``orthogonality[t]``, ``biedenharn-elliott[s]``) or ``validate`` holds."""
+    if relation == "validate":
+        return validate_bimodfun(functor).ok
+    verify = (verify_orthogonality if relation.startswith("orthogonality")
+              else verify_biedenharn_elliott)
+    report = verify(functor_context(functor))
+    assert report.failed == len(report.failures)  # every failure sampled
+    return not any(f["kind"].startswith(relation.rstrip("]"))
+                   for f in report.failures)
 
 
 @pytest.mark.parametrize("corruption,relation,outcome", DETECTION)
 def test_detection_matrix(corruption, relation, outcome):
     family, what = corruption.split("-")
+    if family == "functor":
+        for example in ("z2", "z3"):
+            bad = _functor_corruption(example, what)
+            assert _functor_check_passes(bad, relation) == (outcome == "passes")
+        return
     contexts = ([_fusion_corruption(what)] if family == "fusion"
                 else [_bimodule_cases(ex)[what] for ex in ("z2", "z3")])
     verify = (verify_orthogonality if relation == "orthogonality"
