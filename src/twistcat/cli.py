@@ -21,8 +21,7 @@ from math import prod
 
 import click
 
-from .errors import (NoTrace, NotCocycle, ParseError, TwistcatError,
-                     ValidationError)
+from .errors import NotCocycle, ParseError, TwistcatError, ValidationError
 from .scalar import Scalar, Unit
 from .algebra import (FiniteGroup, GSet, Subgroup, coset_gset, cyclic_group,
                       direct_product, disjoint_union_gset, point_gset,
@@ -37,9 +36,9 @@ from .modcat import (BimoduleCategoryData, ModuleCategoryData,
                      validate_modcat)
 from .modfun import (BimoduleFunctorData, ModuleFunctorData, adjoint,
                      action_functor, bimodfun_to_deligne,
-                     classify_simple_cyclic, count_simple_cyclic,
-                     deligne_to_bimodfun, functor_from_equivariant,
-                     identity_functor, validate_bimodfun, validate_modfun)
+                     classify_simple_cyclic, deligne_to_bimodfun,
+                     functor_from_equivariant, identity_functor,
+                     validate_bimodfun, validate_modfun)
 from .sixj import (
     KINDS as SIXJ_KINDS,
     bimodule_context,
@@ -699,33 +698,26 @@ def deligne(obj, entity, inverse):
         lines = [f"{entity}: product-group module category over group of "
                  f"order {payload['product_group_order']}, carrier size "
                  f"{payload['carrier_size']}"]
-        if inverse:
-            back = deligne_to_bimod(fwd, data.left, data.right)
-            exact = back == data
-            payload["round_trip_exact"] = exact
-            lines.append(f"round trip exact: {exact}")
-            _emit(obj, "deligne", payload, lines, ok=exact)
-            return
+        back, ends = deligne_to_bimod, (data.left, data.right)
     elif entity in cfg.functors and isinstance(cfg.functors[entity],
                                                BimoduleFunctorData):
-        fn = cfg.functors[entity]
-        fwd = bimodfun_to_deligne(fn)
+        data = cfg.functors[entity]
+        fwd = bimodfun_to_deligne(data)
         payload = {"entity": entity, "kind": "bimodfun",
                    "product_group_order": fwd.source.fusion.group.order,
                    "support": [list(p) for p in fwd.support()]}
         lines = [f"{entity}: product-group module functor, support "
                  f"{payload['support']}"]
-        if inverse:
-            back = deligne_to_bimodfun(fwd, fn.source, fn.target)
-            exact = back == fn
-            payload["round_trip_exact"] = exact
-            lines.append(f"round trip exact: {exact}")
-            _emit(obj, "deligne", payload, lines, ok=exact)
-            return
+        back, ends = deligne_to_bimodfun, (data.source, data.target)
     else:
         raise click.UsageError(
             f"no bimodcat or bimodule functor named {entity!r}")
-    _emit(obj, "deligne", payload, lines)
+    exact = True
+    if inverse:
+        exact = back(fwd, *ends) == data
+        payload["round_trip_exact"] = exact
+        lines.append(f"round trip exact: {exact}")
+    _emit(obj, "deligne", payload, lines, ok=exact)
 
 
 @main.command("classify-simple")
@@ -739,7 +731,7 @@ def classify_simple(obj, src, tgt):
     source = _resolve(cfg, "modcats", src)
     target = _resolve(cfg, "modcats", tgt)
     classes = classify_simple_cyclic(source, target)
-    count = count_simple_cyclic(source, target)
+    count = len(classes)
     rows = [{"index": i,
              "orbit": [list(p) for p in c.orbit],
              "xi": c.xi.to_json()} for i, c in enumerate(classes)]
@@ -774,19 +766,25 @@ def adjoint_cmd(obj, functor):
     _emit(obj, "adjoint", payload, lines, ok=rep.ok)
 
 
+_CONTEXT_SECTIONS = {"fusions": fusion_context,
+                     "bimodcats": bimodule_context,
+                     "functors": functor_context}
+
+
 def _context_for(cfg: SessionConfig, name: str):
-    if name in cfg.fusions:
-        return fusion_context(cfg.fusions[name])
-    if name in cfg.bimodcats:
-        return bimodule_context(cfg.bimodcats[name])
-    if name in cfg.functors:
-        return functor_context(cfg.functors[name])
-    raise click.UsageError(
-        f"no fusion, bimodcat or functor named {name!r}")
+    sections = [s for s in _CONTEXT_SECTIONS if name in getattr(cfg, s)]
+    if not sections:
+        raise click.UsageError(
+            f"no fusion, bimodcat or functor named {name!r}")
+    if len(sections) > 1:
+        raise click.UsageError(
+            f"{name!r} is defined in {' and '.join(sections)}; rename one")
+    return _CONTEXT_SECTIONS[sections[0]](getattr(cfg, sections[0])[name])
 
 
 def _all_contexts(cfg: SessionConfig):
-    """Every 6j context the config defines; traceless entities are skipped."""
+    """Every 6j context the config defines, each built by its own section's
+    constructor; traceless entities are skipped."""
     contexts, skipped = [], []
     for name, fus in cfg.fusions.items():
         if fus.spherical:
@@ -794,10 +792,10 @@ def _all_contexts(cfg: SessionConfig):
         else:
             skipped.append({"id": name, "reason": "not spherical"})
     for section in ("bimodcats", "functors"):
-        for name in getattr(cfg, section):
+        for name, entity in getattr(cfg, section).items():
             try:
-                contexts.append((name, _context_for(cfg, name)))
-            except (NoTrace, TwistcatError) as exc:
+                contexts.append((name, _CONTEXT_SECTIONS[section](entity)))
+            except TwistcatError as exc:
                 skipped.append({"id": name, "reason": str(exc)})
     return contexts, skipped
 
@@ -819,18 +817,16 @@ def sixj_table_cmd(obj, kind, refs):
             f"unknown kind {kind!r} (choose from "
             f"{', '.join(SIXJ_KINDS)})")
     if refs:
-        names = list(refs)
+        contexts = [(name, _context_for(cfg, name)) for name in refs]
     else:
-        candidates = [n for n, _ in _all_contexts(cfg)[0]]
-        if len(candidates) != 1:
+        contexts = _all_contexts(cfg)[0]
+        if len(contexts) != 1:
             raise click.UsageError(
                 "config defines several possible contexts; name one of: "
-                + ", ".join(candidates))
-        names = candidates
+                + ", ".join(name for name, _ in contexts))
     tables = []
     lines = []
-    for name in names:
-        context = _context_for(cfg, name)
+    for name, context in contexts:
         if kind not in context.kinds():
             raise click.UsageError(
                 f"kind {kind!r} is not defined for context {name!r} "

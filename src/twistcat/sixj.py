@@ -521,31 +521,21 @@ def _ber_fusion(ctx: SixJContext, scope, log) -> int:
 
 # -- module-functor relations -----------------------------------------------
 
-def _orth_sum(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
-              pairs, term, shape: tuple[int, int], diagonal: bool) -> None:
-    """Check one matrix orthogonality identity at the outer tuple ``tup``.
-
-    The sum over ``pairs`` of (direct labels, inverse labels) of
-    ``term(symbol, inverse symbol, direct labels, inverse labels)``, a pair
-    adding nothing where a symbol vanishes, must be the identity (when
-    ``diagonal``) or the zero matrix of ``shape``.  A singular block met in
-    the sum is logged in place of the comparison.
-    """
-    total = _zero_matrix(*shape)
-    for direct, inverse in pairs:
-        mat = _matrix_symbol(ctx, side, direct, False)
-        if mat is None:
-            continue
-        try:
-            inv = _matrix_symbol(ctx, side, inverse, True)
-        except ValidationError as exc:
-            log.add(name, tup, str(exc), "inverse")
-            return
-        if inv is not None:
-            total = total + term(mat, inv, direct, inverse)
-    expected = SMatrix.identity(shape[0]) if diagonal else _zero_matrix(*shape)
-    if total != expected:
-        log.add(name, tup, total, expected)
+def _orth_term(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
+               labels, a_sum: bool) -> None:
+    """The one term at composed labels (l, j, a, b, c), tgt(a) src(c) s^-1 s
+    (a-sum) or s s^-1 (c-sum), against I; a singular block is logged
+    instead."""
+    mat = _matrix_symbol(ctx, side, labels, False)
+    try:
+        inv = _matrix_symbol(ctx, side, labels, True)
+    except ValidationError as exc:
+        log.add(name, tup, str(exc), "inverse")
+        return
+    total = (inv @ mat if a_sum else mat @ inv).scale(
+        ctx.target_trace.unit(labels[2]) * ctx.source_trace.unit(labels[4]))
+    if not total.is_identity():
+        log.add(name, tup, total, SMatrix.identity(total.nrows))
 
 
 def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
@@ -557,48 +547,40 @@ def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
       I when c = d = g.j and 0 otherwise;
     * c-sum: the sum over c of dim(c) dim(d) s(l,j,a,b,c) s^-1(l,j,d,b,c) is
       I when a = d and b = g.a and 0 otherwise.
+
+    s vanishes off c = g.j, b = g.a, so each form has one term per composed
+    label (l, j, a), reducing to T^-1 T = I and tgt(a)^2 src(c)^2 = 1.  Only
+    that term is evaluated; every other supported outer tuple holds as 0 = 0.
     """
     grp, x_set, y_set, f = side.group, side.source, side.target, side.functor
     nx, ny = x_set.size, y_set.size
-    src, tgt = ctx.source_trace.unit, ctx.target_trace.unit
     kind = "t" if side.right else "s"
     checked = 0
-
-    def a_term(mat, inv, direct, inverse):
-        return (inv @ mat).scale(tgt(direct[2]) * src(inverse[4]))
-
-    def c_term(mat, inv, direct, inverse):
-        return (mat @ inv).scale(src(direct[4]) * tgt(inverse[2]))
 
     name = f"orthogonality[{kind};a-sum]"
     for l in grp.elements():
         g = side.acting(l)
         for j, b in itertools.product(range(nx), range(ny)):
-            size = f.multiplicity(j, y_set.apply(grp.inv(g), b))
-            if not size:
-                continue
-            for c, d in itertools.product(range(nx), repeat=2):
-                if _in_scope(scope, (l, j, b, c, d)):
-                    checked += 1
-                    _orth_sum(ctx, side, log, name, (l, j, b, c, d),
-                              (((l, j, a, b, c), (l, j, a, b, d))
-                               for a in range(ny)),
-                              a_term, (size, size), c == d == x_set.apply(g, j))
+            a, c = y_set.apply(grp.inv(g), b), x_set.apply(g, j)
+            if f.multiplicity(j, a):
+                for cd in itertools.product(range(nx), repeat=2):
+                    if _in_scope(scope, (l, j, b) + cd):
+                        checked += 1
+                        if cd == (c, c):
+                            _orth_term(ctx, side, log, name, (l, j, b, c, c),
+                                       (l, j, a, b, c), True)
 
     name = f"orthogonality[{kind};c-sum]"
     for l in grp.elements():
         g = side.acting(l)
         for j, a, d in itertools.product(range(nx), range(ny), range(ny)):
-            shape = (f.multiplicity(j, a), f.multiplicity(j, d))
-            if not all(shape):
-                continue
-            for b in range(ny):
-                if _in_scope(scope, (l, j, a, d, b)):
-                    checked += 1
-                    _orth_sum(ctx, side, log, name, (l, j, a, d, b),
-                              (((l, j, a, b, c), (l, j, d, b, c))
-                               for c in range(nx)),
-                              c_term, shape, a == d and b == y_set.apply(g, a))
+            if f.multiplicity(j, a) and f.multiplicity(j, d):
+                for b in range(ny):
+                    if _in_scope(scope, (l, j, a, d, b)):
+                        checked += 1
+                        if a == d and b == y_set.apply(g, a):
+                            _orth_term(ctx, side, log, name, (l, j, a, a, b),
+                                       (l, j, a, b, x_set.apply(g, j)), False)
     return checked
 
 
@@ -692,10 +674,12 @@ def verify_orthogonality(context: SixJContext,
     composed tuples are evaluated; every other tuple holds as 0 = 0.  The
     scalar identities reduce to dim(a)^2 dim(c)^2 = 1: they detect kappa or
     trace values that are not signs, never a defect of omega, Psi, Phi or
-    Omega.  A functor context's forms pair each coherence block with its
-    own inverse, so they see only singular A blocks (in the s forms) and
-    singular B blocks (in the t forms); a wrong but invertible block shows
-    in Biedenharn-Elliott (A) or in validate_bimodfun (A and B).
+    Omega.  A functor context counts, per side, the supported
+    (l, j, b, c, d) of the a-sum and (l, j, a, d, b) of the c-sum; each sum
+    has one term per composed label, reducing to T^-1 T = I and
+    tgt(a)^2 src(c)^2 = 1.  So they see only singular A blocks (in the s
+    forms) and singular B blocks (in the t forms); a wrong but invertible
+    block shows in Biedenharn-Elliott (A) or in validate_bimodfun (A and B).
     """
     scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)

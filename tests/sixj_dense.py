@@ -1,4 +1,4 @@
-"""Dense reference sweeps for the scalar 6j relations (test-only).
+"""Dense reference sweeps for the 6j relations (test-only).
 
 These are the straightforward loops over every label of the fusion and the
 bimodule symbols: orthogonality visits every outer tuple (i, j, k, b, c, d)
@@ -7,15 +7,22 @@ and sums over every middle label a, Biedenharn-Elliott visits every
 closed form, independently of the symbol layouts in ``twistcat.sixj``, and
 report through the same failure accumulator, so the support-driven sweeps
 can be compared with them report for report.
+
+Functor orthogonality visits every supported outer tuple of the s and t
+symbols and sums over every candidate middle label, reading each matrix
+symbol through the public ``sixj``.
 """
 from __future__ import annotations
 
 from typing import Optional
 
-from twistcat.errors import UndefinedLabels
+from twistcat._matrix import SMatrix
+from twistcat.errors import UndefinedLabels, ValidationError
 from twistcat.fusion import FusionData, fusion_6j
 from twistcat.modcat import BimoduleCategoryData, FailureLog, ModuleTrace
+from twistcat.modfun import BimoduleFunctorData
 from twistcat.scalar import Scalar, Unit
+from twistcat.sixj import SixJQuery, sixj
 
 
 def corrupted_fusion(grp, omega, kappa):
@@ -242,15 +249,118 @@ def _orth_bimodule(data: BimoduleCategoryData, trace: ModuleTrace, scope,
     return checked
 
 
+def _functor_sides(functor):
+    """(kind, group, source carrier, target carrier, acting element) of the
+    s symbols and, for a bimodule functor, the t symbols: a label l acts by
+    l on the left and by l^-1 on the right."""
+    src, tgt = functor.source, functor.target
+    if isinstance(functor, BimoduleFunctorData):
+        right = src.right.group
+        return [("s", src.left.group, src.x_g, tgt.x_g, lambda l: l),
+                ("t", right, src.x_h, tgt.x_h, right.inv)]
+    return [("s", src.fusion.group, src.X, tgt.X, lambda l: l)]
+
+
+def _zero_matrix(nrows, ncols):
+    return SMatrix([[Scalar.zero()] * ncols for _ in range(nrows)])
+
+
+def _matrix_sum(context, log, name, tup, pairs, term, shape, diagonal):
+    """The sum over pairs of (kind, labels) of term(symbol, inverse symbol,
+    direct labels, inverse labels) against I (when ``diagonal``) or 0.  A
+    symbol off its support (UndefinedLabels) adds nothing; a singular block
+    (ValidationError) is logged in place of the comparison."""
+    total = _zero_matrix(*shape)
+    for (kind, direct), (inv_kind, inverse) in pairs:
+        try:
+            mat = sixj(SixJQuery(kind, context, direct)).matrix
+            inv = sixj(SixJQuery(inv_kind, context, inverse)).matrix
+        except UndefinedLabels:
+            continue
+        except ValidationError as exc:
+            log.add(name, tup, str(exc), "inverse")
+            return
+        total = total + term(mat, inv, direct, inverse)
+    expected = SMatrix.identity(shape[0]) if diagonal else _zero_matrix(*shape)
+    if total != expected:
+        log.add(name, tup, total, expected)
+
+
+def _orth_functor(context, scope, log) -> int:
+    """For each side, with g the acting element of l: the a-sum over every a
+    of dim(a) dim(d) s^-1(l,j,a,b,d) s(l,j,a,b,c) at every (l, j, b, c, d)
+    with (j, g^-1.b) supported, and the c-sum over every c of dim(c) dim(d)
+    s(l,j,a,b,c) s^-1(l,j,d,b,c) at every (l, j, a, d, b) with (j, a) and
+    (j, d) supported."""
+    functor = context.functor
+    src, tgt = context.source_trace.unit, context.target_trace.unit
+    mult = functor.mult
+    checked = 0
+
+    def a_term(mat, inv, direct, inverse):
+        return (inv @ mat).scale(tgt(direct[2]) * src(inverse[4]))
+
+    def c_term(mat, inv, direct, inverse):
+        return (mat @ inv).scale(src(direct[4]) * tgt(inverse[2]))
+
+    for kind, grp, x_set, y_set, acting in _functor_sides(functor):
+        nx, ny = x_set.size, y_set.size
+        act_x, act_y = x_set.action, y_set.action
+        inv_kind = kind + "^-1"
+        name = f"orthogonality[{kind};a-sum]"
+        for l in grp.elements():
+            g = acting(l)
+            for j in range(nx):
+                for b in range(ny):
+                    size = int(mult[j, int(act_y[grp.inv(g), b])])
+                    if not size:
+                        continue
+                    for c in range(nx):
+                        for d in range(nx):
+                            tup = (l, j, b, c, d)
+                            if not _in_scope(scope, tup):
+                                continue
+                            checked += 1
+                            pairs = [((kind, (l, j, a, b, c)),
+                                      (inv_kind, (l, j, a, b, d)))
+                                     for a in range(ny)]
+                            _matrix_sum(context, log, name, tup, pairs, a_term,
+                                        (size, size),
+                                        c == d == int(act_x[g, j]))
+        name = f"orthogonality[{kind};c-sum]"
+        for l in grp.elements():
+            g = acting(l)
+            for j in range(nx):
+                for a in range(ny):
+                    for d in range(ny):
+                        shape = (int(mult[j, a]), int(mult[j, d]))
+                        if not all(shape):
+                            continue
+                        for b in range(ny):
+                            tup = (l, j, a, d, b)
+                            if not _in_scope(scope, tup):
+                                continue
+                            checked += 1
+                            pairs = [((kind, (l, j, a, b, c)),
+                                      (inv_kind, (l, j, d, b, c)))
+                                     for c in range(nx)]
+                            _matrix_sum(context, log, name, tup, pairs, c_term,
+                                        shape,
+                                        a == d and b == int(act_y[g, a]))
+    return checked
+
+
 def dense_orthogonality(context, scope=None):
-    """Report of the dense scalar orthogonality sweep of a fusion or
-    bimodule context, shaped like ``sixj.verify_orthogonality``'s."""
+    """Report of the dense orthogonality sweep of a fusion, bimodule or
+    functor context, shaped like ``sixj.verify_orthogonality``'s."""
     scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)
     if context.fusion is not None:
         checked = _orth_fusion(context.fusion, scope, log)
-    else:
+    elif context.bimodule is not None:
         checked = _orth_bimodule(context.bimodule, context.trace, scope, log)
+    else:
+        checked = _orth_functor(context, scope, log)
     return log.report(checked)
 
 

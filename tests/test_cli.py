@@ -253,6 +253,33 @@ def test_kind_not_offered_by_context_exits_2():
     assert "not defined for context" in result.stderr
 
 
+def _clash_config(tmp_path):
+    """z2.json with functor idM renamed to B, the name of its bimodcat."""
+    doc = json.loads((EXAMPLES / "z2.json").read_text())
+    doc["functors"]["B"] = doc["functors"].pop("idM")
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_sweep_checks_each_section_of_a_shared_id(tmp_path):
+    # the bimodcat B (1536 checks) and the functor B (24 checks) each run
+    # once, so the total is z2.json's
+    result = _invoke(_clash_config(tmp_path), "--format", "json",
+                     "verify", "orthogonality")
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert [(r["context"], r["checked"]) for r in doc["results"]
+            if r["context"] == "B"] == [("B", 1536), ("B", 24)]
+    assert doc["checked"] == 6448
+
+
+def test_shared_id_as_explicit_ref_exits_2(tmp_path):
+    result = _invoke(_clash_config(tmp_path), "verify", "orthogonality", "B")
+    assert result.exit_code == 2
+    assert "bimodcats and functors" in result.stderr
+
+
 def test_missing_config_option_exits_2():
     runner = CliRunner()
     result = runner.invoke(main, ["validate"], catch_exceptions=False)

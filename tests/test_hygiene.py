@@ -147,3 +147,30 @@ def test_numpy_loads_only_in_the_array_view_helper():
                 (in_functions if where[1] else module_level).append(where)
     assert not module_level, f"module-level numpy imports: {module_level}"
     assert in_functions == [("algebra.py", "_array_view")]
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, line) of each private module-level function or class."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef))
+                and node.name.startswith("_")
+                and not (node.name.startswith("__")
+                         and node.name.endswith("__"))):
+            yield node.name, node.lineno
+
+
+def test_no_unreferenced_private_helpers():
+    # a private helper is used somewhere in the package, by name or as a
+    # module attribute; a routine left behind by a rewrite shows here
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(name, f"{path.name}:{line}")
+                    for name, line in _private_definitions(tree)]
+        used |= _referenced_names(tree)
+        used |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)}
+    assert len(defined) >= 90
+    dead = [where + " " + name for name, where in defined if name not in used]
+    assert not dead, f"private helpers nothing references: {dead}"

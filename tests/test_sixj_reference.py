@@ -1,12 +1,14 @@
-"""The support-driven scalar 6j sweeps against the dense reference sweeps.
+"""The support-driven 6j sweeps against the dense reference sweeps.
 
-``sixj_dense`` loops over every label of the fusion and bimodule symbols;
-``twistcat.sixj`` visits only the composed label tuples.  The two must agree
-report for report -- checked and failed counts, failing tuples and their
-order, printed values -- on valid data, on corrupted omega, kappa, trace and
-bimodule cochains, and under explicit scopes.  A last matrix pins which
-relation detects which kind of corruption.
+``sixj_dense`` loops over every label of the fusion and bimodule symbols and
+over every candidate middle label of the functor symbols; ``twistcat.sixj``
+visits only the composed label tuples.  The two must agree report for
+report -- checked and failed counts, failing tuples and their order, printed
+values -- on valid data, on corrupted omega, kappa, trace and bimodule
+cochains, on corrupted and singular coherence blocks, and under explicit
+scopes.  A last matrix pins which relation detects which kind of corruption.
 """
+import importlib
 import itertools
 import pathlib
 import random
@@ -26,7 +28,8 @@ from twistcat.modcat import (BimoduleCategoryData, ModuleCategoryData,
                              ModuleTrace, _product_kappa, bimod_to_deligne,
                              deligne_to_bimod, regular_module_category,
                              validate_bimodcat)
-from twistcat.modfun import (BimoduleFunctorData, deligne_to_bimodfun,
+from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData,
+                             deligne_to_bimodfun, direct_sum,
                              identity_functor, validate_bimodfun)
 from twistcat.scalar import Scalar, Unit
 from twistcat.sixj import (SixJContext, SixJQuery, bimodule_context,
@@ -34,6 +37,8 @@ from twistcat.sixj import (SixJContext, SixJQuery, bimodule_context,
                            verify_biedenharn_elliott, verify_orthogonality)
 
 from oracles import S3_TABLE
+from test_functor_reports import (CASES as FUNCTOR_CASES, _fusion,
+                                  _identity_bimodule_functor)
 from sixj_dense import (corrupted_fusion, dense_biedenharn_elliott,
                         dense_orthogonality, dense_symbol)
 
@@ -302,6 +307,74 @@ def test_scoped_bimodule_sweep_matches_the_dense_reference(seed):
     new, ref = _both(ctx, scope)[0]
     assert new.failed
     assert_same_report(new, ref)
+
+
+# ---------------------------------------------------------------------------
+# functor contexts: the functor report corpus, multiplicity-2 blocks, scopes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", list(FUNCTOR_CASES))
+def test_functor_orthogonality_matches_the_dense_reference(name):
+    ctx = functor_context(FUNCTOR_CASES[name])
+    assert_same_report(verify_orthogonality(ctx), dense_orthogonality(ctx))
+
+
+def _doubled_identity(n, singular=False):
+    """id + id on the regular Z/n category, every A block 2 x 2; with
+    ``singular`` its block at (1, 0, 0) is replaced by a rank-one one."""
+    f = identity_functor(regular_module_category(_fusion(n, 1)))
+    f = direct_sum([f, f])
+    if not singular:
+        return f
+    a = dict(f.a)
+    a[(1, 0, 0)] = SMatrix([[1, 1], [1, 1]])
+    return ModuleFunctorData(f.source, f.target, f.mult, a)
+
+
+@pytest.mark.parametrize("n,singular", [(3, False), (4, False), (3, True)])
+def test_multiplicity_two_orthogonality_matches_the_dense_reference(
+        n, singular):
+    ctx = functor_context(_doubled_identity(n, singular))
+    new, ref = verify_orthogonality(ctx), dense_orthogonality(ctx)
+    assert new.ok == (not singular)
+    assert_same_report(new, ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scoped_functor_orthogonality_matches_the_dense_reference(seed):
+    # a scope tuple counts once for each form and side whose support holds it
+    rng = random.Random(seed)
+    name = next(n for n in FUNCTOR_CASES
+                if n.startswith("Z3xZ3") and "=0" in n)
+    ctx = functor_context(FUNCTOR_CASES[name])
+    scope = _scope(rng, (3, 9, 9, 9, 9), 200)
+    # where the failures are
+    scope += [f["tuple"] for f in dense_orthogonality(ctx).failures]
+    new = verify_orthogonality(ctx, scope)
+    ref = dense_orthogonality(ctx, scope)
+    assert new.failed and new.checked
+    assert_same_report(new, ref)
+
+
+def test_functor_orthogonality_evaluates_one_term_per_composed_label(
+        monkeypatch):
+    # each composed label (l, j, a) of s and t has one a-sum and one c-sum
+    # term, each reading the symbol and its inverse
+    sixj_module = importlib.import_module("twistcat.sixj")
+    ctx = functor_context(_identity_bimodule_functor(3, 1, 2))
+    labels = sum(len(list(sixj_module._admissible_labels(ctx, kind)))
+                 for kind in ("s", "t"))
+    calls = []
+    evaluate = sixj_module._matrix_symbol
+
+    def counting(*args):
+        calls.append(args[2])
+        return evaluate(*args)
+
+    monkeypatch.setattr(sixj_module, "_matrix_symbol", counting)
+    assert verify_orthogonality(ctx).ok
+    assert labels == 54
+    assert len(calls) <= 4 * labels
 
 
 # ---------------------------------------------------------------------------
