@@ -14,6 +14,8 @@ The Smith normal form drives every linear solve modulo N in the cohomology
 layer and every integer lattice computation: it returns U^-1 and V^-1 next
 to U and V, so lattice bases, lattice coordinates (``_kernel_mod_coords``)
 and unimodular inverses are read off one factorization, in integers only.
+``_Factor`` keeps the parts of one that solving and the kernel lattice read,
+in the immutable form the cohomology layer caches.
 """
 from __future__ import annotations
 
@@ -724,6 +726,36 @@ def smith_normal_form(matrix) -> SNFResult:
                      _transpose(_dense(u_inv_cols, rows)), _dense(v_inv, cols))
 
 
+@dataclass(frozen=True)
+class _Factor:
+    """What a solve of A x = b (mod N) and A's kernel lattice read of the
+    Smith form U A V = D: the diagonal d_1, ..., d_min(rows, cols), each row
+    of U as its nonzero (columns, entries), and V and V^-1 as dense rows.
+
+    D and U^-1 are left out, and every part is a tuple, so a cache can keep
+    and share a factor.
+    """
+
+    diag: tuple[int, ...]
+    u: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    v: tuple[tuple[int, ...], ...]
+    v_inv: tuple[tuple[int, ...], ...]
+
+    @classmethod
+    def of(cls, snf: "SNFResult | _Factor") -> "_Factor":
+        """The factor of a Smith form; a factor is returned as it is."""
+        if isinstance(snf, _Factor):
+            return snf
+        return cls(tuple(snf.diagonal()),
+                   tuple((tuple(k for k, x in enumerate(row) if x),
+                          tuple(x for x in row if x)) for row in snf.U),
+                   tuple(map(tuple, snf.V)), tuple(map(tuple, snf.V_inv)))
+
+    def diagonal(self, pad_to: int = 0) -> list[int]:
+        """d_1, d_2, ..., followed by zeros up to length pad_to."""
+        return list(self.diag) + [0] * (pad_to - len(self.diag))
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int]:
     x0, x1 = 1, 0
     while b:
@@ -747,20 +779,22 @@ def _matvec(mat: list[list[int]], vec: list[int]) -> list[int]:
 
 
 def solve_mod(matrix, rhs, modulus: int,
-              snf: Optional[SNFResult] = None) -> Optional[list[int]]:
+              snf: Optional[SNFResult | _Factor] = None) -> Optional[list[int]]:
     """Some x with A x = b (mod modulus), or None when infeasible.
 
     Decided through the Smith normal form: with U A V = D the system becomes
     D y = U b, which splits into independent congruences d_i y_i = (Ub)_i.
     A caller that solves several systems with the same A passes its Smith
-    form as ``snf``; A itself is then not read again.
+    form as ``snf``, an SNFResult or its ``_Factor``; A itself is then not
+    read, and ``matrix`` may be None.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     if snf is None:
         a, rows, cols = _as_int_rows(matrix)
     else:
-        rows, cols = len(snf.U), len(snf.V)
+        snf = _Factor.of(snf)
+        rows, cols = len(snf.u), len(snf.v)
     b = [int(v) for v in rhs]
     if len(b) != rows:
         raise ValueError("right-hand side length mismatch")
@@ -771,8 +805,9 @@ def solve_mod(matrix, rhs, modulus: int,
     if modulus == 1:
         return [0] * cols
     if snf is None:
-        snf = smith_normal_form(a)
-    ub = [val % modulus for val in _matvec(snf.U, b)]
+        snf = _Factor.of(smith_normal_form(a))
+    ub = [sum(x * b[k] for k, x in zip(cols_k, row)) % modulus
+          for cols_k, row in snf.u]
     y = [0] * cols
     for i, (d, r) in enumerate(zip(snf.diagonal(rows), ub)):
         if d == 0:
@@ -784,7 +819,7 @@ def solve_mod(matrix, rhs, modulus: int,
             return None
         sub = modulus // g
         y[i] = ((r // g) * _modinv((d // g) % sub, sub)) % sub if sub > 1 else 0
-    return [val % modulus for val in _matvec(snf.V, y)]
+    return [val % modulus for val in _matvec(snf.v, y)]
 
 
 # ---------------------------------------------------------------------------
@@ -795,34 +830,39 @@ def solve_mod(matrix, rhs, modulus: int,
 QUOTIENT_REPS_BOUND = 4096
 
 
-def _kernel_mod_scales(snf: SNFResult, modulus: int) -> list[int]:
+def _kernel_mod_scales(factor: _Factor, modulus: int) -> list[int]:
     """modulus / gcd(d_j, modulus) per column of A (1 where d_j = 0)."""
     return [modulus // gcd(d, modulus) if d else 1
-            for d in snf.diagonal(len(snf.V))]
+            for d in factor.diagonal(len(factor.v))]
 
 
-def _kernel_mod_basis(snf: SNFResult, modulus: int) -> list[list[int]]:
+def _kernel_mod_basis(snf: SNFResult | _Factor,
+                      modulus: int) -> list[list[int]]:
     """Basis over Z of the full-rank lattice {x : A x = 0 mod modulus}.
 
-    ``snf`` is A's Smith form.  The lattice contains modulus * Z^cols, so the
-    basis has `cols` vectors: column j of V scaled by modulus/gcd(d_j, modulus).
+    ``snf`` is A's Smith form or its factor.  The lattice contains
+    modulus * Z^cols, so the basis has `cols` vectors: column j of V scaled
+    by modulus/gcd(d_j, modulus).
     """
-    scales = _kernel_mod_scales(snf, modulus)
-    return [[row[j] * scale for row in snf.V] for j, scale in enumerate(scales)]
+    factor = _Factor.of(snf)
+    scales = _kernel_mod_scales(factor, modulus)
+    return [[row[j] * scale for row in factor.v]
+            for j, scale in enumerate(scales)]
 
 
-def _kernel_mod_coords(snf: SNFResult, modulus: int,
+def _kernel_mod_coords(snf: SNFResult | _Factor, modulus: int,
                        targets: list[list[int]]) -> list[list[int]]:
     """Coordinates of each target in the basis of ``_kernel_mod_basis``.
 
     That basis is B = V S with S the diagonal of scales, so the coordinates
     are S^-1 V^-1 t; raises ValueError when one is not an integer.
     """
-    scales = _kernel_mod_scales(snf, modulus)
+    factor = _Factor.of(snf)
+    scales = _kernel_mod_scales(factor, modulus)
     out = []
     for t in targets:
         coords = []
-        for val, scale in zip(_matvec(snf.V_inv, t), scales):
+        for val, scale in zip(_matvec(factor.v_inv, t), scales):
             q, r = divmod(val, scale)
             if r:
                 raise ValueError("target not in the integer lattice")

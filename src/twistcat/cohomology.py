@@ -8,7 +8,8 @@ to its ``shape``; ``exponents`` is a read-only ndarray view of it, built on
 first access.  The differential is an alternating Z-linear combination of
 index maps, precomputed once per (group, carrier, degree) as flat index
 tuples, so every cohomological condition becomes an exact linear solve
-modulo N through the Smith normal form.
+modulo N through the Smith normal form, which is likewise computed once per
+(group, carrier, degree).
 """
 from __future__ import annotations
 
@@ -22,11 +23,13 @@ from typing import Optional, Sequence
 from .algebra import (
     FiniteGroup,
     GSet,
+    _Factor,
     _array_view,
     _flatten,
     direct_product,
     is_transitive,
     point_gset,
+    smith_normal_form,
     solve_mod,
     stabilizer,
 )
@@ -336,6 +339,19 @@ def differential_matrix(group: FiniteGroup, carrier: GSet,
     return mat
 
 
+@lru_cache(maxsize=256)
+def _diff_snf(group: FiniteGroup, carrier: GSet, degree: int) -> _Factor:
+    """The Smith form of d on degree-`degree` exponent vectors, as the
+    ``_Factor`` a solve and the kernel lattice read.
+
+    It depends on (group, carrier, degree) only, never on a twist or a
+    right-hand side, so every solve against one differential shares a single
+    factorization; like ``_diff_terms``, at most 256 are kept.
+    """
+    return _Factor.of(smith_normal_form(
+        differential_matrix(group, carrier, degree)))
+
+
 # ---------------------------------------------------------------------------
 # cocycle / coboundary tests
 # ---------------------------------------------------------------------------
@@ -357,9 +373,9 @@ def is_coboundary(eta: UnitCochain) -> bool:
         raise DegreeMismatch("coboundary test requires slots over the carrier group")
     order = eta.group.order
     lifted = eta.root_order * order
-    mat = differential_matrix(eta.group, eta.carrier, eta.degree - 1)
     rhs = [(e * order) % lifted for e in eta.exponents_flat]
-    return solve_mod(mat, rhs, lifted) is not None
+    return solve_mod(None, rhs, lifted, snf=_diff_snf(
+        eta.group, eta.carrier, eta.degree - 1)) is not None
 
 
 def cohomologous(eta: UnitCochain, other: UnitCochain) -> bool:

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Optional
 
 from .algebra import (
+    FiniteGroup,
     GSet,
     Subgroup,
     direct_product,
@@ -24,7 +25,6 @@ from .algebra import (
     product_embeddings,
     regular_gset,
     restrict_gset,
-    smith_normal_form,
     solve_mod,
     stabilizer,
     _kernel_mod_basis,
@@ -34,6 +34,7 @@ from .algebra import (
 )
 from .cohomology import (
     UnitCochain,
+    _diff_snf,
     _differential_raw,
     _identity_positions,
     _pull_back,
@@ -44,7 +45,7 @@ from .cohomology import (
     deligne_omega,
     shapiro_restrict,
 )
-from .errors import NotTransitive, ValidationError
+from .errors import NotTransitive, ShapeMismatch, ValidationError
 from .fusion import FusionData
 from .scalar import Unit
 
@@ -195,6 +196,34 @@ def _check_twisted_cocycle(log: FailureLog, normalized: str, cocycle: str,
     return len(id_rows) + len(lhs)
 
 
+@lru_cache(maxsize=256)
+def _class_reps(group: FiniteGroup, carrier: GSet,
+                lifted: int) -> tuple[tuple[int, ...], ...]:
+    """One exponent vector per class of the solutions of d(Psi) = 0 mod lifted
+    on carrier, modulo the directions that stay coboundaries after a further
+    lift by |G|.
+
+    The classes of one carrier form a torsor independent of omega, so every
+    twist at the root order lifted / |G| shares these representatives; at
+    most 256 are kept.  EnumerationBoundExceeded propagates and is not cached.
+    """
+    m = group.order
+    dim = m * m * carrier.size
+    snf2 = _diff_snf(group, carrier, 2)
+    solution_lattice = _kernel_mod_basis(snf2, lifted)
+
+    d1 = differential_matrix(group, carrier, 1)
+    further = lifted * m
+    ambient = [list(col) for col in zip(*d1)] + [
+        [further * int(i == j) for i in range(dim)] for j in range(dim)]
+    # intersection of the ambient (coboundary-image) lattice with m*Z^dim,
+    # divided by m, in coordinates of the solution lattice
+    inter = _multiples_in_lattice(ambient, dim, m)
+    inter_coords = _kernel_mod_coords(snf2, lifted, inter)
+    reps = _lattice_quotient_reps(solution_lattice, inter_coords, dim)
+    return tuple(map(tuple, reps))
+
+
 def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
     """All module-category structures on X, one per cohomology class.
 
@@ -202,37 +231,31 @@ def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
     the solution set modulo directions that stay coboundaries after a further
     lift by |G| (the finite stand-in for circle-coefficient cohomology).
     Output cochains are normalized and sorted by exponent table; the list is
-    empty when no solution exists.
+    empty when no solution exists, and ShapeMismatch is raised when X is a
+    G-set over another group.
+
+    Only the particular solution depends on omega.  The Smith form of d2 is
+    cached per (group, carrier) (``cohomology._diff_snf``) and the class
+    representatives per (group, carrier, lifted root order)
+    (``_class_reps``), each cache bounded at 256 entries, so the twists of one
+    carrier share them.
     """
     grp = fusion.group
+    if x.group != grp:
+        raise ShapeMismatch("carrier G-set is over the wrong group")
     omega = fusion.omega
     m = grp.order
     n0 = omega.root_order
     lifted = n0 * m
-    dim = m * m * x.size
 
-    d2 = differential_matrix(grp, x, 2)
-    snf2 = smith_normal_form(d2)
     rhs_lifted = [((-w) % n0 * m) % lifted
                   for w in omega.exponents_flat for _ in range(x.size)]
-    particular = solve_mod(d2, rhs_lifted, lifted, snf=snf2)
+    particular = solve_mod(None, rhs_lifted, lifted, snf=_diff_snf(grp, x, 2))
     if particular is None:
         return []
 
-    solution_lattice = _kernel_mod_basis(snf2, lifted)
-
-    d1 = differential_matrix(grp, x, 1)
-    further = lifted * m
-    ambient = [list(col) for col in zip(*d1)] + [[further * int(i == j) for i in range(dim)]
-                               for j in range(dim)]
-    # intersection of the ambient (coboundary-image) lattice with m*Z^dim,
-    # divided by m, in coordinates of the solution lattice
-    inter = _multiples_in_lattice(ambient, dim, m)
-    inter_coords = _kernel_mod_coords(snf2, lifted, inter)
-    reps = _lattice_quotient_reps(solution_lattice, inter_coords, dim)
-
     out = []
-    for rep in reps:
+    for rep in _class_reps(grp, x, lifted):
         exps = [a + b for a, b in zip(particular, rep)]
         psi = normalize(UnitCochain.from_flat(2, x, lifted, exps))
         data = ModuleCategoryData(fusion, x, psi)
@@ -275,7 +298,9 @@ def equivalent_modcats(m1: ModuleCategoryData, m2: ModuleCategoryData,
     """A witness (f, mu) of equivalence, or None.
 
     f is a G-set isomorphism X -> Y (an index tuple) and mu a 1-cochain with
-    d(mu) = Psi_X * (Psi_Y o f)^-1 at the lifted root order.
+    d(mu) = Psi_X * (Psi_Y o f)^-1 at the lifted root order.  Only the
+    right-hand side depends on f: the Smith form of d1 is cached per
+    (group, carrier) (``cohomology._diff_snf``, at most 256 entries).
     """
     if m1.fusion.group != m2.fusion.group or m1.fusion.omega != m2.fusion.omega:
         return None
@@ -284,13 +309,12 @@ def equivalent_modcats(m1: ModuleCategoryData, m2: ModuleCategoryData,
     isos = gset_isomorphisms(x, m2.X, bound=bound)
     if not isos:
         return None
-    d1 = differential_matrix(grp, x, 1)
-    snf1 = smith_normal_form(d1)  # only the right-hand side depends on f
+    snf1 = _diff_snf(grp, x, 1)
     for f in isos:
         diff = m1.psi * _pull_back(m2.psi, f, x).inverse()
         lifted = diff.root_order * grp.order
-        vec = solve_mod(d1, [(e * grp.order) % lifted
-                             for e in diff.exponents_flat], lifted, snf=snf1)
+        vec = solve_mod(None, [(e * grp.order) % lifted
+                               for e in diff.exponents_flat], lifted, snf=snf1)
         if vec is None:
             continue
         mu = UnitCochain.from_flat(1, x, lifted, vec)

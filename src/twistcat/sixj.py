@@ -32,7 +32,7 @@ omega, Psi, Phi, Omega; those show in Biedenharn-Elliott or in validation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Callable, Optional, Sequence, Union
 
@@ -64,9 +64,10 @@ _MATRIX_KINDS = MODFUN_KINDS + BIMODFUN_KINDS
 class SixJContext:
     """Everything needed to evaluate one family of 6j symbols.
 
-    Exactly one of ``fusion``, ``bimodule``, ``functor`` is set; traces are
-    attached at construction time so that a symbol evaluation never has to
-    re-derive them.
+    Exactly one of ``fusion``, ``bimodule``, ``functor`` is set; traces and
+    the functor's coherence sides ``sides`` ((A,) or (A, B)) are attached at
+    construction time so that a symbol evaluation never has to re-derive
+    them.
     """
 
     fusion: Optional[FusionData] = None
@@ -75,6 +76,12 @@ class SixJContext:
     functor: Optional[Union[ModuleFunctorData, BimoduleFunctorData]] = None
     source_trace: Optional[ModuleTrace] = None
     target_trace: Optional[ModuleTrace] = None
+    sides: tuple[CoherenceSide, ...] = field(init=False, compare=False,
+                                             repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sides", () if self.functor is None
+                           else coherence_sides(self.functor))
 
     def kinds(self) -> tuple[str, ...]:
         """The symbol kinds this context can evaluate."""
@@ -297,7 +304,7 @@ def _is_inverse(kind: str) -> bool:
 
 def _side(ctx: SixJContext, kind: str) -> CoherenceSide:
     """The coherence side of a matrix kind: A for s, B for t."""
-    return coherence_sides(ctx.functor)[kind in BIMODFUN_KINDS]
+    return ctx.sides[kind in BIMODFUN_KINDS]
 
 
 def _matrix_symbol(ctx: SixJContext, side: CoherenceSide, labels,
@@ -690,7 +697,7 @@ def verify_orthogonality(context: SixJContext,
                       for family in "mnb")
     elif context.functor is not None:
         checked = sum(_orth_matrix_pair(context, side, scope, log)
-                      for side in coherence_sides(context.functor))
+                      for side in context.sides)
     else:
         raise ValueError("empty 6j context")
     return log.report(checked)

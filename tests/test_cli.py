@@ -160,6 +160,44 @@ def test_non_cocycle_omega_exits_1(tmp_path):
     assert "(g, h, k, l) = (1, 1, 1, 1)" in result.stderr
 
 
+def _run_cli(cfg_path, *args) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so an uncaught error shows on stderr."""
+    src = str(HERE.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "twistcat.cli", "--config", str(cfg_path),
+         *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+# a fusion over Z/3 and a regular G-set over Z/2
+FOREIGN_CARRIER = {
+    "groups": {"G": {"type": "cyclic", "n": 3},
+               "H": {"type": "cyclic", "n": 2}},
+    "gsets": {"regH": {"type": "regular", "group": "H"}},
+    "cochains": {"omega1": {"type": "cyclic_rep", "group": "G", "s": 1}},
+    "fusions": {"F": {"group": "G", "omega": "omega1"}},
+}
+
+
+@pytest.mark.parametrize("path", ["solve", "enumerate"])
+def test_carrier_over_another_group_exits_1(tmp_path, path):
+    doc = dict(FOREIGN_CARRIER)
+    if path == "solve":
+        doc["modcats"] = {"M": {"fusion": "F", "gset": "regH",
+                                "psi": {"type": "solve"}}}
+        args = ["validate"]
+    else:
+        args = ["enumerate-modcats", "regH"]
+    cfg = tmp_path / "foreign.json"
+    cfg.write_text(json.dumps(doc))
+    proc = _run_cli(cfg, *args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("validation error:")
+    assert "carrier G-set is over the wrong group" in proc.stderr
+
+
 def test_verify_prints_the_exact_failure_total(monkeypatch, tmp_path):
     # a config whose fusion carries a random, non-cocycle omega (constructed
     # past validation, which a parsed config never skips) fails more

@@ -174,3 +174,28 @@ def test_no_unreferenced_private_helpers():
     assert len(defined) >= 90
     dead = [where + " " + name for name, where in defined if name not in used]
     assert not dead, f"private helpers nothing references: {dead}"
+
+
+def test_smith_forms_of_differentials_come_from_the_cache():
+    # a differential's Smith form does not depend on the twist, so outside
+    # algebra's own lattice helpers and solve_mod's fallback the one caller
+    # of smith_normal_form is the cached factorization cohomology._diff_snf
+    allowed = {("algebra.py", "_multiples_in_lattice"),
+               ("algebra.py", "_lattice_quotient_reps"),
+               ("algebra.py", "solve_mod"),
+               ("cohomology.py", "_diff_snf")}
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(id(node), fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "smith_normal_form" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                callers.add((path.name, owner.get(id(node))))
+    assert ("cohomology.py", "_diff_snf") in callers
+    assert callers <= allowed, f"uncached Smith forms: {callers - allowed}"

@@ -1,19 +1,26 @@
 """Module and bimodule category structures: enumeration, classes, traces."""
+import importlib.util
 import json
 import pathlib
+import sys
 
 import numpy as np
 import pytest
 
+from twistcat import algebra, cohomology, modcat
 from twistcat.algebra import (
+    coset_gset,
     cyclic_group,
     direct_product,
     disjoint_union_gset,
     point_gset,
     regular_gset,
+    subgroups,
+    trivial_gset,
 )
 from twistcat.cohomology import UnitCochain, cohomologous, deligne_omega, omega_cyclic
-from twistcat.errors import NotTransitive, ValidationError
+from twistcat.errors import (EnumerationBoundExceeded, NotTransitive,
+                             ShapeMismatch, ValidationError)
 from twistcat.fusion import FusionData
 from twistcat.modcat import (
     BimoduleCategoryData,
@@ -93,6 +100,108 @@ def test_structure_count_on_cyclic_4_regular_carrier():
     got = modcats_for(f, reg4)
     assert len(got) == 1
     assert validate_modcat(got[0]).ok
+
+
+def test_carrier_over_another_group_is_a_shape_mismatch():
+    z3 = cyclic_group(3)
+    fus = FusionData(z3, omega_cyclic(3, 1), triv_kappa(z3))
+    with pytest.raises(ShapeMismatch, match="over the wrong group"):
+        modcats_for(fus, REG2)
+
+
+# ---------------------------------------------------------------------------
+# the twist-independent caches of the enumeration
+# ---------------------------------------------------------------------------
+
+def _clear_caches():
+    """Empty every cache of the cochain and enumeration layers."""
+    for module in (cohomology, modcat):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by path (bench is not a package)."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    if "bench_workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module   # its dataclasses look it up there
+        spec.loader.exec_module(module)
+    return sys.modules["bench_workloads"]
+
+
+def _psi_tables(found):
+    return [(d.psi.root_order, d.psi.exponents_flat) for d in found]
+
+
+def test_cached_enumeration_matches_cold_calls():
+    # every carrier and twist of the benchmark, enumerated forward and in
+    # reverse from empty caches, against one cold call per case
+    workloads = _bench_workloads()
+    cases = [(label, FusionData(grp, omega, triv_kappa(grp)), x)
+             for label, grp, omega, x in workloads.modcat_cases(False)]
+    cold = {}
+    for label, fus, x in cases:
+        _clear_caches()
+        cold[label] = modcats_for(fus, x)
+        assert len(cold[label]) == workloads.MODCAT_CLASSES[label], label
+    for order in (cases, cases[::-1]):
+        _clear_caches()
+        for label, fus, x in order:
+            found = modcats_for(fus, x)
+            assert found == cold[label], label
+            assert _psi_tables(found) == _psi_tables(cold[label]), label
+
+
+def test_bound_exceeded_is_raised_on_every_call():
+    # 13 trivial points of Z/2 x Z/2 carry 2^13 classes, above the bound;
+    # the error is raised again, never cached as a result
+    v4 = direct_product(Z2, Z2)
+    fus = FusionData(v4, deligne_omega(omega_cyclic(2, 0), omega_cyclic(2, 0)),
+                     triv_kappa(v4))
+    x = trivial_gset(v4, 13)
+    for _ in range(2):
+        with pytest.raises(EnumerationBoundExceeded):
+            modcats_for(fus, x)
+
+
+def test_d2_is_factored_once_per_carrier(monkeypatch):
+    # d2 (m^3 |X| rows) does not depend on the twist: the four associators of
+    # Z/2 x Z/2 on its three coset carriers and its point factor it once per
+    # carrier, and a second sweep not at all
+    v4 = direct_product(Z2, Z2)
+    carriers = [coset_gset(v4, sub) for sub in subgroups(v4)
+                if len(sub) in (2, 4)]
+    assert [x.size for x in carriers].count(2) == 3 and len(carriers) == 4
+    fusions = [FusionData(v4, deligne_omega(omega_cyclic(2, a),
+                                            omega_cyclic(2, b)),
+                          triv_kappa(v4))
+               for a in (0, 1) for b in (0, 1)]
+    rows = []
+    factor = algebra.smith_normal_form
+
+    def counting(matrix):
+        rows.append(len(matrix))
+        return factor(matrix)
+
+    for module in (algebra, cohomology, modcat):
+        if hasattr(module, "smith_normal_form"):
+            monkeypatch.setattr(module, "smith_normal_form", counting)
+
+    def sweep() -> int:
+        count = 0
+        for x in carriers:
+            for fus in fusions:
+                rows.clear()
+                modcats_for(fus, x)
+                count += rows.count(v4.order ** 3 * x.size)
+        return count
+
+    _clear_caches()
+    assert sweep() == 4
+    assert sweep() == 0
 
 
 REGULAR_PSI = pathlib.Path(__file__).parent / "fixtures" / "regular_carrier_psi.json"

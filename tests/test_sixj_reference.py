@@ -33,7 +33,7 @@ from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData,
                              identity_functor, validate_bimodfun)
 from twistcat.scalar import Scalar, Unit
 from twistcat.sixj import (SixJContext, SixJQuery, bimodule_context,
-                           functor_context, fusion_context, sixj,
+                           functor_context, fusion_context, sixj, sixj_table,
                            verify_biedenharn_elliott, verify_orthogonality)
 
 from oracles import S3_TABLE
@@ -375,6 +375,25 @@ def test_functor_orthogonality_evaluates_one_term_per_composed_label(
     assert verify_orthogonality(ctx).ok
     assert labels == 54
     assert len(calls) <= 4 * labels
+
+
+def test_coherence_sides_are_built_once_per_functor_context(monkeypatch):
+    # the A and B sides belong to the context: a symbol never rebuilds them
+    sixj_module = importlib.import_module("twistcat.sixj")
+    build = sixj_module.coherence_sides
+    calls = []
+
+    def counting(functor):
+        calls.append(functor)
+        return build(functor)
+
+    monkeypatch.setattr(sixj_module, "coherence_sides", counting)
+    ctx = functor_context(_identity_bimodule_functor(3, 1, 2))
+    rows = 0
+    for _ in range(5):
+        rows += len(sixj_table(ctx, "s")) + len(sixj_table(ctx, "t^-1"))
+    assert rows == 5 * 54
+    assert len(calls) <= 1
 
 
 # ---------------------------------------------------------------------------
