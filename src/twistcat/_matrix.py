@@ -97,11 +97,13 @@ class SMatrix:
         for row in self.rows:
             new = []
             for col in cols:
-                acc = zero
+                # block and monomial matrices are mostly zero: an entry
+                # starts from its first nonzero product
+                acc = None
                 for a, b in zip(row, col):
-                    if a and b:   # block and monomial matrices are mostly zero
-                        acc = acc + a * b
-                new.append(acc)
+                    if a and b:
+                        acc = a * b if acc is None else acc + a * b
+                new.append(zero if acc is None else acc)
             out.append(new)
         return SMatrix._trusted(out)
 

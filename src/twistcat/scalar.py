@@ -11,6 +11,14 @@ one cached table of the reduced powers of zeta_N.  Fractions appear only at
 the boundaries: the constructor, ``coeffs``, ``from_rational``,
 ``as_rational``, printing and JSON.
 
+A scalar known to be a root of unity, sign * zeta_N**e at its own root
+order N, carries the tag ``(sign, e)``: roots of unity, converted units, and
+the negations, inverses and products of tagged scalars.  The tag only picks a
+faster route to the same representation: a root times a root is the cached
+tagged root, a root times any other scalar rotates its numerators through
+one integer map with no polynomial product or gcd, and the inverse of a root
+is sign * zeta_N**-e.  Equality and hashing never read it.
+
 A :class:`Unit` is a root of unity ``zeta_N**e`` stored by exponent; units
 are the values of all cochains, while general scalars appear in matrices and
 6j symbols.  No floating point is used anywhere.
@@ -123,12 +131,15 @@ def _power_images(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_map(n: int, m: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _power_map(n: int, m: int, k: int, shift: int = 0,
+               sign: int = 1) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Sparse images of the basis zeta_n**i of Q(zeta_n) under the field map
     zeta_n -> zeta_m**k: the embedding into Q(zeta_m) when k = m/n, the
-    Galois automorphism sigma_k when m = n and k is a unit mod n."""
+    Galois automorphism sigma_k when m = n and k is a unit mod n.  A shift
+    and a sign follow the map with multiplication by sign * zeta_m**shift."""
     powers = _power_images(m)
-    return tuple(powers[i * k % m] for i in range(_phi_degree(n)))
+    return tuple(tuple((j, sign * c) for j, c in powers[(i * k + shift) % m])
+                 for i in range(_phi_degree(n)))
 
 
 def _apply(images, nums, deg: int) -> list[int]:
@@ -206,7 +217,8 @@ def _gauss_jordan(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
         for r, other in enumerate(mat):
             f = other[col]
             if r != row and f:
-                other[col:] = [v - f * w for v, w in zip(other[col:], tail)]
+                other[col:] = [v - f * w if w else v
+                               for v, w in zip(other[col:], tail)]
         pivots.append(col)
     return mat, pivots
 
@@ -215,13 +227,15 @@ _new = object.__new__
 _set = object.__setattr__
 
 
-def _raw(n: int, nums, den: int) -> "Scalar":
-    """A Scalar from numerators already reduced mod Phi_n and in lowest terms."""
+def _raw(n: int, nums, den: int, root=None) -> "Scalar":
+    """A Scalar from numerators already reduced mod Phi_n and in lowest terms;
+    ``root`` is its (sign, exponent) tag when it is sign * zeta_n**exponent."""
     s = _new(Scalar)
     _set(s, "root_order", n)
     _set(s, "_num", tuple(nums))
     _set(s, "_den", den)
     _set(s, "_canon", None)
+    _set(s, "_root", root)
     return s
 
 
@@ -239,8 +253,10 @@ def _scalar(n: int, nums, den: int) -> "Scalar":
 
 
 @lru_cache(maxsize=None)
-def _root_of_unity(n: int, e: int) -> "Scalar":
-    return _raw(n, _powers(n)[e], 1)
+def _root_of_unity(n: int, e: int, sign: int = 1) -> "Scalar":
+    """sign * zeta_n**e for 0 <= e < n, tagged as a root of unity."""
+    nums = _powers(n)[e]
+    return _raw(n, nums if sign > 0 else [-c for c in nums], 1, (sign, e))
 
 
 def _fractions(nums, den: int) -> tuple[Fraction, ...]:
@@ -257,7 +273,7 @@ class Scalar:
     the power basis), so embedded values compare by their integers.
     """
 
-    __slots__ = ("root_order", "_num", "_den", "_canon")
+    __slots__ = ("root_order", "_num", "_den", "_canon", "_root")
 
     def __init__(self, root_order: int, coeffs) -> None:
         if root_order < 1:
@@ -271,6 +287,7 @@ class Scalar:
         _set(self, "_num", tuple(c // g for c in nums))
         _set(self, "_den", den // g)
         _set(self, "_canon", None)
+        _set(self, "_root", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Scalar is immutable")
@@ -348,6 +365,9 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if self._root is not None:
+            sign, e = self._root
+            return _root_of_unity(self.root_order, e, -sign)
         return _raw(self.root_order, [-c for c in self._num], self._den)
 
     def __sub__(self, other):
@@ -366,17 +386,38 @@ class Scalar:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
+        if self._root is not None:
+            return other._times_root(self.root_order, self._root)
+        if other._root is not None:
+            return self._times_root(other.root_order, other._root)
         m, a, b = self._coerce(other)
         return _scalar(m, _reduce(_poly_mul(a, b), m), self._den * other._den)
 
     __rmul__ = __mul__
 
+    def _times_root(self, n: int, root) -> "Scalar":
+        """self * sign * zeta_n**e for root = (sign, e).  A root times a root
+        is a root; otherwise the numerators rotate through one integer map
+        and, a unit keeping them in lowest terms, need no gcd."""
+        k, (sign, e) = self.root_order, root
+        m = n if n == k else lcm(n, k)
+        if self._root is not None:
+            own_sign, own_e = self._root
+            return _root_of_unity(m, (e * (m // n) + own_e * (m // k)) % m,
+                                  sign * own_sign)
+        images = _power_map(k, m, m // k, e * (m // n), sign)
+        return _raw(m, _apply(images, self._num, _phi_degree(m)), self._den)
+
     def inverse(self) -> "Scalar":
         """Multiplicative inverse: the product of the nontrivial Galois
-        conjugates of x divided by the norm of x, a nonzero rational."""
+        conjugates of x divided by the norm of x, a nonzero rational; for
+        x = sign * zeta_N**e it is sign * zeta_N**-e."""
+        n, a = self.root_order, self._num
+        if self._root is not None:
+            sign, e = self._root
+            return _root_of_unity(n, -e % n, sign)
         if self.is_zero():
             raise DivisionByZero("cannot invert the zero scalar")
-        n, a = self.root_order, self._num
         deg = len(a)
         conj = (1,)
         for k in range(2, n):

@@ -67,7 +67,7 @@ class SixJContext:
     Exactly one of ``fusion``, ``bimodule``, ``functor`` is set; traces and
     the functor's coherence sides ``sides`` ((A,) or (A, B)) are attached at
     construction time so that a symbol evaluation never has to re-derive
-    them.
+    them.  ``scaled`` keeps each rescaled matrix symbol once evaluated.
     """
 
     fusion: Optional[FusionData] = None
@@ -78,6 +78,8 @@ class SixJContext:
     target_trace: Optional[ModuleTrace] = None
     sides: tuple[CoherenceSide, ...] = field(init=False, compare=False,
                                              repr=False)
+    scaled: dict = field(init=False, compare=False, repr=False,
+                         default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "sides", () if self.functor is None
@@ -314,22 +316,29 @@ def _matrix_symbol(ctx: SixJContext, side: CoherenceSide, labels,
     With g the acting element of l and T the side's table, the symbol is
     defined when c = g.j, b = g.a and (j, a) is supported; ``s`` and ``t``
     are target_trace(a) * T_{l,j,a}, ``s^-1`` and ``t^-1`` are
-    source_trace(c) * T_{l,j,a}^-1.  A singular matrix (possible only for
-    corrupted data) raises ValidationError.
+    source_trace(c) * T_{l,j,a}^-1.  Each symbol is rescaled once per
+    context and kept in ``ctx.scaled``.  A singular matrix (possible only
+    for corrupted data) is never kept and raises ValidationError each time.
     """
     l, j, a, b, c = labels
     g = side.acting(l)
     if (c != side.source.apply(g, j) or b != side.target.apply(g, a)
             or not side.functor.multiplicity(j, a)):
         return None
-    mat = side.table[(l, j, a)]
-    if inverse:
-        inv = mat.inverse()
-        if inv is None:
-            raise ValidationError(
-                f"coherence matrix at {(l, j, a)} is singular")
-        return inv.scale(ctx.source_trace.unit(c))
-    return mat.scale(ctx.target_trace.unit(a))
+    key = (side.right, l, j, a, inverse)
+    out = ctx.scaled.get(key)
+    if out is None:
+        mat = side.table[(l, j, a)]
+        if inverse:
+            inv = mat.inverse()
+            if inv is None:
+                raise ValidationError(
+                    f"coherence matrix at {(l, j, a)} is singular")
+            out = inv.scale(ctx.source_trace.unit(c))
+        else:
+            out = mat.scale(ctx.target_trace.unit(a))
+        ctx.scaled[key] = out
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,9 @@ def test_scalar_arithmetic_is_fraction_free():
                      if isinstance(node, ast.FunctionDef))
     integer_path = ["Scalar.__add__", "Scalar.__mul__", "Scalar.__neg__",
                     "Scalar.__eq__", "Scalar.inverse", "Scalar._coerce",
-                    "Scalar._num_at", "_poly_mul", "_apply", "_reduce",
-                    "_raw", "_scalar"]
+                    "Scalar._num_at", "Scalar._times_root", "_poly_mul",
+                    "_apply", "_reduce", "_raw", "_scalar", "_root_of_unity",
+                    "_power_map", "_power_images", "_powers"]
     for name in integer_path:
         used = {n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)}
         assert "Fraction" not in used, f"{name} uses Fraction"

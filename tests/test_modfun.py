@@ -1,4 +1,6 @@
 """Module functors, natural transformations, adjoints, classification."""
+import importlib
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,38 @@ def test_classification_with_solver_produced_psi():
         assert validate_modfun(c.functor).ok
         assert hom_dimension(c.functor, c.functor) == 1
     assert hom_dimension(cls[0].functor, cls[1].functor) == 0
+
+
+def test_validating_simple_functors_multiplies_only_roots_of_unity(
+        monkeypatch):
+    # the A entries of a simple functor over cyclic G, the twists and the
+    # identity blocks are all roots of unity: validation needs no polynomial
+    # product and, with products starting from their first nonzero term, no
+    # scalar addition
+    z3 = cyclic_group(3)
+    m = modcats_for(FusionData(z3, omega_cyclic(3, 1), triv_kappa(z3)),
+                    regular_gset(z3))[0]
+    assert m.psi.root_order == 9
+    functors = [c.functor for c in classify_simple_cyclic(m, m)]
+    assert len(functors) == 3
+    scalar_module = importlib.import_module("twistcat.scalar")
+    poly_mul, add = scalar_module._poly_mul, Scalar.__add__
+    calls = {"poly_mul": 0, "add": 0}
+
+    def counting_poly_mul(a, b):
+        calls["poly_mul"] += 1
+        return poly_mul(a, b)
+
+    def counting_add(self, other):
+        calls["add"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(scalar_module, "_poly_mul", counting_poly_mul)
+    monkeypatch.setattr(Scalar, "__add__", counting_add)
+    monkeypatch.setattr(Scalar, "__radd__", counting_add)
+    for f in functors:
+        assert validate_modfun(f).ok
+    assert calls == {"poly_mul": 0, "add": 0}
 
 
 def test_classification_rejects_noncyclic_groups():

@@ -1,0 +1,133 @@
+"""Root-of-unity fast paths of Scalar against the generic integer path.
+
+A Scalar that is sign * zeta_n**e carries the tag (sign, e); products,
+inverses and negations that involve a tagged operand skip the polynomial
+product, the reduction modulo Phi_N and the gcd.  Each fast path must give
+exactly the representation the generic path gives -- the same root order,
+numerators and positive denominator -- and every tag must name the value it
+sits on.  The generic path is reached by dropping the tag from a copy.
+"""
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from twistcat._matrix import SMatrix
+from twistcat.scalar import Scalar, Unit, _powers, _raw
+
+CHECKS = settings(derandomize=True, max_examples=60, deadline=None)
+ORDERS = st.integers(1, 12)
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+def _plain(s: Scalar) -> Scalar:
+    """The same value without its tag, so arithmetic takes the generic path."""
+    return _raw(s.root_order, s._num, s._den)
+
+
+def _rep(s: Scalar):
+    return s.root_order, s._num, s._den
+
+
+def _assert_tag(s: Scalar) -> None:
+    """A tagged scalar is sign * zeta_n**e with integer numerators."""
+    if s._root is not None:
+        sign, e = s._root
+        assert sign in (1, -1) and 0 <= e < s.root_order
+        assert s._den == 1
+        assert s._num == tuple(sign * c for c in _powers(s.root_order)[e])
+
+
+@st.composite
+def _roots(draw):
+    """sign * zeta_n**e, reached through the public constructors and Unit."""
+    n, sign = draw(ORDERS), draw(st.sampled_from((1, -1)))
+    e = draw(st.integers(-2 * n, 2 * n))
+    root = (Unit(n, e).to_scalar() if draw(st.booleans())
+            else Scalar.root_of_unity(n, e))
+    return root if sign > 0 else -root
+
+
+@st.composite
+def _scalars(draw):
+    """A general scalar, zero included, at a root order from 1 to 12."""
+    n = draw(ORDERS)
+    return Scalar(n, draw(st.lists(RATIONALS, min_size=1, max_size=n + 2)))
+
+
+@CHECKS
+@given(_roots(), _scalars())
+def test_root_times_scalar_matches_the_generic_product(root, x):
+    _assert_tag(root)
+    want = _rep(_plain(root) * _plain(x))
+    assert _rep(root * x) == _rep(x * root) == want
+    assert root * x == x * root
+
+
+@CHECKS
+@given(_roots(), _roots())
+def test_root_times_root_is_a_tagged_root(a, b):
+    prod = a * b
+    assert prod._root is not None
+    _assert_tag(prod)
+    assert _rep(prod) == _rep(b * a) == _rep(_plain(a) * _plain(b))
+
+
+@CHECKS
+@given(_roots())
+def test_root_inverse_and_negation_match_the_generic_path(root):
+    for got, want in ((root.inverse(), _plain(root).inverse()),
+                      (-root, -_plain(root)),
+                      (root ** 3, _plain(root) ** 3),
+                      (root ** -2, _plain(root) ** -2)):
+        assert got._root is not None
+        _assert_tag(got)
+        assert _rep(got) == _rep(want)
+    assert (root * root.inverse()).is_one()
+
+
+def test_minus_one_at_orders_one_and_two():
+    # -1 has norm -1 at both orders; its inverse must still come out with a
+    # positive denominator
+    for minus_one in (-Scalar.one(), Scalar.root_of_unity(2, 1),
+                      Unit(2, 1).to_scalar(), -Scalar.one(2)):
+        _assert_tag(minus_one)
+        for got, want in ((minus_one.inverse(), _plain(minus_one).inverse()),
+                          (-minus_one, -_plain(minus_one)),
+                          (minus_one * minus_one,
+                           _plain(minus_one) * _plain(minus_one))):
+            _assert_tag(got)
+            assert _rep(got) == _rep(want)
+        assert minus_one.inverse() == minus_one == Scalar.from_rational(-1)
+
+
+def test_equality_and_hash_ignore_the_tag():
+    for n in range(1, 13):
+        for e in range(n):
+            root = Scalar.root_of_unity(n, e)
+            assert root == _plain(root) and hash(root) == hash(_plain(root))
+
+
+@st.composite
+def _entries(draw):
+    """Mostly zeros and roots, as block and monomial matrices are."""
+    kind = draw(st.sampled_from(("zero", "zero", "root", "root", "scalar")))
+    if kind == "zero":
+        return Scalar.zero(draw(ORDERS))
+    return draw(_roots() if kind == "root" else _scalars())
+
+
+@CHECKS
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_matmul_matches_the_sum_from_zero(rows, inner, cols, data):
+    a = SMatrix([[data.draw(_entries()) for _ in range(inner)]
+                 for _ in range(rows)])
+    b = SMatrix([[data.draw(_entries()) for _ in range(cols)]
+                 for _ in range(inner)])
+    got = a @ b
+    for i in range(rows):
+        for j in range(cols):
+            want = Scalar.zero()
+            for x, y in zip(a.rows[i], b.transpose().rows[j]):
+                if x and y:
+                    want = want + _plain(x) * _plain(y)
+            assert _rep(got.entry(i, j)) == _rep(want)

@@ -396,6 +396,47 @@ def test_coherence_sides_are_built_once_per_functor_context(monkeypatch):
     assert len(calls) <= 1
 
 
+def test_matrix_symbols_are_rescaled_once_per_context(monkeypatch):
+    # a block rescaled by a trace unit is kept per (side, l, j, a, inverse):
+    # the sweeps rescale each once, and a second sweep rescales none
+    sixj_module = importlib.import_module("twistcat.sixj")
+    evaluate, scale = sixj_module._matrix_symbol, SMatrix.scale
+    calls = {"scale": 0, "inside": 0}
+
+    def counting_scale(self, s):
+        calls["scale"] += 1
+        return scale(self, s)
+
+    def counting(*args):
+        before = calls["scale"]
+        out = evaluate(*args)
+        calls["inside"] += calls["scale"] - before
+        return out
+
+    monkeypatch.setattr(SMatrix, "scale", counting_scale)
+    monkeypatch.setattr(sixj_module, "_matrix_symbol", counting)
+    ctx = functor_context(_identity_bimodule_functor(3, 1, 2))
+    for _ in range(2):
+        assert verify_orthogonality(ctx).ok
+        assert verify_biedenharn_elliott(ctx).ok
+        for kind in ("s", "s^-1", "t", "t^-1"):
+            assert len(sixj_table(ctx, kind)) == 27
+    assert calls["inside"] == len(ctx.scaled) == 4 * 27
+
+
+def test_singular_matrix_symbol_raises_on_every_call():
+    # a singular block is never kept: each evaluation of its inverse raises
+    ctx = functor_context(_doubled_identity(3, singular=True))
+    sixj_module = importlib.import_module("twistcat.sixj")
+    (side,) = ctx.sides
+    labels = (1, 0, 0, side.target.apply(1, 0), side.source.apply(1, 0))
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="singular"):
+            sixj_module._matrix_symbol(ctx, side, labels, True)
+    assert sixj_module._matrix_symbol(ctx, side, labels, False) is not None
+    assert len(ctx.scaled) == 1
+
+
 # ---------------------------------------------------------------------------
 # which relation sees which defect
 # ---------------------------------------------------------------------------
