@@ -11,16 +11,18 @@ them need no array library.  The public ``table``, ``inverse`` and
 ndarrays, nested lists and nested tuples alike (:func:`_flatten`).
 
 The Smith normal form drives every linear solve modulo N in the cohomology
-layer and every integer lattice computation: it returns U^-1 and V^-1 next
-to U and V, so lattice bases, lattice coordinates (``_kernel_mod_coords``)
-and unimodular inverses are read off one factorization, in integers only.
-``_Factor`` keeps the parts of one that solving and the kernel lattice read,
-in the immutable form the cohomology layer caches.
+layer and every integer lattice computation.  Its one immutable result,
+``SNFResult``, keeps U^-1 and V^-1 next to U and V, all four sparse and in
+the orientation their readers take, so solutions, lattice bases, lattice
+coordinates (``_kernel_mod_coords``) and unimodular inverses are read off
+one factorization, in integers only; the cohomology layer caches it as it
+is.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -572,25 +574,32 @@ def gset_isomorphisms(x: GSet, y: GSet, bound: int = 8) -> list[tuple[int, ...]]
 # Smith normal form and linear solving mod N (arbitrary-precision integers)
 # ---------------------------------------------------------------------------
 
+# A sparse integer vector: the indices of its nonzero entries and those
+# entries, in the same order.
+SparseVector = tuple[tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class SNFResult:
-    """U * A * V = D with U, V unimodular and D diagonal, d_1 | d_2 | ...
+    """U * A * V = D for an r x c matrix A, with U, V unimodular and D
+    diagonal, d_1 | d_2 | ...
 
-    U_inv and V_inv are the exact inverses of U and V.
+    ``diag`` is d_1, ..., d_min(r, c).  U, V and their exact inverses are
+    kept sparse, in the orientation each reader takes: ``u_rows`` the r rows
+    of U, ``u_inv_cols`` the r columns of U^-1, ``v_cols`` the c columns of
+    V and ``v_inv_rows`` the c rows of V^-1.  Every part is a tuple, so a
+    cache can keep and share the result.
     """
 
-    D: list[list[int]]
-    U: list[list[int]]
-    V: list[list[int]]
-    U_inv: list[list[int]]
-    V_inv: list[list[int]]
+    diag: tuple[int, ...]
+    u_rows: tuple[SparseVector, ...]
+    u_inv_cols: tuple[SparseVector, ...]
+    v_cols: tuple[SparseVector, ...]
+    v_inv_rows: tuple[SparseVector, ...]
 
     def diagonal(self, pad_to: int = 0) -> list[int]:
         """d_1, d_2, ..., followed by zeros up to length pad_to."""
-        rows = len(self.D)
-        cols = len(self.D[0]) if rows else 0
-        diag = [self.D[i][i] for i in range(min(rows, cols))]
-        return diag + [0] * (pad_to - len(diag))
+        return list(self.diag) + [0] * (pad_to - len(self.diag))
 
 
 def _as_int_rows(matrix) -> tuple[list[list[int]], int, int]:
@@ -617,12 +626,22 @@ def _axpy(dst: dict[int, int], src: dict[int, int], c: int) -> None:
             dst.pop(k, None)
 
 
-def _dense(vectors: list[dict[int, int]], n: int) -> list[list[int]]:
-    out = [[0] * n for _ in vectors]
-    for row, vec in zip(out, vectors):
-        for k, val in vec.items():
-            row[k] = val
+def _frozen(vectors: list[dict[int, int]]) -> tuple[SparseVector, ...]:
+    """Sparse vectors {index: nonzero entry} as (indices, entries) pairs."""
+    return tuple((tuple(vec), tuple(vec.values())) for vec in vectors)
+
+
+def _unpack(vec: SparseVector, n: int, scale: int) -> list[int]:
+    """scale * vec as a list of n ints."""
+    out = [0] * n
+    for k, x in zip(*vec):
+        out[k] = x * scale
     return out
+
+
+def _dot(vec: SparseVector, other: Sequence[int]) -> int:
+    index, entries = vec
+    return sum(map(mul, entries, map(other.__getitem__, index)))
 
 
 def smith_normal_form(matrix) -> SNFResult:
@@ -634,7 +653,8 @@ def smith_normal_form(matrix) -> SNFResult:
     E applied to U is undone on U^-1 as U^-1 E^-1 (a column operation), each
     column operation F on V as F^-1 V^-1 (a row operation), so both inverses
     come out exact without a further elimination.  The four unimodular
-    matrices stay sparse until the end: the differentials they reduce are.
+    matrices are sparse from start to end, as the differentials they reduce
+    are: no dense copy of them, or of D, is built.
     """
     a, rows, cols = _as_int_rows(matrix)
     u = [{i: 1} for i in range(rows)]           # rows of U
@@ -722,38 +742,8 @@ def smith_normal_form(matrix) -> SNFResult:
             u[t] = {k: -x for k, x in u[t].items()}
             u_inv_cols[t] = {k: -x for k, x in u_inv_cols[t].items()}
         t += 1
-    return SNFResult(a, _dense(u, rows), _transpose(_dense(v_cols, cols)),
-                     _transpose(_dense(u_inv_cols, rows)), _dense(v_inv, cols))
-
-
-@dataclass(frozen=True)
-class _Factor:
-    """What a solve of A x = b (mod N) and A's kernel lattice read of the
-    Smith form U A V = D: the diagonal d_1, ..., d_min(rows, cols), each row
-    of U as its nonzero (columns, entries), and V and V^-1 as dense rows.
-
-    D and U^-1 are left out, and every part is a tuple, so a cache can keep
-    and share a factor.
-    """
-
-    diag: tuple[int, ...]
-    u: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    v: tuple[tuple[int, ...], ...]
-    v_inv: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def of(cls, snf: "SNFResult | _Factor") -> "_Factor":
-        """The factor of a Smith form; a factor is returned as it is."""
-        if isinstance(snf, _Factor):
-            return snf
-        return cls(tuple(snf.diagonal()),
-                   tuple((tuple(k for k, x in enumerate(row) if x),
-                          tuple(x for x in row if x)) for row in snf.U),
-                   tuple(map(tuple, snf.V)), tuple(map(tuple, snf.V_inv)))
-
-    def diagonal(self, pad_to: int = 0) -> list[int]:
-        """d_1, d_2, ..., followed by zeros up to length pad_to."""
-        return list(self.diag) + [0] * (pad_to - len(self.diag))
+    return SNFResult(tuple(a[i][i] for i in range(limit)), _frozen(u),
+                     _frozen(u_inv_cols), _frozen(v_cols), _frozen(v_inv))
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int]:
@@ -773,28 +763,22 @@ def _modinv(a: int, n: int) -> int:
     return x % n
 
 
-def _matvec(mat: list[list[int]], vec: list[int]) -> list[int]:
-    support = [(k, x) for k, x in enumerate(vec) if x]
-    return [sum(row[k] * x for k, x in support) for row in mat]
-
-
 def solve_mod(matrix, rhs, modulus: int,
-              snf: Optional[SNFResult | _Factor] = None) -> Optional[list[int]]:
+              snf: Optional[SNFResult] = None) -> Optional[list[int]]:
     """Some x with A x = b (mod modulus), or None when infeasible.
 
     Decided through the Smith normal form: with U A V = D the system becomes
-    D y = U b, which splits into independent congruences d_i y_i = (Ub)_i.
-    A caller that solves several systems with the same A passes its Smith
-    form as ``snf``, an SNFResult or its ``_Factor``; A itself is then not
-    read, and ``matrix`` may be None.
+    D y = U b, which splits into independent congruences d_i y_i = (Ub)_i,
+    and x = V y is the sum of y_j times column j of V.  A caller that solves
+    several systems with the same A passes its Smith form as ``snf``; A
+    itself is then not read, and ``matrix`` may be None.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     if snf is None:
         a, rows, cols = _as_int_rows(matrix)
     else:
-        snf = _Factor.of(snf)
-        rows, cols = len(snf.u), len(snf.v)
+        rows, cols = len(snf.u_rows), len(snf.v_cols)
     b = [int(v) for v in rhs]
     if len(b) != rows:
         raise ValueError("right-hand side length mismatch")
@@ -805,9 +789,8 @@ def solve_mod(matrix, rhs, modulus: int,
     if modulus == 1:
         return [0] * cols
     if snf is None:
-        snf = _Factor.of(smith_normal_form(a))
-    ub = [sum(x * b[k] for k, x in zip(cols_k, row)) % modulus
-          for cols_k, row in snf.u]
+        snf = smith_normal_form(a)
+    ub = [_dot(row, b) % modulus for row in snf.u_rows]
     y = [0] * cols
     for i, (d, r) in enumerate(zip(snf.diagonal(rows), ub)):
         if d == 0:
@@ -819,7 +802,12 @@ def solve_mod(matrix, rhs, modulus: int,
             return None
         sub = modulus // g
         y[i] = ((r // g) * _modinv((d // g) % sub, sub)) % sub if sub > 1 else 0
-    return [val % modulus for val in _matvec(snf.v, y)]
+    x = [0] * cols
+    for y_j, (index, entries) in zip(y, snf.v_cols):
+        if y_j:
+            for k, v in zip(index, entries):
+                x[k] += y_j * v
+    return [val % modulus for val in x]
 
 
 # ---------------------------------------------------------------------------
@@ -830,40 +818,37 @@ def solve_mod(matrix, rhs, modulus: int,
 QUOTIENT_REPS_BOUND = 4096
 
 
-def _kernel_mod_scales(factor: _Factor, modulus: int) -> list[int]:
+def _kernel_mod_scales(snf: SNFResult, modulus: int) -> list[int]:
     """modulus / gcd(d_j, modulus) per column of A (1 where d_j = 0)."""
     return [modulus // gcd(d, modulus) if d else 1
-            for d in factor.diagonal(len(factor.v))]
+            for d in snf.diagonal(len(snf.v_cols))]
 
 
-def _kernel_mod_basis(snf: SNFResult | _Factor,
-                      modulus: int) -> list[list[int]]:
+def _kernel_mod_basis(snf: SNFResult, modulus: int) -> list[list[int]]:
     """Basis over Z of the full-rank lattice {x : A x = 0 mod modulus}.
 
-    ``snf`` is A's Smith form or its factor.  The lattice contains
-    modulus * Z^cols, so the basis has `cols` vectors: column j of V scaled
-    by modulus/gcd(d_j, modulus).
+    ``snf`` is A's Smith form.  The lattice contains modulus * Z^cols, so
+    the basis has `cols` vectors: column j of V scaled by
+    modulus/gcd(d_j, modulus).
     """
-    factor = _Factor.of(snf)
-    scales = _kernel_mod_scales(factor, modulus)
-    return [[row[j] * scale for row in factor.v]
-            for j, scale in enumerate(scales)]
+    cols = len(snf.v_cols)
+    return [_unpack(col, cols, scale)
+            for col, scale in zip(snf.v_cols, _kernel_mod_scales(snf, modulus))]
 
 
-def _kernel_mod_coords(snf: SNFResult | _Factor, modulus: int,
+def _kernel_mod_coords(snf: SNFResult, modulus: int,
                        targets: list[list[int]]) -> list[list[int]]:
     """Coordinates of each target in the basis of ``_kernel_mod_basis``.
 
     That basis is B = V S with S the diagonal of scales, so the coordinates
     are S^-1 V^-1 t; raises ValueError when one is not an integer.
     """
-    factor = _Factor.of(snf)
-    scales = _kernel_mod_scales(factor, modulus)
+    scales = _kernel_mod_scales(snf, modulus)
     out = []
     for t in targets:
         coords = []
-        for val, scale in zip(_matvec(factor.v_inv, t), scales):
-            q, r = divmod(val, scale)
+        for row, scale in zip(snf.v_inv_rows, scales):
+            q, r = divmod(_dot(row, t), scale)
             if r:
                 raise ValueError("target not in the integer lattice")
             coords.append(q)
@@ -882,10 +867,9 @@ def _multiples_in_lattice(generator_cols: list[list[int]], dim: int,
     lcm(d_i, m) / m.
     """
     snf = smith_normal_form(_transpose(generator_cols))
-    basis = []
-    for i, d in enumerate(snf.diagonal()):
-        if d:
-            basis.append([row[i] * (lcm(d, m) // m) for row in snf.U_inv])
+    n = len(snf.u_inv_cols)
+    basis = [_unpack(col, n, lcm(d, m) // m)
+             for col, d in zip(snf.u_inv_cols, snf.diag) if d]
     if len(basis) != dim:
         raise ValueError("lattice is not full rank")
     return basis
@@ -912,7 +896,7 @@ def _lattice_quotient_reps(big_cols: list[list[int]],
         raise EnumerationBoundExceeded(
             f"quotient has {index} cosets, above the bound {QUOTIENT_REPS_BOUND}")
     big_rows = _transpose(big_cols)
-    adapted = [_matvec(big_rows, col) for col in _transpose(snf.U_inv)]
+    adapted = [[_dot(col, row) for row in big_rows] for col in snf.u_inv_cols]
     reps: list[list[int]] = []
 
     def rec(i: int, acc: list[int]):

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .algebra import (
     FiniteGroup,
     GSet,
-    _Factor,
+    SNFResult,
     _array_view,
     _flatten,
     direct_product,
@@ -340,16 +340,15 @@ def differential_matrix(group: FiniteGroup, carrier: GSet,
 
 
 @lru_cache(maxsize=256)
-def _diff_snf(group: FiniteGroup, carrier: GSet, degree: int) -> _Factor:
-    """The Smith form of d on degree-`degree` exponent vectors, as the
-    ``_Factor`` a solve and the kernel lattice read.
+def _diff_snf(group: FiniteGroup, carrier: GSet, degree: int) -> SNFResult:
+    """The Smith form of d on degree-`degree` exponent vectors, with its four
+    sparse unimodular factors, as ``smith_normal_form`` returns it.
 
     It depends on (group, carrier, degree) only, never on a twist or a
     right-hand side, so every solve against one differential shares a single
     factorization; like ``_diff_terms``, at most 256 are kept.
     """
-    return _Factor.of(smith_normal_form(
-        differential_matrix(group, carrier, degree)))
+    return smith_normal_form(differential_matrix(group, carrier, degree))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ divided through by their gcd, so a value has exactly one representation at
 each root order.  Addition, multiplication, equality and inversion run on
 Python ints: reduction modulo the monic Phi_N, the embeddings
 Q(zeta_n) -> Q(zeta_m) and the Galois automorphisms are integer maps read off
-one cached table of the reduced powers of zeta_N.  Fractions appear only at
-the boundaries: the constructor, ``coeffs``, ``from_rational``,
-``as_rational``, printing and JSON.
+one cached table of the reduced powers of zeta_N.  A product with a zero
+factor is the zero at the common root order, with no polynomial product.
+Fractions appear only at the boundaries: the constructor, ``coeffs``,
+``from_rational``, ``as_rational``, printing and JSON.
 
 A scalar known to be a root of unity, sign * zeta_N**e at its own root
 order N, carries the tag ``(sign, e)``: roots of unity, converted units, and
@@ -391,6 +392,8 @@ class Scalar:
         if other._root is not None:
             return self._times_root(other.root_order, other._root)
         m, a, b = self._coerce(other)
+        if not (any(a) and any(b)):  # zero, as the product below would give it
+            return _raw(m, (0,) * len(a), 1)
         return _scalar(m, _reduce(_poly_mul(a, b), m), self._den * other._den)
 
     __rmul__ = __mul__

@@ -57,6 +57,29 @@ def oracle_snf_diagonal(rows: list[list[int]]) -> list[int]:
     return out
 
 
+def dense_snf(snf) -> tuple[list[list[int]], ...]:
+    """(D, U, V, U^-1, V^-1) of a Smith form as dense lists of rows.
+
+    The factorization stores U and V^-1 by rows, U^-1 and V by columns, each
+    vector as its (indices, nonzero entries); D is read off the diagonal.
+    """
+    r, c = len(snf.u_rows), len(snf.v_cols)
+
+    def rows_of(vectors, n):
+        out = [[0] * n for _ in vectors]
+        for row, (index, entries) in zip(out, vectors):
+            for k, x in zip(index, entries):
+                row[k] = x
+        return out
+
+    def cols_of(vectors, n):
+        return [list(row) for row in zip(*rows_of(vectors, n))]
+
+    d = [[snf.diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
+    return (d, rows_of(snf.u_rows, r), cols_of(snf.v_cols, c),
+            cols_of(snf.u_inv_cols, r), rows_of(snf.v_inv_rows, c))
+
+
 # ---------------------------------------------------------------------------
 # tiny group/G-set utilities (independent, dict based)
 # ---------------------------------------------------------------------------

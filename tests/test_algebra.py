@@ -37,6 +37,7 @@ from oracles import (
     Q8_TABLE,
     S3_TABLE,
     cyclic_table,
+    dense_snf,
     oracle_characters,
     oracle_gset_isomorphisms,
     oracle_orbits,
@@ -297,9 +298,7 @@ def test_smith_normal_form_random_matrices():
         cols = int(rng.integers(1, 6))
         mat = rng.integers(-9, 10, size=(rows, cols))
         snf = smith_normal_form(mat)
-        u = np.array(snf.U)
-        v = np.array(snf.V)
-        d = np.array(snf.D)
+        d, u, v, _, _ = map(np.array, dense_snf(snf))
         assert np.array_equal(u @ mat @ v, d)
         assert abs(round(float(np.linalg.det(u)))) == 1
         assert abs(round(float(np.linalg.det(v)))) == 1

@@ -18,12 +18,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from twistcat._matrix import SMatrix, matrix_rank, nullspace_basis
 from twistcat.algebra import (QUOTIENT_REPS_BOUND, _kernel_mod_basis,
                               _kernel_mod_coords, _lattice_quotient_reps,
-                              _multiples_in_lattice, smith_normal_form,
-                              solve_mod)
+                              _multiples_in_lattice, cyclic_group,
+                              regular_gset, smith_normal_form, solve_mod)
+from twistcat.cohomology import differential_matrix
 from twistcat.errors import EnumerationBoundExceeded
 from twistcat.scalar import Scalar, _gauss_jordan, _phi_degree
 
-from oracles import oracle_snf_diagonal
+from oracles import dense_snf, oracle_snf_diagonal
 
 CHECKS = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -90,8 +91,8 @@ def test_gauss_jordan_leaves_input_untouched():
 @given(u=_unimodular())
 def test_unimodular_inverse_matches_sympy(u):
     # U u V = D, so u^-1 = V D^-1 U
-    snf = smith_normal_form(u)
-    uinv = sympy.Matrix(snf.V) * sympy.Matrix(snf.D).inv() * sympy.Matrix(snf.U)
+    d, u_snf, v, _, _ = dense_snf(smith_normal_form(u))
+    uinv = sympy.Matrix(v) * sympy.Matrix(d).inv() * sympy.Matrix(u_snf)
     assert uinv == sympy.Matrix(u).inv()
     assert all(v.is_integer for v in uinv)
 
@@ -163,24 +164,28 @@ def _sparse_int_matrix(draw, max_dim=5):
             for i, row in enumerate(rows)], r, c
 
 
-@settings(CHECKS, max_examples=60)
-@given(drawn=_sparse_int_matrix())
-@example(drawn=([[2, 0], [0, 3]], 2, 2))   # 2 does not divide 3: repair
-@example(drawn=([[4, 6, 0], [6, 9, 2]], 2, 3))
-def test_smith_form_factorization_and_inverses(drawn):
-    rows, r, c = drawn
+def _assert_factorization(rows, r, c, snf):
+    """Each factor stores distinct indices and nonzero entries only; made
+    dense, U A V = D with D diagonal, d_1 | d_2 | ..., and the sympy
+    invariant factors, and U^-1 and V^-1 are the inverses of U and V."""
+    for vectors, n in ((snf.u_rows, r), (snf.u_inv_cols, r),
+                       (snf.v_cols, c), (snf.v_inv_rows, c)):
+        assert len(vectors) == n
+        for index, entries in vectors:
+            assert len(index) == len(entries) and all(entries)
+            assert len(set(index)) == len(index)
+            assert all(0 <= k < n for k in index)
     a = _obj(rows, r, c)
-    snf = smith_normal_form(a)
-    u, v = _obj(snf.U, r, r), _obj(snf.V, c, c)
-    u_inv, v_inv = _obj(snf.U_inv, r, r), _obj(snf.V_inv, c, c)
-    d = _obj(snf.D, r, c)
-    assert (u @ a @ v == d).all()
+    d, u, v, u_inv, v_inv = (_obj(m, n, k) for m, (n, k) in zip(
+        dense_snf(snf), ((r, c), (r, r), (c, c), (r, r), (c, c))))
+    product = u @ a @ v
+    assert (product == d).all()
     assert (u @ u_inv == np.eye(r, dtype=int)).all()
     assert (u_inv @ u == np.eye(r, dtype=int)).all()
     assert (v @ v_inv == np.eye(c, dtype=int)).all()
     assert (v_inv @ v == np.eye(c, dtype=int)).all()
     diag = snf.diagonal()
-    off_diagonal = d.copy()
+    off_diagonal = product.copy()
     for i in range(len(diag)):
         off_diagonal[i, i] = 0
     assert not off_diagonal.any()
@@ -188,6 +193,27 @@ def test_smith_form_factorization_and_inverses(drawn):
     assert diag == nonzero + [0] * (len(diag) - len(nonzero))
     if r and c:
         assert nonzero == oracle_snf_diagonal(rows)
+
+
+@settings(CHECKS, max_examples=60)
+@given(drawn=_sparse_int_matrix())
+@example(drawn=([[2, 0], [0, 3]], 2, 2))   # 2 does not divide 3: repair
+@example(drawn=([[4, 6, 0], [6, 9, 2]], 2, 3))
+def test_smith_form_factorization_and_inverses(drawn):
+    rows, r, c = drawn
+    _assert_factorization(rows, r, c, smith_normal_form(_obj(rows, r, c)))
+
+
+def test_differential_smith_form_is_sparse_and_exact():
+    # d2 of the Z/4 regular carrier, 256 x 64, as the enumeration factors it
+    z4 = cyclic_group(4)
+    rows = differential_matrix(z4, regular_gset(z4), 2)
+    snf = smith_normal_form(rows)
+    r, c = len(rows), len(rows[0])
+    _assert_factorization(rows, r, c, snf)
+    stored = sum(len(index) for vectors in (snf.u_rows, snf.u_inv_cols)
+                 for index, _ in vectors)
+    assert stored < r * r  # U and U^-1 together: fewer than one dense copy
 
 
 @CHECKS

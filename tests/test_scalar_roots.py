@@ -12,7 +12,8 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from twistcat._matrix import SMatrix
-from twistcat.scalar import Scalar, Unit, _powers, _raw
+from twistcat.scalar import (Scalar, Unit, _poly_mul, _powers, _raw, _reduce,
+                             _scalar)
 
 CHECKS = settings(derandomize=True, max_examples=60, deadline=None)
 ORDERS = st.integers(1, 12)
@@ -83,6 +84,24 @@ def test_root_inverse_and_negation_match_the_generic_path(root):
         _assert_tag(got)
         assert _rep(got) == _rep(want)
     assert (root * root.inverse()).is_one()
+
+
+def _generic_product(x: Scalar, y: Scalar):
+    """x * y by the polynomial product, its reduction and the gcd."""
+    m, a, b = x._coerce(y)
+    return _rep(_scalar(m, _reduce(_poly_mul(a, b), m), x._den * y._den))
+
+
+@CHECKS
+@given(ORDERS, st.one_of(_roots(), _scalars()))
+def test_zero_operand_matches_the_generic_product(n, x):
+    # a zero factor returns the zero at the common root order directly; with
+    # a tagged factor, tagged or stripped, and an untagged one alike
+    zero = Scalar.zero(n)
+    for left, right in ((zero, x), (x, zero), (zero, _plain(x)),
+                        (_plain(x), zero), (zero, zero), (x, Scalar.zero())):
+        assert _rep(left * right) == _generic_product(left, right)
+        assert (left * right).is_zero()
 
 
 def test_minus_one_at_orders_one_and_two():
