@@ -21,6 +21,7 @@ is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -68,12 +69,14 @@ __all__ = [
 _NESTED = (list, tuple, range)
 
 
-def _flatten(data) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The entries (row-major, as ints) and the shape of a rectangular table.
+def _table_rows(data) -> tuple[list[list[int]], tuple[int, ...]]:
+    """The last-axis rows (fresh lists of ints, row-major) and the shape of a
+    rectangular table.
 
     ``data`` is an ndarray or anything else with ``tolist``, or nested lists
-    or tuples; a ragged table raises ValueError.  An array with a zero-length
-    axis keeps its own shape.
+    or tuples, or a single int (one row of one entry, shape ()); a ragged
+    table raises ValueError.  Each row is read once, straight from its
+    sequence.  An array with a zero-length axis keeps its own shape.
     """
     hint = getattr(data, "shape", None)
     if hasattr(data, "tolist"):
@@ -85,7 +88,7 @@ def _flatten(data) -> tuple[tuple[int, ...], tuple[int, ...]]:
         if not probe:
             break
         probe = probe[0]
-    flat: list[int] = []
+    rows: list[list[int]] = []
 
     def walk(node, depth: int) -> None:
         if not isinstance(node, _NESTED) or len(node) != shape[depth]:
@@ -95,17 +98,24 @@ def _flatten(data) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 walk(child, depth + 1)
             return
         try:
-            flat.extend(map(int, node))
+            rows.append(list(map(int, node)))
         except TypeError:   # a nested entry below the last axis
             raise ValueError("table is not rectangular") from None
 
     if shape:
         walk(data, 0)
     else:
-        flat.append(int(data))
-    if not flat and hint is not None:
+        rows.append([int(data)])
+    if not any(rows) and hint is not None:
         shape = list(hint)
-    return tuple(flat), tuple(shape)
+    return rows, tuple(shape)
+
+
+def _flatten(data) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The entries (row-major, as ints) and the shape of a rectangular table,
+    read as :func:`_table_rows` reads it."""
+    rows, shape = _table_rows(data)
+    return tuple(chain.from_iterable(rows)), shape
 
 
 def _rows(flat: Sequence[int], width: int) -> list[tuple[int, ...]]:
@@ -603,13 +613,14 @@ class SNFResult:
 
 
 def _as_int_rows(matrix) -> tuple[list[list[int]], int, int]:
-    flat, shape = _flatten(matrix)
-    if shape == (0,):   # an empty one-dimensional input is the 0 x 0 matrix
+    """Fresh int rows of a two-dimensional matrix (its one copy), and its
+    shape; an empty one-dimensional input is the 0 x 0 matrix."""
+    rows, shape = _table_rows(matrix)
+    if shape == (0,):
         shape = (0, 0)
     if len(shape) != 2:
         raise ValueError("matrix must be two-dimensional")
-    rows, cols = shape
-    return [list(flat[i * cols:(i + 1) * cols]) for i in range(rows)], rows, cols
+    return rows if shape[0] else [], shape[0], shape[1]
 
 
 def _transpose(rows: list[list[int]]) -> list[list[int]]:
@@ -768,10 +779,15 @@ def solve_mod(matrix, rhs, modulus: int,
     """Some x with A x = b (mod modulus), or None when infeasible.
 
     Decided through the Smith normal form: with U A V = D the system becomes
-    D y = U b, which splits into independent congruences d_i y_i = (Ub)_i,
-    and x = V y is the sum of y_j times column j of V.  A caller that solves
-    several systems with the same A passes its Smith form as ``snf``; A
-    itself is then not read, and ``matrix`` may be None.
+    D y = U b.  Only its r pivot rows (d_i != 0) are solved, each an
+    independent congruence d_i y_i = (Ub)_i that reads row i of U (and takes
+    no inverse when d_i = 1); y is zero past r.  As A V y = U^-1 D y, the
+    system is feasible exactly when the sum of d_i y_i times column i of
+    U^-1 is b mod modulus, so the rows - r cokernel rows of U are never
+    read; columns with y_i = 0 are skipped, and the particular solutions
+    of the cohomology layer have few nonzero y_i.  x = V y is the sum of y_j times column j of V.  A caller that
+    solves several systems with the same A passes its Smith form as
+    ``snf``; A itself is then not read, and ``matrix`` may be None.
     """
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
@@ -779,7 +795,7 @@ def solve_mod(matrix, rhs, modulus: int,
         a, rows, cols = _as_int_rows(matrix)
     else:
         rows, cols = len(snf.u_rows), len(snf.v_cols)
-    b = [int(v) for v in rhs]
+    b = list(map(int, rhs))
     if len(b) != rows:
         raise ValueError("right-hand side length mismatch")
     if rows == 0:
@@ -790,18 +806,27 @@ def solve_mod(matrix, rhs, modulus: int,
         return [0] * cols
     if snf is None:
         snf = smith_normal_form(a)
-    ub = [_dot(row, b) % modulus for row in snf.u_rows]
-    y = [0] * cols
-    for i, (d, r) in enumerate(zip(snf.diagonal(rows), ub)):
-        if d == 0:
-            if r % modulus != 0:
+    y = []
+    image = [0] * rows   # U^-1 D y
+    for d, row, (index, entries) in zip(snf.diag, snf.u_rows,
+                                        snf.u_inv_cols):
+        if not d:
+            break
+        r = _dot(row, b) % modulus
+        if d == 1:
+            y_i = r
+        else:
+            g = gcd(d, modulus)
+            if r % g:
                 return None
-            continue
-        g = gcd(d, modulus)
-        if r % g != 0:
-            return None
-        sub = modulus // g
-        y[i] = ((r // g) * _modinv((d // g) % sub, sub)) % sub if sub > 1 else 0
+            sub = modulus // g
+            y_i = (r // g) * _modinv((d // g) % sub, sub) % sub
+        y.append(y_i)
+        if y_i:
+            for k, u in zip(index, entries):
+                image[k] += d * y_i * u
+    if any((v - w) % modulus for v, w in zip(image, b)):
+        return None
     x = [0] * cols
     for y_j, (index, entries) in zip(y, snf.v_cols):
         if y_j:

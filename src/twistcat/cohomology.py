@@ -56,15 +56,18 @@ __all__ = [
 ]
 
 
-def _identity_positions(shape: tuple[int, ...], identities) -> list[int]:
+@lru_cache(maxsize=256)
+def _identity_positions(shape: tuple[int, ...],
+                        identities: tuple[int, ...]) -> tuple[int, ...]:
     """The flat row-major positions of a table of ``shape`` whose index on
-    some axis i is identities[i], in increasing order."""
+    some axis i is identities[i], in increasing order; cached, like the
+    differential's terms, for at most 256 (shape, identities) pairs."""
     out = set()
     for axis, e in enumerate(identities):
         stride = prod(shape[axis + 1:])
         for start in range(e * stride, prod(shape), shape[axis] * stride):
             out.update(range(start, start + stride))
-    return sorted(out)
+    return tuple(sorted(out))
 
 
 class UnitCochain:
@@ -153,7 +156,7 @@ class UnitCochain:
         """True when every entry with an identity argument is trivial."""
         flat = self.exponents_flat
         return not any(flat[p] for p in _identity_positions(
-            self.shape, [g.identity for g in self.slot_groups]))
+            self.shape, tuple(g.identity for g in self.slot_groups)))
 
     def is_trivial(self) -> bool:
         return not any(self.exponents_flat)
@@ -340,15 +343,23 @@ def differential_matrix(group: FiniteGroup, carrier: GSet,
 
 
 @lru_cache(maxsize=256)
-def _diff_snf(group: FiniteGroup, carrier: GSet, degree: int) -> SNFResult:
+def _diff_snf(group: FiniteGroup, carrier: GSet, degree: int,
+              identity_rows: bool = False) -> SNFResult:
     """The Smith form of d on degree-`degree` exponent vectors, with its four
-    sparse unimodular factors, as ``smith_normal_form`` returns it.
+    sparse unimodular factors, as ``smith_normal_form`` returns it.  With
+    ``identity_rows`` only the rows of d whose output arguments contain the
+    identity are factored: the subsystem ``normalize`` solves.
 
     It depends on (group, carrier, degree) only, never on a twist or a
     right-hand side, so every solve against one differential shares a single
     factorization; like ``_diff_terms``, at most 256 are kept.
     """
-    return smith_normal_form(differential_matrix(group, carrier, degree))
+    mat = differential_matrix(group, carrier, degree)
+    if identity_rows:
+        mat = [mat[p] for p in _identity_positions(
+            (group.order,) * (degree + 1) + (carrier.size,),
+            (group.identity,) * (degree + 1))]
+    return smith_normal_form(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +399,9 @@ def normalize(eta: UnitCochain) -> UnitCochain:
 
     Requires d(eta) normalized; mu is found by solving the subsystem of the
     degree n-1 differential on the coordinates that contain an identity
-    argument.  Already-normalized input is returned unchanged.
+    argument, against that subsystem's Smith form, which is cached per
+    (group, carrier, degree) (``_diff_snf`` with ``identity_rows``).
+    Already-normalized input is returned unchanged.
     """
     if eta.normalized:
         return eta
@@ -398,10 +411,10 @@ def normalize(eta: UnitCochain) -> UnitCochain:
     group = eta.group
     if n == 0:
         return eta  # no argument slots: vacuously normalized (unreachable)
-    mat = differential_matrix(group, eta.carrier, n - 1)
     rows = _identity_positions(eta.shape, (group.identity,) * n)
     rhs = [(-eta.exponents_flat[p]) % eta.root_order for p in rows]
-    mu_vec = solve_mod([mat[p] for p in rows], rhs, eta.root_order)
+    mu_vec = solve_mod(None, rhs, eta.root_order,
+                       snf=_diff_snf(group, eta.carrier, n - 1, True))
     if mu_vec is None:
         raise NotNormalizable(
             "no normalizing coboundary exists at this root order")
@@ -452,9 +465,20 @@ def inflate(eta: UnitCochain, carrier: GSet) -> UnitCochain:
         raise ValueError("inflate expects a point-carrier cochain")
     if carrier.group != eta.group:
         raise ValueError("carrier group mismatch")
-    exps = [e for e in eta.exponents_flat for _ in range(carrier.size)]
-    return UnitCochain.from_flat(eta.degree, carrier, eta.root_order, exps,
-                                 slot_groups=eta.slot_groups)
+    return UnitCochain.from_flat(
+        eta.degree, carrier, eta.root_order,
+        _per_point(eta.exponents_flat, carrier.size),
+        slot_groups=eta.slot_groups)
+
+
+def _per_point(values: Sequence[int], size: int) -> list[int]:
+    """A point-carrier table spread over a carrier of ``size`` points: each
+    entry of ``values`` repeated ``size`` times, one strided slice per
+    point."""
+    out = [0] * (len(values) * size)
+    for x in range(size):
+        out[x::size] = values
+    return out
 
 
 def _flipped(omega: UnitCochain) -> list[int]:

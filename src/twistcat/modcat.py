@@ -37,6 +37,7 @@ from .cohomology import (
     _diff_snf,
     _differential_raw,
     _identity_positions,
+    _per_point,
     _pull_back,
     differential,
     differential_matrix,
@@ -188,12 +189,18 @@ def _check_twisted_cocycle(log: FailureLog, normalized: str, cocycle: str,
     scale = root // cochain.root_order
     lhs = [(v * scale) % root
            for v in _differential_raw(e, grp, carrier, 2)]
-    scale = root // omega.root_order
-    rhs = [(-w * scale) % root
-           for w in omega.exponents_flat for _ in range(carrier.size)]
     _collect_failures(log, cocycle, (grp.order,) * 3 + (carrier.size,),
-                      lhs, rhs, root)
+                      lhs, _inflated_inverse(omega, carrier.size, root), root)
     return len(id_rows) + len(lhs)
+
+
+def _inflated_inverse(omega: UnitCochain, size: int, root: int) -> list[int]:
+    """The exponents of omega^-1 at root order ``root`` (a multiple of
+    omega's), spread over the ``size`` points of a carrier: the table d(Psi)
+    of a module structure on that carrier equals."""
+    scale = root // omega.root_order
+    return _per_point([(-w * scale) % root for w in omega.exponents_flat],
+                      size)
 
 
 @lru_cache(maxsize=256)
@@ -235,22 +242,20 @@ def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
     G-set over another group.
 
     Only the particular solution depends on omega.  The Smith form of d2 is
-    cached per (group, carrier) (``cohomology._diff_snf``) and the class
-    representatives per (group, carrier, lifted root order)
-    (``_class_reps``), each cache bounded at 256 entries, so the twists of one
-    carrier share them.
+    cached per (group, carrier) (``cohomology._diff_snf``), and so is the
+    Smith form of the identity-row subsystem of d1 that ``normalize`` solves
+    against; the class representatives are cached per (group, carrier,
+    lifted root order) (``_class_reps``).  Each cache is bounded at 256
+    entries, so the twists of one carrier share them, and a warm call runs
+    no Smith normal form and builds no differential matrix.
     """
     grp = fusion.group
     if x.group != grp:
         raise ShapeMismatch("carrier G-set is over the wrong group")
     omega = fusion.omega
-    m = grp.order
-    n0 = omega.root_order
-    lifted = n0 * m
-
-    rhs_lifted = [((-w) % n0 * m) % lifted
-                  for w in omega.exponents_flat for _ in range(x.size)]
-    particular = solve_mod(None, rhs_lifted, lifted, snf=_diff_snf(grp, x, 2))
+    lifted = omega.root_order * grp.order
+    particular = solve_mod(None, _inflated_inverse(omega, x.size, lifted),
+                           lifted, snf=_diff_snf(grp, x, 2))
     if particular is None:
         return []
 

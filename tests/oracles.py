@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import sympy
 
@@ -78,6 +79,44 @@ def dense_snf(snf) -> tuple[list[list[int]], ...]:
     d = [[snf.diag[i] if i == j else 0 for j in range(c)] for i in range(r)]
     return (d, rows_of(snf.u_rows, r), cols_of(snf.v_cols, c),
             cols_of(snf.u_inv_cols, r), rows_of(snf.v_inv_rows, c))
+
+
+def oracle_solve_mod_every_row(snf, rhs, modulus: int):
+    """The x with A x = b (mod modulus) that ``solve_mod`` picks, or None,
+    decided from every row of U for ``snf``, A's Smith form U A V = D.
+
+    D y = U b is solved row by row: a pivot row d_i y_i = (Ub)_i takes
+    y_i = (Ub)_i / g times the inverse of d_i / g modulo modulus / g, with
+    g = gcd(d_i, modulus), and a row past the pivots (d_i = 0) needs
+    (Ub)_i = 0.  Then x = V y mod modulus.
+    """
+    rows, cols = len(snf.u_rows), len(snf.v_cols)
+    b = [int(v) for v in rhs]
+    if rows == 0:
+        return [0] * cols
+    if cols == 0:
+        return [] if all(v % modulus == 0 for v in b) else None
+    if modulus == 1:
+        return [0] * cols
+    ub = [sum(e * b[k] for k, e in zip(index, entries)) % modulus
+          for index, entries in snf.u_rows]
+    diag = list(snf.diag) + [0] * (rows - len(snf.diag))
+    y = [0] * cols
+    for i, (d, r) in enumerate(zip(diag, ub)):
+        if d == 0:
+            if r:
+                return None
+            continue
+        g = gcd(d, modulus)
+        if r % g:
+            return None
+        sub = modulus // g
+        y[i] = (r // g) * pow(d // g, -1, sub) % sub if sub > 1 else 0
+    x = [0] * cols
+    for y_j, (index, entries) in zip(y, snf.v_cols):
+        for k, v in zip(index, entries):
+            x[k] += y_j * v
+    return [v % modulus for v in x]
 
 
 # ---------------------------------------------------------------------------

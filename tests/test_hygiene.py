@@ -177,14 +177,9 @@ def test_no_unreferenced_private_helpers():
     assert not dead, f"private helpers nothing references: {dead}"
 
 
-def test_smith_forms_of_differentials_come_from_the_cache():
-    # a differential's Smith form does not depend on the twist, so outside
-    # algebra's own lattice helpers and solve_mod's fallback the one caller
-    # of smith_normal_form is the cached factorization cohomology._diff_snf
-    allowed = {("algebra.py", "_multiples_in_lattice"),
-               ("algebra.py", "_lattice_quotient_reps"),
-               ("algebra.py", "solve_mod"),
-               ("cohomology.py", "_diff_snf")}
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module file, enclosing function) of every call of ``name`` in the
+    package, by bare name or as an attribute."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -194,9 +189,29 @@ def test_smith_forms_of_differentials_come_from_the_cache():
                 for node in ast.walk(fn):
                     owner.setdefault(id(node), fn.name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and "smith_normal_form" in (
+            if isinstance(node, ast.Call) and name in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
                 callers.add((path.name, owner.get(id(node))))
+    return callers
+
+
+def test_smith_forms_of_differentials_come_from_the_cache():
+    # a differential's Smith form does not depend on the twist, so outside
+    # algebra's own lattice helpers and solve_mod's fallback the one caller
+    # of smith_normal_form is the cached factorization cohomology._diff_snf
+    allowed = {("algebra.py", "_multiples_in_lattice"),
+               ("algebra.py", "_lattice_quotient_reps"),
+               ("algebra.py", "solve_mod"),
+               ("cohomology.py", "_diff_snf")}
+    callers = _callers("smith_normal_form")
     assert ("cohomology.py", "_diff_snf") in callers
     assert callers <= allowed, f"uncached Smith forms: {callers - allowed}"
+
+
+def test_differential_matrices_are_built_only_for_cached_results():
+    # a dense differential is built only to be factored once per (group,
+    # carrier, degree) or to seed the cached class lattice, never per call
+    callers = _callers("differential_matrix")
+    assert callers == {("cohomology.py", "_diff_snf"),
+                       ("modcat.py", "_class_reps")}

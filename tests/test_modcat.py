@@ -3,9 +3,11 @@ import importlib.util
 import json
 import pathlib
 import sys
+from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from twistcat import algebra, cohomology, modcat
 from twistcat.algebra import (
@@ -18,9 +20,10 @@ from twistcat.algebra import (
     subgroups,
     trivial_gset,
 )
-from twistcat.cohomology import UnitCochain, cohomologous, deligne_omega, omega_cyclic
-from twistcat.errors import (EnumerationBoundExceeded, NotTransitive,
-                             ShapeMismatch, ValidationError)
+from twistcat.cohomology import (UnitCochain, cohomologous, deligne_omega,
+                                 differential, normalize, omega_cyclic)
+from twistcat.errors import (EnumerationBoundExceeded, NotNormalizable,
+                             NotTransitive, ShapeMismatch, ValidationError)
 from twistcat.fusion import FusionData
 from twistcat.modcat import (
     BimoduleCategoryData,
@@ -170,7 +173,8 @@ def test_bound_exceeded_is_raised_on_every_call():
 def test_d2_is_factored_once_per_carrier(monkeypatch):
     # d2 (m^3 |X| rows) does not depend on the twist: the four associators of
     # Z/2 x Z/2 on its three coset carriers and its point factor it once per
-    # carrier, and a second sweep not at all
+    # carrier, and a second sweep runs no Smith form of any size (d2, the
+    # subsystem normalize solves, the lattice helpers)
     v4 = direct_product(Z2, Z2)
     carriers = [coset_gset(v4, sub) for sub in subgroups(v4)
                 if len(sub) in (2, 4)]
@@ -190,18 +194,92 @@ def test_d2_is_factored_once_per_carrier(monkeypatch):
         if hasattr(module, "smith_normal_form"):
             monkeypatch.setattr(module, "smith_normal_form", counting)
 
-    def sweep() -> int:
-        count = 0
+    def sweep() -> tuple[int, int]:
+        d2 = calls = 0
         for x in carriers:
             for fus in fusions:
                 rows.clear()
                 modcats_for(fus, x)
-                count += rows.count(v4.order ** 3 * x.size)
-        return count
+                d2 += rows.count(v4.order ** 3 * x.size)
+                calls += len(rows)
+        return d2, calls
 
     _clear_caches()
-    assert sweep() == 4
-    assert sweep() == 0
+    d2, calls = sweep()
+    assert d2 == 4 and calls > d2
+    assert sweep() == (0, 0)
+
+
+def _normalized_or_none(eta):
+    try:
+        return normalize(eta)
+    except NotNormalizable:
+        return None
+
+
+def _normalize_afresh(eta):
+    """normalize with its subsystem rebuilt and factored on the spot: the
+    identity rows of d_{n-1} solved by solve_mod from the matrix itself."""
+    n, grp = eta.degree, eta.group
+    mat = cohomology.differential_matrix(grp, eta.carrier, n - 1)
+    rows = cohomology._identity_positions(eta.shape, (grp.identity,) * n)
+    rhs = [(-eta.exponents_flat[p]) % eta.root_order for p in rows]
+    mu = algebra.solve_mod([mat[p] for p in rows], rhs, eta.root_order)
+    if mu is None:
+        return None
+    return eta * differential(UnitCochain.from_flat(n - 1, eta.carrier,
+                                                    eta.root_order, mu))
+
+
+Z3, Z4, V4 = cyclic_group(3), cyclic_group(4), direct_product(Z2, Z2)
+NORMALIZE_CASES = [
+    (Z2, PT2, 1), (Z2, REG2, 2), (Z2, disjoint_union_gset(PT2, REG2), 3),
+    (Z3, regular_gset(Z3), 2), (Z4, coset_gset(Z4, subgroups(Z4)[1]), 2),
+    (V4, coset_gset(V4, subgroups(V4)[1]), 2), (V4, point_gset(V4), 3),
+]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(case=st.sampled_from(NORMALIZE_CASES), root=st.integers(2, 8),
+       gauged=st.booleans(), data=st.data())
+def test_normalize_is_the_same_cold_and_warm(case, root, gauged, data):
+    # a random cochain (mostly not normalizable), or a random normalized one
+    # times a random coboundary: normalize gives the same cochain, or
+    # NotNormalizable, from empty caches, warm, and factored afresh
+    grp, x, degree = case
+    shape = (grp.order,) * degree + (x.size,)
+    exps = data.draw(st.lists(st.integers(0, root - 1), min_size=prod(shape),
+                              max_size=prod(shape)))
+    if gauged:
+        for p in cohomology._identity_positions(shape, (grp.identity,) * degree):
+            exps[p] = 0
+        mu = data.draw(st.lists(st.integers(0, root - 1),
+                                min_size=prod(shape[1:]), max_size=prod(shape[1:])))
+        eta = (UnitCochain.from_flat(degree, x, root, exps)
+               * differential(UnitCochain.from_flat(degree - 1, x, root, mu)))
+    else:
+        eta = UnitCochain.from_flat(degree, x, root, exps)
+    assume(not eta.normalized)
+    want = _normalize_afresh(eta)
+    if gauged:
+        assert want is not None
+    _clear_caches()
+    for _ in range(2):
+        got = _normalized_or_none(eta)
+        if want is None:
+            assert got is None
+        else:
+            assert got.root_order == want.root_order
+            assert got.exponents_flat == want.exponents_flat
+
+
+def test_not_normalizable_cold_and_warm():
+    # a unit at the identity of a 1-cochain on a point: d0 vanishes there
+    eta = UnitCochain(1, PT2, 2, [[1], [0]])
+    _clear_caches()
+    for _ in range(2):
+        with pytest.raises(NotNormalizable):
+            normalize(eta)
 
 
 REGULAR_PSI = pathlib.Path(__file__).parent / "fixtures" / "regular_carrier_psi.json"
