@@ -4,6 +4,11 @@ and exact rank/nullspace computations over the scalar field.
 
 Inverses, ranks and nullspaces all reduce with ``scalar._gauss_jordan``, the
 package's one exact elimination routine; this module has no loop of its own.
+
+Relations between scaled products are checked by :func:`is_scaled_product`
+and :func:`scaled_products_equal`, which compare entry by entry and build no
+matrix; products accumulate each entry from its first nonzero term, in
+``__matmul__`` and in the comparisons alike.
 """
 from __future__ import annotations
 
@@ -87,22 +92,13 @@ class SMatrix:
         return self.rows[i][j]
 
     def __matmul__(self, other: "SMatrix") -> "SMatrix":
-        if self.ncols != other.nrows:
-            raise ShapeMismatch(
-                f"cannot multiply {self.nrows}x{self.ncols} by "
-                f"{other.nrows}x{other.ncols}")
+        cols = _product_columns(self, other)
         zero = Scalar.zero()
-        cols = list(zip(*other.rows))
         out = []
         for row in self.rows:
             new = []
             for col in cols:
-                # block and monomial matrices are mostly zero: an entry
-                # starts from its first nonzero product
-                acc = None
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = a * b if acc is None else acc + a * b
+                acc = _product_entry(row, col)
                 new.append(zero if acc is None else acc)
             out.append(new)
         return SMatrix._trusted(out)
@@ -114,8 +110,7 @@ class SMatrix:
                                  for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, s) -> "SMatrix":
-        if isinstance(s, Unit):
-            s = s.to_scalar()
+        s = _as_scalar(s)
         return SMatrix._trusted([[s * v for v in row] for row in self.rows])
 
     def transpose(self) -> "SMatrix":
@@ -165,6 +160,73 @@ class SMatrix:
     @classmethod
     def from_json(cls, data) -> "SMatrix":
         return cls([[Scalar.from_json(v) for v in row] for row in data])
+
+
+def _as_scalar(s) -> Scalar:
+    return s.to_scalar() if isinstance(s, Unit) else s
+
+
+def _product_columns(first: SMatrix, second: SMatrix) -> list[tuple]:
+    """The columns of second, once first @ second is known to be defined."""
+    if len(first.rows[0]) != len(second.rows):
+        raise ShapeMismatch(
+            f"cannot multiply {first.nrows}x{first.ncols} by "
+            f"{second.nrows}x{second.ncols}")
+    return list(zip(*second.rows))
+
+
+def _product_entry(row, col) -> Optional[Scalar]:
+    """The sum of row[k] * col[k], or None when every term is zero.  Block
+    and monomial matrices are mostly zero, so the sum starts from its first
+    nonzero product."""
+    acc = None
+    for a, b in zip(row, col):
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    return acc
+
+
+def is_scaled_product(lhs: SMatrix, u, first: SMatrix,
+                      second: SMatrix) -> bool:
+    """Whether lhs == (first @ second).scale(u), with no matrix built.
+
+    Raises ShapeMismatch exactly where ``first @ second`` does; a lhs of
+    another shape than the product is unequal to it.  u is a Scalar or a
+    Unit.
+    """
+    cols = _product_columns(first, second)
+    rows = lhs.rows
+    if len(rows) != len(first.rows) or len(rows[0]) != len(cols):
+        return False
+    u = _as_scalar(u)
+    for row, want in zip(first.rows, rows):
+        for col, w in zip(cols, want):
+            acc = _product_entry(row, col)
+            if acc is None:
+                if w:
+                    return False
+            elif w != u * acc:
+                return False
+    return True
+
+
+def scaled_products_equal(u, first: SMatrix, second: SMatrix, v,
+                          third: SMatrix, fourth: SMatrix) -> bool:
+    """Whether (first @ second).scale(u) == (third @ fourth).scale(v), with
+    no matrix built; raises ShapeMismatch where either product does."""
+    cols, other_cols = (_product_columns(first, second),
+                        _product_columns(third, fourth))
+    if (first.nrows, len(cols)) != (third.nrows, len(other_cols)):
+        return False
+    u, v, zero = _as_scalar(u), _as_scalar(v), Scalar.zero()
+    for row, other in zip(first.rows, third.rows):
+        for col, other_col in zip(cols, other_cols):
+            left = _product_entry(row, col)
+            right = _product_entry(other, other_col)
+            if (zero if left is None else u * left) != (
+                    zero if right is None else v * right):
+                return False
+    return True
 
 
 def matrix_rank(rows: list[list[Scalar]]) -> int:

@@ -13,7 +13,11 @@ Twelve symbol kinds are supported, each given by a closed form:
   bimodule functor, given by the ``B`` matrices.
 
 The matrix symbols read the sides A and B of :mod:`twistcat.modfun`, which
-fix the acting element of a label: l for s, l^-1 for t.
+fix the acting element of a label: l for s, l^-1 for t.  Functor
+orthogonality (s s^-1 against I) and functor Biedenharn-Elliott (s against
+a scaled product of two s) are each one ``is_scaled_product`` comparison,
+the one that checks the coherence sides' composition rule; a product matrix
+is built only for a failure report.
 
 The symbols come with exact orthogonality and Biedenharn-Elliott checks:
 sums of products of symbols that must collapse to Kronecker patterns or to
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import prod
 from typing import Callable, Optional, Sequence, Union
 
@@ -45,7 +50,7 @@ from .modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
                      module_trace, regular_module_category)
 from .modfun import (BimoduleFunctorData, CoherenceSide, ModuleFunctorData,
                      action_functor, coherence_sides)
-from ._matrix import SMatrix
+from ._matrix import SMatrix, is_scaled_product
 
 FUSION_KINDS = ("fusion+", "fusion-")
 BIMODULE_KINDS = ("m", "m^-1", "n", "n^-1", "b", "b^-1")
@@ -454,6 +459,11 @@ def _zero_matrix(nrows: int, ncols: int) -> SMatrix:
     return SMatrix([[Scalar.zero()] * ncols for _ in range(nrows)])
 
 
+@lru_cache(maxsize=16)
+def _identity(n: int) -> SMatrix:
+    return SMatrix.identity(n)
+
+
 def _in_scope(scope, tup) -> bool:
     return scope is None or tup in scope
 
@@ -548,10 +558,11 @@ def _orth_term(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
     except ValidationError as exc:
         log.add(name, tup, str(exc), "inverse")
         return
-    total = (inv @ mat if a_sum else mat @ inv).scale(
-        ctx.target_trace.unit(labels[2]) * ctx.source_trace.unit(labels[4]))
-    if not total.is_identity():
-        log.add(name, tup, total, SMatrix.identity(total.nrows))
+    first, second = (inv, mat) if a_sum else (mat, inv)
+    u = ctx.target_trace.unit(labels[2]) * ctx.source_trace.unit(labels[4])
+    ident = _identity(mat.nrows)
+    if not is_scaled_product(ident, u, first, second):
+        log.add(name, tup, (first @ second).scale(u), ident)
 
 
 def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
@@ -609,7 +620,9 @@ def _ber_functor(ctx: SixJContext, scope, log,
     dim(mm) [s] [left-action symbol of the source] [s], matched as exact
     matrices over the shared multiplicity space.  The first s factor,
     s(j, l, k, a, mm), vanishes unless mm = j.l, so only that term is
-    evaluated.
+    evaluated.  When both sides are nonzero the relation is checked as
+    s_outer = dim(mm) m_source m_target^-1 s_right s_left, with no matrix
+    built; a zero side, or a failure, compares the two sides as matrices.
     """
     side = _side(ctx, "s")
     grp, x_set, y_set, f = side.group, side.source, side.target, side.functor
@@ -634,19 +647,24 @@ def _ber_functor(ctx: SixJContext, scope, log,
                     m_target = m_y.value((i, j, k, a, b, c), False)
                     s_outer = _matrix_symbol(ctx, side, (c, l, k, b, d),
                                              False)
-                    lhs = (_zero_matrix(size, size)
-                           if m_target is None or s_outer is None
-                           else s_outer.scale(m_target))
-                    rhs = _zero_matrix(size, size)
                     s_right = _matrix_symbol(ctx, side, (j, l, k, a, mm),
                                              False)
                     m_source = m_x.value((i, j, l, mm, d, c), False)
-                    if s_right is not None and m_source is not None:
-                        s_left = _matrix_symbol(ctx, side, (i, mm, a, b, d),
-                                                False)
-                        if s_left is not None:
-                            dims = src_tr.unit(mm) * m_source
-                            rhs = rhs + (s_right @ s_left).scale(dims)
+                    s_left = (None if s_right is None or m_source is None
+                              else _matrix_symbol(ctx, side, (i, mm, a, b, d),
+                                                  False))
+                    outer = m_target is not None and s_outer is not None
+                    dims = (None if s_left is None
+                            else src_tr.unit(mm) * m_source)
+                    if outer and dims is not None and is_scaled_product(
+                            s_outer, dims * m_target.inverse(), s_right,
+                            s_left):
+                        continue
+                    # a failure or a zero side: the sides as matrices
+                    lhs = (s_outer.scale(m_target) if outer
+                           else _zero_matrix(size, size))
+                    rhs = ((s_right @ s_left).scale(dims) if dims is not None
+                           else _zero_matrix(size, size))
                     if lhs != rhs:
                         log.add(relation, (i, j, l, k), lhs, rhs)
     return checked

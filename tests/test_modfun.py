@@ -391,6 +391,61 @@ def test_bimodule_functor_report_carries_the_left_total():
     assert {f["condition"] for f in report.failures} == {"cond_A"}
 
 
+def test_non_invariant_multiplicities_are_reported_not_raised():
+    # regular Z/2 with m = diag(2, 1): g = 1 swaps the points, so m is not
+    # invariant and A_{gh} = A_h A_g(shifted by h) pairs a 2x2 block with a
+    # 1x1 one wherever h = 1; each such instance is one cond_A failure
+    mult = [[2, 0], [0, 1]]
+    a = {(g, x, x): SMatrix.identity(2 - x) for g in (0, 1) for x in (0, 1)}
+    report = validate_modfun(ModuleFunctorData(M_REG, M_REG, mult, a))
+    invariant = [f for f in report.failures
+                 if f["condition"] == "mult_invariant"]
+    composition = [f for f in report.failures if f["condition"] == "cond_A"]
+    assert [f["tuple"] for f in invariant] == [(1, 0, 0), (1, 1, 1)]
+    assert [f["tuple"] for f in composition] == [
+        (0, 1, 0, 0), (0, 1, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)]
+    assert [(f["lhs"], f["rhs"]) for f in composition] == [
+        ("1x1 moved block", "2x2"), ("2x2 moved block", "1x1")] * 2
+    assert (report.checked, report.failed) == (22, 6)
+
+
+def test_non_invariant_bimodule_multiplicities_are_reported_not_raised():
+    # the same defect on a bimodule functor: every instance that pairs blocks
+    # of two sizes, in cond_A, b_pentagon or the hexagon, is one failure,
+    # and the identity blocks satisfy every other instance
+    _, b0, _ = product_setting(0, 0)
+    size = b0.X.size
+    mult = [[(2 if x == 0 else 1) * (x == y) for y in range(size)]
+            for x in range(size)]
+    left, right = b0.left.group.elements(), b0.right.group.elements()
+    a = {(g, x, x): SMatrix.identity(mult[x][x])
+         for g in left for x in range(size)}
+    b = {(h, x, x): SMatrix.identity(mult[x][x])
+         for h in right for x in range(size)}
+    report = validate_bimodfun(BimoduleFunctorData(b0, b0, mult, a, b))
+
+    def m(x_set, g, x):
+        return mult[x_set.apply(g, x)][x_set.apply(g, x)]
+
+    xg, xh, hinv = b0.x_g, b0.x_h, b0.right.group.inv
+    want = {
+        "mult_invariant": sum(m(xg, g, x) != mult[x][x] for g in left
+                              for x in range(size)),
+        "mult_invariant_h": sum(m(xh, h, x) != mult[x][x] for h in right
+                                for x in range(size)),
+        "cond_A": len(left) * sum(m(xg, h, x) != mult[x][x] for h in left
+                                  for x in range(size)),
+        "b_pentagon": len(right) * sum(m(xh, hinv(g), x) != mult[x][x]
+                                       for g in right for x in range(size)),
+        "hexagon": sum(m(xh, hinv(h), x) != mult[x][x]
+                       or m(xg, g, x) != mult[x][x]
+                       for g in left for h in right for x in range(size)),
+    }
+    assert all(want.values())
+    assert report.failed == sum(want.values())
+    assert {f["condition"] for f in report.failures} <= set(want)
+
+
 def test_missing_coherence_entry_is_a_shape_error():
     trimmed = {k: v for k, v in IDENT.a.items() if k != (1, 0, 0)}
     with pytest.raises(ShapeMismatch):

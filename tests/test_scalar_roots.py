@@ -9,9 +9,11 @@ sits on.  The generic path is reached by dropping the tag from a copy.
 """
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistcat._matrix import SMatrix
+from twistcat._matrix import SMatrix, is_scaled_product, scaled_products_equal
+from twistcat.errors import ShapeMismatch
 from twistcat.scalar import (Scalar, Unit, _poly_mul, _powers, _raw, _reduce,
                              _scalar)
 
@@ -150,3 +152,91 @@ def test_matmul_matches_the_sum_from_zero(rows, inner, cols, data):
                 if x and y:
                     want = want + _plain(x) * _plain(y)
             assert _rep(got.entry(i, j)) == _rep(want)
+
+
+def _matrix(data, nrows: int, ncols: int) -> SMatrix:
+    return SMatrix([[data.draw(_entries()) for _ in range(ncols)]
+                    for _ in range(nrows)])
+
+
+def _reexpressed(data, mat: SMatrix) -> SMatrix:
+    """The same values, each entry embedded at a multiple of its order."""
+    return SMatrix([[v.embed(v.root_order * data.draw(st.integers(1, 3)))
+                     for v in row] for row in mat.rows])
+
+
+SIZES = st.integers(1, 3)
+FACTORS = st.one_of(_roots(), _scalars(),
+                    st.builds(Unit, ORDERS, st.integers(0, 11)))
+
+
+@CHECKS
+@given(SIZES, SIZES, SIZES, st.data())
+def test_is_scaled_product_matches_the_built_product(rows, inner, cols,
+                                                     data):
+    # the comparison agrees with the matrices it replaces: it raises where
+    # the product raises, and otherwise answers (first @ second).scale(u)
+    # == lhs, on equal, re-expressed, perturbed and reshaped left sides
+    first = _matrix(data, rows, inner)
+    second = _matrix(data, data.draw(st.sampled_from((inner, inner, 1, 2, 3))),
+                     cols)
+    u = data.draw(FACTORS)
+    try:
+        built = (first @ second).scale(u)
+    except ShapeMismatch:
+        with pytest.raises(ShapeMismatch):
+            is_scaled_product(_matrix(data, rows, cols), u, first, second)
+        return
+    kind = data.draw(st.sampled_from(("equal", "perturbed", "reshaped")))
+    if kind == "equal":
+        lhs = _reexpressed(data, built)
+    elif kind == "perturbed":
+        i, j = data.draw(st.integers(0, rows - 1)), data.draw(
+            st.integers(0, cols - 1))
+        grid = [list(row) for row in built.rows]
+        grid[i][j] = grid[i][j] + data.draw(_entries())
+        lhs = SMatrix(grid)
+    else:
+        # a row or column more or less: equal wherever the two overlap, so
+        # only the shape check tells them apart
+        grid = [list(row) for row in built.rows]
+        change = data.draw(st.sampled_from(("row+", "col+", "row-", "col-")))
+        if change == "row+":
+            grid.append([data.draw(_entries()) for _ in range(cols)])
+        elif change == "col+":
+            grid = [row + [data.draw(_entries())] for row in grid]
+        elif change == "row-" and rows > 1:
+            grid.pop()
+        elif change == "col-" and cols > 1:
+            grid = [row[:-1] for row in grid]
+        lhs = SMatrix(grid)
+    assert is_scaled_product(lhs, u, first, second) == (built == lhs)
+
+
+@CHECKS
+@given(SIZES, SIZES, SIZES, st.data())
+def test_scaled_products_equal_matches_the_built_products(rows, inner, cols,
+                                                          data):
+    first, second = _matrix(data, rows, inner), _matrix(data, inner, cols)
+    u, v = data.draw(FACTORS), data.draw(FACTORS)
+    kind = data.draw(st.sampled_from(("same", "extra row", "other")))
+    if kind != "other":
+        # the same product written differently, u X Y = (u/k) (k X) Y, or
+        # with one row more, which only the shape check tells apart
+        k = data.draw(_roots())
+        grid = [list(row) for row in first.scale(k).rows]
+        if kind == "extra row":
+            grid.append([data.draw(_entries()) for _ in range(inner)])
+        third, fourth = _reexpressed(data, SMatrix(grid)), second
+        v = (u.to_scalar() if isinstance(u, Unit) else u) / k
+    else:
+        third = _matrix(data, data.draw(SIZES), data.draw(SIZES))
+        fourth = _matrix(data, data.draw(SIZES), data.draw(SIZES))
+    try:
+        built = (first @ second).scale(u) == (third @ fourth).scale(v)
+    except ShapeMismatch:
+        with pytest.raises(ShapeMismatch):
+            scaled_products_equal(u, first, second, v, third, fourth)
+        return
+    assert scaled_products_equal(u, first, second, v, third, fourth) == built
+

@@ -424,6 +424,32 @@ def test_matrix_symbols_are_rescaled_once_per_context(monkeypatch):
     assert calls["inside"] == len(ctx.scaled) == 4 * 27
 
 
+def test_passing_functor_checks_multiply_no_matrices(monkeypatch):
+    # the composition rule, the hexagon, functor orthogonality and functor
+    # Biedenharn-Elliott compare scaled products entry by entry; a product
+    # matrix is built only for a failure report
+    f = _identity_bimodule_functor(3, 1, 2)
+    ctx = functor_context(f)
+    matmul = SMatrix.__matmul__
+    calls = []
+
+    def counting(self, other):
+        calls.append((self, other))
+        return matmul(self, other)
+
+    monkeypatch.setattr(SMatrix, "__matmul__", counting)
+    assert validate_bimodfun(f).ok
+    assert verify_orthogonality(ctx).ok
+    assert verify_biedenharn_elliott(ctx).ok
+    assert calls == []
+    # the products return for the failures of a corrupted block
+    bad_a = dict(f.a)
+    bad_a[(1, 0, 0)] = bad_a[(1, 0, 0)].scale(Unit(4, 1))
+    bad = BimoduleFunctorData(f.source, f.target, f.mult, bad_a, f.b)
+    report = validate_bimodfun(bad)
+    assert not report.ok and calls
+
+
 def test_singular_matrix_symbol_raises_on_every_call():
     # a singular block is never kept: each evaluation of its inverse raises
     ctx = functor_context(_doubled_identity(3, singular=True))
