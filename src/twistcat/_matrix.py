@@ -6,12 +6,25 @@ Inverses, ranks and nullspaces all reduce with ``scalar._gauss_jordan``, the
 package's one exact elimination routine; this module has no loop of its own.
 
 Relations between scaled products are checked by :func:`is_scaled_product`
-and :func:`scaled_products_equal`, which compare entry by entry and build no
-matrix; products accumulate each entry from its first nonzero term, in
-``__matmul__`` and in the comparisons alike.
+and :func:`scaled_products_equal`, which build no matrix; products
+accumulate each entry from its first nonzero term, in ``__matmul__`` and in
+the comparisons alike.
+
+The functor blocks over cyclic G are monomial matrices of roots of unity:
+each row has one nonzero entry, a tagged root.  Such a matrix keeps its
+monomial form, computed once: per row the column of that entry and its root
+as a reduced angle k/d, the root being exp(2 pi i k/d).  When every operand
+has the form and the scale factors are roots (a Unit or a tagged Scalar), a
+comparison is one column map and an integer test on sums of angles, with no
+Scalar product; a square monomial matrix with distinct columns inverts as
+its transpose with inverted roots, in the representation elimination gives.
+Any other input takes the entrywise path and elimination, which stay the
+reference.  Nothing outside this module reads the form.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeMismatch
@@ -19,9 +32,10 @@ from .scalar import Scalar, Unit, _gauss_jordan
 
 
 class SMatrix:
-    """Immutable rectangular matrix of Scalars; its inverse is computed once."""
+    """Immutable rectangular matrix of Scalars; its inverse and its monomial
+    form are computed once."""
 
-    __slots__ = ("rows", "_inverse")
+    __slots__ = ("rows", "_inverse", "_monomial")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         out = []
@@ -92,7 +106,8 @@ class SMatrix:
         return self.rows[i][j]
 
     def __matmul__(self, other: "SMatrix") -> "SMatrix":
-        cols = _product_columns(self, other)
+        _check_product(self, other)
+        cols = list(zip(*other.rows))
         zero = Scalar.zero()
         out = []
         for row in self.rows:
@@ -126,12 +141,16 @@ class SMatrix:
         if self.nrows != self.ncols:
             raise ShapeMismatch("only square matrices can be inverted")
         n = self.nrows
-        one, zero = Scalar.one(), Scalar.zero()
-        aug = [list(row) + [one if i == j else zero for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        reduced, pivots = _gauss_jordan(aug, n)
-        inv = (SMatrix._trusted([row[n:] for row in reduced])
-               if len(pivots) == n else None)
+        form = _monomial_form(self)
+        if form is not None and len({col for col, _ in form}) == n:
+            inv = _monomial_inverse(self.rows, form)
+        else:
+            one, zero = Scalar.one(), Scalar.zero()
+            aug = [list(row) + [one if i == j else zero for j in range(n)]
+                   for i, row in enumerate(self.rows)]
+            reduced, pivots = _gauss_jordan(aug, n)
+            inv = (SMatrix._trusted([row[n:] for row in reduced])
+                   if len(pivots) == n else None)
         object.__setattr__(self, "_inverse", inv)
         return inv
 
@@ -166,13 +185,89 @@ def _as_scalar(s) -> Scalar:
     return s.to_scalar() if isinstance(s, Unit) else s
 
 
-def _product_columns(first: SMatrix, second: SMatrix) -> list[tuple]:
-    """The columns of second, once first @ second is known to be defined."""
+@lru_cache(maxsize=None)
+def _tag_angle(n: int, sign: int, e: int) -> tuple[int, int]:
+    """sign * zeta_n**e as the reduced angle (k, d), 0 <= k < d."""
+    k = (2 * e + (n if sign < 0 else 0)) % (2 * n)
+    g = gcd(k, 2 * n)
+    return k // g, 2 * n // g
+
+
+def _root_angle(u) -> Optional[tuple[int, int]]:
+    """The angle of a Unit or a tagged Scalar, or None for any other value."""
+    if isinstance(u, Unit):
+        return u.exponent, u.root_order  # kept reduced by Unit
+    root = u._root
+    return None if root is None else _tag_angle(u.root_order, *root)
+
+
+def _monomial_form(mat: SMatrix) -> Optional[tuple]:
+    """Per row, (column, angle) of its one nonzero entry, a tagged root; None
+    when a row has no nonzero entry, several, or an untagged one.  Computed
+    once per matrix."""
+    try:
+        return mat._monomial
+    except AttributeError:
+        pass
+    form = []
+    for row in mat.rows:
+        cols = [j for j, v in enumerate(row) if v]
+        angle = _root_angle(row[cols[0]]) if len(cols) == 1 else None
+        if angle is None:
+            form = None
+            break
+        form.append((cols[0], angle))
+    else:
+        form = tuple(form)
+    object.__setattr__(mat, "_monomial", form)
+    return form
+
+
+def _monomial_inverse(rows, form) -> SMatrix:
+    """The inverse of a monomial matrix with distinct columns: row c holds
+    the inverse root at the column of the row whose entry sits in column c,
+    and zeros at that root's order elsewhere, as elimination leaves them."""
+    grid = [None] * len(rows)
+    for i, (col, _) in enumerate(form):
+        root = rows[i][col]
+        out = [Scalar.zero(root.root_order)] * len(rows)
+        out[i] = root.inverse()
+        grid[col] = out
+    return SMatrix._trusted(grid)
+
+
+def _monomial_product(u, first: SMatrix, second: SMatrix) -> Optional[list]:
+    """Per row of (first @ second).scale(u), (column, angles) of its one
+    nonzero entry, whose angle is the sum of angles; None unless u is a root
+    and both factors have the monomial form."""
+    au, form, other = (_root_angle(u), _monomial_form(first),
+                       _monomial_form(second))
+    if au is None or form is None or other is None:
+        return None
+    out = []
+    for col, angle in form:
+        target, other_angle = other[col]
+        out.append((target, (au, angle, other_angle)))
+    return out
+
+
+def _same_root(left, right) -> bool:
+    """Whether the angles in left and those in right sum to the same root,
+    that is, differ by an integer."""
+    num, den = 0, 1
+    for k, d in left:
+        num, den = num * d + k * den, den * d
+    for k, d in right:
+        num, den = num * d - k * den, den * d
+    return num % den == 0
+
+
+def _check_product(first: SMatrix, second: SMatrix) -> None:
+    """Raise ShapeMismatch unless first @ second is defined."""
     if len(first.rows[0]) != len(second.rows):
         raise ShapeMismatch(
             f"cannot multiply {first.nrows}x{first.ncols} by "
             f"{second.nrows}x{second.ncols}")
-    return list(zip(*second.rows))
 
 
 def _product_entry(row, col) -> Optional[Scalar]:
@@ -192,13 +287,20 @@ def is_scaled_product(lhs: SMatrix, u, first: SMatrix,
 
     Raises ShapeMismatch exactly where ``first @ second`` does; a lhs of
     another shape than the product is unequal to it.  u is a Scalar or a
-    Unit.
+    Unit.  Monomial operands and a root u compare by their monomial forms.
     """
-    cols = _product_columns(first, second)
+    _check_product(first, second)
     rows = lhs.rows
-    if len(rows) != len(first.rows) or len(rows[0]) != len(cols):
+    if len(rows) != len(first.rows) or len(rows[0]) != len(second.rows[0]):
         return False
-    u = _as_scalar(u)
+    product = _monomial_product(u, first, second)
+    form = None if product is None else _monomial_form(lhs)
+    if form is not None:
+        for (col, angles), (want, angle) in zip(product, form):
+            if col != want or not _same_root(angles, (angle,)):
+                return False
+        return True
+    u, cols = _as_scalar(u), list(zip(*second.rows))
     for row, want in zip(first.rows, rows):
         for col, w in zip(cols, want):
             acc = _product_entry(row, col)
@@ -213,12 +315,21 @@ def is_scaled_product(lhs: SMatrix, u, first: SMatrix,
 def scaled_products_equal(u, first: SMatrix, second: SMatrix, v,
                           third: SMatrix, fourth: SMatrix) -> bool:
     """Whether (first @ second).scale(u) == (third @ fourth).scale(v), with
-    no matrix built; raises ShapeMismatch where either product does."""
-    cols, other_cols = (_product_columns(first, second),
-                        _product_columns(third, fourth))
-    if (first.nrows, len(cols)) != (third.nrows, len(other_cols)):
+    no matrix built; raises ShapeMismatch where either product does.
+    Monomial operands and root factors compare by their monomial forms."""
+    _check_product(first, second)
+    _check_product(third, fourth)
+    if (first.nrows, second.ncols) != (third.nrows, fourth.ncols):
         return False
+    left = _monomial_product(u, first, second)
+    right = None if left is None else _monomial_product(v, third, fourth)
+    if right is not None:
+        for (col, angles), (other, other_angles) in zip(left, right):
+            if col != other or not _same_root(angles, other_angles):
+                return False
+        return True
     u, v, zero = _as_scalar(u), _as_scalar(v), Scalar.zero()
+    cols, other_cols = list(zip(*second.rows)), list(zip(*fourth.rows))
     for row, other in zip(first.rows, third.rows):
         for col, other_col in zip(cols, other_cols):
             left = _product_entry(row, col)

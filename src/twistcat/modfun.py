@@ -303,12 +303,15 @@ class NatTransData:
 
 
 def validate_nat_trans(eta: NatTransData) -> ValidationReport:
-    """Check M_{x,y} A^F_{g,x,y} = A^H_{g,x,y} M_{g.x, g.y} on all entries."""
+    """Check M_{x,y} A^F_{g,x,y} = A^H_{g,x,y} M_{g.x, g.y} on all entries,
+    each instance one ``scaled_products_equal`` comparison; where m is not
+    invariant the blocks differ in size and the instance is one failure."""
     f, h = eta.source, eta.target
     grp = f.group
     x_set, y_set = f.source.X, f.target.X
     log = FailureLog()
     checked = 0
+    one = Scalar.one()
     for g in grp.elements():
         for (x, y), mat in eta.m.items():
             checked += 1
@@ -316,10 +319,16 @@ def validate_nat_trans(eta: NatTransData) -> ValidationReport:
             if moved is None:
                 log.add("cond_M", (g, x, y), "missing entry", "present")
                 continue
-            lhs = mat @ f.a[(g, x, y)]
-            rhs = h.a[(g, x, y)] @ moved
-            if lhs != rhs:
-                log.add("cond_M", (g, x, y), lhs, rhs)
+            af, ah = f.a[(g, x, y)], h.a[(g, x, y)]
+            try:
+                if scaled_products_equal(one, mat, af, one, ah, moved):
+                    continue
+            except ShapeMismatch:  # m is not invariant
+                log.add("cond_M", (g, x, y),
+                        f"{moved.nrows}x{moved.ncols} moved block",
+                        f"{mat.nrows}x{mat.ncols}")
+                continue
+            log.add("cond_M", (g, x, y), mat @ af, ah @ moved)
     return log.report(checked)
 
 
@@ -379,7 +388,9 @@ def action_functor(data: ModuleCategoryData, base: int) -> ModuleFunctorData:
 
 
 def _hom_system(f: ModuleFunctorData, h: ModuleFunctorData):
-    """Unknown layout and cond_M rows for Nat(F, H), over the scalar field."""
+    """Unknown layout and cond_M rows for Nat(F, H), over the scalar field;
+    raises ShapeMismatch when a pair and its moved pair have different
+    multiplicities, so that the rows would not be defined."""
     if f.source != h.source or f.target != h.target:
         raise SourceTargetMismatch(
             "hom spaces need functors with equal source and target")
@@ -402,6 +413,10 @@ def _hom_system(f: ModuleFunctorData, h: ModuleFunctorData):
             af = f.a[(g, x, y)]
             ah = h.a[(g, x, y)]
             mh, mf = h.multiplicity(x, y), f.multiplicity(x, y)
+            if (h.multiplicity(*gp), f.multiplicity(*gp)) != (mh, mf):
+                raise ShapeMismatch(
+                    f"multiplicities are not invariant: {g} moves {(x, y)} "
+                    f"to {gp}, whose multiplicities differ")
             for i in range(mh):
                 for j in range(mf):
                     row = [Scalar.zero()] * total

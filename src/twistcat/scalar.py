@@ -18,7 +18,9 @@ the negations, inverses and products of tagged scalars.  The tag only picks a
 faster route to the same representation: a root times a root is the cached
 tagged root, a root times any other scalar rotates its numerators through
 one integer map with no polynomial product or gcd, and the inverse of a root
-is sign * zeta_N**-e.  Equality and hashing never read it.
+is sign * zeta_N**-e.  Adding a zero whose root order divides the other
+term's returns that term, and embedding a root keeps its tag, so the rows of
+an elimination keep their roots.  Equality and hashing never read it.
 
 A :class:`Unit` is a root of unity ``zeta_N**e`` stored by exponent; units
 are the values of all cochains, while general scalars appear in matrices and
@@ -331,7 +333,10 @@ class Scalar:
         if root_order % self.root_order != 0:
             raise ValueError(f"cannot embed Q(zeta_{self.root_order}) "
                              f"into Q(zeta_{root_order})")
-        return _raw(root_order, self._num_at(root_order), self._den)
+        root = self._root
+        if root is not None:
+            root = root[0], root[1] * (root_order // self.root_order)
+        return _raw(root_order, self._num_at(root_order), self._den, root)
 
     def _coerce(self, other: "Scalar"):
         """The common root order and both numerator vectors at it."""
@@ -357,6 +362,13 @@ class Scalar:
         other = self._wrap(other)
         if other is None:
             return NotImplemented
+        n, k = self.root_order, other.root_order
+        # a zero at a dividing root order leaves the other term as it is,
+        # tag included; the general path below gives the same representation
+        if n % k == 0 and not any(other._num):
+            return self
+        if k % n == 0 and not any(self._num):
+            return other
         m, a, b = self._coerce(other)
         da, db = self._den, other._den
         if da == db:

@@ -215,3 +215,19 @@ def test_differential_matrices_are_built_only_for_cached_results():
     callers = _callers("differential_matrix")
     assert callers == {("cohomology.py", "_diff_snf"),
                        ("modcat.py", "_class_reps")}
+
+
+def test_the_monomial_form_is_read_only_in_the_matrix_module():
+    # is_scaled_product, scaled_products_equal and SMatrix.inverse dispatch
+    # on the cached monomial form; a caller that read it itself would grow a
+    # second copy of the fast path
+    callers = _callers("_monomial_form")
+    assert ("_matrix.py", "_monomial_product") in callers
+    assert {module for module, _ in callers} == {"_matrix.py"}
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(n, ast.Attribute) and n.attr == "_monomial"
+               for n in ast.walk(tree)):
+            readers.add(path.name)
+    assert readers == {"_matrix.py"}

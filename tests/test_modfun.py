@@ -33,6 +33,7 @@ from twistcat.modcat import (
 from twistcat.modfun import (
     BimoduleFunctorData,
     ModuleFunctorData,
+    NatTransData,
     action_functor,
     adjoint,
     bimodfun_to_deligne,
@@ -240,36 +241,77 @@ def test_classification_with_solver_produced_psi():
     assert hom_dimension(cls[0].functor, cls[1].functor) == 0
 
 
-def test_validating_simple_functors_multiplies_only_roots_of_unity(
-        monkeypatch):
-    # the A entries of a simple functor over cyclic G, the twists and the
-    # identity blocks are all roots of unity: validation needs no polynomial
-    # product and, with products starting from their first nonzero term, no
-    # scalar addition
-    z3 = cyclic_group(3)
-    m = modcats_for(FusionData(z3, omega_cyclic(3, 1), triv_kappa(z3)),
-                    regular_gset(z3))[0]
-    assert m.psi.root_order == 9
-    functors = [c.functor for c in classify_simple_cyclic(m, m)]
-    assert len(functors) == 3
+def _count_arithmetic(monkeypatch) -> dict:
+    """Count polynomial products, Scalar products and Scalar additions from
+    here on; returns the live counts."""
     scalar_module = importlib.import_module("twistcat.scalar")
-    poly_mul, add = scalar_module._poly_mul, Scalar.__add__
-    calls = {"poly_mul": 0, "add": 0}
+    poly_mul, mul, add = (scalar_module._poly_mul, Scalar.__mul__,
+                          Scalar.__add__)
+    calls = {"poly_mul": 0, "mul": 0, "add": 0}
 
     def counting_poly_mul(a, b):
         calls["poly_mul"] += 1
         return poly_mul(a, b)
+
+    def counting_mul(self, other):
+        calls["mul"] += 1
+        return mul(self, other)
 
     def counting_add(self, other):
         calls["add"] += 1
         return add(self, other)
 
     monkeypatch.setattr(scalar_module, "_poly_mul", counting_poly_mul)
-    monkeypatch.setattr(Scalar, "__add__", counting_add)
-    monkeypatch.setattr(Scalar, "__radd__", counting_add)
+    for name, fn in (("__mul__", counting_mul), ("__rmul__", counting_mul),
+                     ("__add__", counting_add), ("__radd__", counting_add)):
+        monkeypatch.setattr(Scalar, name, fn)
+    return calls
+
+
+def _z3_simple_functors():
+    z3 = cyclic_group(3)
+    m = modcats_for(FusionData(z3, omega_cyclic(3, 1), triv_kappa(z3)),
+                    regular_gset(z3))[0]
+    assert m.psi.root_order == 9
+    functors = [c.functor for c in classify_simple_cyclic(m, m)]
+    assert len(functors) == 3
+    return functors
+
+
+def test_validating_simple_functors_multiplies_only_roots_of_unity(
+        monkeypatch):
+    # the A entries of a simple functor over cyclic G, the twists and the
+    # identity blocks are all roots of unity: the blocks compare and invert
+    # through their monomial forms, with no Scalar product or addition
+    functors = _z3_simple_functors()
+    calls = _count_arithmetic(monkeypatch)
     for f in functors:
         assert validate_modfun(f).ok
-    assert calls == {"poly_mul": 0, "add": 0}
+    assert calls == {"poly_mul": 0, "mul": 0, "add": 0}
+
+
+def test_bimodule_validation_and_hom_systems_need_no_polynomial_product(
+        monkeypatch):
+    # the Z/3 x Z/3 identity bimodule functor's A, B and hexagon checks
+    # compare monomial forms; the hom systems of the Z/3 simples keep their
+    # roots tagged (x + 0 returns x), so elimination only rotates roots
+    z3 = cyclic_group(3)
+    left = FusionData(z3, omega_cyclic(3, 1), triv_kappa(z3))
+    right = FusionData(z3, omega_cyclic(3, 2), triv_kappa(z3))
+    reg = regular_module_category(FusionData(
+        direct_product(z3, z3), deligne_omega(left.omega, right.omega),
+        _product_kappa(left, right)))
+    bim = deligne_to_bimod(reg, left, right)
+    bf = deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)), bim, bim)
+    functors = _z3_simple_functors()
+    calls = _count_arithmetic(monkeypatch)
+    assert validate_bimodfun(bf).ok
+    assert calls == {"poly_mul": 0, "mul": 0, "add": 0}
+    for i, f in enumerate(functors):
+        for j, h in enumerate(functors):
+            assert hom_dimension(f, h) == int(i == j)
+        assert invertible_hom(f, f) is not None
+    assert calls["poly_mul"] == 0
 
 
 def test_classification_rejects_noncyclic_groups():
@@ -444,6 +486,34 @@ def test_non_invariant_bimodule_multiplicities_are_reported_not_raised():
     assert all(want.values())
     assert report.failed == sum(want.values())
     assert {f["condition"] for f in report.failures} <= set(want)
+
+
+def _non_invariant_functor() -> ModuleFunctorData:
+    # regular Z/2 with m = diag(2, 1) and identity blocks
+    mult = [[2, 0], [0, 1]]
+    a = {(g, x, x): SMatrix.identity(2 - x) for g in (0, 1) for x in (0, 1)}
+    return ModuleFunctorData(M_REG, M_REG, mult, a)
+
+
+def test_non_invariant_target_fails_the_nat_trans_report():
+    # g = 1 moves (0, 0) to (1, 1): each instance pairs a 2x2 component
+    # with a 1x1 one and is one cond_M failure, not a ShapeMismatch
+    f = _non_invariant_functor()
+    eta = NatTransData(f, f, {(0, 0): SMatrix.identity(2),
+                              (1, 1): SMatrix.identity(1)})
+    report = validate_nat_trans(eta)
+    assert (report.checked, report.failed) == (4, 2)
+    assert [(r["condition"], r["tuple"], r["lhs"], r["rhs"])
+            for r in report.failures] == [
+        ("cond_M", (1, 0, 0), "1x1 moved block", "2x2"),
+        ("cond_M", (1, 1, 1), "2x2 moved block", "1x1")]
+
+
+def test_non_invariant_hom_system_is_a_shape_error():
+    f = _non_invariant_functor()
+    for fn in (hom_dimension, hom_basis, invertible_hom):
+        with pytest.raises(ShapeMismatch, match=r"moves \(0, 0\) to \(1, 1\)"):
+            fn(f, f)
 
 
 def test_missing_coherence_entry_is_a_shape_error():

@@ -106,6 +106,44 @@ def test_zero_operand_matches_the_generic_product(n, x):
         assert (left * right).is_zero()
 
 
+def _generic_sum(x: Scalar, y: Scalar):
+    """x + y over the common denominator, divided through by the gcd."""
+    m, a, b = x._coerce(y)
+    return _rep(_scalar(m, [p * y._den + q * x._den for p, q in zip(a, b)],
+                        x._den * y._den))
+
+
+@CHECKS
+@given(ORDERS, st.one_of(_roots(), _scalars()))
+def test_adding_a_zero_keeps_the_other_term(k, x):
+    # a zero at a dividing root order returns the other term, tag included;
+    # at any other order the sum takes the general path to the common order
+    zero = Scalar.zero(k)
+    n = x.root_order
+    for got, want in ((x + zero, _generic_sum(x, zero)),
+                      (zero + x, _generic_sum(zero, x)),
+                      (x - zero, _generic_sum(x, zero)),
+                      (zero - x, _generic_sum(zero, -x)),
+                      (x + 0, _generic_sum(x, Scalar.zero()))):
+        assert _rep(got) == want
+    if n % k == 0:
+        assert (x + zero)._root == (zero + x)._root == (x - zero)._root \
+            == x._root
+        assert (zero - x)._root == (-x)._root
+    else:
+        assert (x + zero)._root is None and (zero + x)._root is None
+    assert 0 + x is x
+
+
+@CHECKS
+@given(_roots(), st.integers(1, 4))
+def test_embedding_keeps_the_root_tag(root, k):
+    up = root.embed(root.root_order * k)
+    _assert_tag(up)
+    assert up._root is not None
+    assert _rep(up) == _rep(_plain(root).embed(root.root_order * k))
+
+
 def test_minus_one_at_orders_one_and_two():
     # -1 has norm -1 at both orders; its inverse must still come out with a
     # positive denominator
