@@ -506,13 +506,8 @@ def _product_kappa(left: FusionData, right: FusionData) -> UnitCochain:
     return UnitCochain.from_flat(1, point_gset(prod), nk, e)
 
 
-def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:
-    """The product-group module category M(X, Gamma') of a bimodule category.
-
-    Gamma'((g1,h1),(g2,h2), x) =
-        Psi(g1, g2, (h2^-1 h1^-1) . x) * Phi(h1, h2, x) * Omega(g1, h2, h1^-1 . x)
-    over the product 3-cocycle and the character kappa_G * kappa_H^-1.
-    """
+def _product_structure(data: BimoduleCategoryData) -> ModuleCategoryData:
+    """The product-group structure of :func:`bimod_to_deligne`, unvalidated."""
     g_grp, h_grp = data.left.group, data.right.group
     prod = direct_product(g_grp, h_grp)
     fusion = FusionData(prod, deligne_omega(data.left.omega, data.right.omega),
@@ -529,8 +524,18 @@ def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:
          + om[(g1 * nh + h2) * sz + act_h[inv_h[h1] * sz + x]]
          for (g1, h1), (g2, h2) in itertools.product(pairs, repeat=2)
          for x in range(sz)]
-    gamma = UnitCochain.from_flat(2, data.X, root, e)
-    out = ModuleCategoryData(fusion, data.X, gamma)
+    return ModuleCategoryData(fusion, data.X,
+                              UnitCochain.from_flat(2, data.X, root, e))
+
+
+def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:
+    """The product-group module category M(X, Gamma') of a bimodule category.
+
+    Gamma'((g1,h1),(g2,h2), x) =
+        Psi(g1, g2, (h2^-1 h1^-1) . x) * Phi(h1, h2, x) * Omega(g1, h2, h1^-1 . x)
+    over the product 3-cocycle and the character kappa_G * kappa_H^-1,
+    validated: a Psi, Phi or Omega that breaks it raises ValidationError."""
+    out = _product_structure(data)
     validate_modcat(out).raise_if_failed("product structure")
     return out
 
@@ -577,5 +582,5 @@ def deligne_to_bimod(data: ModuleCategoryData, left: FusionData,
 
 
 def bimodule_trace(data: BimoduleCategoryData) -> Optional[ModuleTrace]:
-    """Trace of the bimodule category, via the product module category."""
-    return module_trace(bimod_to_deligne(data))
+    """The module trace of the bimodule's product structure, unvalidated."""
+    return module_trace(_product_structure(data))

@@ -30,7 +30,8 @@ Biedenharn-Elliott sum has at most one nonzero term, and the sweeps evaluate
 only the composed tuples; the others hold as 0 = 0 and still count as
 checked.  Scalar orthogonality multiplies out to dim(a)^2 dim(c)^2 = 1, so
 it sees dimensions that are not signs (kappa, the trace) and never the twists
-omega, Psi, Phi, Omega; those show in Biedenharn-Elliott or in validation.
+omega, Psi, Phi, Omega; those show in Biedenharn-Elliott, which for fusion
+and bimodule contexts is one scalar module pentagon.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ from typing import Callable, Optional, Sequence, Union
 from .errors import (IndexOutOfRange, NoTrace, NotSpherical, UndefinedLabels,
                      ValidationError)
 from .scalar import Scalar, Unit
+from .algebra import regular_gset
 from .fusion import FusionData
 from .modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
-                     ValidationReport, bimod_to_deligne, bimodule_trace,
-                     module_trace, regular_module_category)
+                     ValidationReport, _product_structure, bimodule_trace,
+                     module_trace)
 from .modfun import (BimoduleFunctorData, CoherenceSide, ModuleFunctorData,
-                     action_functor, coherence_sides)
+                     coherence_sides)
 from ._matrix import SMatrix, is_scaled_product
 
 FUSION_KINDS = ("fusion+", "fusion-")
@@ -59,6 +61,7 @@ BIMODFUN_KINDS = ("t", "t^-1")
 KINDS = FUSION_KINDS + BIMODULE_KINDS + MODFUN_KINDS + BIMODFUN_KINDS
 
 _MATRIX_KINDS = MODFUN_KINDS + BIMODFUN_KINDS
+_regular_carrier = lru_cache(maxsize=16)(regular_gset)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +240,17 @@ def _twist(cochain, slots) -> Callable[[int, int, int, int], Unit]:
     return twist
 
 
-def _m_layout(grp, x_set, psi, trace: ModuleTrace, kappa_unit) -> _ScalarLayout:
+def _m_layout(grp, x_set, psi, trace: ModuleTrace, kappa_unit,
+              slots=lambda i, j, k, b: (i, j, b)) -> _ScalarLayout:
     """The left-action symbols of a module structure psi on the carrier
     ``x_set``: m = trace(a) psi(i, j, b) and m^-1 = kappa(c) / psi(i, j, b),
-    at c = ij, a = j.k, b = c.k."""
+    at c = ij, a = j.k, b = c.k; with slots (i, j, k), the fusion symbols."""
     def compose(i, j, k):
         c = grp.op(i, j)
         return x_set.apply(j, k), x_set.apply(c, k), c
 
     n, nx = grp.order, x_set.size
-    return _ScalarLayout((n, n, nx, nx, nx, n), compose,
-                         _twist(psi, lambda i, j, k, b: (i, j, b)),
+    return _ScalarLayout((n, n, nx, nx, nx, n), compose, _twist(psi, slots),
                          trace.unit, kappa_unit)
 
 
@@ -264,16 +267,9 @@ def _scalar_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
     """
     if family == "fusion":
         grp = ctx.fusion.group
-        kappa = tuple(map(ctx.fusion.kappa_unit, grp.elements())).__getitem__
-
-        def compose_f(i, j, k):
-            c = grp.op(i, j)
-            return grp.op(j, k), grp.op(c, k), c
-
-        return _ScalarLayout((grp.order,) * 6, compose_f,
-                             _twist(ctx.fusion.omega,
-                                    lambda i, j, k, b: (i, j, k)),
-                             kappa, kappa)
+        kappa = ModuleTrace(tuple(map(ctx.fusion.kappa_unit, grp.elements())))
+        return _m_layout(grp, _regular_carrier(grp), ctx.fusion.omega, kappa,
+                         kappa.unit, lambda i, j, k, b: (i, j, k))
     data, trace = ctx.bimodule, ctx.trace
     if family == "m":
         return _m_layout(data.left.group, data.x_g, data.psi, trace,
@@ -366,6 +362,14 @@ def _label_domains(ctx: SixJContext, kind: str):
     return (side.group.order, nx, ny, ny, nx), "liabc" if side.right else "ijabc"
 
 
+def _check_kind(ctx: SixJContext, kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown 6j symbol kind {kind!r}")
+    if kind not in ctx.kinds():
+        raise ValueError(f"kind {kind!r} is not available in this context "
+                         f"(offers {', '.join(ctx.kinds())})")
+
+
 def sixj(query: SixJQuery) -> SixJValue:
     """Evaluate one generalized 6j symbol exactly.
 
@@ -374,12 +378,7 @@ def sixj(query: SixJQuery) -> SixJValue:
     construction when the required structure is missing.
     """
     kind, ctx, labels = query.kind, query.context, tuple(query.labels)
-    if kind not in KINDS:
-        raise ValueError(f"unknown 6j symbol kind {kind!r}")
-    if kind not in ctx.kinds():
-        raise ValueError(
-            f"kind {kind!r} is not available in this context "
-            f"(offers {', '.join(ctx.kinds())})")
+    _check_kind(ctx, kind)
     sizes, names = _label_domains(ctx, kind)
     if len(labels) != len(sizes):
         raise UndefinedLabels(
@@ -415,12 +414,7 @@ def sixj_table(context: SixJContext, kind: str) -> list[dict]:
 
     Matrix kinds produce one row per matrix entry.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown 6j symbol kind {kind!r}")
-    if kind not in context.kinds():
-        raise ValueError(
-            f"kind {kind!r} is not available in this context "
-            f"(offers {', '.join(context.kinds())})")
+    _check_kind(context, kind)
     rows = []
     for labels in _admissible_labels(context, kind):
         if kind in _MATRIX_KINDS:
@@ -512,37 +506,61 @@ def _orth_scalar(ctx: SixJContext, family: str, scope, log) -> int:
     return _box_count((si, sj, sk, sb, sc, sc), scope)
 
 
-def _ber_fusion(ctx: SixJContext, scope, log) -> int:
-    """Biedenharn-Elliott for the fusion symbols over (i, j, k, m, n) in G^5.
+def _pentagon(fus: _ScalarLayout, mod: _ScalarLayout, points, name: str,
+              tup, scope, log) -> int:
+    """Biedenharn-Elliott for the m symbols of ``mod`` over the fusion
+    symbols F of ``fus`` at each point (x0, i, j, l), the sum over f reduced
+    to its one nonzero term at f = jl: with c = ij, d = cl, k = l.x0,
+    a = f.x0 and b = d.x0, m(i,j,k,a,b,c) m(c,l,x0,k,b,d) must equal
+    kappa(f) F(i,j,l,f,d,c) m(j,l,x0,k,a,f) m(i,f,x0,a,b,d).  A point counts
+    when ``tup(x0, i, j, l, k)`` is in scope; a failure is logged under
+    ``name.format(x0)`` as products of the factors' Scalars."""
+    checked = 0
+    for x0, i, j, l in points:
+        k, a, f = mod.compose(j, l, x0)
+        t = tup(x0, i, j, l, k)
+        if not _in_scope(scope, t):
+            continue
+        checked += 1
+        _, b, c = mod.compose(i, j, k)
+        d = fus.compose(i, j, l)[1]
+        lhs = (mod.symbol((i, j, k, a, b, c), False),
+               mod.symbol((c, l, x0, k, b, d), False))
+        rhs = (fus.dim_a(f), mod.symbol((i, f, x0, a, b, d), False),
+               fus.symbol((i, j, l, f, d, c), False),
+               mod.symbol((j, l, x0, k, a, f), False))
+        if prod(lhs, start=Unit.one()) != prod(rhs, start=Unit.one()):
+            log.add(name.format(x0), t, prod(u.to_scalar() for u in lhs),
+                    prod(u.to_scalar() for u in rhs))
+    return checked
 
-    With c = ij, a = jk, b = ck and d = cm, the left side
-    F(i,j,k,a,b,c) F(c,m,n,k,b,d) and each term of the right side's sum
-    over f of dim(f) F(i,f,n,a,b,d) F(i,j,m,f,d,c) F(j,m,n,k,a,f) vanish
-    unless k = mn, and the sum's only term is at f = jm.  So only
-    n = m^-1 k is evaluated; every other tuple holds as 0 = 0 and, like all
-    of G^5 (or the scope inside it), counts as checked.
-    """
+
+def _ber_fusion(ctx: SixJContext, scope, log) -> int:
+    """Biedenharn-Elliott for the fusion symbols over (i, j, k, m, n) in G^5:
+    both sides vanish unless k = mn, so only the pentagon at base n = m^-1 k
+    and l = m is evaluated, and every other tuple holds as 0 = 0."""
     lay = _scalar_layout(ctx, "fusion")
     grp = ctx.fusion.group
-
-    def sym(*labels) -> Unit:
-        return lay.symbol(labels, False)
-
-    for i, j, k, m in itertools.product(grp.elements(), repeat=4):
-        n = grp.op(grp.inv(m), k)
-        if not _in_scope(scope, (i, j, k, m, n)):
-            continue
-        a, b, c = lay.compose(i, j, k)
-        d, f = grp.op(c, m), grp.op(j, m)
-        lhs = (sym(i, j, k, a, b, c), sym(c, m, n, k, b, d))
-        rhs = (lay.dim_a(f), sym(i, f, n, a, b, d),
-               sym(i, j, m, f, d, c), sym(j, m, n, k, a, f))
-        if prod(lhs, start=Unit.one()) != prod(rhs, start=Unit.one()):
-            # reported as products of the factors' Scalars
-            log.add("biedenharn-elliott[fusion]", (i, j, k, m, n),
-                    prod(u.to_scalar() for u in lhs),
-                    prod(u.to_scalar() for u in rhs))
+    points = ((grp.op(grp.inv(m), k), i, j, m)
+              for i, j, k, m in itertools.product(grp.elements(), repeat=4))
+    _pentagon(lay, lay, points, "biedenharn-elliott[fusion]",
+              lambda x0, i, j, l, k: (i, j, k, l, x0), scope, log)
     return _box_count((grp.order,) * 5, scope)
+
+
+def _ber_bimodule(ctx: SixJContext, scope, log) -> int:
+    """Biedenharn-Elliott for a bimodule category: the pentagon of its
+    unvalidated product structure over K = G x H, with the bimodule trace,
+    at every base x0 and (i, j, l) in K^3, reported as (i, j, l, l.x0)."""
+    product = _product_structure(ctx.bimodule)
+    grp, x_set = product.fusion.group, product.X
+    fus = _scalar_layout(SixJContext(fusion=product.fusion), "fusion")
+    points = ((x0, i, j, l) for x0 in range(x_set.size)
+              for i, j, l in itertools.product(grp.elements(), repeat=3))
+    mod = _m_layout(grp, x_set, product.psi, ctx.trace,
+                    product.fusion.kappa_unit)
+    return _pentagon(fus, mod, points, "biedenharn-elliott[m;base={}]",
+                     lambda x0, i, j, l, k: (i, j, l, k), scope, log)
 
 
 # -- module-functor relations -----------------------------------------------
@@ -611,8 +629,7 @@ def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
     return checked
 
 
-def _ber_functor(ctx: SixJContext, scope, log,
-                 relation: str = "biedenharn-elliott[s]") -> int:
+def _ber_functor(ctx: SixJContext, scope, log) -> int:
     """The displayed Biedenharn-Elliott relation for module functors.
 
     Left side: [left-action symbol of the target] x [s at the product
@@ -666,29 +683,8 @@ def _ber_functor(ctx: SixJContext, scope, log,
                     rhs = ((s_right @ s_left).scale(dims) if dims is not None
                            else _zero_matrix(size, size))
                     if lhs != rhs:
-                        log.add(relation, (i, j, l, k), lhs, rhs)
-    return checked
-
-
-def _ber_bimodule(ctx: SixJContext, scope, log) -> int:
-    """Biedenharn-Elliott for a bimodule category.
-
-    The scalar symbols are the functor symbols of the point-action
-    functors of the associated product-group module category, so the
-    relation is checked for every base point.
-    """
-    deligne = bimod_to_deligne(ctx.bimodule)
-    source = regular_module_category(deligne.fusion)
-    src_tr = module_trace(source)
-    assert src_tr is not None
-    checked = 0
-    for base in range(deligne.X.size):
-        functor = action_functor(deligne, base)
-        fctx = SixJContext(functor=functor, source_trace=src_tr,
-                           target_trace=ctx.trace)
-        checked += _ber_functor(
-            fctx, scope, log,
-            relation=f"biedenharn-elliott[m;base={base}]")
+                        log.add("biedenharn-elliott[s]", (i, j, l, k), lhs,
+                                rhs)
     return checked
 
 
@@ -735,16 +731,14 @@ def verify_biedenharn_elliott(
         scope: Optional[Sequence] = None) -> ValidationReport:
     """Check every Biedenharn-Elliott identity the context supports.
 
-    Fusion contexts expand the pentagon over all of G: ``checked`` is
-    |G|^5 (or the scope tuples inside G^5), and only the tuples with
-    n = m^-1 k, where the sum's one term sits at f = jm, are evaluated; the
-    rest hold as 0 = 0.  The fusion relation detects a non-cocycle omega and
-    kappa values that are not signs.  Functor contexts check the displayed
-    mixed relation; bimodule contexts reduce to the functor relation through
-    the point-action functors, and a Psi, Phi or Omega that breaks the
-    bimodule conditions raises ValidationError there.  The right-action
-    matrices of a bimodule functor satisfy a composition law that is part of
-    validate_bimodfun rather than a displayed relation here.
+    Fusion contexts count |G|^5 tuples (or the scope inside G^5) and
+    evaluate those with n = m^-1 k; they detect a non-cocycle omega and
+    kappa values that are not signs.  Bimodule contexts count |K|^3 |X|
+    tuples (i, j, l, l.x0), K = G x H, a scope tuple once per base giving
+    it; a broken Psi, Phi or Omega shows as failures.  Both are the module
+    pentagon (:func:`_pentagon`).  Functor contexts check the displayed
+    mixed relation; the composition law of a bimodule functor's right-action
+    matrices is part of validate_bimodfun instead.
     """
     scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)

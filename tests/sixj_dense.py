@@ -2,8 +2,10 @@
 
 These are the straightforward loops over every label of the fusion and the
 bimodule symbols: orthogonality visits every outer tuple (i, j, k, b, c, d)
-and sums over every middle label a, Biedenharn-Elliott visits every
-(i, j, k, m, n) and sums over every f.  They evaluate each symbol from its
+and sums over every middle label a, fusion Biedenharn-Elliott visits every
+(i, j, k, m, n) and sums over every f, and bimodule Biedenharn-Elliott
+visits every base x0 and (i, j, l) of the product group K = G x H and sums
+over every f in K.  They evaluate each symbol from its
 closed form, independently of the symbol layouts in ``twistcat.sixj``, and
 report through the same failure accumulator, so the support-driven sweeps
 can be compared with them report for report.
@@ -17,9 +19,12 @@ from __future__ import annotations
 from typing import Optional
 
 from twistcat._matrix import SMatrix
+from twistcat.algebra import direct_product
+from twistcat.cohomology import deligne_omega
 from twistcat.errors import UndefinedLabels, ValidationError
 from twistcat.fusion import FusionData, fusion_6j
-from twistcat.modcat import BimoduleCategoryData, FailureLog, ModuleTrace
+from twistcat.modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
+                             _product_kappa)
 from twistcat.modfun import BimoduleFunctorData
 from twistcat.scalar import Scalar, Unit
 from twistcat.sixj import SixJQuery, sixj
@@ -176,6 +181,78 @@ def _ber_fusion(fusion: FusionData, scope, log) -> int:
                         if lhs != rhs:
                             log.add("biedenharn-elliott[fusion]",
                                     (i, j, k, m, n), lhs, rhs)
+    return checked
+
+
+def _gamma(data: BimoduleCategoryData, p: int, q: int, x: int) -> Unit:
+    """The product 2-cochain of ``bimod_to_deligne`` at ((g1,h1),(g2,h2), x):
+    Psi(g1, g2, (h2^-1 h1^-1).x) Phi(h1, h2, x) Omega(g1, h2, h1^-1.x)."""
+    grp_h, act_h = data.right.group, data.x_h.action
+    (g1, h1), (g2, h2) = divmod(p, grp_h.order), divmod(q, grp_h.order)
+    h1inv = grp_h.inv(h1)
+    y = int(act_h[grp_h.op(grp_h.inv(h2), h1inv), x])
+    psi, phi, om = data.psi, data.phi, data.omega_mid
+    return (Unit(psi.root_order, int(psi.exponents[g1, g2, y]))
+            * Unit(phi.root_order, int(phi.exponents[h1, h2, x]))
+            * Unit(om.root_order,
+                   int(om.exponents[g1, h2, int(act_h[h1inv, x])])))
+
+
+def _ber_bimodule(data: BimoduleCategoryData, trace: ModuleTrace, scope,
+                  log) -> int:
+    """Biedenharn-Elliott for the m symbols m(i,j,k,a,b,c) =
+    trace(a) Gamma(i, j, b) of the product structure over K = G x H: at
+    every base x0 and (i, j, l) in K^3, with k = l.x0, c = ij, d = cl,
+    a = j.k and b = c.k, m(i,j,k,a,b,c) m(c,l,x0,k,b,d) against the sum
+    over every f in K of kappa(f) m(i,f,x0,a,b,d) F+(i,j,l,f,d,c)
+    m(j,l,x0,k,a,f)."""
+    fusion = FusionData(direct_product(data.left.group, data.right.group),
+                        deligne_omega(data.left.omega, data.right.omega),
+                        _product_kappa(data.left, data.right))
+    grp, act = fusion.group, data.X.action
+    els = grp.elements()
+
+    def m(i, j, k, a, b, c):
+        if (c != grp.op(i, j) or a != int(act[j, k])
+                or b != int(act[c, k])):
+            return None
+        return (trace.unit(a) * _gamma(data, i, j, b)).to_scalar()
+
+    def plus(*labels):
+        try:
+            return fusion_6j(fusion, "+", *labels)
+        except UndefinedLabels:
+            return None
+
+    checked = 0
+    for x0 in range(data.X.size):
+        for i in els:
+            for j in els:
+                for l in els:
+                    k = int(act[l, x0])
+                    tup = (i, j, l, k)
+                    if not _in_scope(scope, tup):
+                        continue
+                    checked += 1
+                    c = grp.op(i, j)
+                    d = grp.op(c, l)
+                    a, b = int(act[j, k]), int(act[c, k])
+                    lhs = Scalar.zero()
+                    v1, v2 = m(i, j, k, a, b, c), m(c, l, x0, k, b, d)
+                    if v1 is not None and v2 is not None:
+                        lhs = v1 * v2
+                    rhs = Scalar.zero()
+                    for f in els:
+                        w1 = m(i, f, x0, a, b, d)
+                        w2 = plus(i, j, l, f, d, c)
+                        w3 = m(j, l, x0, k, a, f)
+                        if w1 is None or w2 is None or w3 is None:
+                            continue
+                        rhs = rhs + (fusion.kappa_unit(f).to_scalar()
+                                     * w1 * w2 * w3)
+                    if lhs != rhs:
+                        log.add(f"biedenharn-elliott[m;base={x0}]", tup,
+                                lhs, rhs)
     return checked
 
 
@@ -365,10 +442,15 @@ def dense_orthogonality(context, scope=None):
 
 
 def dense_biedenharn_elliott(context, scope=None):
-    """Report of the dense fusion Biedenharn-Elliott sweep."""
+    """Report of the dense Biedenharn-Elliott sweep of a fusion or bimodule
+    context, shaped like ``sixj.verify_biedenharn_elliott``'s."""
     scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)
-    return log.report(_ber_fusion(context.fusion, scope, log))
+    if context.fusion is not None:
+        checked = _ber_fusion(context.fusion, scope, log)
+    else:
+        checked = _ber_bimodule(context.bimodule, context.trace, scope, log)
+    return log.report(checked)
 
 
 def dense_symbol(context, kind: str, labels) -> Optional[Scalar]:
