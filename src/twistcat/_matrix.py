@@ -5,10 +5,11 @@ and exact rank/nullspace computations over the scalar field.
 Inverses, ranks and nullspaces all reduce with ``scalar._gauss_jordan``, the
 package's one exact elimination routine; this module has no loop of its own.
 
-Relations between scaled products are checked by :func:`is_scaled_product`
-and :func:`scaled_products_equal`, which build no matrix; products
-accumulate each entry from its first nonzero term, in ``__matmul__`` and in
-the comparisons alike.
+Relations between scaled products are checked by
+:func:`scaled_products_equal`, the package's one product comparison, which
+builds no matrix; a side that is one matrix M is the product M @ I with the
+cached identity :func:`_identity`.  Products accumulate each entry from its
+first nonzero term, in ``__matmul__`` and in the comparison alike.
 
 The functor blocks over cyclic G are monomial matrices of roots of unity:
 each row has one nonzero entry, a tagged root.  Such a matrix keeps its
@@ -181,6 +182,13 @@ class SMatrix:
         return cls([[Scalar.from_json(v) for v in row] for row in data])
 
 
+@lru_cache(maxsize=16)
+def _identity(n: int) -> SMatrix:
+    """The n x n identity, built once: the second factor of a side that is
+    one matrix."""
+    return SMatrix.identity(n)
+
+
 def _as_scalar(s) -> Scalar:
     return s.to_scalar() if isinstance(s, Unit) else s
 
@@ -279,37 +287,6 @@ def _product_entry(row, col) -> Optional[Scalar]:
         if a and b:
             acc = a * b if acc is None else acc + a * b
     return acc
-
-
-def is_scaled_product(lhs: SMatrix, u, first: SMatrix,
-                      second: SMatrix) -> bool:
-    """Whether lhs == (first @ second).scale(u), with no matrix built.
-
-    Raises ShapeMismatch exactly where ``first @ second`` does; a lhs of
-    another shape than the product is unequal to it.  u is a Scalar or a
-    Unit.  Monomial operands and a root u compare by their monomial forms.
-    """
-    _check_product(first, second)
-    rows = lhs.rows
-    if len(rows) != len(first.rows) or len(rows[0]) != len(second.rows[0]):
-        return False
-    product = _monomial_product(u, first, second)
-    form = None if product is None else _monomial_form(lhs)
-    if form is not None:
-        for (col, angles), (want, angle) in zip(product, form):
-            if col != want or not _same_root(angles, (angle,)):
-                return False
-        return True
-    u, cols = _as_scalar(u), list(zip(*second.rows))
-    for row, want in zip(first.rows, rows):
-        for col, w in zip(cols, want):
-            acc = _product_entry(row, col)
-            if acc is None:
-                if w:
-                    return False
-            elif w != u * acc:
-                return False
-    return True
 
 
 def scaled_products_equal(u, first: SMatrix, second: SMatrix, v,

@@ -321,10 +321,7 @@ def _parse_matrix_table(name: str, raw: dict, label: str) -> dict:
 
 def _report_or_raise(name: str, report) -> None:
     if not report.ok:
-        first = report.failures[0]
-        raise ValidationError(
-            f"entity {name!r}: {first['condition']} fails at "
-            f"{first['tuple']}: {first['lhs']} != {first['rhs']}")
+        raise ValidationError(f"entity {name!r}: {report.first_failure()}")
 
 
 def _build_functor(name: str, spec: dict, cfg: SessionConfig):

@@ -85,6 +85,12 @@ class ValidationReport:
     def ok(self) -> bool:
         return self.failed == 0
 
+    def first_failure(self) -> str:
+        """``{condition} fails at {tuple}: {lhs} != {rhs}`` of the first."""
+        first = self.failures[0]
+        return (f"{first['condition']} fails at {first['tuple']}: "
+                f"{first['lhs']} != {first['rhs']}")
+
     def raise_if_failed(self, what: str) -> None:
         """Raise ValidationError naming the first failing condition."""
         if not self.ok:
@@ -158,10 +164,7 @@ def make_modcat(fusion: FusionData, x: GSet, psi: UnitCochain) -> ModuleCategory
     data = ModuleCategoryData(fusion, x, psi)
     report = validate_modcat(data)
     if not report.ok:
-        first = report.failures[0]
-        raise ValidationError(
-            f"{first['condition']} fails at {first['tuple']}: "
-            f"{first['lhs']} != {first['rhs']}")
+        raise ValidationError(report.first_failure())
     return data
 
 
@@ -434,6 +437,32 @@ class BimoduleCategoryData:
         _, emb = product_embeddings(self.left.group, self.right.group)
         return restrict_gset(self.X, emb, self.right.group)
 
+    @cached_property
+    def product_structure(self) -> ModuleCategoryData:
+        """The product-group structure of :func:`bimod_to_deligne`,
+        unvalidated and built once: the traces, the Biedenharn-Elliott sweep
+        and the validating conversion share it."""
+        g_grp, h_grp = self.left.group, self.right.group
+        prod = direct_product(g_grp, h_grp)
+        fusion = FusionData(prod, deligne_omega(self.left.omega,
+                                                self.right.omega),
+                            _product_kappa(self.left, self.right))
+        ng, nh, sz = g_grp.order, h_grp.order, self.X.size
+        root = lcm(self.psi.root_order, self.phi.root_order,
+                   self.omega_mid.root_order)
+        psi, phi = self.psi._scaled(root), self.phi._scaled(root)
+        om = self.omega_mid._scaled(root)
+        act_h, inv_h = self.x_h.action_flat, h_grp.inverse_flat
+        pairs = [divmod(p, nh) for p in range(prod.order)]
+        e = [psi[(g1 * ng + g2) * sz
+                 + act_h[h_grp.op(inv_h[h2], inv_h[h1]) * sz + x]]
+             + phi[(h1 * nh + h2) * sz + x]
+             + om[(g1 * nh + h2) * sz + act_h[inv_h[h1] * sz + x]]
+             for (g1, h1), (g2, h2) in itertools.product(pairs, repeat=2)
+             for x in range(sz)]
+        return ModuleCategoryData(fusion, self.X,
+                                  UnitCochain.from_flat(2, self.X, root, e))
+
 
 def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
     """Check both one-sided twisted-cocycle conditions, the two middle
@@ -506,28 +535,6 @@ def _product_kappa(left: FusionData, right: FusionData) -> UnitCochain:
     return UnitCochain.from_flat(1, point_gset(prod), nk, e)
 
 
-def _product_structure(data: BimoduleCategoryData) -> ModuleCategoryData:
-    """The product-group structure of :func:`bimod_to_deligne`, unvalidated."""
-    g_grp, h_grp = data.left.group, data.right.group
-    prod = direct_product(g_grp, h_grp)
-    fusion = FusionData(prod, deligne_omega(data.left.omega, data.right.omega),
-                        _product_kappa(data.left, data.right))
-    ng, nh, sz = g_grp.order, h_grp.order, data.X.size
-    root = lcm(data.psi.root_order, data.phi.root_order, data.omega_mid.root_order)
-    psi, phi = data.psi._scaled(root), data.phi._scaled(root)
-    om = data.omega_mid._scaled(root)
-    act_h, inv_h = data.x_h.action_flat, h_grp.inverse_flat
-    pairs = [divmod(p, nh) for p in range(prod.order)]
-    e = [psi[(g1 * ng + g2) * sz
-             + act_h[h_grp.op(inv_h[h2], inv_h[h1]) * sz + x]]
-         + phi[(h1 * nh + h2) * sz + x]
-         + om[(g1 * nh + h2) * sz + act_h[inv_h[h1] * sz + x]]
-         for (g1, h1), (g2, h2) in itertools.product(pairs, repeat=2)
-         for x in range(sz)]
-    return ModuleCategoryData(fusion, data.X,
-                              UnitCochain.from_flat(2, data.X, root, e))
-
-
 def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:
     """The product-group module category M(X, Gamma') of a bimodule category.
 
@@ -535,7 +542,7 @@ def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:
         Psi(g1, g2, (h2^-1 h1^-1) . x) * Phi(h1, h2, x) * Omega(g1, h2, h1^-1 . x)
     over the product 3-cocycle and the character kappa_G * kappa_H^-1,
     validated: a Psi, Phi or Omega that breaks it raises ValidationError."""
-    out = _product_structure(data)
+    out = data.product_structure
     validate_modcat(out).raise_if_failed("product structure")
     return out
 
@@ -583,4 +590,4 @@ def deligne_to_bimod(data: ModuleCategoryData, left: FusionData,
 
 def bimodule_trace(data: BimoduleCategoryData) -> Optional[ModuleTrace]:
     """The module trace of the bimodule's product structure, unvalidated."""
-    return module_trace(_product_structure(data))
+    return module_trace(data.product_structure)

@@ -16,22 +16,25 @@ first, is h on A and g on B, q is the other, and the twists are read at
 (q, p, gh.x) through the acting elements.  :mod:`twistcat.sixj` reads the
 same sides.
 
-Each composition instance is one ``is_scaled_product`` comparison, entry by
-entry, with the twist ratio read from the two exponent tables as one cached
-root of unity; the bimodule hexagon compares its two scaled products with
-``scaled_products_equal``.  A product matrix is built only to report a
-failure.  Where m is not invariant the blocks of an instance differ in size,
-and the instance is one failure of its condition, like a missing entry.
+Each composition instance (:func:`composition`) compares T_{gh} with the
+scaled product through ``scaled_products_equal``, the twist ratio read from
+the two exponent tables as one cached root of unity; functor
+Biedenharn-Elliott in :mod:`twistcat.sixj` is decided by the same instance,
+and the bimodule hexagon compares its two scaled products the same way.  A
+product matrix is built only to report a failure.  Where m is not invariant
+the blocks of an instance differ in size, and the instance is one failure of
+its condition, like a missing entry.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional
 
-from ._matrix import (SMatrix, is_scaled_product, matrix_rank,
-                      nullspace_basis, scaled_products_equal)
+from ._matrix import (SMatrix, _identity, matrix_rank, nullspace_basis,
+                      scaled_products_equal)
 from .algebra import (FiniteGroup, GSet, _array_view, _flatten, _rows, orbits,
                       product_gset)
 from .cohomology import UnitCochain, _pull_back, differential
@@ -209,11 +212,43 @@ def _twist_ratio(tw_x: UnitCochain, tw_y: UnitCochain):
     return ratio
 
 
+def composition(side: CoherenceSide, g: int, h: int):
+    """The composition instances at (g, h), as (x, y) -> None when
+    T_{gh,x,y} = u T_{p,x,y} T_{q,p.x,p.y} holds, u the twist ratio at
+    (q, p, gh.x, gh.y) read through the acting elements, else the failure's
+    (lhs, rhs).  An instance fails without a product where the moved block
+    is missing or, m not being invariant, of another size; a product matrix
+    is built only for a failing value."""
+    x_set, y_set, table = side.source, side.target, side.table
+    gh = side.group.op(g, h)
+    p, q = (g, h) if side.right else (h, g)
+    a_p, a_q, a_gh = side.acting(p), side.acting(q), side.acting(gh)
+    ratio = _twist_ratio(side.twist_source, side.twist_target)
+    one = Scalar.one()
+
+    def failure(x: int, y: int) -> Optional[tuple]:
+        first = table[(p, x, y)]
+        second = table.get((q, x_set.apply(a_p, x), y_set.apply(a_p, y)))
+        if second is None:
+            return "missing entry", "present"
+        u = ratio(a_q, a_p, x_set.apply(a_gh, x), y_set.apply(a_gh, y))
+        lhs = table[(gh, x, y)]
+        try:
+            if scaled_products_equal(one, lhs, _identity(lhs.nrows), u, first,
+                                     second):
+                return None
+        except ShapeMismatch:  # m is not invariant
+            return (f"{second.nrows}x{second.ncols} moved block",
+                    f"{first.nrows}x{first.ncols}")
+        return lhs, (first @ second).scale(u)
+    return failure
+
+
 def _check_side(side: CoherenceSide, log: FailureLog) -> int:
     """Check one side's four conditions; returns how many instances."""
     grp, x_set, y_set, table = side.group, side.source, side.target, side.table
     f = side.functor
-    invariant, identity, invertible, composition = side.names
+    invariant, identity, invertible, condition = side.names
     for g in grp.elements():
         for x in range(x_set.size):
             for y in range(y_set.size):
@@ -230,34 +265,12 @@ def _check_side(side: CoherenceSide, log: FailureLog) -> int:
         if mat.inverse() is None:
             log.add(invertible, key, mat, "invertible")
 
-    act = side.acting
-    ratio = _twist_ratio(side.twist_source, side.twist_target)
-    for g in grp.elements():
-        for h in grp.elements():
-            gh = grp.op(g, h)
-            p, q = (g, h) if side.right else (h, g)
-            a_p, a_q, a_gh = act(p), act(q), act(gh)
-            for (x, y) in support:
-                first = table[(p, x, y)]
-                second = table.get((q, x_set.apply(a_p, x),
-                                    y_set.apply(a_p, y)))
-                if second is None:
-                    log.add(composition, (g, h, x, y), "missing entry",
-                            "present")
-                    continue
-                u = ratio(a_q, a_p, x_set.apply(a_gh, x),
-                          y_set.apply(a_gh, y))
-                lhs = table[(gh, x, y)]
-                try:
-                    if is_scaled_product(lhs, u, first, second):
-                        continue
-                except ShapeMismatch:  # m is not invariant
-                    log.add(composition, (g, h, x, y),
-                            f"{second.nrows}x{second.ncols} moved block",
-                            f"{first.nrows}x{first.ncols}")
-                    continue
-                log.add(composition, (g, h, x, y), lhs,
-                        (first @ second).scale(u))
+    for g, h in itertools.product(grp.elements(), repeat=2):
+        instance = composition(side, g, h)
+        for (x, y) in support:
+            failure = instance(x, y)
+            if failure is not None:
+                log.add(condition, (g, h, x, y), *failure)
     return (grp.order * x_set.size * y_set.size + len(support) + len(table)
             + grp.order ** 2 * len(support))
 

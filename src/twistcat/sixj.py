@@ -14,10 +14,11 @@ Twelve symbol kinds are supported, each given by a closed form:
 
 The matrix symbols read the sides A and B of :mod:`twistcat.modfun`, which
 fix the acting element of a label: l for s, l^-1 for t.  Functor
-orthogonality (s s^-1 against I) and functor Biedenharn-Elliott (s against
-a scaled product of two s) are each one ``is_scaled_product`` comparison,
-the one that checks the coherence sides' composition rule; a product matrix
-is built only for a failure report.
+orthogonality (s s^-1 against I) is one ``scaled_products_equal``
+comparison.  The traces being signs, functor Biedenharn-Elliott is the A
+side's composition rule and is decided by its composition instance
+(``modfun.composition``); a product matrix is built only for a failure
+report.
 
 The symbols come with exact orthogonality and Biedenharn-Elliott checks:
 sums of products of symbols that must collapse to Kronecker patterns or to
@@ -42,17 +43,16 @@ from functools import lru_cache
 from math import prod
 from typing import Callable, Optional, Sequence, Union
 
-from .errors import (IndexOutOfRange, NoTrace, NotSpherical, UndefinedLabels,
-                     ValidationError)
+from .errors import (IndexOutOfRange, NoTrace, NotSpherical, ShapeMismatch,
+                     UndefinedLabels, ValidationError)
 from .scalar import Scalar, Unit
 from .algebra import regular_gset
 from .fusion import FusionData
 from .modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
-                     ValidationReport, _product_structure, bimodule_trace,
-                     module_trace)
+                     ValidationReport, bimodule_trace, module_trace)
 from .modfun import (BimoduleFunctorData, CoherenceSide, ModuleFunctorData,
-                     coherence_sides)
-from ._matrix import SMatrix, is_scaled_product
+                     coherence_sides, composition)
+from ._matrix import SMatrix, _identity, scaled_products_equal
 
 FUSION_KINDS = ("fusion+", "fusion-")
 BIMODULE_KINDS = ("m", "m^-1", "n", "n^-1", "b", "b^-1")
@@ -194,15 +194,14 @@ class _ScalarLayout:
     other three through ``compose``; off the composed tuples the symbols
     vanish, and on them they are roots of unity: with u the twist at
     (i, j, k, b), the direct symbol is dim_a(a) * u and the inverse one
-    dim_c(c) / u, the two roles exchanged for a ``swapped`` family.  A
-    layout that only ever gives direct symbols may leave ``dim_c`` unset.
+    dim_c(c) / u, the two roles exchanged for a ``swapped`` family.
     """
 
     sizes: tuple[int, ...]
     compose: Callable[[int, int, int], tuple[int, int, int]]
     twist: Callable[[int, int, int, int], Unit]
     dim_a: Callable[[int], Unit]
-    dim_c: Optional[Callable[[int], Unit]]
+    dim_c: Callable[[int], Unit]
     swapped: bool = False
 
     def symbol(self, labels, inverse: bool) -> Unit:
@@ -449,15 +448,6 @@ def _admissible_labels(ctx: SixJContext, kind: str):
 # relation reports
 # ---------------------------------------------------------------------------
 
-def _zero_matrix(nrows: int, ncols: int) -> SMatrix:
-    return SMatrix([[Scalar.zero()] * ncols for _ in range(nrows)])
-
-
-@lru_cache(maxsize=16)
-def _identity(n: int) -> SMatrix:
-    return SMatrix.identity(n)
-
-
 def _in_scope(scope, tup) -> bool:
     return scope is None or tup in scope
 
@@ -552,7 +542,7 @@ def _ber_bimodule(ctx: SixJContext, scope, log) -> int:
     """Biedenharn-Elliott for a bimodule category: the pentagon of its
     unvalidated product structure over K = G x H, with the bimodule trace,
     at every base x0 and (i, j, l) in K^3, reported as (i, j, l, l.x0)."""
-    product = _product_structure(ctx.bimodule)
+    product = ctx.bimodule.product_structure
     grp, x_set = product.fusion.group, product.X
     fus = _scalar_layout(SixJContext(fusion=product.fusion), "fusion")
     points = ((x0, i, j, l) for x0 in range(x_set.size)
@@ -579,7 +569,7 @@ def _orth_term(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
     first, second = (inv, mat) if a_sum else (mat, inv)
     u = ctx.target_trace.unit(labels[2]) * ctx.source_trace.unit(labels[4])
     ident = _identity(mat.nrows)
-    if not is_scaled_product(ident, u, first, second):
+    if not scaled_products_equal(u, first, second, Scalar.one(), ident, ident):
         log.add(name, tup, (first @ second).scale(u), ident)
 
 
@@ -630,61 +620,42 @@ def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
 
 
 def _ber_functor(ctx: SixJContext, scope, log) -> int:
-    """The displayed Biedenharn-Elliott relation for module functors.
-
-    Left side: [left-action symbol of the target] x [s at the product
-    label]; right side: the sum over middle points mm of the source of
-    dim(mm) [s] [left-action symbol of the source] [s], matched as exact
-    matrices over the shared multiplicity space.  The first s factor,
-    s(j, l, k, a, mm), vanishes unless mm = j.l, so only that term is
-    evaluated.  When both sides are nonzero the relation is checked as
-    s_outer = dim(mm) m_source m_target^-1 s_right s_left, with no matrix
-    built; a zero side, or a failure, compares the two sides as matrices.
-    """
+    """The displayed Biedenharn-Elliott relation for module functors at each
+    supported (i, j, l, k): with c = ij, d = c.l, mm = j.l, a = j.k, b = i.a,
+    m_target(i,j,k,a,b,c) s(c,l,k,b,d) against dim(mm) s(j,l,k,a,mm)
+    m_source(i,j,l,mm,d,c) s(i,mm,a,b,d), the one term of the sum over the
+    middle points mm.  The traces are signs, so tgt(k) and tgt(a) cancel and
+    src(mm)^2 = 1: the relation is A's composition instance at
+    (g, h, x, y) = (i, j, l, k), and is decided there.  Only a failure builds
+    the sides, the rhs zero where the moved block is missing and the
+    ShapeMismatch message where m is not invariant."""
     side = _side(ctx, "s")
     grp, x_set, y_set, f = side.group, side.source, side.target, side.functor
-    src_tr, tgt_tr = ctx.source_trace, ctx.target_trace
-    # only the direct m symbols appear, so no kappa is needed
-    m_x = _m_layout(grp, x_set, side.twist_source, src_tr, None)
-    m_y = _m_layout(grp, y_set, side.twist_target, tgt_tr, None)
+    src, tgt = ctx.source_trace.unit, ctx.target_trace.unit
     checked = 0
-    for i in grp.elements():
-        for j in grp.elements():
-            c = grp.op(i, j)
-            for l in range(x_set.size):
-                d = x_set.apply(c, l)
-                mm = x_set.apply(j, l)
-                for k in range(y_set.size):
-                    size = f.multiplicity(l, k)
-                    if not size or not _in_scope(scope, (i, j, l, k)):
-                        continue
-                    checked += 1
-                    a = y_set.apply(j, k)
-                    b = y_set.apply(i, a)
-                    m_target = m_y.value((i, j, k, a, b, c), False)
-                    s_outer = _matrix_symbol(ctx, side, (c, l, k, b, d),
-                                             False)
-                    s_right = _matrix_symbol(ctx, side, (j, l, k, a, mm),
-                                             False)
-                    m_source = m_x.value((i, j, l, mm, d, c), False)
-                    s_left = (None if s_right is None or m_source is None
-                              else _matrix_symbol(ctx, side, (i, mm, a, b, d),
-                                                  False))
-                    outer = m_target is not None and s_outer is not None
-                    dims = (None if s_left is None
-                            else src_tr.unit(mm) * m_source)
-                    if outer and dims is not None and is_scaled_product(
-                            s_outer, dims * m_target.inverse(), s_right,
-                            s_left):
-                        continue
-                    # a failure or a zero side: the sides as matrices
-                    lhs = (s_outer.scale(m_target) if outer
-                           else _zero_matrix(size, size))
-                    rhs = ((s_right @ s_left).scale(dims) if dims is not None
-                           else _zero_matrix(size, size))
-                    if lhs != rhs:
-                        log.add("biedenharn-elliott[s]", (i, j, l, k), lhs,
-                                rhs)
+    for i, j in itertools.product(grp.elements(), repeat=2):
+        instance = composition(side, i, j)
+        for l, k in f.support():
+            if not _in_scope(scope, (i, j, l, k)):
+                continue
+            checked += 1
+            if instance(l, k) is None:
+                continue
+            c, mm, a = grp.op(i, j), x_set.apply(j, l), y_set.apply(j, k)
+            d, b = x_set.apply(c, l), y_set.apply(i, a)
+            lhs = _matrix_symbol(ctx, side, (c, l, k, b, d), False).scale(
+                tgt(a) * side.twist_target.value((i, j, b)))
+            rhs = SMatrix([[Scalar.zero()] * lhs.ncols] * lhs.nrows)
+            s_left = _matrix_symbol(ctx, side, (i, mm, a, b, d), False)
+            if s_left is not None:
+                s_right = _matrix_symbol(ctx, side, (j, l, k, a, mm), False)
+                dims = src(mm) * src(mm) * side.twist_source.value((i, j, d))
+                try:
+                    rhs = (s_right @ s_left).scale(dims)
+                except ShapeMismatch as exc:  # m is not invariant
+                    rhs = str(exc)
+            if lhs != rhs:
+                log.add("biedenharn-elliott[s]", (i, j, l, k), lhs, rhs)
     return checked
 
 
@@ -736,9 +707,11 @@ def verify_biedenharn_elliott(
     kappa values that are not signs.  Bimodule contexts count |K|^3 |X|
     tuples (i, j, l, l.x0), K = G x H, a scope tuple once per base giving
     it; a broken Psi, Phi or Omega shows as failures.  Both are the module
-    pentagon (:func:`_pentagon`).  Functor contexts check the displayed
-    mixed relation; the composition law of a bimodule functor's right-action
-    matrices is part of validate_bimodfun instead.
+    pentagon (:func:`_pentagon`).  Functor contexts count the (i, j, l, k)
+    with (l, k) supported (or those in scope) and check the displayed mixed
+    relation, which is A's composition rule: a wrong A block and an m that
+    is not invariant fail it.  The composition law of a bimodule functor's
+    right-action matrices is part of validate_bimodfun instead.
     """
     scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)

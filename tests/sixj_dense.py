@@ -11,8 +11,10 @@ report through the same failure accumulator, so the support-driven sweeps
 can be compared with them report for report.
 
 Functor orthogonality visits every supported outer tuple of the s and t
-symbols and sums over every candidate middle label, reading each matrix
-symbol through the public ``sixj``.
+symbols and sums over every candidate middle label, and functor
+Biedenharn-Elliott visits every supported (i, j, l, k) and sums over every
+middle point mm of the source with full matrix products; both read each
+matrix symbol through the public ``sixj``.
 """
 from __future__ import annotations
 
@@ -21,7 +23,8 @@ from typing import Optional
 from twistcat._matrix import SMatrix
 from twistcat.algebra import direct_product
 from twistcat.cohomology import deligne_omega
-from twistcat.errors import UndefinedLabels, ValidationError
+from twistcat.errors import (ShapeMismatch, UndefinedLabels,
+                             ValidationError)
 from twistcat.fusion import FusionData, fusion_6j
 from twistcat.modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
                              _product_kappa)
@@ -427,6 +430,66 @@ def _orth_functor(context, scope, log) -> int:
     return checked
 
 
+def _ber_functor(context, scope, log) -> int:
+    """At every (i, j, l, k) in G x G x X x Y with (l, k) supported, with
+    c = ij, d = c.l, a = j.k and b = c.k: m_Y(i,j,k,a,b,c) s(c,l,k,b,d)
+    against the sum over every middle point mm of X of dim(mm)
+    s(j,l,k,a,mm) m_X(i,j,l,mm,d,c) s(i,mm,a,b,d), where m = trace(a)
+    psi(i, j, b) on its carrier.  A product of blocks of different sizes (m
+    not invariant) leaves its ShapeMismatch message as the sum."""
+    functor = context.functor
+    _, grp, x_set, y_set, _ = _functor_sides(functor)[0]
+    act_x, act_y = x_set.action, y_set.action
+    src, tgt = context.source_trace, context.target_trace
+
+    def m(psi, trace, act, i, j, k, a, b, c):
+        if c != grp.op(i, j) or a != int(act[j, k]) or b != int(act[c, k]):
+            return None
+        return trace.unit(a) * Unit(psi.root_order,
+                                    int(psi.exponents[i, j, b]))
+
+    def s(labels):
+        try:
+            return sixj(SixJQuery("s", context, labels)).matrix
+        except UndefinedLabels:
+            return None
+
+    checked = 0
+    for i in grp.elements():
+        for j in grp.elements():
+            for l in range(x_set.size):
+                for k in range(y_set.size):
+                    size = int(functor.mult[l, k])
+                    if not size or not _in_scope(scope, (i, j, l, k)):
+                        continue
+                    checked += 1
+                    c = grp.op(i, j)
+                    d = int(act_x[c, l])
+                    a, b = int(act_y[j, k]), int(act_y[c, k])
+                    lhs = rhs = _zero_matrix(size, size)
+                    m_target = m(functor.target.psi, tgt, act_y, i, j, k,
+                                 a, b, c)
+                    outer = s((c, l, k, b, d))
+                    if m_target is not None and outer is not None:
+                        lhs = outer.scale(m_target)
+                    for mm in range(x_set.size):
+                        m_source = m(functor.source.psi, src, act_x, i, j, l,
+                                     mm, d, c)
+                        right, left = s((j, l, k, a, mm)), s((i, mm, a, b, d))
+                        if None in (m_source, right, left):
+                            continue
+                        try:
+                            rhs = rhs + (right @ left).scale(src.unit(mm)
+                                                             * m_source)
+                        except ShapeMismatch as exc:
+                            rhs = str(exc)
+                            break
+                    if lhs != rhs:
+                        log.add("biedenharn-elliott[s]", (i, j, l, k), lhs,
+                                rhs)
+    return checked
+
+
 def dense_orthogonality(context, scope=None):
     """Report of the dense orthogonality sweep of a fusion, bimodule or
     functor context, shaped like ``sixj.verify_orthogonality``'s."""
@@ -442,14 +505,16 @@ def dense_orthogonality(context, scope=None):
 
 
 def dense_biedenharn_elliott(context, scope=None):
-    """Report of the dense Biedenharn-Elliott sweep of a fusion or bimodule
-    context, shaped like ``sixj.verify_biedenharn_elliott``'s."""
+    """Report of the dense Biedenharn-Elliott sweep of a fusion, bimodule or
+    functor context, shaped like ``sixj.verify_biedenharn_elliott``'s."""
     scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)
     if context.fusion is not None:
         checked = _ber_fusion(context.fusion, scope, log)
-    else:
+    elif context.bimodule is not None:
         checked = _ber_bimodule(context.bimodule, context.trace, scope, log)
+    else:
+        checked = _ber_functor(context, scope, log)
     return log.report(checked)
 
 

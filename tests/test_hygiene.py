@@ -218,9 +218,9 @@ def test_differential_matrices_are_built_only_for_cached_results():
 
 
 def test_the_monomial_form_is_read_only_in_the_matrix_module():
-    # is_scaled_product, scaled_products_equal and SMatrix.inverse dispatch
-    # on the cached monomial form; a caller that read it itself would grow a
-    # second copy of the fast path
+    # scaled_products_equal, the one product comparison, and SMatrix.inverse
+    # dispatch on the cached monomial form; a caller that read it itself
+    # would grow a second copy of the fast path
     callers = _callers("_monomial_form")
     assert ("_matrix.py", "_monomial_product") in callers
     assert {module for module, _ in callers} == {"_matrix.py"}

@@ -2,8 +2,9 @@
 
 A matrix whose rows each hold one nonzero entry, a tagged root of unity,
 keeps a monomial form.  With root scale factors (a Unit or a tagged Scalar),
-``is_scaled_product`` and ``scaled_products_equal`` then compare column maps
-and sums of angles, and ``inverse`` of a square one with distinct columns
+``scaled_products_equal`` then compares column maps and sums of angles, also
+for a side that is one matrix M, passed as M @ I with the cached identity,
+and ``inverse`` of a square one with distinct columns
 transposes it and inverts its roots.  Every answer must be the one the
 entrywise reference gives -- the products built with ``@`` and compared as
 matrices -- and every inverse must carry elimination's representation entry
@@ -14,7 +15,7 @@ come out exactly as the reference has them.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistcat._matrix import (SMatrix, _monomial_form, is_scaled_product,
+from twistcat._matrix import (SMatrix, _identity, _monomial_form,
                               scaled_products_equal)
 from twistcat.errors import ShapeMismatch
 from twistcat.scalar import Scalar, Unit, _gauss_jordan, _raw
@@ -113,7 +114,9 @@ def _near_miss(draw, mat: SMatrix) -> SMatrix:
 
 @CHECKS
 @given(SIZES, SIZES, SIZES, st.data())
-def test_is_scaled_product_matches_the_entrywise_path(rows, inner, cols, data):
+def test_a_single_matrix_side_matches_the_entrywise_path(rows, inner, cols,
+                                                        data):
+    # lhs == u (first @ second), asked as 1 (lhs @ I) == u (first @ second)
     draw = data.draw
     first = draw(_monomials(rows, inner))
     second = draw(_monomials(draw(st.sampled_from((inner,) * 4 + (1, 2, 3))),
@@ -122,11 +125,14 @@ def test_is_scaled_product_matches_the_entrywise_path(rows, inner, cols, data):
     try:
         built = (first @ second).scale(u)
     except ShapeMismatch:
+        lhs = draw(_monomials(rows, cols))
         with pytest.raises(ShapeMismatch):
-            is_scaled_product(draw(_monomials(rows, cols)), u, first, second)
+            scaled_products_equal(Scalar.one(), lhs, _identity(cols), u,
+                                  first, second)
         return
     if _is_root(u):  # the clean operands take the monomial path
-        assert None not in map(_monomial_form, (built, first, second))
+        assert None not in map(_monomial_form,
+                               (built, _identity(cols), first, second))
     target = draw(st.sampled_from(("lhs", "first", "second", "none")))
     lhs = _near_miss(draw, built) if target == "lhs" else built
     if target == "first":
@@ -141,7 +147,8 @@ def test_is_scaled_product_matches_the_entrywise_path(rows, inner, cols, data):
             grid = [row + [Scalar.zero()] for row in grid]
         lhs = SMatrix(grid)
     want = (first @ second).scale(u) == lhs
-    assert is_scaled_product(lhs, u, first, second) == want
+    assert scaled_products_equal(Scalar.one(), lhs, _identity(lhs.ncols), u,
+                                 first, second) == want
 
 
 @CHECKS

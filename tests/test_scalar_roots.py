@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistcat._matrix import SMatrix, is_scaled_product, scaled_products_equal
+from twistcat._matrix import SMatrix, _identity, scaled_products_equal
 from twistcat.errors import ShapeMismatch
 from twistcat.scalar import (Scalar, Unit, _poly_mul, _powers, _raw, _reduce,
                              _scalar)
@@ -210,11 +210,12 @@ FACTORS = st.one_of(_roots(), _scalars(),
 
 @CHECKS
 @given(SIZES, SIZES, SIZES, st.data())
-def test_is_scaled_product_matches_the_built_product(rows, inner, cols,
-                                                     data):
-    # the comparison agrees with the matrices it replaces: it raises where
-    # the product raises, and otherwise answers (first @ second).scale(u)
-    # == lhs, on equal, re-expressed, perturbed and reshaped left sides
+def test_a_single_matrix_side_matches_the_built_product(rows, inner, cols,
+                                                        data):
+    # a side that is one matrix, lhs @ I, agrees with the matrices the
+    # comparison replaces: it raises where the product raises, and otherwise
+    # answers (first @ second).scale(u) == lhs, on equal, re-expressed,
+    # perturbed and reshaped left sides
     first = _matrix(data, rows, inner)
     second = _matrix(data, data.draw(st.sampled_from((inner, inner, 1, 2, 3))),
                      cols)
@@ -222,8 +223,10 @@ def test_is_scaled_product_matches_the_built_product(rows, inner, cols,
     try:
         built = (first @ second).scale(u)
     except ShapeMismatch:
+        lhs = _matrix(data, rows, cols)
         with pytest.raises(ShapeMismatch):
-            is_scaled_product(_matrix(data, rows, cols), u, first, second)
+            scaled_products_equal(Scalar.one(), lhs, _identity(cols), u,
+                                  first, second)
         return
     kind = data.draw(st.sampled_from(("equal", "perturbed", "reshaped")))
     if kind == "equal":
@@ -248,7 +251,8 @@ def test_is_scaled_product_matches_the_built_product(rows, inner, cols,
         elif change == "col-" and cols > 1:
             grid = [row[:-1] for row in grid]
         lhs = SMatrix(grid)
-    assert is_scaled_product(lhs, u, first, second) == (built == lhs)
+    assert scaled_products_equal(Scalar.one(), lhs, _identity(lhs.ncols), u,
+                                 first, second) == (built == lhs)
 
 
 @CHECKS

@@ -30,7 +30,8 @@ from twistcat.modcat import (BimoduleCategoryData, ModuleCategoryData,
                              validate_bimodcat)
 from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData,
                              deligne_to_bimodfun, direct_sum,
-                             identity_functor, validate_bimodfun)
+                             identity_functor, validate_bimodfun,
+                             validate_modfun)
 from twistcat.scalar import Scalar, Unit
 from twistcat.sixj import (SixJContext, SixJQuery, bimodule_context,
                            functor_context, fusion_context, sixj, sixj_table,
@@ -259,6 +260,25 @@ def test_bimodule_biedenharn_elliott_matches_the_dense_reference(example,
     assert_same_report(new, ref)
 
 
+def test_product_structure_is_built_once_per_bimodule(monkeypatch):
+    # its FusionData re-checks the product 3-cocycle, the costly part of the
+    # build: the context's trace, both sweeps and the validating conversion
+    # share one product structure
+    bim = _z3_bimodule()
+    build, calls = FusionData.__init__, []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(FusionData, "__init__", counting)
+    ctx = bimodule_context(bim)
+    assert verify_orthogonality(ctx).ok
+    assert verify_biedenharn_elliott(ctx).ok
+    assert bimod_to_deligne(bim) is bim.product_structure
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("example,case", [("z2", "omega"), ("z3", "valid"),
                                           ("z3", "phi")])
 def test_bimodule_symbols_match_the_closed_forms_on_the_whole_label_box(
@@ -382,6 +402,68 @@ def test_scoped_functor_orthogonality_matches_the_dense_reference(seed):
     assert_same_report(new, ref)
 
 
+@pytest.mark.parametrize("name", list(FUNCTOR_CASES))
+def test_functor_biedenharn_elliott_matches_the_dense_reference(name):
+    ctx = functor_context(FUNCTOR_CASES[name])
+    assert_same_report(verify_biedenharn_elliott(ctx),
+                       dense_biedenharn_elliott(ctx))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_scoped_functor_biedenharn_elliott_matches_the_dense_reference(seed):
+    # a scope tuple (i, j, l, k) counts once when (l, k) is supported
+    rng = random.Random(seed)
+    name = [n for n in FUNCTOR_CASES if n.startswith("Z3xZ3")
+            and "A[" in n][seed]
+    ctx = functor_context(FUNCTOR_CASES[name])
+    scope = _scope(rng, (3, 3, 9, 9), 200)
+    # where the failures are
+    scope += [f["tuple"] for f in dense_biedenharn_elliott(ctx).failures]
+    new = verify_biedenharn_elliott(ctx, scope)
+    ref = dense_biedenharn_elliott(ctx, scope)
+    assert new.failed and new.checked
+    assert_same_report(new, ref)
+
+
+def _non_invariant_functor(mult):
+    """Identity blocks on the regular Z/2 category (omega trivial) over a
+    multiplicity table that the action does not preserve."""
+    reg = regular_module_category(_fusion(2, 0))
+    a = {(g, x, x): SMatrix.identity(mult[x][x])
+         for g in range(2) for x in range(2) if mult[x][x]}
+    return ModuleFunctorData(reg, reg, mult, a)
+
+
+@pytest.mark.parametrize("mult,rhs", [
+    # blocks of different sizes: the product is undefined, one failure each
+    ([[2, 0], [0, 1]], {(0, 1, 0, 0): "'cannot multiply 2x2 by 1x1'",
+                        (0, 1, 1, 1): "'cannot multiply 1x1 by 2x2'",
+                        (1, 1, 0, 0): "'cannot multiply 2x2 by 1x1'",
+                        (1, 1, 1, 1): "'cannot multiply 1x1 by 2x2'"}),
+    # a missing moved block: the lhs against the zero matrix
+    ([[1, 0], [0, 0]], {(0, 1, 0, 0): "SMatrix[0]",
+                        (1, 1, 0, 0): "SMatrix[0]"}),
+])
+def test_non_invariant_multiplicities_fail_functor_biedenharn_elliott(mult,
+                                                                      rhs):
+    # the instances cond_A fails as moved blocks of another size or missing
+    # ones; orthogonality pairs each block with its own inverse and passes
+    f = _non_invariant_functor(mult)
+    ctx = functor_context(f)
+    report = verify_biedenharn_elliott(ctx)
+    assert (report.checked, report.failed) == (4 * len(f.support()),
+                                               len(rhs))
+    assert {fail["tuple"]: fail["rhs"] for fail in report.failures} == rhs
+    failing = [fail["tuple"] for fail in validate_modfun(f).failures
+               if fail["condition"] == "cond_A"]
+    assert failing == list(rhs)
+    assert verify_orthogonality(ctx).ok
+    assert_same_report(report, dense_biedenharn_elliott(ctx))
+    scope = list(rhs)[:1] + [(0, 0, 0, 0), (1, 0, 1, 1), (0, 0, 0, 1)]
+    assert_same_report(verify_biedenharn_elliott(ctx, scope),
+                       dense_biedenharn_elliott(ctx, scope))
+
+
 def test_functor_orthogonality_evaluates_one_term_per_composed_label(
         monkeypatch):
     # each composed label (l, j, a) of s and t has one a-sum and one c-sum
@@ -453,21 +535,29 @@ def test_matrix_symbols_are_rescaled_once_per_context(monkeypatch):
 def test_passing_functor_checks_multiply_no_matrices(monkeypatch):
     # the composition rule, the hexagon, functor orthogonality and functor
     # Biedenharn-Elliott compare scaled products entry by entry; a product
-    # matrix is built only for a failure report
+    # matrix is built only for a failure report.  Functor Biedenharn-Elliott
+    # is the composition instance of A, so where it holds it multiplies no
+    # Unit either: the m symbols and dimensions are read only for a failure
     f = _identity_bimodule_functor(3, 1, 2)
     ctx = functor_context(f)
-    matmul = SMatrix.__matmul__
-    calls = []
+    matmul, unit_mul = SMatrix.__matmul__, Unit.__mul__
+    calls, unit_calls = [], []
 
     def counting(self, other):
         calls.append((self, other))
         return matmul(self, other)
 
+    def counting_units(self, other):
+        unit_calls.append((self, other))
+        return unit_mul(self, other)
+
     monkeypatch.setattr(SMatrix, "__matmul__", counting)
     assert validate_bimodfun(f).ok
     assert verify_orthogonality(ctx).ok
+    monkeypatch.setattr(Unit, "__mul__", counting_units)
     assert verify_biedenharn_elliott(ctx).ok
-    assert calls == []
+    monkeypatch.setattr(Unit, "__mul__", unit_mul)
+    assert calls == [] and unit_calls == []
     # the products return for the failures of a corrupted block
     bad_a = dict(f.a)
     bad_a[(1, 0, 0)] = bad_a[(1, 0, 0)].scale(Unit(4, 1))
@@ -512,8 +602,9 @@ def _fusion_corruption(kind):
 # pentagon reports as failures.  Functor
 # orthogonality pairs each coherence block with its own inverse, so it sees
 # only singular blocks, on the side (s for A, t for B) that holds them; the
-# functor Biedenharn-Elliott relation reads A alone and sees a wrong A block,
-# singular or not; a wrong B block shows only in validate_bimodfun.
+# functor Biedenharn-Elliott relation is the composition rule of A, so it
+# reads A alone and sees a wrong A block, singular or not; a wrong B block
+# shows only in validate_bimodfun.
 DETECTION = [
     ("fusion-omega", "orthogonality", "passes"),
     ("fusion-omega", "biedenharn-elliott", "fails"),
