@@ -21,7 +21,7 @@ is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
@@ -302,103 +302,74 @@ def _closure(group: FiniteGroup, seed: Sequence[int]) -> tuple[int, ...]:
 
 
 def subgroups(group: FiniteGroup, bound: int = 24) -> list[Subgroup]:
-    """All subgroups, found as closures of generator subsets of size <= 3.
+    """All subgroups, sorted by (order, elements).
 
-    Sorted by (order, elements).  Sufficient for the group orders this library
-    targets; the hard bound errors out rather than silently truncating.
+    A subgroup is generated by its elements, so it is reached from a cyclic
+    subgroup by adjoining one element at a time: every new subgroup is
+    extended by each element outside it until no new subgroup appears.  The
+    hard bound errors out rather than growing without limit.
     """
     if group.order > bound:
         raise EnumerationBoundExceeded(
             f"group order {group.order} exceeds bound {bound}")
-    found = {(group.identity,)}
-    n = group.order
-    for a in range(n):
-        found.add(_closure(group, (a,)))
-    for a in range(n):
-        for b in range(a + 1, n):
-            found.add(_closure(group, (a, b)))
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                found.add(_closure(group, (a, b, c)))
+    found = frontier = {_closure(group, (a,)) for a in group.elements()}
+    while frontier:
+        frontier = {_closure(group, sub + (a,)) for sub in frontier
+                    for a in group.elements() if a not in sub} - found
+        found = found | frontier
     return [Subgroup(group, els) for els in sorted(found, key=lambda e: (len(e), e))]
+
+
+def _conjugates(sub: Subgroup) -> set[tuple[int, ...]]:
+    """The conjugates g*H*g^-1, each as a sorted element tuple."""
+    grp = sub.group
+    return {tuple(sorted(grp.op(grp.op(g, a), grp.inv(g)) for a in sub.elements))
+            for g in grp.elements()}
 
 
 def conjugate(h1: Subgroup, h2: Subgroup) -> bool:
     """Whether g*H1*g^-1 = H2 for some g in the shared ambient group."""
     if h1.group != h2.group:
         raise ValueError("subgroups live in different ambient groups")
-    if len(h1) != len(h2):
-        return False
-    g0 = h1.group
-    target = set(h2.elements)
-    for g in g0.elements():
-        ginv = g0.inv(g)
-        if {g0.op(g0.op(g, a), ginv) for a in h1.elements} == target:
-            return True
-    return False
+    return tuple(sorted(h2.elements)) in _conjugates(h1)
 
 
 def characters(group: FiniteGroup, root_order: int):
     """All homomorphisms G -> mu_root_order, as degree-1 point-carrier cochains.
 
-    Sorted by exponent table, so the trivial character comes first.
+    A character is fixed by its values on a generating set, and a generator
+    of order k can only take the multiples of N / gcd(N, k), N the root
+    order.  Each such choice is extended along a breadth-first walk
+    x -> x*s over the generators s and kept when chi(x*s) = chi(x) + chi(s)
+    for every x and s, which makes it a homomorphism.  Sorted by exponent
+    table, so the trivial character comes first.
     """
     from .cohomology import UnitCochain  # deferred: cohomology imports algebra
 
-    order = group.order
     gens: list[int] = []
     reached = {group.identity}
     for a in group.elements():
-        if len(reached) == order:
-            break
         if a not in reached:
             gens.append(a)
             reached = set(_closure(group, gens))
-
-    def propagate(assign: dict[int, int]) -> Optional[tuple[int, ...]]:
-        chi = dict(assign)
-        changed = True
-        while changed and len(chi) < order:
-            changed = False
-            for a in list(chi):
-                for b in list(chi):
-                    prod = group.op(a, b)
-                    want = (chi[a] + chi[b]) % root_order
-                    if prod in chi:
-                        if chi[prod] != want:
-                            return None
-                    else:
-                        chi[prod] = want
-                        changed = True
-        if len(chi) < order:
-            return None
-        for a in range(order):
-            for b in range(order):
-                if (chi[a] + chi[b]) % root_order != chi[group.op(a, b)]:
-                    return None
-        return tuple(chi[i] for i in range(order))
-
-    tables: set[tuple[int, ...]] = set()
-
-    def assign(idx: int, chi: dict[int, int]):
-        if idx == len(gens):
-            tab = propagate(chi)
-            if tab is not None:
-                tables.add(tab)
-            return
-        g = gens[idx]
-        ord_g = group.element_order(g)
-        for value in range(root_order):
-            if (value * ord_g) % root_order == 0:
-                assign(idx + 1, {**chi, g: value})
-
-    assign(0, {group.identity: 0})
+    steps = [range(0, root_order, root_order // gcd(root_order, group.element_order(g)))
+             for g in gens]
+    tables = []
+    for values in product(*steps):
+        chi = {group.identity: 0}
+        walk = [group.identity]
+        for x in walk:
+            for s, v in zip(gens, values):
+                y = group.op(x, s)
+                if y not in chi:
+                    chi[y] = (chi[x] + v) % root_order
+                    walk.append(y)
+        if all(chi[group.op(x, s)] == (chi[x] + v) % root_order
+               for x in walk for s, v in zip(gens, values)):
+            tables.append(tuple(chi[x] for x in group.elements()))
     point = point_gset(group)
-    out = []
-    for tab in sorted(tables):
-        out.append(UnitCochain(1, point, root_order, [[v] for v in tab]))
-    return out
+    return [UnitCochain(1, point, root_order, [[v] for v in tab])
+            for tab in sorted(tables)]
 
 
 class GSet:

@@ -12,7 +12,6 @@ parse errors.
 
 from __future__ import annotations
 
-import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -461,28 +460,26 @@ def _emit(obj: dict, command: str, payload: dict, lines: list[str],
         sys.exit(1)
 
 
-def _guard(fn):
-    """Map domain errors to the exit-code contract inside commands."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except click.ClickException:
-            raise
-        except ParseError as exc:
-            click.echo(f"parse error: {exc}", err=True)
-            sys.exit(2)
-        except TwistcatError as exc:
-            click.echo(f"validation error: {exc}", err=True)
-            sys.exit(1)
-    return wrapper
-
-
 # ---------------------------------------------------------------------------
 # command-line interface
 # ---------------------------------------------------------------------------
 
-@click.group()
+class _Main(click.Group):
+    """Maps domain errors, at config parse and inside commands, to the
+    exit-code contract: a ParseError exits 2, any other TwistcatError 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ParseError as exc:
+            click.echo(f"parse error: {exc}", err=True)
+            ctx.exit(2)
+        except TwistcatError as exc:
+            click.echo(f"validation error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Main)
 @click.option("--config", "config_path", required=True,
               type=click.Path(), help="Path to the session config (JSON).")
 @click.option("--format", "fmt", type=click.Choice(["table", "json"]),
@@ -494,15 +491,8 @@ def _guard(fn):
 @click.pass_context
 def main(ctx, config_path, fmt, seed, bound):
     """Exact computations with twisted graded categories and their 6j data."""
-    try:
-        cfg = parse_config(config_path)
-    except ParseError as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        ctx.exit(2)
-    except TwistcatError as exc:
-        click.echo(f"validation error: {exc}", err=True)
-        ctx.exit(1)
-    ctx.obj = {"cfg": cfg, "format": fmt, "seed": seed, "bound": bound}
+    ctx.obj = {"cfg": parse_config(config_path), "format": fmt, "seed": seed,
+               "bound": bound}
 
 
 def _resolve(cfg: SessionConfig, section: str, name: str):
@@ -516,7 +506,6 @@ def _resolve(cfg: SessionConfig, section: str, name: str):
 
 @main.command()
 @click.pass_obj
-@_guard
 def validate(obj):
     """Run every validator over every declared entity."""
     cfg = obj["cfg"]
@@ -553,7 +542,6 @@ def validate(obj):
 
 @main.command()
 @click.pass_obj
-@_guard
 def spherical(obj):
     """List the spherical structures on each declared fusion datum."""
     cfg = obj["cfg"]
@@ -581,7 +569,6 @@ def spherical(obj):
 @click.option("--fusion", "fusion_id", default=None,
               help="Fusion id (defaults to the unique declared one).")
 @click.pass_obj
-@_guard
 def enumerate_modcats(obj, gset, fusion_id):
     """Enumerate the module structures on a carrier G-set."""
     cfg = obj["cfg"]
@@ -608,7 +595,6 @@ def enumerate_modcats(obj, gset, fusion_id):
 @main.command()
 @click.argument("modcat")
 @click.pass_obj
-@_guard
 def classify(obj, modcat):
     """Classify an indecomposable module category: subgroup and restriction."""
     cfg = obj["cfg"]
@@ -631,7 +617,6 @@ def classify(obj, modcat):
 @click.argument("m1")
 @click.argument("m2")
 @click.pass_obj
-@_guard
 def equiv(obj, m1, m2):
     """Decide equivalence of two module categories; print a witness."""
     cfg = obj["cfg"]
@@ -656,7 +641,6 @@ def equiv(obj, m1, m2):
 @main.command()
 @click.argument("modcat")
 @click.pass_obj
-@_guard
 def trace(obj, modcat):
     """Report the module trace of a module or bimodule category."""
     cfg = obj["cfg"]
@@ -681,7 +665,6 @@ def trace(obj, modcat):
 @click.option("--inverse", is_flag=True,
               help="Also map back and check the round trip is exact.")
 @click.pass_obj
-@_guard
 def deligne(obj, entity, inverse):
     """Map a bimodule entity to its product-group form (and back)."""
     cfg = obj["cfg"]
@@ -721,7 +704,6 @@ def deligne(obj, entity, inverse):
 @click.argument("src")
 @click.argument("tgt")
 @click.pass_obj
-@_guard
 def classify_simple(obj, src, tgt):
     """Classify the simple module functors between two module categories."""
     cfg = obj["cfg"]
@@ -744,7 +726,6 @@ def classify_simple(obj, src, tgt):
 @main.command("adjoint")
 @click.argument("functor")
 @click.pass_obj
-@_guard
 def adjoint_cmd(obj, functor):
     """Compute the adjoint of a module functor and validate it."""
     cfg = obj["cfg"]
@@ -804,7 +785,6 @@ _KIND_ALIASES = {"fusion": "fusion+"}
 @click.argument("kind")
 @click.argument("refs", nargs=-1)
 @click.pass_obj
-@_guard
 def sixj_table_cmd(obj, kind, refs):
     """Print every admissible 6j symbol of one kind."""
     cfg = obj["cfg"]
@@ -847,7 +827,6 @@ def sixj_table_cmd(obj, kind, refs):
                 type=click.Choice(["orthogonality", "biedenharn-elliott"]))
 @click.argument("refs", nargs=-1)
 @click.pass_obj
-@_guard
 def verify(obj, relation, refs):
     """Check the orthogonality or Biedenharn-Elliott relations exactly."""
     cfg = obj["cfg"]

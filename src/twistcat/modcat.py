@@ -27,6 +27,7 @@ from .algebra import (
     restrict_gset,
     solve_mod,
     stabilizer,
+    _conjugates,
     _kernel_mod_basis,
     _kernel_mod_coords,
     _lattice_quotient_reps,
@@ -287,18 +288,13 @@ class IndecomposableClass:
 
 
 def classify_indecomposable(data: ModuleCategoryData) -> IndecomposableClass:
-    """The stabilizer subgroup of the base point and the restricted cochain."""
+    """The stabilizer subgroup of the base point, its least conjugate and the
+    restricted cochain."""
     if not is_transitive(data.X):
         raise NotTransitive("carrier G-set has more than one orbit")
-    grp = data.fusion.group
     sub = stabilizer(data.X, 0)
-    rep = sub.elements
-    for g in grp.elements():
-        ginv = grp.inv(g)
-        conj = tuple(sorted(grp.op(grp.op(g, a), ginv) for a in sub.elements))
-        if conj < rep:
-            rep = conj
-    return IndecomposableClass(sub, shapiro_restrict(data.psi), rep)
+    return IndecomposableClass(sub, shapiro_restrict(data.psi),
+                               min(_conjugates(sub)))
 
 
 def equivalent_modcats(m1: ModuleCategoryData, m2: ModuleCategoryData,

@@ -14,11 +14,13 @@ Twelve symbol kinds are supported, each given by a closed form:
 
 The matrix symbols read the sides A and B of :mod:`twistcat.modfun`, which
 fix the acting element of a label: l for s, l^-1 for t.  Functor
-orthogonality (s s^-1 against I) is one ``scaled_products_equal``
+orthogonality (s s^-1 against I) reads a block and its inverse, which the
+block keeps, off the side's table and is one ``scaled_products_equal``
 comparison.  The traces being signs, functor Biedenharn-Elliott is the A
 side's composition rule and is decided by its composition instance
 (``modfun.composition``); a product matrix is built only for a failure
-report.
+report.  A symbol table (:func:`sixj_table`) builds the scalar layout, or
+reads the coherence side, once for all its labels.
 
 The symbols come with exact orthogonality and Biedenharn-Elliott checks:
 sums of products of symbols that must collapse to Kronecker patterns or to
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import prod
 from typing import Callable, Optional, Sequence, Union
 
@@ -61,7 +62,6 @@ BIMODFUN_KINDS = ("t", "t^-1")
 KINDS = FUSION_KINDS + BIMODULE_KINDS + MODFUN_KINDS + BIMODFUN_KINDS
 
 _MATRIX_KINDS = MODFUN_KINDS + BIMODFUN_KINDS
-_regular_carrier = lru_cache(maxsize=16)(regular_gset)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +75,7 @@ class SixJContext:
     Exactly one of ``fusion``, ``bimodule``, ``functor`` is set; traces and
     the functor's coherence sides ``sides`` ((A,) or (A, B)) are attached at
     construction time so that a symbol evaluation never has to re-derive
-    them.  ``scaled`` keeps each rescaled matrix symbol once evaluated.
+    them.
     """
 
     fusion: Optional[FusionData] = None
@@ -86,8 +86,6 @@ class SixJContext:
     target_trace: Optional[ModuleTrace] = None
     sides: tuple[CoherenceSide, ...] = field(init=False, compare=False,
                                              repr=False)
-    scaled: dict = field(init=False, compare=False, repr=False,
-                         default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "sides", () if self.functor is None
@@ -267,7 +265,7 @@ def _scalar_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
     if family == "fusion":
         grp = ctx.fusion.group
         kappa = ModuleTrace(tuple(map(ctx.fusion.kappa_unit, grp.elements())))
-        return _m_layout(grp, _regular_carrier(grp), ctx.fusion.omega, kappa,
+        return _m_layout(grp, regular_gset(grp), ctx.fusion.omega, kappa,
                          kappa.unit, lambda i, j, k, b: (i, j, k))
     data, trace = ctx.bimodule, ctx.trace
     if family == "m":
@@ -309,6 +307,15 @@ def _side(ctx: SixJContext, kind: str) -> CoherenceSide:
     return ctx.sides[kind in BIMODFUN_KINDS]
 
 
+def _inverse_block(side: CoherenceSide, key) -> SMatrix:
+    """T_key^-1 for the side's table T; a singular block (possible only for
+    corrupted data) raises ValidationError, each time it is asked for."""
+    inv = side.table[key].inverse()
+    if inv is None:
+        raise ValidationError(f"coherence matrix at {key} is singular")
+    return inv
+
+
 def _matrix_symbol(ctx: SixJContext, side: CoherenceSide, labels,
                    inverse: bool) -> Optional[SMatrix]:
     """The rescaled matrix symbol at labels (l, j, a, b, c), or None.
@@ -316,49 +323,32 @@ def _matrix_symbol(ctx: SixJContext, side: CoherenceSide, labels,
     With g the acting element of l and T the side's table, the symbol is
     defined when c = g.j, b = g.a and (j, a) is supported; ``s`` and ``t``
     are target_trace(a) * T_{l,j,a}, ``s^-1`` and ``t^-1`` are
-    source_trace(c) * T_{l,j,a}^-1.  Each symbol is rescaled once per
-    context and kept in ``ctx.scaled``.  A singular matrix (possible only
-    for corrupted data) is never kept and raises ValidationError each time.
+    source_trace(c) * T_{l,j,a}^-1.  The block keeps its inverse; the
+    rescaled symbol is built afresh on each call.
     """
     l, j, a, b, c = labels
     g = side.acting(l)
     if (c != side.source.apply(g, j) or b != side.target.apply(g, a)
             or not side.functor.multiplicity(j, a)):
         return None
-    key = (side.right, l, j, a, inverse)
-    out = ctx.scaled.get(key)
-    if out is None:
-        mat = side.table[(l, j, a)]
-        if inverse:
-            inv = mat.inverse()
-            if inv is None:
-                raise ValidationError(
-                    f"coherence matrix at {(l, j, a)} is singular")
-            out = inv.scale(ctx.source_trace.unit(c))
-        else:
-            out = mat.scale(ctx.target_trace.unit(a))
-        ctx.scaled[key] = out
-    return out
+    if inverse:
+        return _inverse_block(side, (l, j, a)).scale(
+            ctx.source_trace.unit(c))
+    return side.table[(l, j, a)].scale(ctx.target_trace.unit(a))
 
 
 # ---------------------------------------------------------------------------
 # public evaluation
 # ---------------------------------------------------------------------------
 
-def _check_labels(labels, sizes, names) -> None:
+def _check_labels(kind: str, labels, sizes, names) -> None:
+    if len(labels) != len(sizes):
+        raise UndefinedLabels(
+            f"kind {kind!r} takes {len(sizes)} labels, got {len(labels)}")
     for val, size, name in zip(labels, sizes, names):
         if not 0 <= val < size:
             raise UndefinedLabels(
                 f"label {name}={val} is out of range (size {size})")
-
-
-def _label_domains(ctx: SixJContext, kind: str):
-    """Per-kind label sizes and names, for range validation."""
-    if kind not in _MATRIX_KINDS:
-        return _scalar_layout(ctx, _family(kind)).sizes, "ijkabc"
-    side = _side(ctx, kind)
-    nx, ny = side.source.size, side.target.size
-    return (side.group.order, nx, ny, ny, nx), "liabc" if side.right else "ijabc"
 
 
 def _check_kind(ctx: SixJContext, kind: str) -> None:
@@ -378,20 +368,20 @@ def sixj(query: SixJQuery) -> SixJValue:
     """
     kind, ctx, labels = query.kind, query.context, tuple(query.labels)
     _check_kind(ctx, kind)
-    sizes, names = _label_domains(ctx, kind)
-    if len(labels) != len(sizes):
-        raise UndefinedLabels(
-            f"kind {kind!r} takes {len(sizes)} labels, got {len(labels)}")
-    _check_labels(labels, sizes, names)
-
     inverse = _is_inverse(kind)
     if kind in _MATRIX_KINDS:
-        value = _matrix_symbol(ctx, _side(ctx, kind), labels, inverse)
-    elif query.indices:
-        raise IndexOutOfRange(
-            f"kind {kind!r} admits no multiplicity indices")
+        side = _side(ctx, kind)
+        nx, ny = side.source.size, side.target.size
+        _check_labels(kind, labels, (side.group.order, nx, ny, ny, nx),
+                      "liabc" if side.right else "ijabc")
+        value = _matrix_symbol(ctx, side, labels, inverse)
     else:
-        value = _scalar_layout(ctx, _family(kind)).value(labels, inverse)
+        lay = _scalar_layout(ctx, _family(kind))
+        _check_labels(kind, labels, lay.sizes, "ijkabc")
+        if query.indices:
+            raise IndexOutOfRange(
+                f"kind {kind!r} admits no multiplicity indices")
+        value = lay.value(labels, inverse)
     if value is None:
         raise UndefinedLabels(
             f"labels {labels} do not compose for kind {kind!r}")
@@ -409,39 +399,32 @@ def sixj(query: SixJQuery) -> SixJValue:
 
 
 def sixj_table(context: SixJContext, kind: str) -> list[dict]:
-    """All admissible symbols of one kind: label tuple, indices, value.
+    """All admissible symbols of one kind: label tuple, indices, value, in
+    lexicographic order of the free labels ((i, j, k), or (l, j, a) for the
+    matrix kinds), the same values :func:`sixj` gives label by label.
 
     Matrix kinds produce one row per matrix entry.
     """
     _check_kind(context, kind)
-    rows = []
-    for labels in _admissible_labels(context, kind):
-        if kind in _MATRIX_KINDS:
-            value = sixj(SixJQuery(kind, context, labels))
-            for r in range(value.matrix.nrows):
-                for c in range(value.matrix.ncols):
-                    rows.append({"labels": labels, "indices": (r + 1, c + 1),
-                                 "value": value.matrix.entry(r, c)})
-        else:
-            rows.append({"labels": labels, "indices": (),
-                         "value": sixj(SixJQuery(kind, context, labels)).value})
-    return rows
-
-
-def _admissible_labels(ctx: SixJContext, kind: str):
-    """Yield every label tuple that composes, in lexicographic free order."""
+    inverse = _is_inverse(kind)
     if kind not in _MATRIX_KINDS:
-        yield from _scalar_layout(ctx, _family(kind)).composed()
-        return
-    side = _side(ctx, kind)
+        lay = _scalar_layout(context, _family(kind))
+        return [{"labels": labels, "indices": (),
+                 "value": lay.symbol(labels, inverse).to_scalar()}
+                for labels in lay.composed()]
+    side = _side(context, kind)
     x_set, y_set = side.source, side.target
-    for l in side.group.elements():
+    rows = []
+    for l, j, a in itertools.product(side.group.elements(), range(x_set.size),
+                                     range(y_set.size)):
         g = side.acting(l)
-        for j in range(x_set.size):
-            c = x_set.apply(g, j)
-            for a in range(y_set.size):
-                if side.functor.multiplicity(j, a):
-                    yield (l, j, a, y_set.apply(g, a), c)
+        labels = (l, j, a, y_set.apply(g, a), x_set.apply(g, j))
+        mat = _matrix_symbol(context, side, labels, inverse)
+        if mat is not None:
+            rows += [{"labels": labels, "indices": (r + 1, c + 1),
+                      "value": mat.entry(r, c)}
+                     for r in range(mat.nrows) for c in range(mat.ncols)]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -558,16 +541,19 @@ def _ber_bimodule(ctx: SixJContext, scope, log) -> int:
 def _orth_term(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
                labels, a_sum: bool) -> None:
     """The one term at composed labels (l, j, a, b, c), tgt(a) src(c) s^-1 s
-    (a-sum) or s s^-1 (c-sum), against I; a singular block is logged
-    instead."""
-    mat = _matrix_symbol(ctx, side, labels, False)
+    (a-sum) or s s^-1 (c-sum): with T the block at (l, j, a), the product
+    (tgt(a) src(c))^2 T^-1 T or T T^-1, read off the side's table and
+    compared against I; a singular block is logged instead."""
+    l, j, a, _, c = labels
+    mat = side.table[(l, j, a)]
     try:
-        inv = _matrix_symbol(ctx, side, labels, True)
+        inv = _inverse_block(side, (l, j, a))
     except ValidationError as exc:
         log.add(name, tup, str(exc), "inverse")
         return
     first, second = (inv, mat) if a_sum else (mat, inv)
-    u = ctx.target_trace.unit(labels[2]) * ctx.source_trace.unit(labels[4])
+    u = ctx.target_trace.unit(a) * ctx.source_trace.unit(c)
+    u = u * u
     ident = _identity(mat.nrows)
     if not scaled_products_equal(u, first, second, Scalar.one(), ident, ident):
         log.add(name, tup, (first @ second).scale(u), ident)

@@ -194,7 +194,11 @@ def test_opposite_group():
 
 
 def test_subgroups_match_oracle():
-    for grp in (cyclic_group(4), cyclic_group(6), klein_group()):
+    # (Z/2)^4 and its 67 subgroups: the whole group needs four generators
+    nonabelian = tuple(FiniteGroup(t) for t in (S3_TABLE, D4_TABLE, Q8_TABLE))
+    rank_four = direct_product(klein_group(), klein_group())
+    for grp in (cyclic_group(4), cyclic_group(6), klein_group(),
+                rank_four) + nonabelian:
         found = sorted(tuple(s.elements) for s in subgroups(grp))
         assert found == oracle_subgroups(grp.table.tolist())
 
@@ -213,12 +217,44 @@ def test_subgroup_helpers():
     assert conjugate(subs[0], subs[0])
 
 
+def _conjugacy_classes(subs: list[Subgroup]) -> set[frozenset]:
+    return {frozenset(t.elements for t in subs if conjugate(s, t)) for s in subs}
+
+
+def test_conjugacy_on_nonabelian_groups():
+    s3 = FiniteGroup(S3_TABLE)
+    order2 = [s for s in subgroups(s3) if len(s) == 2]
+    assert len(order2) == 3 and len(_conjugacy_classes(order2)) == 1
+    # D4: the centre, the two reflections through vertices and the two
+    # through edge midpoints
+    d4 = FiniteGroup(D4_TABLE)
+    order2 = [s for s in subgroups(d4) if len(s) == 2]
+    central = [s for s in order2
+               if all(d4.op(s.elements[1], g) == d4.op(g, s.elements[1])
+                      for g in d4.elements())]
+    assert len(order2) == 5 and len(central) == 1
+    classes = _conjugacy_classes(order2)
+    assert sorted(map(len, classes)) == [1, 2, 2]
+    assert frozenset([central[0].elements]) in classes
+    # every subgroup of Q8 is normal
+    q8_subs = subgroups(FiniteGroup(Q8_TABLE))
+    assert len(_conjugacy_classes(q8_subs)) == len(q8_subs)
+
+
 def test_characters_match_oracle():
-    for grp in (cyclic_group(3), cyclic_group(4), klein_group()):
+    nonabelian = tuple(FiniteGroup(t) for t in (S3_TABLE, D4_TABLE, Q8_TABLE))
+    for grp in (cyclic_group(3), cyclic_group(4), klein_group()) + nonabelian:
         for n_root in (2, 4):
             got = sorted(tuple(int(e) for e in chi.exponents[:, 0])
                          for chi in characters(grp, n_root))
             assert got == sorted(oracle_characters(grp.table.tolist(), n_root))
+
+
+def test_characters_of_rank_four_elementary_abelian_match_oracle():
+    grp = direct_product(klein_group(), klein_group())
+    got = [chi.exponents_flat for chi in characters(grp, 2)]
+    assert len(got) == 16
+    assert got == sorted(oracle_characters(grp.table.tolist(), 2))
 
 
 # ---------------------------------------------------------------------------

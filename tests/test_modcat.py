@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from twistcat import algebra, cohomology, modcat
 from twistcat.algebra import (
+    FiniteGroup,
     coset_gset,
     cyclic_group,
     direct_product,
@@ -43,7 +44,8 @@ from twistcat.modcat import (
     validate_modcat,
 )
 
-from oracles import oracle_differential, oracle_modcat_classes_fast
+from oracles import (S3_TABLE, oracle_differential,
+                     oracle_modcat_classes_fast)
 
 
 def triv_kappa(g, root=1):
@@ -347,6 +349,21 @@ def test_point_structure_classifies_to_full_subgroup():
     m_pt = make_modcat(F2_0, PT2, UnitCochain.trivial(2, PT2, 1))
     cls = classify_indecomposable(m_pt)
     assert cls.subgroup.elements == (0, 1)
+
+
+def test_classification_takes_the_least_conjugate_as_class_rep():
+    # S3 acting on its cosets of the order-2 subgroup with the largest
+    # elements: the stabilizer is that subgroup, its class rep the least one
+    s3 = FiniteGroup(S3_TABLE)
+    order2 = [s for s in subgroups(s3) if len(s) == 2]
+    fus = FusionData(s3, UnitCochain.trivial(3, point_gset(s3), 1),
+                     triv_kappa(s3))
+    x = coset_gset(s3, order2[-1])
+    cls = classify_indecomposable(
+        make_modcat(fus, x, UnitCochain.trivial(2, x, 1)))
+    assert cls.subgroup.elements == order2[-1].elements
+    assert cls.subgroup_class_rep == order2[0].elements != order2[-1].elements
+    assert cls.psi.is_trivial()
 
 
 # ---------------------------------------------------------------------------

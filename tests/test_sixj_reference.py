@@ -19,7 +19,7 @@ import pytest
 from twistcat._matrix import SMatrix
 from twistcat.algebra import (FiniteGroup, Subgroup, coset_gset,
                               cyclic_group, direct_product, point_gset)
-from twistcat.cli import parse_config
+from twistcat.cli import _all_contexts, parse_config
 from twistcat.cohomology import (UnitCochain, deligne_omega, differential,
                                  omega_cyclic)
 from twistcat.errors import UndefinedLabels, ValidationError
@@ -467,22 +467,22 @@ def test_non_invariant_multiplicities_fail_functor_biedenharn_elliott(mult,
 def test_functor_orthogonality_evaluates_one_term_per_composed_label(
         monkeypatch):
     # each composed label (l, j, a) of s and t has one a-sum and one c-sum
-    # term, each reading the symbol and its inverse
+    # term, each one comparison of the block against its inverse
     sixj_module = importlib.import_module("twistcat.sixj")
     ctx = functor_context(_identity_bimodule_functor(3, 1, 2))
-    labels = sum(len(list(sixj_module._admissible_labels(ctx, kind)))
+    labels = sum(len({row["labels"] for row in sixj_table(ctx, kind)})
                  for kind in ("s", "t"))
     calls = []
-    evaluate = sixj_module._matrix_symbol
+    compare = sixj_module.scaled_products_equal
 
     def counting(*args):
-        calls.append(args[2])
-        return evaluate(*args)
+        calls.append(args)
+        return compare(*args)
 
-    monkeypatch.setattr(sixj_module, "_matrix_symbol", counting)
+    monkeypatch.setattr(sixj_module, "scaled_products_equal", counting)
     assert verify_orthogonality(ctx).ok
     assert labels == 54
-    assert len(calls) <= 4 * labels
+    assert len(calls) == 2 * labels
 
 
 def test_coherence_sides_are_built_once_per_functor_context(monkeypatch):
@@ -502,34 +502,6 @@ def test_coherence_sides_are_built_once_per_functor_context(monkeypatch):
         rows += len(sixj_table(ctx, "s")) + len(sixj_table(ctx, "t^-1"))
     assert rows == 5 * 54
     assert len(calls) <= 1
-
-
-def test_matrix_symbols_are_rescaled_once_per_context(monkeypatch):
-    # a block rescaled by a trace unit is kept per (side, l, j, a, inverse):
-    # the sweeps rescale each once, and a second sweep rescales none
-    sixj_module = importlib.import_module("twistcat.sixj")
-    evaluate, scale = sixj_module._matrix_symbol, SMatrix.scale
-    calls = {"scale": 0, "inside": 0}
-
-    def counting_scale(self, s):
-        calls["scale"] += 1
-        return scale(self, s)
-
-    def counting(*args):
-        before = calls["scale"]
-        out = evaluate(*args)
-        calls["inside"] += calls["scale"] - before
-        return out
-
-    monkeypatch.setattr(SMatrix, "scale", counting_scale)
-    monkeypatch.setattr(sixj_module, "_matrix_symbol", counting)
-    ctx = functor_context(_identity_bimodule_functor(3, 1, 2))
-    for _ in range(2):
-        assert verify_orthogonality(ctx).ok
-        assert verify_biedenharn_elliott(ctx).ok
-        for kind in ("s", "s^-1", "t", "t^-1"):
-            assert len(sixj_table(ctx, kind)) == 27
-    assert calls["inside"] == len(ctx.scaled) == 4 * 27
 
 
 def test_passing_functor_checks_multiply_no_matrices(monkeypatch):
@@ -567,7 +539,7 @@ def test_passing_functor_checks_multiply_no_matrices(monkeypatch):
 
 
 def test_singular_matrix_symbol_raises_on_every_call():
-    # a singular block is never kept: each evaluation of its inverse raises
+    # a singular block has no inverse: each evaluation of it raises
     ctx = functor_context(_doubled_identity(3, singular=True))
     sixj_module = importlib.import_module("twistcat.sixj")
     (side,) = ctx.sides
@@ -576,7 +548,79 @@ def test_singular_matrix_symbol_raises_on_every_call():
         with pytest.raises(ValidationError, match="singular"):
             sixj_module._matrix_symbol(ctx, side, labels, True)
     assert sixj_module._matrix_symbol(ctx, side, labels, False) is not None
-    assert len(ctx.scaled) == 1
+
+
+def _candidate_labels(ctx, kind):
+    """Label tuples sixj might accept, in lexicographic order: the whole box
+    of a scalar kind, and for a matrix kind every (l, j, a) with b = g.a and
+    c = g.j, which the action fixes."""
+    if kind in ("s", "s^-1", "t", "t^-1"):
+        side = ctx.sides[kind[0] == "t"]
+        for l, j, a in itertools.product(range(side.group.order),
+                                         range(side.source.size),
+                                         range(side.target.size)):
+            g = side.acting(l)
+            yield (l, j, a, side.target.apply(g, a), side.source.apply(g, j))
+        return
+    if ctx.fusion is not None:
+        box = (ctx.fusion.group.order,) * 6
+    else:
+        data = ctx.bimodule
+        ng, nh = data.left.group.order, data.right.group.order
+        nx = data.X.size
+        box = {"m": (ng, ng, nx, nx, nx, ng), "n": (nx, nh, nh, nx, nx, nh),
+               "b": (ng, nx, nh, nx, nx, nx)}[kind[0]]
+    yield from itertools.product(*map(range, box))
+
+
+def _rows_label_by_label(ctx, kind):
+    """sixj_table's rows from one sixj() call per label and index pair."""
+    rows = []
+    for labels in _candidate_labels(ctx, kind):
+        try:
+            value = sixj(SixJQuery(kind, ctx, labels))
+        except UndefinedLabels:
+            continue
+        if value.matrix is None:
+            rows.append({"labels": labels, "indices": (), "value": value.value})
+            continue
+        for indices in itertools.product(range(1, value.matrix.nrows + 1),
+                                         range(1, value.matrix.ncols + 1)):
+            rows.append({"labels": labels, "indices": indices, "value":
+                         sixj(SixJQuery(kind, ctx, labels, indices)).value})
+    return rows
+
+
+def _outcome(evaluate):
+    """The rows, or the message of the ValidationError (a singular block)."""
+    try:
+        return evaluate()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _table_contexts():
+    for path in sorted(EXAMPLES.glob("*.json")):
+        contexts, _ = _all_contexts(parse_config(str(path)))
+        for name, ctx in contexts:
+            yield f"{path.name} {name}", ctx
+    for name, f in FUNCTOR_CASES.items():
+        yield name, functor_context(f)
+    for singular in (False, True):
+        yield (f"Z3 doubled identity singular={singular}",
+               functor_context(_doubled_identity(3, singular)))
+
+
+TABLE_CONTEXTS = dict(_table_contexts())
+
+
+@pytest.mark.parametrize("name", list(TABLE_CONTEXTS))
+def test_sixj_table_rows_are_the_per_label_symbols(name):
+    ctx = TABLE_CONTEXTS[name]
+    for kind in ctx.kinds():
+        table = _outcome(lambda: sixj_table(ctx, kind))
+        assert table == _outcome(lambda: _rows_label_by_label(ctx, kind))
+        assert table  # every context has some symbol (or a singular block)
 
 
 # ---------------------------------------------------------------------------
