@@ -15,8 +15,10 @@ layer and every integer lattice computation.  Its one immutable result,
 ``SNFResult``, keeps U^-1 and V^-1 next to U and V, all four sparse and in
 the orientation their readers take, so solutions, lattice bases, lattice
 coordinates (``_kernel_mod_coords``) and unimodular inverses are read off
-one factorization, in integers only; the cohomology layer caches it as it
-is.
+one factorization, in integers only.  The cohomology layer caches it as it
+is: one factorization of d1 and one of d2 per (group, carrier) serve the
+module-category enumeration and its class lattice, equivalence and
+``is_coboundary``.
 """
 from __future__ import annotations
 
@@ -852,23 +854,11 @@ def _kernel_mod_coords(snf: SNFResult, modulus: int,
     return out
 
 
-def _multiples_in_lattice(generator_cols: list[list[int]], dim: int,
-                          m: int) -> list[list[int]]:
-    """Square basis (as columns) of (L meet m*Z^dim) / m, for L the full-rank
-    lattice the generators span.
-
-    With U A V = D for the generator matrix A, L = U^-1 D Z^dim.  U is
-    unimodular, so x lies in m*Z^dim exactly when U x does: the meet is
-    U^-1 diag(lcm(d_i, m)) Z^dim, and the basis is column i of U^-1 scaled by
-    lcm(d_i, m) / m.
-    """
-    snf = smith_normal_form(_transpose(generator_cols))
-    n = len(snf.u_inv_cols)
-    basis = [_unpack(col, n, lcm(d, m) // m)
-             for col, d in zip(snf.u_inv_cols, snf.diag) if d]
-    if len(basis) != dim:
-        raise ValueError("lattice is not full rank")
-    return basis
+def _check_quotient_index(index: int) -> None:
+    """Raise EnumerationBoundExceeded for more than QUOTIENT_REPS_BOUND cosets."""
+    if index > QUOTIENT_REPS_BOUND:
+        raise EnumerationBoundExceeded(
+            f"quotient has {index} cosets, above the bound {QUOTIENT_REPS_BOUND}")
 
 
 def _lattice_quotient_reps(big_cols: list[list[int]],
@@ -887,10 +877,7 @@ def _lattice_quotient_reps(big_cols: list[list[int]],
     diag = snf.diagonal()
     if 0 in diag:
         raise ValueError("sublattice does not have finite index")
-    index = prod(diag)
-    if index > QUOTIENT_REPS_BOUND:
-        raise EnumerationBoundExceeded(
-            f"quotient has {index} cosets, above the bound {QUOTIENT_REPS_BOUND}")
+    _check_quotient_index(prod(diag))
     big_rows = _transpose(big_cols)
     adapted = [[_dot(col, row) for row in big_rows] for col in snf.u_inv_cols]
     reps: list[list[int]] = []

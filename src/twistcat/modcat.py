@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
 from .algebra import (
@@ -28,10 +28,12 @@ from .algebra import (
     solve_mod,
     stabilizer,
     _conjugates,
+    _check_quotient_index,
     _kernel_mod_basis,
     _kernel_mod_coords,
+    _kernel_mod_scales,
     _lattice_quotient_reps,
-    _multiples_in_lattice,
+    _unpack,
 )
 from .cohomology import (
     UnitCochain,
@@ -41,7 +43,6 @@ from .cohomology import (
     _per_point,
     _pull_back,
     differential,
-    differential_matrix,
     normalize,
     omega_bar,
     deligne_omega,
@@ -210,28 +211,35 @@ def _inflated_inverse(omega: UnitCochain, size: int, root: int) -> list[int]:
 @lru_cache(maxsize=256)
 def _class_reps(group: FiniteGroup, carrier: GSet,
                 lifted: int) -> tuple[tuple[int, ...], ...]:
-    """One exponent vector per class of the solutions of d(Psi) = 0 mod lifted
-    on carrier, modulo the directions that stay coboundaries after a further
-    lift by |G|.
+    """One exponent vector per class of the solutions L of d(Psi) = 0 mod
+    lifted on carrier, modulo the sublattice S of directions that stay
+    coboundaries after a further lift by |G|; both lattices are read off the
+    cached Smith forms of d1 and d2 (``cohomology._diff_snf``).
 
-    The classes of one carrier form a torsor independent of omega, so every
-    twist at the root order lifted / |G| shares these representatives; at
-    most 256 are kept.  EnumerationBoundExceeded propagates and is not cached.
+    With U1 d1 V1 = diag(e_i), e_i = 0 past the rank, and F = lifted * |G|,
+    im d1 + F Z^dim is U1^-1 diag(gcd(e_i, F)) Z^dim, so S, its meet with
+    |G| Z^dim divided by |G|, is U1^-1 diag(lcm(gcd(e_i, F), |G|) / |G|) Z^dim.
+    [L : S] is the ratio of the two diagonals' products, checked against the
+    bound before any coordinate is built; at index 1 the zero vector is the
+    only representative.  The classes form a torsor independent of omega, so
+    every twist at root order lifted / |G| shares them; at most 256 are kept,
+    and EnumerationBoundExceeded propagates uncached.
     """
     m = group.order
     dim = m * m * carrier.size
-    snf2 = _diff_snf(group, carrier, 2)
-    solution_lattice = _kernel_mod_basis(snf2, lifted)
-
-    d1 = differential_matrix(group, carrier, 1)
-    further = lifted * m
-    ambient = [list(col) for col in zip(*d1)] + [
-        [further * int(i == j) for i in range(dim)] for j in range(dim)]
-    # intersection of the ambient (coboundary-image) lattice with m*Z^dim,
-    # divided by m, in coordinates of the solution lattice
-    inter = _multiples_in_lattice(ambient, dim, m)
-    inter_coords = _kernel_mod_coords(snf2, lifted, inter)
-    reps = _lattice_quotient_reps(solution_lattice, inter_coords, dim)
+    snf1, snf2 = _diff_snf(group, carrier, 1), _diff_snf(group, carrier, 2)
+    scales = [lcm(gcd(e, lifted * m), m) // m for e in snf1.diagonal(dim)]
+    index = prod(scales) // prod(_kernel_mod_scales(snf2, lifted))
+    _check_quotient_index(index)
+    # raises ValueError unless S lies in the solution lattice
+    coords = _kernel_mod_coords(snf2, lifted, [
+        _unpack(col, dim, scale)
+        for col, scale in zip(snf1.u_inv_cols, scales)])
+    if index == 1:
+        return ((0,) * dim,)
+    reps = _lattice_quotient_reps(_kernel_mod_basis(snf2, lifted), coords,
+                                  dim)
+    assert len(reps) == index
     return tuple(map(tuple, reps))
 
 
@@ -245,13 +253,12 @@ def modcats_for(fusion: FusionData, x: GSet) -> list[ModuleCategoryData]:
     empty when no solution exists, and ShapeMismatch is raised when X is a
     G-set over another group.
 
-    Only the particular solution depends on omega.  The Smith form of d2 is
-    cached per (group, carrier) (``cohomology._diff_snf``), and so is the
-    Smith form of the identity-row subsystem of d1 that ``normalize`` solves
-    against; the class representatives are cached per (group, carrier,
-    lifted root order) (``_class_reps``).  Each cache is bounded at 256
-    entries, so the twists of one carrier share them, and a warm call runs
-    no Smith normal form and builds no differential matrix.
+    Only the particular solution depends on omega.  One Smith form of d1 and
+    one of d2 per (group, carrier) (``cohomology._diff_snf``) serve this
+    enumeration, ``equivalent_modcats`` and ``is_coboundary``; they, the Smith
+    form of the subsystem ``normalize`` solves and the class representatives
+    per lifted root order (``_class_reps``) are cached, at most 256 entries
+    each, so a warm call runs no Smith normal form.
     """
     grp = fusion.group
     if x.group != grp:

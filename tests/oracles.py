@@ -119,6 +119,45 @@ def oracle_solve_mod_every_row(snf, rhs, modulus: int):
     return [v % modulus for v in x]
 
 
+def oracle_class_lattice(d1_rows, snf2, lifted: int, m: int, smith):
+    """The lattice of directions that stay coboundaries after a further lift
+    by m, built through its own ambient Smith form.
+
+    The ambient lattice L is spanned by the columns of d1 and by
+    lifted * m * Z^dim.  With U A V = D for that generator matrix A (factored
+    by ``smith``), L = U^-1 D Z^dim, and U x lies in m Z^dim exactly when x
+    does, so S = (L meet m Z^dim) / m has basis column i of U^-1 scaled by
+    t_i = lcm(d_i, m) / m.  Returns the ambient Smith form, the t_i, the
+    coordinates of that basis in the solution lattice of d2 mod lifted
+    (``snf2`` is d2's Smith form) and the index of S there: the product of
+    the coordinate matrix's invariant factors.
+    """
+    dim = len(d1_rows)
+    further = lifted * m
+    ambient = [list(row) + [further * int(i == j) for j in range(dim)]
+               for i, row in enumerate(d1_rows)]
+    snf = smith(ambient)
+    assert len(snf.diag) == dim and all(snf.diag), "ambient lattice not full rank"
+    scales = [d * m // gcd(d, m) // m for d in snf.diag]
+    diag2 = list(snf2.diag) + [0] * (len(snf2.v_cols) - len(snf2.diag))
+    kernel_scales = [lifted // gcd(d, lifted) if d else 1 for d in diag2]
+    coords = []
+    for (index, entries), t in zip(snf.u_inv_cols, scales):
+        col = [0] * dim
+        for k, x in zip(index, entries):
+            col[k] = x * t
+        row = []
+        for (idx, ent), s in zip(snf2.v_inv_rows, kernel_scales):
+            q, r = divmod(sum(e * col[k] for k, e in zip(idx, ent)), s)
+            assert r == 0, "S does not lie in the solution lattice"
+            row.append(q)
+        coords.append(row)
+    index = 1
+    for d in smith([list(r) for r in zip(*coords)]).diag:
+        index *= d
+    return snf, scales, coords, index
+
+
 # ---------------------------------------------------------------------------
 # tiny group/G-set utilities (independent, dict based)
 # ---------------------------------------------------------------------------

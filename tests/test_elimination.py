@@ -6,23 +6,22 @@ scalar forms) reduces with ``scalar._gauss_jordan``; every integer solve
 ``algebra.smith_normal_form``.  These tests compare each caller against
 sympy or against an identity it must satisfy.
 """
-import itertools
 import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from twistcat._matrix import SMatrix, matrix_rank, nullspace_basis
 from twistcat.algebra import (QUOTIENT_REPS_BOUND, _as_int_rows,
                               _kernel_mod_basis, _kernel_mod_coords,
-                              _lattice_quotient_reps, _multiples_in_lattice,
+                              _lattice_quotient_reps,
                               coset_gset, cyclic_group, direct_product,
                               disjoint_union_gset, point_gset, regular_gset,
                               smith_normal_form, solve_mod, subgroups)
@@ -39,10 +38,6 @@ CHECKS = settings(derandomize=True, max_examples=25, deadline=None)
 def _int_matrix(n_rows, n_cols, lo=-4, hi=4):
     return st.lists(st.lists(st.integers(lo, hi), min_size=n_cols, max_size=n_cols),
                     min_size=n_rows, max_size=n_rows)
-
-
-def _columns(rows):
-    return [list(col) for col in zip(*rows)]
 
 
 @st.composite
@@ -91,7 +86,7 @@ def test_gauss_jordan_leaves_input_untouched():
 
 
 # ---------------------------------------------------------------------------
-# unimodular inverse, lattice basis
+# unimodular inverse
 # ---------------------------------------------------------------------------
 
 @CHECKS
@@ -102,48 +97,6 @@ def test_unimodular_inverse_matches_sympy(u):
     uinv = sympy.Matrix(v) * sympy.Matrix(d).inv() * sympy.Matrix(u_snf)
     assert uinv == sympy.Matrix(u).inv()
     assert all(v.is_integer for v in uinv)
-
-
-def _subgroup_mod(generators, modulus, dim) -> set[tuple[int, ...]]:
-    """The subgroup of (Z/modulus)^dim the generators span, by closure."""
-    gens = [tuple(v % modulus for v in g) for g in generators]
-    seen = {(0,) * dim}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % modulus for a, b in zip(x, g))
-                if y not in seen:
-                    seen.add(y)
-                    fresh.append(y)
-        frontier = fresh
-    return seen
-
-
-@CHECKS
-@given(data=st.data())
-def test_multiples_in_lattice_by_brute_force(data):
-    # S = {y : m y in L} for L spanned by the generators.  With N = lcm(m,
-    # det B) for a full-rank block B of generators, N Z^dim lies in L, so m y
-    # lies in L exactly when m y mod N lies in L mod N, found by closure;
-    # the claimed basis must lie in S and have S's index in Z^dim.
-    n = data.draw(st.integers(1, 3))
-    b = data.draw(_int_matrix(n, n, -2, 2).filter(
-        lambda rows: sympy.Matrix(rows).det() != 0))
-    extra = data.draw(_int_matrix(n, data.draw(st.integers(0, 2)), -2, 2))
-    m = data.draw(st.integers(1, 4))
-    big = lcm(m, abs(int(sympy.Matrix(b).det())))
-    assume(big ** n <= 4096)
-    gens = _columns(b) + _columns(extra)
-    basis = _multiples_in_lattice(gens, n, m)
-    in_l = _subgroup_mod(gens, big, n)
-    step = big // m
-    s_mod = [y for y in itertools.product(range(step), repeat=n)
-             if tuple(m * v % big for v in y) in in_l]
-    for col in basis:
-        assert tuple(m * v % big for v in col) in in_l
-    assert abs(sympy.Matrix(basis).det()) * len(s_mod) == step ** n
 
 
 # ---------------------------------------------------------------------------

@@ -198,10 +198,10 @@ def _callers(name: str) -> set[tuple[str, str]]:
 
 def test_smith_forms_of_differentials_come_from_the_cache():
     # a differential's Smith form does not depend on the twist, so outside
-    # algebra's own lattice helpers and solve_mod's fallback the one caller
-    # of smith_normal_form is the cached factorization cohomology._diff_snf
-    allowed = {("algebra.py", "_multiples_in_lattice"),
-               ("algebra.py", "_lattice_quotient_reps"),
+    # the coset enumeration of a lattice quotient and solve_mod's fallback
+    # the one caller of smith_normal_form is the cached factorization
+    # cohomology._diff_snf
+    allowed = {("algebra.py", "_lattice_quotient_reps"),
                ("algebra.py", "solve_mod"),
                ("cohomology.py", "_diff_snf")}
     callers = _callers("smith_normal_form")
@@ -211,10 +211,9 @@ def test_smith_forms_of_differentials_come_from_the_cache():
 
 def test_differential_matrices_are_built_only_for_cached_results():
     # a dense differential is built only to be factored once per (group,
-    # carrier, degree) or to seed the cached class lattice, never per call
+    # carrier, degree); the class lattice reads the cached factorizations
     callers = _callers("differential_matrix")
-    assert callers == {("cohomology.py", "_diff_snf"),
-                       ("modcat.py", "_class_reps")}
+    assert callers == {("cohomology.py", "_diff_snf")}
 
 
 def test_the_monomial_form_is_read_only_in_the_matrix_module():

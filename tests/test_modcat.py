@@ -1,9 +1,14 @@
 """Module and bimodule category structures: enumeration, classes, traces."""
 import importlib.util
+import itertools
 import json
+import os
 import pathlib
+import subprocess
 import sys
-from math import prod
+import textwrap
+from functools import lru_cache
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -12,17 +17,21 @@ from hypothesis import assume, given, settings, strategies as st
 from twistcat import algebra, cohomology, modcat
 from twistcat.algebra import (
     FiniteGroup,
+    characters,
     coset_gset,
     cyclic_group,
     direct_product,
     disjoint_union_gset,
     point_gset,
     regular_gset,
+    smith_normal_form,
+    solve_mod,
     subgroups,
     trivial_gset,
 )
 from twistcat.cohomology import (UnitCochain, cohomologous, deligne_omega,
-                                 differential, normalize, omega_cyclic)
+                                 differential, inflate, is_coboundary,
+                                 normalize, omega_cyclic, shapiro_restrict)
 from twistcat.errors import (EnumerationBoundExceeded, NotNormalizable,
                              NotTransitive, ShapeMismatch, ValidationError)
 from twistcat.fusion import FusionData
@@ -44,8 +53,8 @@ from twistcat.modcat import (
     validate_modcat,
 )
 
-from oracles import (S3_TABLE, oracle_differential,
-                     oracle_modcat_classes_fast)
+from oracles import (D4_TABLE, Q8_TABLE, S3_TABLE, oracle_class_lattice,
+                     oracle_differential, oracle_modcat_classes_fast)
 
 
 def triv_kappa(g, root=1):
@@ -58,6 +67,7 @@ F2_1 = FusionData(Z2, omega_cyclic(2, 1), triv_kappa(Z2))
 PT2 = point_gset(Z2)
 REG2 = regular_gset(Z2)
 SIGN2 = UnitCochain(1, PT2, 2, np.array([[0], [1]]))
+Z3, Z4, V4 = cyclic_group(3), cyclic_group(4), direct_product(Z2, Z2)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +222,214 @@ def test_d2_is_factored_once_per_carrier(monkeypatch):
     assert sweep() == (0, 0)
 
 
+# ---------------------------------------------------------------------------
+# non-abelian carriers: Ostrik's counts and twisted data
+# ---------------------------------------------------------------------------
+
+S3, D4, Q8 = (FiniteGroup(t) for t in (S3_TABLE, D4_TABLE, Q8_TABLE))
+
+
+def _trivial_fusion(grp):
+    return FusionData(grp, UnitCochain.trivial(3, point_gset(grp), 1),
+                      triv_kappa(grp))
+
+
+def _one_per_conjugacy_class(grp):
+    seen, out = set(), []
+    for sub in subgroups(grp):
+        if sub.elements not in seen:
+            seen |= algebra._conjugates(sub)
+            out.append(sub)
+    return out
+
+
+def _schur_multiplier_order(sub) -> int:
+    """|H^2(H, C^x)| for a subgroup of S3, D4 or Q8: 2 for the Klein four
+    group and D4 (order 4 or 8, not cyclic, several involutions), 1 for the
+    cyclic groups, S3 and Q8."""
+    h = sub.to_group()
+    if any(h.element_order(g) == h.order for g in h.elements()):
+        return 1
+    involutions = sum(h.element_order(g) == 2 for g in h.elements())
+    return 2 if h.order in (4, 8) and involutions > 1 else 1
+
+
+# every coset carrier G/H, one H per conjugacy class; the regular carriers
+# of D4 and Q8 take several seconds each and are left out, and Q8/Z(Q8) runs
+# in its own interpreter below
+OSTRIK_CASES = {f"{name}/{sub.elements}": (grp, sub)
+                for name, grp in (("S3", S3), ("D4", D4), ("Q8", Q8))
+                for sub in _one_per_conjugacy_class(grp)
+                if name == "S3" or len(sub) > 1}
+(Q8_CENTRE,) = [k for k, (grp, sub) in OSTRIK_CASES.items()
+                if grp is Q8 and len(sub) == 2]
+
+
+@pytest.mark.parametrize("label", [k for k in OSTRIK_CASES if k != Q8_CENTRE])
+def test_nonabelian_coset_carriers_give_ostrik_counts(label):
+    # structures on G/H over the trivial twist form a torsor over H^2(H, C^x)
+    grp, sub = OSTRIK_CASES[label]
+    found = modcats_for(_trivial_fusion(grp), coset_gset(grp, sub))
+    assert len(found) == _schur_multiplier_order(sub)
+    for data in found:
+        assert validate_modcat(data).ok
+        assert equivalent_modcats(data, data) is not None
+    if len(found) == 2:
+        assert equivalent_modcats(*found) is None
+
+
+def test_quaternion_carrier_over_the_centre_enumerates_in_budget():
+    # Q8 on Q8/Z(Q8), H = Z/2: one class.  A fresh interpreter under a
+    # timeout, so that a hang fails this test rather than the whole suite
+    sub = OSTRIK_CASES[Q8_CENTRE][1]
+    script = textwrap.dedent(f"""
+        from oracles import Q8_TABLE
+        from twistcat.algebra import (FiniteGroup, Subgroup, coset_gset,
+                                      point_gset)
+        from twistcat.cohomology import UnitCochain
+        from twistcat.fusion import FusionData
+        from twistcat.modcat import modcats_for, validate_modcat
+        q8 = FiniteGroup(Q8_TABLE)
+        fus = FusionData(q8, UnitCochain.trivial(3, point_gset(q8), 1),
+                         UnitCochain.trivial(1, point_gset(q8), 1))
+        x = coset_gset(q8, Subgroup(q8, {sub.elements}))
+        found = modcats_for(fus, x)
+        print(len(found), all(validate_modcat(d).ok for d in found))
+    """)
+    here = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(here.parent / "src"), str(here),
+                    os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1", "True"]
+
+
+def test_sign_pulled_back_twist_on_s3():
+    # omega(g, h, k) is the nontrivial Z/2 3-cocycle at the signs of g, h
+    # and k: G/H carries a structure exactly when omega restricts to a
+    # coboundary on H, that is on the trivial group and on Z/3
+    sign = characters(S3, 2)[1].exponents_flat
+    z2 = omega_cyclic(2, 1)
+    omega = UnitCochain.from_flat(3, point_gset(S3), 2, [
+        z2.exponent((sign[g], sign[h], sign[k], 0))
+        for g, h, k in itertools.product(S3.elements(), repeat=3)])
+    fus = FusionData(S3, omega, triv_kappa(S3))
+    counts = []
+    for sub in subgroups(S3):
+        x = coset_gset(S3, sub)
+        found = modcats_for(fus, x)
+        assert all(validate_modcat(d).ok for d in found)
+        restricted = shapiro_restrict(inflate(omega, x))
+        assert (len(found) > 0) == is_coboundary(restricted)
+        counts.append(len(found))
+    assert counts == [1, 0, 0, 0, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# the class lattice against the ambient Smith form route
+# ---------------------------------------------------------------------------
+
+def _oracle_route_cases() -> dict:
+    """Carriers of Z/2, Z/3, Z/4, Z/2 x Z/2 and S3, each with its twists."""
+    cases = {}
+    for n in (2, 3, 4):
+        grp = cyclic_group(n)
+        fusions = [FusionData(grp, omega_cyclic(n, s), triv_kappa(grp))
+                   for s in range(n)]
+        cases[f"Z{n} pt"] = (fusions, point_gset(grp))
+        cases[f"Z{n} reg"] = (fusions, regular_gset(grp))
+        cases[f"Z{n} pt+reg"] = (fusions, disjoint_union_gset(
+            point_gset(grp), regular_gset(grp)))
+    cases["Z4 coset"] = (cases["Z4 pt"][0], coset_gset(Z4, subgroups(Z4)[1]))
+    fusions = [FusionData(V4, deligne_omega(omega_cyclic(2, a),
+                                            omega_cyclic(2, b)),
+                          triv_kappa(V4))
+               for a, b in itertools.product((0, 1), repeat=2)]
+    for sub in subgroups(V4):
+        cases[f"V4 {sub.elements}"] = (fusions, coset_gset(V4, sub))
+    cases["V4 two points"] = (fusions, trivial_gset(V4, 2))
+    for sub in _one_per_conjugacy_class(S3):
+        cases[f"S3 {sub.elements}"] = ([_trivial_fusion(S3)],
+                                       coset_gset(S3, sub))
+    return cases
+
+
+ORACLE_ROUTE_CASES = _oracle_route_cases()
+
+
+@lru_cache(maxsize=None)
+def _oracle_route(grp, x, lifted):
+    return oracle_class_lattice(cohomology.differential_matrix(grp, x, 1),
+                                cohomology._diff_snf(grp, x, 2), lifted,
+                                grp.order, smith_normal_form)
+
+
+def _coords_in(snf, scales, vectors):
+    """diag(scales)^-1 U v for each v, U from ``snf``: the coordinates in the
+    basis column i of U^-1 times scales[i]; None when one is not integral."""
+    out = []
+    for v in vectors:
+        coords = []
+        for (index, entries), t in zip(snf.u_rows, scales):
+            q, r = divmod(sum(e * v[k] for k, e in zip(index, entries)), t)
+            if r:
+                return None
+            coords.append(q)
+        out.append(coords)
+    return out
+
+
+def _basis(snf, scales):
+    return [algebra._unpack(col, len(scales), t)
+            for col, t in zip(snf.u_inv_cols, scales)]
+
+
+@pytest.mark.parametrize("label", list(ORACLE_ROUTE_CASES))
+def test_class_lattice_is_the_ambient_route_lattice(label):
+    # S = U1^-1 diag(lcm(gcd(e_i, F), |G|) / |G|), read off the cached d1
+    # Smith form, against (im d1 + F Z^dim) meet |G| Z^dim, over |G|, from
+    # the ambient matrix's own Smith form (F = lifted |G|): integral
+    # coordinates both ways, and the same index in the solution lattice
+    fusions, x = ORACLE_ROUTE_CASES[label]
+    grp, m = x.group, x.group.order
+    dim = m * m * x.size
+    snf1 = cohomology._diff_snf(grp, x, 1)
+    for lifted in {fus.omega.root_order * m for fus in fusions}:
+        scales = [lcm(gcd(e, lifted * m), m) // m for e in snf1.diagonal(dim)]
+        ambient, ambient_scales, _, index = _oracle_route(grp, x, lifted)
+        assert _coords_in(snf1, scales,
+                          _basis(ambient, ambient_scales)) is not None
+        assert _coords_in(ambient, ambient_scales,
+                          _basis(snf1, scales)) is not None
+        assert len(modcat._class_reps(grp, x, lifted)) == index
+
+
+@pytest.mark.parametrize("label", list(ORACLE_ROUTE_CASES))
+def test_enumeration_matches_the_ambient_route(label):
+    # the Psi tables of modcats_for against the particular solution plus
+    # the coset representatives of the ambient route's coordinates
+    fusions, x = ORACLE_ROUTE_CASES[label]
+    grp = x.group
+    snf2 = cohomology._diff_snf(grp, x, 2)
+    for fus in fusions:
+        lifted = fus.omega.root_order * grp.order
+        particular = solve_mod(None, modcat._inflated_inverse(
+            fus.omega, x.size, lifted), lifted, snf=snf2)
+        want = []
+        if particular is not None:
+            coords = _oracle_route(grp, x, lifted)[2]
+            for rep in algebra._lattice_quotient_reps(
+                    algebra._kernel_mod_basis(snf2, lifted), coords,
+                    len(coords)):
+                psi = normalize(UnitCochain.from_flat(
+                    2, x, lifted, [a + b for a, b in zip(particular, rep)]))
+                want.append((psi.root_order, psi.exponents_flat))
+        want.sort(key=lambda t: t[1])
+        assert _psi_tables(modcats_for(fus, x)) == want
+
+
 def _normalized_or_none(eta):
     try:
         return normalize(eta)
@@ -233,7 +451,6 @@ def _normalize_afresh(eta):
                                                     eta.root_order, mu))
 
 
-Z3, Z4, V4 = cyclic_group(3), cyclic_group(4), direct_product(Z2, Z2)
 NORMALIZE_CASES = [
     (Z2, PT2, 1), (Z2, REG2, 2), (Z2, disjoint_union_gset(PT2, REG2), 3),
     (Z3, regular_gset(Z3), 2), (Z4, coset_gset(Z4, subgroups(Z4)[1]), 2),
