@@ -21,11 +21,16 @@ Scalar product; a square monomial matrix with distinct columns inverts as
 its transpose with inverted roots, in the representation elimination gives.
 Any other input takes the entrywise path and elimination, which stay the
 reference.  Nothing outside this module reads the form.
+
+The monomial fast path of the functor relations is a coherence side's
+exponent table (:func:`_exponent_table`), each block row as (column,
+exponent) at one root order; it is built from the forms here, so the form is
+still read only in this module.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import ShapeMismatch
@@ -229,6 +234,23 @@ def _monomial_form(mat: SMatrix) -> Optional[tuple]:
         form = tuple(form)
     object.__setattr__(mat, "_monomial", form)
     return form
+
+
+def _exponent_table(blocks: dict, order: int = 1) -> Optional[tuple]:
+    """(L, table): L the lcm of ``order`` and the blocks' root orders, and
+    per key of ``blocks``, per row of its block, (column, e mod L) of the
+    row's one entry exp(2 pi i e / L); None unless every block is monomial
+    with distinct columns, so a permutation times roots."""
+    forms, orders = [], {order}
+    for mat in blocks.values():
+        form = _monomial_form(mat)
+        if form is None or len({col for col, _ in form}) != len(form):
+            return None
+        forms.append(form)
+        orders.update([d for _, (_, d) in form])
+    order = lcm(*orders)
+    return order, {key: tuple([(col, k * (order // d)) for col, (k, d) in form])
+                   for key, form in zip(blocks, forms)}
 
 
 def _monomial_inverse(rows, form) -> SMatrix:

@@ -316,10 +316,26 @@ def subgroups(group: FiniteGroup, bound: int = 24) -> list[Subgroup]:
             f"group order {group.order} exceeds bound {bound}")
     found = frontier = {_closure(group, (a,)) for a in group.elements()}
     while frontier:
-        frontier = {_closure(group, sub + (a,)) for sub in frontier
-                    for a in group.elements() if a not in sub} - found
+        frontier = {k for sub in frontier
+                    for k in _extensions(group, sub)} - found
         found = found | frontier
     return [Subgroup(group, els) for els in sorted(found, key=lambda e: (len(e), e))]
+
+
+def _extensions(group: FiniteGroup, sub: tuple[int, ...]) -> list[tuple]:
+    """The closures of sub and one element outside it.  An element inside an
+    extension K of prime index over sub is skipped: by Lagrange it gives K
+    again (an extension of composite index may have one in between)."""
+    out, minimal = [], []
+    for a in group.elements():
+        if a in sub or any(a in k for k in minimal):
+            continue
+        k = _closure(group, sub + (a,))
+        out.append(k)
+        index = len(k) // len(sub)
+        if all(index % d for d in range(2, index)):
+            minimal.append(frozenset(k))
+    return out
 
 
 def _conjugates(sub: Subgroup) -> set[tuple[int, ...]]:

@@ -343,23 +343,27 @@ def differential_matrix(group: FiniteGroup, carrier: GSet,
 
 
 @lru_cache(maxsize=256)
-def _diff_snf(group: FiniteGroup, carrier: GSet, degree: int,
-              identity_rows: bool = False) -> SNFResult:
+def _diff_snf(group: FiniteGroup, carrier: GSet, degree: int) -> SNFResult:
     """The Smith form of d on degree-`degree` exponent vectors, with its four
-    sparse unimodular factors, as ``smith_normal_form`` returns it.  With
-    ``identity_rows`` only the rows of d whose output arguments contain the
-    identity are factored: the subsystem ``normalize`` solves.
+    sparse unimodular factors, as ``smith_normal_form`` returns it.
 
     It depends on (group, carrier, degree) only, never on a twist or a
     right-hand side, so every solve against one differential shares a single
     factorization; like ``_diff_terms``, at most 256 are kept.
     """
+    return smith_normal_form(differential_matrix(group, carrier, degree))
+
+
+@lru_cache(maxsize=256)
+def _identity_snf(group: FiniteGroup, carrier: GSet,
+                  degree: int) -> SNFResult:
+    """The Smith form of the rows of d whose output arguments contain the
+    identity: the subsystem ``normalize`` solves, cached like
+    :func:`_diff_snf` and apart from it."""
     mat = differential_matrix(group, carrier, degree)
-    if identity_rows:
-        mat = [mat[p] for p in _identity_positions(
-            (group.order,) * (degree + 1) + (carrier.size,),
-            (group.identity,) * (degree + 1))]
-    return smith_normal_form(mat)
+    return smith_normal_form([mat[p] for p in _identity_positions(
+        (group.order,) * (degree + 1) + (carrier.size,),
+        (group.identity,) * (degree + 1))])
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +404,7 @@ def normalize(eta: UnitCochain) -> UnitCochain:
     Requires d(eta) normalized; mu is found by solving the subsystem of the
     degree n-1 differential on the coordinates that contain an identity
     argument, against that subsystem's Smith form, which is cached per
-    (group, carrier, degree) (``_diff_snf`` with ``identity_rows``).
+    (group, carrier, degree) (``_identity_snf``).
     Already-normalized input is returned unchanged.
     """
     if eta.normalized:
@@ -414,7 +418,7 @@ def normalize(eta: UnitCochain) -> UnitCochain:
     rows = _identity_positions(eta.shape, (group.identity,) * n)
     rhs = [(-eta.exponents_flat[p]) % eta.root_order for p in rows]
     mu_vec = solve_mod(None, rhs, eta.root_order,
-                       snf=_diff_snf(group, eta.carrier, n - 1, True))
+                       snf=_identity_snf(group, eta.carrier, n - 1))
     if mu_vec is None:
         raise NotNormalizable(
             "no normalizing coboundary exists at this root order")

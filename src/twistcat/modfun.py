@@ -16,25 +16,29 @@ first, is h on A and g on B, q is the other, and the twists are read at
 (q, p, gh.x) through the acting elements.  :mod:`twistcat.sixj` reads the
 same sides.
 
-Each composition instance (:func:`composition`) compares T_{gh} with the
-scaled product through ``scaled_products_equal``, the twist ratio read from
-the two exponent tables as one cached root of unity; functor
-Biedenharn-Elliott in :mod:`twistcat.sixj` is decided by the same instance,
-and the bimodule hexagon compares its two scaled products the same way.  A
-product matrix is built only to report a failure.  Where m is not invariant
-the blocks of an instance differ in size, and the instance is one failure of
-its condition, like a missing entry.
+Each side has an exponent table (``CoherenceSide.exponents``, built on first
+use): where every block is monomial with distinct columns, as for simples
+over cyclic G and their sums and adjoints, each block row as (column,
+exponent) at one root order L.  A composition instance (:func:`composition`)
+is then the integer test T_{gh} = u T_p T_q, u the twist ratio as an
+exponent difference; any other instance, and every failure, goes through
+``scaled_products_equal``, as does the bimodule hexagon.  Functor
+Biedenharn-Elliott in :mod:`twistcat.sixj` is decided by the same instance.
+A product matrix is built only to report a failure.  Where m is not
+invariant the blocks of an instance differ in size, and the instance is one
+failure of its condition, like a missing entry.
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd, lcm
+from functools import cached_property
+from math import lcm
 from typing import Optional
 
-from ._matrix import (SMatrix, _identity, matrix_rank, nullspace_basis,
-                      scaled_products_equal)
+from ._matrix import (SMatrix, _exponent_table, _identity, matrix_rank,
+                      nullspace_basis, scaled_products_equal)
 from .algebra import (FiniteGroup, GSet, _array_view, _flatten, _rows, orbits,
                       product_gset)
 from .cohomology import UnitCochain, _pull_back, differential
@@ -177,6 +181,16 @@ class CoherenceSide:
         """The element a label acts by: l on a left side, l^-1 on a right."""
         return self.group.inv(l) if self.right else l
 
+    @cached_property
+    def exponents(self) -> tuple:
+        """(L, table, twist): per key the block's rows as (column, exponent
+        mod L), or None unless every block is monomial with distinct columns,
+        and the twist ratio (q, p, x, y) -> its exponent mod L."""
+        tw_x, tw_y = self.twist_source, self.twist_target
+        order = lcm(tw_x.root_order, tw_y.root_order)
+        order, exps = _exponent_table(self.table, order) or (order, None)
+        return order, exps, _twist_exponents(tw_x, tw_y, order)
+
 
 def coherence_sides(f) -> tuple[CoherenceSide, ...]:
     """The sides of a module functor, (A,), or of a bimodule functor, (A, B)."""
@@ -193,49 +207,56 @@ def coherence_sides(f) -> tuple[CoherenceSide, ...]:
                           right=True))
 
 
-def _twist_ratio(tw_x: UnitCochain, tw_y: UnitCochain):
-    """(q, p, x, y) -> tw_x(q, p, x) tw_y(q, p, y)^-1 for two 2-cochains on
-    the same slot groups, read from their exponent tables at the common root
-    order and returned as the cached Scalar root of unity at its reduced
-    order, the scalar of the Unit product."""
-    n = lcm(tw_x.root_order, tw_y.root_order)
+def _twist_exponents(tw_x: UnitCochain, tw_y: UnitCochain, n: int):
+    """(q, p, x, y) -> e mod n with tw_x(q, p, x) tw_y(q, p, y)^-1 =
+    exp(2 pi i e / n), for two 2-cochains on the same slot groups, read from
+    their exponent tables; n is a common multiple of their root orders."""
     ex, ey = tw_x.exponents_flat, tw_y.exponents_flat
     sx, sy = n // tw_x.root_order, n // tw_y.root_order
     _, slot, nx = tw_x.shape
     ny = tw_y.shape[2]
 
-    def ratio(q: int, p: int, x: int, y: int) -> Scalar:
+    def exponent(q: int, p: int, x: int, y: int) -> int:
         pos = q * slot + p
-        e = (ex[pos * nx + x] * sx - ey[pos * ny + y] * sy) % n
-        d = gcd(e, n)
-        return Scalar.root_of_unity(n // d, e // d)
-    return ratio
+        return (ex[pos * nx + x] * sx - ey[pos * ny + y] * sy) % n
+    return exponent
 
 
 def composition(side: CoherenceSide, g: int, h: int):
     """The composition instances at (g, h), as (x, y) -> None when
     T_{gh,x,y} = u T_{p,x,y} T_{q,p.x,p.y} holds, u the twist ratio at
     (q, p, gh.x, gh.y) read through the acting elements, else the failure's
-    (lhs, rhs).  An instance fails without a product where the moved block
-    is missing or, m not being invariant, of another size; a product matrix
-    is built only for a failing value."""
+    (lhs, rhs).  On the side's exponent table an instance holds when each
+    row of T_gh has the column T_p T_q reaches and the sum of the exponents;
+    any other instance is asked of ``scaled_products_equal``.  A missing
+    moved block or, m not being invariant, one of another size fails without
+    a product; a product matrix is built only for a failing value."""
     x_set, y_set, table = side.source, side.target, side.table
+    ax, ay, nx, ny = (x_set.action_flat, y_set.action_flat, x_set.size,
+                      y_set.size)
     gh = side.group.op(g, h)
     p, q = (g, h) if side.right else (h, g)
     a_p, a_q, a_gh = side.acting(p), side.acting(q), side.acting(gh)
-    ratio = _twist_ratio(side.twist_source, side.twist_target)
-    one = Scalar.one()
+    order, exps, twist = side.exponents
 
     def failure(x: int, y: int) -> Optional[tuple]:
-        first = table[(p, x, y)]
-        second = table.get((q, x_set.apply(a_p, x), y_set.apply(a_p, y)))
+        moved = (q, ax[a_p * nx + x], ay[a_p * ny + y])
+        second = table.get(moved)
         if second is None:
             return "missing entry", "present"
-        u = ratio(a_q, a_p, x_set.apply(a_gh, x), y_set.apply(a_gh, y))
-        lhs = table[(gh, x, y)]
+        u = twist(a_q, a_p, ax[a_gh * nx + x], ay[a_gh * ny + y])
+        if exps is not None and len(exps[(p, x, y)]) == len(exps[moved]):
+            other = exps[moved]
+            for (col, e), (want, w) in zip(exps[(p, x, y)], exps[(gh, x, y)]):
+                col, f = other[col]
+                if col != want or (u + e + f - w) % order:
+                    break
+            else:
+                return None
+        first, lhs, u = table[(p, x, y)], table[(gh, x, y)], Unit(order, u)
         try:
-            if scaled_products_equal(one, lhs, _identity(lhs.nrows), u, first,
-                                     second):
+            if scaled_products_equal(Unit.one(), lhs, _identity(lhs.nrows),
+                                     u, first, second):
                 return None
         except ShapeMismatch:  # m is not invariant
             return (f"{second.nrows}x{second.ncols} moved block",
@@ -245,23 +266,27 @@ def composition(side: CoherenceSide, g: int, h: int):
 
 
 def _check_side(side: CoherenceSide, log: FailureLog) -> int:
-    """Check one side's four conditions; returns how many instances."""
+    """Check one side's four conditions; returns how many instances.  On
+    the side's exponent table every block is invertible and the identity
+    blocks have rows (i, 0); without one the blocks are asked."""
     grp, x_set, y_set, table = side.group, side.source, side.target, side.table
-    f = side.functor
+    mult, nx, ny = side.functor.mult_flat, x_set.size, y_set.size
     invariant, identity, invertible, condition = side.names
     for g in grp.elements():
-        for x in range(x_set.size):
-            for y in range(y_set.size):
-                moved = f.multiplicity(x_set.apply(g, x), y_set.apply(g, y))
-                if moved != f.multiplicity(x, y):
-                    log.add(invariant, (g, x, y), moved, f.multiplicity(x, y))
-    support = f.support()
-    ident = grp.identity
+        moved = tuple([mult[x * ny + y]
+                       for x in x_set.action_flat[g * nx:(g + 1) * nx]
+                       for y in y_set.action_flat[g * ny:(g + 1) * ny]])
+        for pos, (there, here) in enumerate(zip(moved, mult)):
+            if there != here:
+                log.add(invariant, (g,) + divmod(pos, ny), there, here)
+    support = side.functor.support()
+    exps = side.exponents[1]
     for (x, y) in support:
-        mat = table[(ident, x, y)]
-        if not mat.is_identity():
-            log.add(identity, (ident, x, y), mat, "identity")
-    for key, mat in table.items():
+        key = (grp.identity, x, y)
+        if not (table[key].is_identity() if exps is None else all(
+                row == (i, 0) for i, row in enumerate(exps[key]))):
+            log.add(identity, key, table[key], "identity")
+    for key, mat in table.items() if exps is None else ():
         if mat.inverse() is None:
             log.add(invertible, key, mat, "invertible")
 
@@ -271,7 +296,7 @@ def _check_side(side: CoherenceSide, log: FailureLog) -> int:
             failure = instance(x, y)
             if failure is not None:
                 log.add(condition, (g, h, x, y), *failure)
-    return (grp.order * x_set.size * y_set.size + len(support) + len(table)
+    return (grp.order * nx * ny + len(support) + len(table)
             + grp.order ** 2 * len(support))
 
 
@@ -550,14 +575,15 @@ def adjoint(f: ModuleFunctorData) -> ModuleFunctorData:
     grp = f.group
     x_set, y_set = f.source.X, f.target.X
     mult = list(zip(*f._mult_rows()))
-    ratio = _twist_ratio(f.source.psi, f.target.psi)
+    n = lcm(f.source.psi.root_order, f.target.psi.root_order)
+    ratio = _twist_exponents(f.source.psi, f.target.psi, n)
     a = {}
     for g in grp.elements():
         ginv = grp.inv(g)
         for (x, y) in f.support():
             gx, gy = x_set.apply(g, x), y_set.apply(g, y)
             a[(g, y, x)] = f.a[(ginv, gx, gy)].transpose().scale(
-                ratio(g, ginv, gx, gy))
+                Unit(n, ratio(g, ginv, gx, gy)))
     out = ModuleFunctorData(f.target, f.source, mult, a)
     validate_modfun(out).raise_if_failed("adjoint")
     return out

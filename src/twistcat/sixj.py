@@ -16,11 +16,12 @@ The matrix symbols read the sides A and B of :mod:`twistcat.modfun`, which
 fix the acting element of a label: l for s, l^-1 for t.  Functor
 orthogonality (s s^-1 against I) reads a block and its inverse, which the
 block keeps, off the side's table and is one ``scaled_products_equal``
-comparison.  The traces being signs, functor Biedenharn-Elliott is the A
-side's composition rule and is decided by its composition instance
-(``modfun.composition``); a product matrix is built only for a failure
-report.  A symbol table (:func:`sixj_table`) builds the scalar layout, or
-reads the coherence side, once for all its labels.
+comparison, or on a side with an exponent table (monomial blocks) only a
+check that the trace factor is a sign.  The traces being signs, functor
+Biedenharn-Elliott is the A side's composition rule and is decided by its
+composition instance (``modfun.composition``); a product matrix is built
+only for a failure report.  A symbol table (:func:`sixj_table`) builds the
+scalar layout, or reads the coherence side, once for all its labels.
 
 The symbols come with exact orthogonality and Biedenharn-Elliott checks:
 sums of products of symbols that must collapse to Kronecker patterns or to
@@ -451,6 +452,12 @@ def _box_count(box, scope) -> int:
                for t in scope)
 
 
+def _scope_count(scope, head, box) -> int:
+    """How many tuples head + t, t in the label box, are in scope."""
+    return prod(box) if scope is None else sum(
+        head + t in scope for t in itertools.product(*map(range, box)))
+
+
 # -- scalar relations -------------------------------------------------------
 
 def _orth_scalar(ctx: SixJContext, family: str, scope, log) -> int:
@@ -543,8 +550,13 @@ def _orth_term(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
     """The one term at composed labels (l, j, a, b, c), tgt(a) src(c) s^-1 s
     (a-sum) or s s^-1 (c-sum): with T the block at (l, j, a), the product
     (tgt(a) src(c))^2 T^-1 T or T T^-1, read off the side's table and
-    compared against I; a singular block is logged instead."""
+    compared against I; a singular block is logged instead.  On a side
+    with an exponent table T^-1 T = I exactly: a sign tgt(a) src(c) holds."""
     l, j, a, _, c = labels
+    u = ctx.target_trace.unit(a) * ctx.source_trace.unit(c)
+    if side.exponents[1] is not None and u.root_order <= 2:  # u^2 = 1
+        return
+    u = u * u
     mat = side.table[(l, j, a)]
     try:
         inv = _inverse_block(side, (l, j, a))
@@ -552,8 +564,6 @@ def _orth_term(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
         log.add(name, tup, str(exc), "inverse")
         return
     first, second = (inv, mat) if a_sum else (mat, inv)
-    u = ctx.target_trace.unit(a) * ctx.source_trace.unit(c)
-    u = u * u
     ident = _identity(mat.nrows)
     if not scaled_products_equal(u, first, second, Scalar.one(), ident, ident):
         log.add(name, tup, (first @ second).scale(u), ident)
@@ -573,8 +583,8 @@ def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
     label (l, j, a), reducing to T^-1 T = I and tgt(a)^2 src(c)^2 = 1.  Only
     that term is evaluated; every other supported outer tuple holds as 0 = 0.
     """
-    grp, x_set, y_set, f = side.group, side.source, side.target, side.functor
-    nx, ny = x_set.size, y_set.size
+    grp, x_set, y_set = side.group, side.source, side.target
+    nx, ny, mult = x_set.size, y_set.size, side.functor.mult_flat
     kind = "t" if side.right else "s"
     checked = 0
 
@@ -583,25 +593,24 @@ def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
         g = side.acting(l)
         for j, b in itertools.product(range(nx), range(ny)):
             a, c = y_set.apply(grp.inv(g), b), x_set.apply(g, j)
-            if f.multiplicity(j, a):
-                for cd in itertools.product(range(nx), repeat=2):
-                    if _in_scope(scope, (l, j, b) + cd):
-                        checked += 1
-                        if cd == (c, c):
-                            _orth_term(ctx, side, log, name, (l, j, b, c, c),
-                                       (l, j, a, b, c), True)
+            if mult[j * ny + a]:
+                checked += _scope_count(scope, (l, j, b), (nx, nx))
+                if _in_scope(scope, (l, j, b, c, c)):
+                    _orth_term(ctx, side, log, name, (l, j, b, c, c),
+                               (l, j, a, b, c), True)
 
     name = f"orthogonality[{kind};c-sum]"
     for l in grp.elements():
         g = side.acting(l)
-        for j, a, d in itertools.product(range(nx), range(ny), range(ny)):
-            if f.multiplicity(j, a) and f.multiplicity(j, d):
-                for b in range(ny):
-                    if _in_scope(scope, (l, j, a, d, b)):
-                        checked += 1
-                        if a == d and b == y_set.apply(g, a):
-                            _orth_term(ctx, side, log, name, (l, j, a, a, b),
-                                       (l, j, a, b, x_set.apply(g, j)), False)
+        for j in range(nx):
+            row = [a for a in range(ny) if mult[j * ny + a]]
+            for a, d in itertools.product(row, repeat=2):
+                checked += _scope_count(scope, (l, j, a, d), (ny,))
+            for a in row:
+                b = y_set.apply(g, a)
+                if _in_scope(scope, (l, j, a, a, b)):
+                    _orth_term(ctx, side, log, name, (l, j, a, a, b),
+                               (l, j, a, b, x_set.apply(g, j)), False)
     return checked
 
 

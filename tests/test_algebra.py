@@ -203,6 +203,26 @@ def test_subgroups_match_oracle():
         assert found == oracle_subgroups(grp.table.tolist())
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_subgroups_are_complete_under_any_labelling(seed):
+    # an element inside an extension of prime index is not adjoined again;
+    # Z/6 x Z/2, Z/4 x Z/4 and D4 have extensions of composite index, where
+    # skipping every element of a larger extension loses subgroups under
+    # some labellings of the elements
+    rng = np.random.default_rng(seed)
+    for grp in (direct_product(cyclic_group(6), cyclic_group(2)),
+                direct_product(cyclic_group(4), cyclic_group(4)),
+                FiniteGroup(D4_TABLE)):
+        table = grp.table.tolist()
+        label = [int(v) for v in rng.permutation(len(table))]
+        back = {v: i for i, v in enumerate(label)}
+        relabelled = [[label[table[back[a]][back[b]]] for b in range(len(table))]
+                      for a in range(len(table))]
+        found = [tuple(s.elements) for s in subgroups(FiniteGroup(relabelled))]
+        assert found == sorted(oracle_subgroups(relabelled),
+                               key=lambda e: (len(e), e))
+
+
 def test_subgroup_helpers():
     grp = cyclic_group(4)
     sub = Subgroup(grp, (0, 2))

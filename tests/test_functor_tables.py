@@ -1,0 +1,249 @@
+"""The exponent tables of the coherence sides against the reference path.
+
+A side whose blocks are all monomial with distinct columns decides the
+composition rule, A_1 = id, invertibility and the functor orthogonality
+terms on integers (``CoherenceSide.exponents``); every other side takes
+``scaled_products_equal`` and elimination.  Random gauged functors over Z/2
+to Z/4 -- simples, direct sums and adjoints from ``classify_simple_cyclic``,
+and identity bimodule functors -- valid and corrupted, must give the same
+reports both ways: ``validate_modfun``, ``validate_bimodfun`` and the functor
+``verify_orthogonality`` and ``verify_biedenharn_elliott``, with the table
+builder made to return None for the reference.  Building a functor or a
+context builds no table; one validate builds one per side.
+"""
+import importlib
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from twistcat import _matrix
+from twistcat._matrix import SMatrix
+from twistcat.algebra import (cyclic_group, disjoint_union_gset, point_gset,
+                              regular_gset)
+from twistcat.cohomology import UnitCochain, differential, omega_cyclic
+from twistcat.fusion import FusionData
+from twistcat.modcat import (ModuleCategoryData, ModuleTrace,
+                             regular_module_category)
+from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData, adjoint,
+                             classify_simple_cyclic, coherence_sides,
+                             direct_sum, validate_bimodfun, validate_modfun)
+from twistcat.scalar import Scalar, Unit
+from twistcat.sixj import (SixJContext, functor_context,
+                           verify_biedenharn_elliott, verify_orthogonality)
+
+from test_functor_reports import _identity_bimodule_functor
+
+CHECKS = settings(derandomize=True, max_examples=60, deadline=None)
+CORRUPTIONS = ("none", "root", "non-monomial", "repeated column",
+               "not invariant")
+modfun_module = importlib.import_module("twistcat.modfun")
+
+
+def _fusion(n: int, s: int) -> FusionData:
+    grp = cyclic_group(n)
+    return FusionData(grp, omega_cyclic(n, s),
+                      UnitCochain.trivial(1, point_gset(grp), 1))
+
+
+@st.composite
+def _categories(draw, fusion: FusionData, twisted: bool):
+    """A module category over the fusion data: the regular one, or for
+    trivial omega a point or point + regular carrier, its Psi gauged by a
+    random normalized 1-cochain."""
+    grp = fusion.group
+    n = grp.order
+    kind = draw(st.sampled_from(("regular",) if twisted
+                                else ("regular", "point", "both")))
+    if kind == "regular":
+        psi = regular_module_category(fusion).psi
+    else:
+        x = point_gset(grp) if kind == "point" else disjoint_union_gset(
+            point_gset(grp), regular_gset(grp))
+        psi = UnitCochain.trivial(2, x, n)
+    x, root = psi.carrier, max(psi.root_order, n)
+    mu = [0 if g == grp.identity else draw(st.integers(0, root - 1))
+          for g in grp.elements() for _ in range(x.size)]
+    gauged = psi * differential(UnitCochain.from_flat(1, x, root, mu))
+    return ModuleCategoryData(fusion, x, gauged)
+
+
+@st.composite
+def _module_functors(draw):
+    """A simple, a direct sum of simples or the adjoint of either."""
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(0, n - 1))
+    fusion = _fusion(n, s)
+    source, target = (draw(_categories(fusion, s > 0)),
+                      draw(_categories(fusion, s > 0)))
+    simples = [c.functor for c in classify_simple_cyclic(source, target)]
+    picks = draw(st.lists(st.sampled_from(simples), min_size=1, max_size=3))
+    f = picks[0] if len(picks) == 1 else direct_sum(picks)
+    return adjoint(f) if draw(st.booleans()) else f
+
+
+def _tables(f) -> dict:
+    out = {"a": dict(f.a)}
+    if isinstance(f, BimoduleFunctorData):
+        out["b"] = dict(f.b)
+    return out
+
+
+def _rebuild(f, mult, tables):
+    if isinstance(f, BimoduleFunctorData):
+        return BimoduleFunctorData(f.source, f.target, mult, tables["a"],
+                                   tables["b"])
+    return ModuleFunctorData(f.source, f.target, mult, tables["a"])
+
+
+def _corrupt(draw, f, how: str):
+    """f with one block changed as ``how`` says, or with a supported pair
+    dropped from m where its orbit has another pair, so m is not invariant.
+    A block is made non-monomial as E T, E the identity plus one entry
+    above the diagonal, or replaced by a monomial block whose first two rows
+    share a column; of a functor with 1 x 1 blocks only, f + f is
+    corrupted."""
+    if how == "none":
+        return f
+    if how in ("non-monomial", "repeated column") and all(
+            mat.nrows == 1 for mat in f.a.values()):
+        if isinstance(f, BimoduleFunctorData):
+            how = "root"
+        else:
+            f = direct_sum([f, f])
+    tables = _tables(f)
+    mult = [list(row) for row in f._mult_rows()]
+    if how == "not invariant":
+        moved = [(x, y) for x, y in f.support()
+                 if any(f.multiplicity(*p) and p != (x, y)
+                        for p in _orbit(f, x, y))]
+        if not moved:
+            how = "root"
+        else:
+            x, y = draw(st.sampled_from(moved))
+            mult[x][y] = 0
+            for table in tables.values():
+                for key in [k for k in table if k[1:] == (x, y)]:
+                    del table[key]
+            return _rebuild(f, mult, tables)
+    name = draw(st.sampled_from(sorted(tables)))
+    keys = sorted(k for k, mat in tables[name].items()
+                  if how == "root" or mat.nrows > 1)
+    key = draw(st.sampled_from(keys))
+    mat = tables[name][key]
+    n = mat.nrows
+    if how == "root":
+        order = draw(st.integers(2, 12))
+        mat = mat.scale(Unit(order, draw(st.integers(1, order - 1))))
+    elif how == "non-monomial":
+        mat = SMatrix([[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+                       for i in range(n)]) @ mat
+    else:
+        root = Scalar.root_of_unity(4, draw(st.integers(0, 3)))
+        mat = SMatrix([[root if j == max(i - 1, 0) else 0 for j in range(n)]
+                       for i in range(n)])
+    tables[name][key] = mat
+    return _rebuild(f, mult, tables)
+
+
+def _orbit(f, x, y):
+    sides = coherence_sides(f)
+    return {(side.source.apply(g, x), side.target.apply(g, y))
+            for side in sides for g in side.group.elements()}
+
+
+def _reports(f, bent: bool) -> list:
+    """The validate, orthogonality and Biedenharn-Elliott reports; with
+    ``bent`` the source trace values are times i, which orthogonality sees."""
+    validate = (validate_bimodfun if isinstance(f, BimoduleFunctorData)
+                else validate_modfun)
+    ctx = functor_context(f)
+    if bent:
+        values = tuple(v * Unit(4, 1) for v in ctx.source_trace.values)
+        ctx = SixJContext(functor=f, source_trace=ModuleTrace(values),
+                          target_trace=ctx.target_trace)
+    return [(r.ok, r.checked, r.failed, r.failures)
+            for r in (validate(f), verify_orthogonality(ctx),
+                      verify_biedenharn_elliott(ctx))]
+
+
+def _assert_same_both_ways(f, bent: bool) -> list:
+    fast = _reports(f, bent)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modfun_module, "_exponent_table", lambda *args: None)
+        assert fast == _reports(f, bent)
+    return fast
+
+
+@CHECKS
+@given(_module_functors(), st.sampled_from(CORRUPTIONS), st.booleans(),
+       st.data())
+def test_module_functor_reports_match_the_reference_path(f, how, bent, data):
+    reports = _assert_same_both_ways(_corrupt(data.draw, f, how), bent)
+    if how == "none":
+        assert all(ok for ok, *_ in reports) != bent
+
+
+@CHECKS
+@given(st.sampled_from([(2, 0, 1), (2, 1, 1), (3, 1, 2), (3, 0, 0)]),
+       st.sampled_from(CORRUPTIONS), st.data())
+def test_bimodule_functor_reports_match_the_reference_path(twists, how, data):
+    f = _identity_bimodule_functor(*twists)
+    reports = _assert_same_both_ways(_corrupt(data.draw, f, how), False)
+    assert all(ok for ok, *_ in reports) == (how == "none")
+
+
+def test_the_corruptions_leave_the_table_or_fail():
+    # a root keeps a table and fails; a non-monomial or singular block
+    # drops the table, so the side is decided on the reference path
+    mc = regular_module_category(_fusion(3, 1))
+    simple = classify_simple_cyclic(mc, mc)[0].functor
+    f = direct_sum([simple, simple])
+    (side,) = coherence_sides(f)
+    assert side.exponents[1] is not None
+    for mat in (SMatrix([[1, 1], [0, 1]]), SMatrix([[1, 0], [1, 0]])):
+        a = dict(f.a)
+        a[(1, 0, 0)] = mat
+        (bad,) = coherence_sides(ModuleFunctorData(f.source, f.target,
+                                                   f.mult, a))
+        assert bad.exponents[1] is None
+        assert not validate_modfun(bad.functor).ok
+
+
+def test_tables_are_built_on_first_use_once_per_side(monkeypatch):
+    # constructing a functor or a context builds no table; a validate
+    # builds one per side, and a context's sweeps share its sides' tables
+    build = modfun_module._exponent_table
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    b = _identity_bimodule_functor(2, 1, 1)   # validated by its builder
+    monkeypatch.setattr(modfun_module, "_exponent_table", counting)
+    mc = regular_module_category(_fusion(3, 1))
+    simple = classify_simple_cyclic(mc, mc)[0].functor
+    bimodule = BimoduleFunctorData(b.source, b.target, b.mult, b.a, b.b)
+    contexts = [functor_context(simple), functor_context(bimodule)]
+    assert calls == []
+    assert validate_modfun(simple).ok and len(calls) == 1
+    assert validate_bimodfun(bimodule).ok and len(calls) == 3
+    for ctx, sides in zip(contexts, (1, 2)):
+        before = len(calls)
+        for _ in range(2):
+            assert verify_orthogonality(ctx).ok
+            assert verify_biedenharn_elliott(ctx).ok
+        assert len(calls) - before == sides
+
+
+def test_the_exponent_table_reads_columns_and_exponents():
+    # rows as (column, exponent mod L), L the lcm of the roots' orders and
+    # the given order; a non-monomial block or a repeated column gives None
+    z = Scalar.root_of_unity
+    blocks = {"p": SMatrix([[0, z(3, 1)], [-z(4, 1), 0]]),
+              "q": SMatrix([[Unit(2, 1).to_scalar()]])}
+    assert _matrix._exponent_table(blocks, 5) == (
+        60, {"p": ((1, 20), (0, 45)), "q": ((0, 30),)})
+    for bad in (SMatrix([[1, 1], [0, 1]]), SMatrix([[1, 0], [1, 0]]),
+                SMatrix([[Scalar(3, [1, 1])]])):
+        assert _matrix._exponent_table({"p": bad}) is None

@@ -199,11 +199,12 @@ def _callers(name: str) -> set[tuple[str, str]]:
 def test_smith_forms_of_differentials_come_from_the_cache():
     # a differential's Smith form does not depend on the twist, so outside
     # the coset enumeration of a lattice quotient and solve_mod's fallback
-    # the one caller of smith_normal_form is the cached factorization
-    # cohomology._diff_snf
+    # the callers of smith_normal_form are the cached factorizations
+    # cohomology._diff_snf and, of normalize's subsystem, _identity_snf
     allowed = {("algebra.py", "_lattice_quotient_reps"),
                ("algebra.py", "solve_mod"),
-               ("cohomology.py", "_diff_snf")}
+               ("cohomology.py", "_diff_snf"),
+               ("cohomology.py", "_identity_snf")}
     callers = _callers("smith_normal_form")
     assert ("cohomology.py", "_diff_snf") in callers
     assert callers <= allowed, f"uncached Smith forms: {callers - allowed}"
@@ -213,7 +214,8 @@ def test_differential_matrices_are_built_only_for_cached_results():
     # a dense differential is built only to be factored once per (group,
     # carrier, degree); the class lattice reads the cached factorizations
     callers = _callers("differential_matrix")
-    assert callers == {("cohomology.py", "_diff_snf")}
+    assert callers == {("cohomology.py", "_diff_snf"),
+                       ("cohomology.py", "_identity_snf")}
 
 
 def test_the_monomial_form_is_read_only_in_the_matrix_module():

@@ -182,6 +182,21 @@ def test_bound_exceeded_is_raised_on_every_call():
             modcats_for(fus, x)
 
 
+def test_enumeration_and_coboundary_test_share_one_d2_factor():
+    # modcats_for and is_coboundary on a 3-cochain over the same carrier both
+    # solve against d2; its Smith form is cached on (group, carrier, degree)
+    # alone, so the coboundary test reads the enumeration's factor
+    _clear_caches()
+    x = regular_gset(Z3)
+    modcats_for(FusionData(Z3, omega_cyclic(3, 1), triv_kappa(Z3)), x)
+    before = cohomology._diff_snf.cache_info()
+    assert before.misses >= 2   # d1 and d2 of the carrier
+    assert cohomology.is_coboundary(UnitCochain.trivial(3, x, 3))
+    after = cohomology._diff_snf.cache_info()
+    assert after.misses == before.misses
+    assert after.hits == before.hits + 1
+
+
 def test_d2_is_factored_once_per_carrier(monkeypatch):
     # d2 (m^3 |X| rows) does not depend on the twist: the four associators of
     # Z/2 x Z/2 on its three coset carriers and its point factor it once per

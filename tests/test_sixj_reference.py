@@ -467,19 +467,19 @@ def test_non_invariant_multiplicities_fail_functor_biedenharn_elliott(mult,
 def test_functor_orthogonality_evaluates_one_term_per_composed_label(
         monkeypatch):
     # each composed label (l, j, a) of s and t has one a-sum and one c-sum
-    # term, each one comparison of the block against its inverse
+    # term, each one evaluation of the per-term routine
     sixj_module = importlib.import_module("twistcat.sixj")
     ctx = functor_context(_identity_bimodule_functor(3, 1, 2))
     labels = sum(len({row["labels"] for row in sixj_table(ctx, kind)})
                  for kind in ("s", "t"))
     calls = []
-    compare = sixj_module.scaled_products_equal
+    term = sixj_module._orth_term
 
     def counting(*args):
         calls.append(args)
-        return compare(*args)
+        return term(*args)
 
-    monkeypatch.setattr(sixj_module, "scaled_products_equal", counting)
+    monkeypatch.setattr(sixj_module, "_orth_term", counting)
     assert verify_orthogonality(ctx).ok
     assert labels == 54
     assert len(calls) == 2 * labels
