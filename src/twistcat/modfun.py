@@ -26,7 +26,20 @@ exponent difference; any other instance, and every failure, goes through
 Biedenharn-Elliott in :mod:`twistcat.sixj` is decided by the same instance.
 A product matrix is built only to report a failure.  Where m is not
 invariant the blocks of an instance differ in size, and the instance is one
-failure of its condition, like a missing entry.
+failure of its condition, like a missing entry.  The table is built once per
+functor table (A or B), on first use, and kept on the functor.
+
+A natural transformation F -> H is a family of matrices M_{x,y} over the
+pairs both functors support, with M_{x,y} A^F_{g,x,y} = A^H_{g,x,y}
+M_{g.x,g.y} (cond_M).  When both A tables have exponent tables, each entry
+of cond_M links two unknowns by a root of unity, u = z^d w, so the hom space
+is solved by propagating exponents along these links: a connected set of
+unknowns whose links close into a cycle of nonzero exponent is zero, and
+every other one spans one basis vector, 1 at its largest unknown and roots
+elsewhere.  This is the reduced row-echelon basis elimination gives, which
+remains the route for any other pair of functors.  Either route yields one
+sparse basis, which ``hom_basis`` turns into matrices and ``invertible_hom``
+combines.
 """
 from __future__ import annotations
 
@@ -37,8 +50,8 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from ._matrix import (SMatrix, _exponent_table, _identity, matrix_rank,
-                      nullspace_basis, scaled_products_equal)
+from ._matrix import (SMatrix, _exponent_table, _identity, nullspace_basis,
+                      scaled_products_equal)
 from .algebra import (FiniteGroup, GSet, _array_view, _flatten, _rows, orbits,
                       product_gset)
 from .cohomology import UnitCochain, _pull_back, differential
@@ -78,7 +91,8 @@ class _FunctorTable:
 
     m_{x,y} over X x Y is stored flat in row-major order as ``mult_flat``;
     ``mult`` is its read-only ndarray view, and the constructors take it as
-    an ndarray, nested lists or nested tuples.
+    an ndarray, nested lists or nested tuples.  ``_exponents`` keeps the
+    exponent tables of the coherence tables, built on first use.
     """
 
     __slots__ = ()
@@ -94,6 +108,7 @@ class _FunctorTable:
         object.__setattr__(self, "_support", tuple(
             divmod(p, ny) for p, m in enumerate(flat) if m))
         object.__setattr__(self, "_views", {})
+        object.__setattr__(self, "_exponents", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -138,7 +153,8 @@ def _check_tables(group: FiniteGroup, f: _FunctorTable, a: dict,
 class ModuleFunctorData(_FunctorTable):
     """Matrix presentation (m, A) of a module functor."""
 
-    __slots__ = ("source", "target", "mult_flat", "a", "_support", "_views")
+    __slots__ = ("source", "target", "mult_flat", "a", "_support", "_views",
+                 "_exponents")
 
     def __init__(self, source: ModuleCategoryData, target: ModuleCategoryData,
                  mult, a: dict) -> None:
@@ -185,10 +201,15 @@ class CoherenceSide:
     def exponents(self) -> tuple:
         """(L, table, twist): per key the block's rows as (column, exponent
         mod L), or None unless every block is monomial with distinct columns,
-        and the twist ratio (q, p, x, y) -> its exponent mod L."""
+        and the twist ratio (q, p, x, y) -> its exponent mod L.  The table
+        is kept on the functor, so every side of the same table, and the hom
+        spaces, read one build."""
         tw_x, tw_y = self.twist_source, self.twist_target
         order = lcm(tw_x.root_order, tw_y.root_order)
-        order, exps = _exponent_table(self.table, order) or (order, None)
+        built = self.functor._exponents  # keyed by table: A or B
+        if self.right not in built:
+            built[self.right] = _exponent_table(self.table, order)
+        order, exps = built[self.right] or (order, None)
         return order, exps, _twist_exponents(tw_x, tw_y, order)
 
 
@@ -425,105 +446,153 @@ def action_functor(data: ModuleCategoryData, base: int) -> ModuleFunctorData:
     return functor_from_equivariant(f, lam, reg, data)
 
 
-def _hom_system(f: ModuleFunctorData, h: ModuleFunctorData):
-    """Unknown layout and cond_M rows for Nat(F, H), over the scalar field;
-    raises ShapeMismatch when a pair and its moved pair have different
-    multiplicities, so that the rows would not be defined."""
+def _hom_space(f: ModuleFunctorData, h: ModuleFunctorData):
+    """(layout, basis) of Nat(F, H): per pair supported by both, in sorted
+    order, the offset of M_p among the unknowns and its shape (m^H_p, m^F_p);
+    and a basis as sparse vectors, dicts slot -> nonzero Scalar, solved on
+    the A tables' exponent tables when both have one, else by elimination.
+    Raises ShapeMismatch when a pair and its moved pair have different
+    multiplicities, so that cond_M would not be defined."""
     if f.source != h.source or f.target != h.target:
         raise SourceTargetMismatch(
             "hom spaces need functors with equal source and target")
-    pairs = sorted(p for p in f.support() if h.multiplicity(*p) > 0)
-    offsets = {}
-    total = 0
-    for p in pairs:
-        offsets[p] = total
-        total += h.multiplicity(*p) * f.multiplicity(*p)
-
-    def slot(p, i, j):
-        return offsets[p] + i * f.multiplicity(*p) + j
-
-    grp = f.group
-    x_set, y_set = f.source.X, f.target.X
-    rows: list[list[Scalar]] = []
-    for g in grp.elements():
-        for (x, y) in pairs:
-            gp = (x_set.apply(g, x), y_set.apply(g, y))
-            af = f.a[(g, x, y)]
-            ah = h.a[(g, x, y)]
-            mh, mf = h.multiplicity(x, y), f.multiplicity(x, y)
-            if (h.multiplicity(*gp), f.multiplicity(*gp)) != (mh, mf):
-                raise ShapeMismatch(
-                    f"multiplicities are not invariant: {g} moves {(x, y)} "
-                    f"to {gp}, whose multiplicities differ")
+    layout, total = {}, 0
+    for p in sorted(p for p in f.support() if h.multiplicity(*p) > 0):
+        mh, mf = h.multiplicity(*p), f.multiplicity(*p)
+        layout[p] = (total, mh, mf)
+        total += mh * mf
+    if not layout:
+        return layout, []
+    (order_f, exps_f), (order_h, exps_h) = (
+        coherence_sides(fn)[0].exponents[:2] for fn in (f, h))
+    if exps_f is None or exps_h is None:
+        rows = []
+        for key, base, moved, mh, mf in _cond_m(f, layout):
+            af, ah = f.a[key], h.a[key]
             for i in range(mh):
                 for j in range(mf):
                     row = [Scalar.zero()] * total
                     for k in range(mf):
-                        row[slot((x, y), i, k)] += af.entry(k, j)
+                        row[base + i * mf + k] += af.entry(k, j)
                     for k in range(mh):
-                        row[slot(gp, k, j)] -= ah.entry(i, k)
+                        row[moved + k * mf + j] -= ah.entry(i, k)
                     rows.append(row)
-    return pairs, offsets, total, rows
+        return layout, [{s: v for s, v in enumerate(vec) if v}
+                        for vec in nullspace_basis(rows, total)]
+    # with A^F row k at (j, a) and A^H row i at (c, b), entry (i, j) of
+    # cond_M reads z^a M_p[i, k] = z^b M_{g.p}[c, j]: one edge u = z^d w
+    order = lcm(order_f, order_h)
+    sf, sh = order // order_f, order // order_h
+    edges = [[] for _ in range(total)]
+    for key, base, moved, mh, mf in _cond_m(f, layout):
+        for k, (j, a) in enumerate(exps_f[key]):
+            for i, (c, b) in enumerate(exps_h[key]):
+                u, w = base + i * mf + k, moved + c * mf + j
+                d = b * sh - a * sf
+                edges[u].append((w, d))
+                edges[w].append((u, -d))
+    return layout, _propagate(edges, order)
+
+
+def _cond_m(f: ModuleFunctorData, layout: dict):
+    """The cond_M instances M_p A^F_g = A^H_g M_{g.p} over g and the pairs of
+    ``layout``, as (key (g, x, y), offset of M_p, offset of M_{g.p}, m^H_p,
+    m^F_p); raises ShapeMismatch at the first moved pair of another shape."""
+    x_set, y_set = f.source.X, f.target.X
+    ax, ay, nx, ny = (x_set.action_flat, y_set.action_flat, x_set.size,
+                      y_set.size)
+    for g in f.group.elements():
+        for (x, y), (base, mh, mf) in layout.items():
+            gp = (ax[g * nx + x], ay[g * ny + y])
+            moved = layout.get(gp)
+            if moved is None or moved[1:] != (mh, mf):
+                raise ShapeMismatch(
+                    f"multiplicities are not invariant: {g} moves {(x, y)} "
+                    f"to {gp}, whose multiplicities differ")
+            yield (g, x, y), base, moved[0], mh, mf
+
+
+def _propagate(edges: list, order: int) -> list[dict]:
+    """The solutions of the equations x_u = z^d x_w, z = exp(2 pi i / order),
+    given as edges[u] holding (w, d) and edges[w] holding (u, -d): a walk
+    from each unvisited slot sets every reached slot's exponent relative to
+    the first.  A component with a cycle of nonzero exponent is zero; each
+    other one spans one solution, of full support on it, which is the
+    vector elimination gives: 1 at the component's largest slot, the roots
+    relative to it elsewhere, the vectors sorted by that slot."""
+    pot = [None] * len(edges)
+    found = {}
+    for start, seen in enumerate(pot):
+        if seen is not None:
+            continue
+        pot[start], component, live = 0, [start], True
+        for u in component:
+            for w, d in edges[u]:
+                if pot[w] is None:
+                    pot[w] = pot[u] - d
+                    component.append(w)
+                elif (pot[u] - d - pot[w]) % order:
+                    live = False
+        if live:
+            last = max(component)
+            found[last] = {s: Scalar.root_of_unity(order, pot[s] - pot[last])
+                           for s in component}
+    return [found[last] for last in sorted(found)]
+
+
+def _blocks(layout: dict, entries: dict) -> dict:
+    """The matrices M_p of a sparse vector over the layout, zero elsewhere."""
+    zero = Scalar.zero()
+    return {p: SMatrix([[entries.get(base + i * mf + j, zero)
+                         for j in range(mf)] for i in range(mh)])
+            for p, (base, mh, mf) in layout.items()}
 
 
 def hom_dimension(f: ModuleFunctorData, h: ModuleFunctorData) -> int:
     """Dimension of the space of natural transformations F -> H."""
-    _, _, total, rows = _hom_system(f, h)
-    if total == 0:
-        return 0
-    return total - matrix_rank(rows)
+    return len(_hom_space(f, h)[1])
 
 
 def hom_basis(f: ModuleFunctorData, h: ModuleFunctorData) -> list[NatTransData]:
-    """A basis of Nat(F, H) as natural-transformation data."""
-    pairs, offsets, total, rows = _hom_system(f, h)
-    if total == 0:
-        return []
-    out = []
-    for vec in nullspace_basis(rows, total):
-        m = {}
-        for p in pairs:
-            mh, mf = h.multiplicity(*p), f.multiplicity(*p)
-            base = offsets[p]
-            m[p] = SMatrix([[vec[base + i * mf + j] for j in range(mf)]
-                            for i in range(mh)])
-        out.append(NatTransData(f, h, m))
-    return out
+    """A basis of Nat(F, H) as natural-transformation data: on monomial A
+    tables one transformation per live component of cond_M, else the
+    nullspace basis of the eliminated system; both are the reduced
+    row-echelon basis, one vector per free unknown, 1 there."""
+    layout, basis = _hom_space(f, h)
+    return [NatTransData(f, h, _blocks(layout, vec)) for vec in basis]
 
 
 def invertible_hom(f: ModuleFunctorData,
                    h: ModuleFunctorData) -> Optional[NatTransData]:
     """An invertible natural transformation F -> H, or None.
 
-    Tries basis elements first, then a deterministic sequence of small
-    integer combinations (a generic combination is invertible whenever an
-    invertible element exists).
+    Tries the basis elements of :func:`hom_basis` first, then a
+    deterministic sequence of small integer combinations of them (a generic
+    combination is invertible whenever an invertible element exists), each
+    summed entrywise from the sparse basis vectors.
     """
     if (f.mult_shape, f.mult_flat) != (h.mult_shape, h.mult_flat):
         return None
-    basis = hom_basis(f, h)
+    layout, basis = _hom_space(f, h)
     if not basis:
         return None
-    pairs = sorted(basis[0].m)
-
-    def all_invertible(m):
-        return all(mat.inverse() is not None for mat in m.values())
-
-    for eta in basis:
-        if all_invertible(eta.m):
-            return eta
     rng = random.Random(0)
-    for _ in range(64):
-        coeffs = [rng.randint(-3, 3) for _ in basis]
-        if not any(coeffs):
+    units = ([int(b == c) for c in range(len(basis))]
+             for b in range(len(basis)))
+    randoms = ([rng.randint(-3, 3) for _ in basis] for _ in range(64))
+    for coeffs in itertools.chain(units, randoms):
+        entries = {}
+        for c, vec in zip(coeffs, basis):
+            if c == 0:
+                continue
+            for s, v in vec.items():
+                # a root times 1 stays a tagged root, which inverts as such
+                v = v if c == 1 else Scalar.from_rational(c) * v
+                entries[s] = entries[s] + v if s in entries else v
+        if not entries:
             continue
-        m = {}
-        for p in pairs:
-            acc = basis[0].m[p].scale(Scalar.from_rational(coeffs[0]))
-            for c, eta in zip(coeffs[1:], basis[1:]):
-                acc = acc + eta.m[p].scale(Scalar.from_rational(c))
-            m[p] = acc
-        if all_invertible(m):
+        m = _blocks(layout, entries)
+        if all(mat.inverse() is not None for mat in m.values()):
             return NatTransData(f, h, m)
     return None
 
@@ -627,35 +696,34 @@ def classify_simple_cyclic(source: ModuleCategoryData,
     n = grp.order
     gen, powers = _cyclic_generator(grp)
     x_set, y_set = source.X, target.X
-    y_size = target.X.size
+    ax, ay, nx, ny = (x_set.action_flat, y_set.action_flat, x_set.size,
+                      y_set.size)
+    big = lcm(source.psi.root_order, target.psi.root_order)
+    ratio = _twist_exponents(source.psi, target.psi, big)
     prod = product_gset(source.X, target.X)
     out = []
     for orbit in orbits(prod):
-        pairs = tuple((p // y_size, p % y_size) for p in orbit)
+        pairs = tuple((p // ny, p % ny) for p in orbit)
         r = len(pairs)
-        x0, y0 = pairs[0]
-        gamma = Unit.one()
-        for t in range(1, n):
-            gamma = gamma * source.psi.value(
-                (gen, powers[t], x_set.apply(powers[t + 1], x0))).inverse()
-            gamma = gamma * target.psi.value(
-                (gen, powers[t], y_set.apply(powers[t + 1], y0)))
-        roots = unit_roots(gamma, n)
-        mult = [[int((x, y) in pairs) for y in range(y_size)]
-                for x in range(source.X.size)]
+        # sums[p][k]: prod_{0 < t < k} Psi_X Psi_Y^-1 at p as an exponent
+        # mod big, k = 0..n; gamma is the inverse of the k = n product
+        sums = {}
+        for (x, y) in pairs:
+            acc = [0, 0]
+            for t in range(1, n):
+                s = powers[t + 1]
+                acc.append(acc[-1] + ratio(gen, powers[t], ax[s * nx + x],
+                                           ay[s * ny + y]))
+            sums[(x, y)] = acc
+        roots = unit_roots(Unit(big, -sums[pairs[0]][n]), n)
+        mult = [[int((x, y) in pairs) for y in range(ny)] for x in range(nx)]
         for j in range(n // r):
             xi = roots[j]
-            a = {}
-            for k in range(n):
-                for (x, y) in pairs:
-                    val = xi ** k
-                    for t in range(1, k):
-                        val = val * source.psi.value(
-                            (gen, powers[t], x_set.apply(powers[t + 1], x)))
-                        val = val * target.psi.value(
-                            (gen, powers[t], y_set.apply(powers[t + 1], y))
-                        ).inverse()
-                    a[(powers[k], x, y)] = SMatrix.from_unit(val)
+            order = lcm(xi.root_order, big)
+            e, scale = xi.exponent * (order // xi.root_order), order // big
+            a = {(powers[k], x, y): SMatrix.from_unit(
+                     Unit(order, k * e + scale * sums[(x, y)][k]))
+                 for k in range(n) for (x, y) in pairs}
             functor = ModuleFunctorData(source, target, mult, a)
             out.append(SimpleFunctorClass(pairs, xi, functor))
     return out
@@ -678,7 +746,7 @@ class BimoduleFunctorData(_FunctorTable):
     """Module-functor data plus the right-action matrices B over H."""
 
     __slots__ = ("source", "target", "mult_flat", "a", "b", "_support",
-                 "_views")
+                 "_views", "_exponents")
 
     def __init__(self, source: BimoduleCategoryData,
                  target: BimoduleCategoryData, mult, a: dict,

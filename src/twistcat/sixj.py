@@ -76,7 +76,7 @@ class SixJContext:
     Exactly one of ``fusion``, ``bimodule``, ``functor`` is set; traces and
     the functor's coherence sides ``sides`` ((A,) or (A, B)) are attached at
     construction time so that a symbol evaluation never has to re-derive
-    them.
+    them, and ``layouts`` keeps each scalar family's layout once built.
     """
 
     fusion: Optional[FusionData] = None
@@ -87,10 +87,12 @@ class SixJContext:
     target_trace: Optional[ModuleTrace] = None
     sides: tuple[CoherenceSide, ...] = field(init=False, compare=False,
                                              repr=False)
+    layouts: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sides", () if self.functor is None
                            else coherence_sides(self.functor))
+        object.__setattr__(self, "layouts", {})
 
     def kinds(self) -> tuple[str, ...]:
         """The symbol kinds this context can evaluate."""
@@ -253,6 +255,15 @@ def _m_layout(grp, x_set, psi, trace: ModuleTrace, kappa_unit,
 
 
 def _scalar_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
+    """The layout of the fusion, m, n or b symbols of a context, built on
+    first use and kept in ``ctx.layouts``."""
+    lay = ctx.layouts.get(family)
+    if lay is None:
+        lay = ctx.layouts[family] = _new_layout(ctx, family)
+    return lay
+
+
+def _new_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
     """The layout of the fusion, m, n or b symbols of a context.
 
     * fusion: c = ij, a = jk, b = ck; fusion+ = kappa(a) omega(i, j, k),

@@ -7,9 +7,10 @@ terms on integers (``CoherenceSide.exponents``); every other side takes
 to Z/4 -- simples, direct sums and adjoints from ``classify_simple_cyclic``,
 and identity bimodule functors -- valid and corrupted, must give the same
 reports both ways: ``validate_modfun``, ``validate_bimodfun`` and the functor
-``verify_orthogonality`` and ``verify_biedenharn_elliott``, with the table
-builder made to return None for the reference.  Building a functor or a
-context builds no table; one validate builds one per side.
+``verify_orthogonality`` and ``verify_biedenharn_elliott``, with
+``_exponent_table`` made to return None for the reference, on a fresh copy
+of the functor.  Building a functor or a context builds no table; the first use
+builds one per A or B table, kept on the functor for every later reader.
 """
 import importlib
 
@@ -26,7 +27,8 @@ from twistcat.modcat import (ModuleCategoryData, ModuleTrace,
                              regular_module_category)
 from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData, adjoint,
                              classify_simple_cyclic, coherence_sides,
-                             direct_sum, validate_bimodfun, validate_modfun)
+                             direct_sum, hom_dimension, invertible_hom,
+                             validate_bimodfun, validate_modfun)
 from twistcat.scalar import Scalar, Unit
 from twistcat.sixj import (SixJContext, functor_context,
                            verify_biedenharn_elliott, verify_orthogonality)
@@ -167,10 +169,11 @@ def _reports(f, bent: bool) -> list:
 
 
 def _assert_same_both_ways(f, bent: bool) -> list:
+    # the reference runs on a copy of f: f keeps the tables it has built
     fast = _reports(f, bent)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modfun_module, "_exponent_table", lambda *args: None)
-        assert fast == _reports(f, bent)
+        assert fast == _reports(_rebuild(f, f.mult, _tables(f)), bent)
     return fast
 
 
@@ -209,9 +212,10 @@ def test_the_corruptions_leave_the_table_or_fail():
         assert not validate_modfun(bad.functor).ok
 
 
-def test_tables_are_built_on_first_use_once_per_side(monkeypatch):
-    # constructing a functor or a context builds no table; a validate
-    # builds one per side, and a context's sweeps share its sides' tables
+def test_tables_are_built_on_first_use_once_per_functor_table(monkeypatch):
+    # constructing a functor or a context builds no table; the first use
+    # builds one per A or B table and keeps it on the functor, so validation,
+    # a context's sweeps and the hom spaces all read that one build
     build = modfun_module._exponent_table
     calls = []
 
@@ -228,12 +232,13 @@ def test_tables_are_built_on_first_use_once_per_side(monkeypatch):
     assert calls == []
     assert validate_modfun(simple).ok and len(calls) == 1
     assert validate_bimodfun(bimodule).ok and len(calls) == 3
-    for ctx, sides in zip(contexts, (1, 2)):
-        before = len(calls)
+    for ctx in contexts:
         for _ in range(2):
             assert verify_orthogonality(ctx).ok
             assert verify_biedenharn_elliott(ctx).ok
-        assert len(calls) - before == sides
+    assert hom_dimension(simple, simple) == 1
+    assert invertible_hom(simple, simple) is not None
+    assert validate_modfun(simple).ok and len(calls) == 3
 
 
 def test_the_exponent_table_reads_columns_and_exponents():
