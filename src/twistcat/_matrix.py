@@ -1,9 +1,10 @@
 """Dense matrices of exact cyclotomic scalars, with the small amount of
 linear algebra the functor machinery needs: products, inverses, block sums,
-and exact rank/nullspace computations over the scalar field.
+invertibility tests and exact nullspaces over the scalar field.
 
-Inverses, ranks and nullspaces all reduce with ``scalar._gauss_jordan``, the
-package's one exact elimination routine; this module has no loop of its own.
+Inverses, nullspaces and the invertibility test :func:`_invertible` all
+reduce with ``scalar._gauss_jordan``, the package's one exact elimination
+routine; this module has no loop of its own.
 
 Relations between scaled products are checked by
 :func:`scaled_products_equal`, the package's one product comparison, which
@@ -25,7 +26,10 @@ reference.  Nothing outside this module reads the form.
 The monomial fast path of the functor relations is a coherence side's
 exponent table (:func:`_exponent_table`), each block row as (column,
 exponent) at one root order; it is built from the forms here, so the form is
-still read only in this module.
+still read only in this module.  :func:`_from_exponents` builds a matrix
+back from such rows.  No operation hands a form on: the result of a
+product, sum, scaling, transpose, inverse or block sum, and a matrix built
+from table rows, computes its own form when first read.
 """
 from __future__ import annotations
 
@@ -253,6 +257,16 @@ def _exponent_table(blocks: dict, order: int = 1) -> Optional[tuple]:
                    for key, form in zip(blocks, forms)}
 
 
+def _from_exponents(rows, order: int) -> SMatrix:
+    """The matrix with exp(2 pi i e / order) at (i, c) for rows[i] = (c, e)
+    and zeros elsewhere."""
+    zero, grid = Scalar.zero(), []
+    for col, e in rows:
+        grid.append([zero] * len(rows))
+        grid[-1][col] = Scalar.root_of_unity(order, e)
+    return SMatrix._trusted(grid)
+
+
 def _monomial_inverse(rows, form) -> SMatrix:
     """The inverse of a monomial matrix with distinct columns: row c holds
     the inverse root at the column of the row whose entry sits in column c,
@@ -339,11 +353,17 @@ def scaled_products_equal(u, first: SMatrix, second: SMatrix, v,
     return True
 
 
-def matrix_rank(rows: list[list[Scalar]]) -> int:
-    """Rank of a list-of-rows system over the scalar field."""
-    if not rows:
-        return 0
-    return len(_gauss_jordan(rows, len(rows[0]))[1])
+def _invertible(rows: list[list[Scalar]]) -> bool:
+    """Whether a square matrix of rows is invertible: by its nonzero pattern
+    when that is one entry per row in distinct columns, or has a zero row or
+    column; else by elimination."""
+    support = [[j for j, v in enumerate(row) if v] for row in rows]
+    cols = {j for row in support for j in row}
+    if len(cols) < len(rows) or not all(support):
+        return False
+    if all(len(row) == 1 for row in support):
+        return True
+    return len(_gauss_jordan(rows, len(rows))[1]) == len(rows)
 
 
 def nullspace_basis(rows: list[list[Scalar]], ncols: int) -> list[list[Scalar]]:

@@ -50,8 +50,8 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from ._matrix import (SMatrix, _exponent_table, _identity, nullspace_basis,
-                      scaled_products_equal)
+from ._matrix import (SMatrix, _exponent_table, _from_exponents, _identity,
+                      _invertible, nullspace_basis, scaled_products_equal)
 from .algebra import (FiniteGroup, GSet, _array_view, _flatten, _rows, orbits,
                       product_gset)
 from .cohomology import UnitCochain, _pull_back, differential
@@ -447,12 +447,12 @@ def action_functor(data: ModuleCategoryData, base: int) -> ModuleFunctorData:
 
 
 def _hom_space(f: ModuleFunctorData, h: ModuleFunctorData):
-    """(layout, basis) of Nat(F, H): per pair supported by both, in sorted
-    order, the offset of M_p among the unknowns and its shape (m^H_p, m^F_p);
-    and a basis as sparse vectors, dicts slot -> nonzero Scalar, solved on
-    the A tables' exponent tables when both have one, else by elimination.
-    Raises ShapeMismatch when a pair and its moved pair have different
-    multiplicities, so that cond_M would not be defined."""
+    """(layout, basis, tables) of Nat(F, H): per pair supported by both, in
+    sorted order, the offset of M_p among the unknowns and its shape
+    (m^H_p, m^F_p); a basis as sparse vectors, dicts slot -> nonzero Scalar;
+    and whether it was solved on the A tables' exponent tables (both have
+    one) rather than by elimination.  Raises ShapeMismatch when a pair and
+    its moved pair have different multiplicities, so cond_M is undefined."""
     if f.source != h.source or f.target != h.target:
         raise SourceTargetMismatch(
             "hom spaces need functors with equal source and target")
@@ -462,7 +462,7 @@ def _hom_space(f: ModuleFunctorData, h: ModuleFunctorData):
         layout[p] = (total, mh, mf)
         total += mh * mf
     if not layout:
-        return layout, []
+        return layout, [], False
     (order_f, exps_f), (order_h, exps_h) = (
         coherence_sides(fn)[0].exponents[:2] for fn in (f, h))
     if exps_f is None or exps_h is None:
@@ -478,7 +478,7 @@ def _hom_space(f: ModuleFunctorData, h: ModuleFunctorData):
                         row[moved + k * mf + j] -= ah.entry(i, k)
                     rows.append(row)
         return layout, [{s: v for s, v in enumerate(vec) if v}
-                        for vec in nullspace_basis(rows, total)]
+                        for vec in nullspace_basis(rows, total)], False
     # with A^F row k at (j, a) and A^H row i at (c, b), entry (i, j) of
     # cond_M reads z^a M_p[i, k] = z^b M_{g.p}[c, j]: one edge u = z^d w
     order = lcm(order_f, order_h)
@@ -491,7 +491,7 @@ def _hom_space(f: ModuleFunctorData, h: ModuleFunctorData):
                 d = b * sh - a * sf
                 edges[u].append((w, d))
                 edges[w].append((u, -d))
-    return layout, _propagate(edges, order)
+    return layout, _propagate(edges, order), True
 
 
 def _cond_m(f: ModuleFunctorData, layout: dict):
@@ -540,12 +540,29 @@ def _propagate(edges: list, order: int) -> list[dict]:
     return [found[last] for last in sorted(found)]
 
 
-def _blocks(layout: dict, entries: dict) -> dict:
-    """The matrices M_p of a sparse vector over the layout, zero elsewhere."""
+def _block_rows(entries: dict, base: int, mh: int, mf: int) -> list:
+    """The rows of the block at ``base`` of a sparse vector, zero elsewhere."""
     zero = Scalar.zero()
-    return {p: SMatrix([[entries.get(base + i * mf + j, zero)
-                         for j in range(mf)] for i in range(mh)])
-            for p, (base, mh, mf) in layout.items()}
+    return [[entries.get(base + i * mf + j, zero) for j in range(mf)]
+            for i in range(mh)]
+
+
+def _blocks(layout: dict, entries: dict) -> dict:
+    """The matrices M_p of a sparse vector over the layout."""
+    return {p: SMatrix(_block_rows(entries, *spec))
+            for p, spec in layout.items()}
+
+
+def _orbit_representatives(f: ModuleFunctorData, layout: dict) -> list:
+    """The first pair of each G-orbit of the layout's pairs, in its order."""
+    x_set, y_set, seen, reps = f.source.X, f.target.X, set(), []
+    ax, ay, nx, ny = (x_set.action_flat, y_set.action_flat, x_set.size,
+                      y_set.size)
+    for x, y in layout:
+        if (x, y) not in seen:
+            reps.append((x, y))
+            seen.update(zip(ax[x::nx], ay[y::ny]))
+    return reps
 
 
 def hom_dimension(f: ModuleFunctorData, h: ModuleFunctorData) -> int:
@@ -558,7 +575,7 @@ def hom_basis(f: ModuleFunctorData, h: ModuleFunctorData) -> list[NatTransData]:
     tables one transformation per live component of cond_M, else the
     nullspace basis of the eliminated system; both are the reduced
     row-echelon basis, one vector per free unknown, 1 there."""
-    layout, basis = _hom_space(f, h)
+    layout, basis, _ = _hom_space(f, h)
     return [NatTransData(f, h, _blocks(layout, vec)) for vec in basis]
 
 
@@ -569,13 +586,19 @@ def invertible_hom(f: ModuleFunctorData,
     Tries the basis elements of :func:`hom_basis` first, then a
     deterministic sequence of small integer combinations of them (a generic
     combination is invertible whenever an invertible element exists), each
-    summed entrywise from the sparse basis vectors.
+    summed entrywise from the sparse basis vectors; only the one returned is
+    built as matrices.  On the exponent tables, whose A blocks are
+    invertible, one block per G-orbit of the pairs decides, since a
+    combination is natural: M_{g.p} = (A^H_g)^-1 M_p A^F_g.  Else every
+    block does.  ``_matrix._invertible`` decides a block.
     """
     if (f.mult_shape, f.mult_flat) != (h.mult_shape, h.mult_flat):
         return None
-    layout, basis = _hom_space(f, h)
+    layout, basis, tables = _hom_space(f, h)
     if not basis:
         return None
+    deciding = [layout[p] for p in (_orbit_representatives(f, layout)
+                                    if tables else layout)]
     rng = random.Random(0)
     units = ([int(b == c) for c in range(len(basis))]
              for b in range(len(basis)))
@@ -585,15 +608,14 @@ def invertible_hom(f: ModuleFunctorData,
         for c, vec in zip(coeffs, basis):
             if c == 0:
                 continue
+            k = Scalar.from_rational(c)
             for s, v in vec.items():
                 # a root times 1 stays a tagged root, which inverts as such
-                v = v if c == 1 else Scalar.from_rational(c) * v
+                v = v if c == 1 else k * v
                 entries[s] = entries[s] + v if s in entries else v
-        if not entries:
-            continue
-        m = _blocks(layout, entries)
-        if all(mat.inverse() is not None for mat in m.values()):
-            return NatTransData(f, h, m)
+        if entries and all(_invertible(_block_rows(entries, *spec))
+                           for spec in deciding):
+            return NatTransData(f, h, _blocks(layout, entries))
     return None
 
 
@@ -640,20 +662,38 @@ def orbit_decompose(f: ModuleFunctorData) -> dict:
 
 def adjoint(f: ModuleFunctorData) -> ModuleFunctorData:
     """The (two-sided) adjoint functor, with transposed multiplicities and
-    A'_{g,y,x} = Psi_X(g,g^-1,g.x) Psi_Y^-1(g,g^-1,g.y) (A_{g^-1,g.x,g.y})^T."""
+    A'_{g,y,x} = Psi_X(g,g^-1,g.x) Psi_Y^-1(g,g^-1,g.y) (A_{g^-1,g.x,g.y})^T.
+
+    On the source's exponent table a row i holding (c, e) gives row c of the
+    new block holding (i, e + r), r the twist ratio's exponent at the
+    table's order: the blocks and the result's own table are built on
+    integers.  Any other source is transposed and scaled."""
     grp = f.group
     x_set, y_set = f.source.X, f.target.X
     mult = list(zip(*f._mult_rows()))
     n = lcm(f.source.psi.root_order, f.target.psi.root_order)
     ratio = _twist_exponents(f.source.psi, f.target.psi, n)
-    a = {}
+    order, exps = coherence_sides(f)[0].exponents[:2]
+    a, table = {}, {}
     for g in grp.elements():
         ginv = grp.inv(g)
         for (x, y) in f.support():
             gx, gy = x_set.apply(g, x), y_set.apply(g, y)
-            a[(g, y, x)] = f.a[(ginv, gx, gy)].transpose().scale(
-                Unit(n, ratio(g, ginv, gx, gy)))
+            r = ratio(g, ginv, gx, gy)
+            if exps is None:
+                a[(g, y, x)] = f.a[(ginv, gx, gy)].transpose().scale(Unit(n, r))
+                continue
+            moved = [None] * len(exps[(ginv, gx, gy)])
+            for i, (c, e) in enumerate(exps[(ginv, gx, gy)]):
+                moved[c] = (i, (e + r * (order // n)) % order)
+            table[(g, y, x)] = moved = tuple(moved)
+            a[(g, y, x)] = _from_exponents(moved, order)
     out = ModuleFunctorData(f.target, f.source, mult, a)
+    if exps is not None:
+        # adding a root whose order divides n keeps each prime power above
+        # n's in an entry's order, so the source table's order is the lcm
+        # that _exponent_table would find for the new blocks
+        out._exponents[False] = order, table
     validate_modfun(out).raise_if_failed("adjoint")
     return out
 

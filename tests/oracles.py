@@ -159,6 +159,30 @@ def oracle_class_lattice(d1_rows, snf2, lifted: int, m: int, smith):
 
 
 # ---------------------------------------------------------------------------
+# field matrices
+# ---------------------------------------------------------------------------
+
+def oracle_matrix_rank(rows) -> int:
+    """Rank of a list of rows over a field, by forward elimination with no
+    back substitution.  Entries are any exact field elements supporting
+    ``-``, ``*``, truthiness and ``1 / x``: Fractions, or cyclotomic scalars."""
+    work = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = 1 / work[rank][col]
+        for r in range(rank + 1, len(work)):
+            factor = work[r][col] * inv
+            if factor:
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
+# ---------------------------------------------------------------------------
 # tiny group/G-set utilities (independent, dict based)
 # ---------------------------------------------------------------------------
 

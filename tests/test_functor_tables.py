@@ -11,8 +11,14 @@ reports both ways: ``validate_modfun``, ``validate_bimodfun`` and the functor
 ``_exponent_table`` made to return None for the reference, on a fresh copy
 of the functor.  Building a functor or a context builds no table; the first use
 builds one per A or B table, kept on the functor for every later reader.
+
+The adjoint of a functor with a table is read off that table, blocks and
+table alike; it must equal the transposed and scaled blocks of the
+reference path, and the table its side reads must be the one built afresh
+from copies of its blocks.
 """
 import importlib
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,3 +258,55 @@ def test_the_exponent_table_reads_columns_and_exponents():
     for bad in (SMatrix([[1, 1], [0, 1]]), SMatrix([[1, 0], [1, 0]]),
                 SMatrix([[Scalar(3, [1, 1])]])):
         assert _matrix._exponent_table({"p": bad}) is None
+
+
+def _fresh_table(f):
+    """The A table's exponent table built from copies of f's blocks, which
+    carry no monomial form."""
+    order = lcm(f.source.psi.root_order, f.target.psi.root_order)
+    return _matrix._exponent_table(
+        {key: SMatrix(mat.rows) for key, mat in f.a.items()}, order)
+
+
+@CHECKS
+@given(_module_functors())
+def test_adjoints_read_off_the_table_match_the_reference_path(f):
+    # the reference transposes and scales each block of a fresh copy of f,
+    # which builds no table; blocks, JSON and the result's table agree
+    adj = adjoint(f)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modfun_module, "_exponent_table", lambda *args: None)
+        ref = adjoint(_rebuild(f, f.mult, _tables(f)))
+    assert adj.mult_flat == ref.mult_flat and adj.a.keys() == ref.a.keys()
+    for key, mat in adj.a.items():
+        assert mat == ref.a[key] and mat.to_json() == ref.a[key].to_json()
+    (side,) = coherence_sides(adj)
+    assert side.exponents[:2] == _fresh_table(adj)
+    assert validate_modfun(adj).ok
+
+
+def test_adjoints_without_a_table_are_transposed_and_scaled(monkeypatch):
+    # a sum of two simples conjugated by a constant non-monomial P is valid
+    # and has no table; its adjoint transposes and scales, while a source
+    # with a table builds no transpose
+    mc = ModuleCategoryData(_fusion(3, 0), point_gset(cyclic_group(3)),
+                            UnitCochain.trivial(2, point_gset(cyclic_group(3)),
+                                                1))
+    simples = [c.functor for c in classify_simple_cyclic(mc, mc)]
+    summed = direct_sum(simples[1:])
+    p = SMatrix([[1, 1], [0, 1]])
+    bent = ModuleFunctorData(mc, mc, summed.mult, {
+        key: p @ mat @ p.inverse() for key, mat in summed.a.items()})
+    assert validate_modfun(bent).ok
+    assert coherence_sides(bent)[0].exponents[1] is None
+    transpose = SMatrix.transpose
+    transposed = []
+    monkeypatch.setattr(SMatrix, "transpose",
+                        lambda mat: transposed.append(mat) or transpose(mat))
+    adj = adjoint(summed)
+    assert transposed == [] and coherence_sides(adj)[0].exponents[1]
+    bent_adj = adjoint(bent)
+    assert len(transposed) == len(bent.a)
+    assert coherence_sides(bent_adj)[0].exponents[1] is None
+    assert _fresh_table(bent_adj) is None
+    assert adjoint(bent_adj) == bent

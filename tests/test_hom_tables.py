@@ -9,6 +9,10 @@ blocks) and adjoints -- valid and corrupted, must give the same dimension,
 the same basis in the same order, the same witness (or None) and the same
 ShapeMismatch text both ways, with ``_exponent_table`` made to return None
 for the reference on fresh copies of the functors.
+
+On the tables ``invertible_hom`` decides a combination on one block per
+G-orbit of the pairs, each by its nonzero pattern where that settles it; it
+must return the witness (or None) that inverting every block gives.
 """
 import importlib
 import itertools
@@ -17,8 +21,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistcat import _matrix
+from twistcat._matrix import SMatrix
+from twistcat.algebra import point_gset
+from twistcat.cohomology import UnitCochain
 from twistcat.errors import ShapeMismatch
-from twistcat.modcat import regular_module_category
+from twistcat.modcat import ModuleCategoryData, regular_module_category
 from twistcat.modfun import (ModuleFunctorData, adjoint,
                              classify_simple_cyclic, direct_sum, hom_basis,
                              hom_dimension, invertible_hom)
@@ -73,19 +80,23 @@ def _outcomes(f, h) -> list:
     return out
 
 
+def _corrupted(draw, pair, how: str, which: str):
+    """(F, H) with F, H or both, as one functor, corrupted as ``how`` says."""
+    f, h = pair
+    if which == "both":
+        return (_corrupt(draw, f, how),) * 2
+    if which == "target":
+        return f, _corrupt(draw, h, how)
+    return _corrupt(draw, f, how), h
+
+
 @CHECKS
 @given(_functor_pairs(), st.sampled_from(CORRUPTIONS),
        st.sampled_from(("source", "target", "both")), st.data())
 def test_hom_spaces_match_elimination(pair, how, which, data):
     # "both" makes F and H one corrupted functor, whose identity is a
     # witness on either route
-    f, h = pair
-    if which == "both":
-        f = h = _corrupt(data.draw, f, how)
-    elif which == "target":
-        h = _corrupt(data.draw, h, how)
-    else:
-        f = _corrupt(data.draw, f, how)
+    f, h = _corrupted(data.draw, pair, how, which)
     fast = _outcomes(f, h)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modfun_module, "_exponent_table", lambda *args: None)
@@ -122,4 +133,76 @@ def test_monomial_hom_spaces_eliminate_nothing(monkeypatch):
     a[(1, 0, 0)] = a[(1, 0, 0)].scale(2)
     bent = ModuleFunctorData(summed.source, summed.target, summed.mult, a)
     hom_dimension(bent, summed)
+    assert calls
+
+
+@st.composite
+def _isomorphic_pairs(draw):
+    """(F, H): F a sum of up to three gauged simples, the first repeated up
+    to three times, and H the same summands in a shuffled order, so that an
+    invertible transformation exists and its blocks span several orbits; or
+    the adjoints of both."""
+    n = draw(st.integers(2, 4))
+    s = draw(st.integers(0, n - 1))
+    fusion = _fusion(n, s)
+    source, target = (draw(_categories(fusion, s > 0)),
+                      draw(_categories(fusion, s > 0)))
+    simples = [c.functor for c in classify_simple_cyclic(source, target)]
+    picks = draw(st.lists(st.sampled_from(simples), min_size=1, max_size=3))
+    picks = picks[:1] * draw(st.integers(1, 3)) + picks[1:]
+    f, h = direct_sum(picks), direct_sum(draw(st.permutations(picks)))
+    return (adjoint(f), adjoint(h)) if draw(st.booleans()) else (f, h)
+
+
+def _witness(f, h):
+    try:
+        eta = invertible_hom(f, h)
+    except ShapeMismatch as exc:
+        return "ShapeMismatch", str(exc)
+    return eta and eta.m
+
+
+@CHECKS
+@given(st.one_of(_functor_pairs(), _isomorphic_pairs()),
+       st.sampled_from(CORRUPTIONS),
+       st.sampled_from(("source", "target", "both")), st.data())
+def test_orbit_representatives_find_the_every_block_witness(pair, how,
+                                                             which, data):
+    # the reference inverts every block of each candidate, as elimination
+    # or the monomial inverse does, on the same basis
+    f, h = _corrupted(data.draw, pair, how, which)
+    fast = _witness(f, h)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modfun_module, "_orbit_representatives",
+                      lambda f, layout: list(layout))
+        patch.setattr(modfun_module, "_invertible",
+                      lambda rows: SMatrix(rows).inverse() is not None)
+        assert _witness(f, h) == fast
+
+
+def test_pattern_decided_candidates_eliminate_nothing(monkeypatch):
+    # two simples on the point carrier make 2 x 2 diagonal blocks: the basis
+    # elements have a zero row and a combination of both a diagonal, each
+    # decided by its pattern; two simples on orbits of the regular carrier
+    # make 1 x 1 blocks, decided on one pair of each orbit.  A repeated
+    # summand gives full 2 x 2 blocks, which are eliminated
+    fusion = _fusion(4, 0)
+    pt = point_gset(fusion.group)
+    point = ModuleCategoryData(fusion, pt, UnitCochain.trivial(2, pt, 1))
+    regular = regular_module_category(fusion)
+    sums = [direct_sum([c.functor for c in classify_simple_cyclic(mc, mc)[:2]])
+            for mc in (point, regular)]
+    support = {p: None for p in sums[1].support()}
+    assert len(support) == 8
+    assert modfun_module._orbit_representatives(sums[1], support) == [
+        (0, 0), (0, 1)]
+    calls = _count_eliminations(monkeypatch)
+    witnesses = [invertible_hom(f, f) for f in sums]
+    assert calls == []
+    assert all(mat.inverse() is not None
+               for eta in witnesses for mat in eta.m.values())
+    simple = classify_simple_cyclic(point, point)[0].functor
+    twice = direct_sum([simple, simple])
+    calls.clear()
+    assert invertible_hom(twice, twice) is not None
     assert calls

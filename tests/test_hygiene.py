@@ -150,30 +150,33 @@ def test_numpy_loads_only_in_the_array_view_helper():
     assert in_functions == [("algebra.py", "_array_view")]
 
 
-def _private_definitions(tree: ast.Module):
-    """(name, line) of each private module-level function or class."""
-    for node in tree.body:
-        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.ClassDef))
-                and node.name.startswith("_")
-                and not (node.name.startswith("__")
-                         and node.name.endswith("__"))):
-            yield node.name, node.lineno
+def _definitions_and_uses():
+    """Each module-level function or class of the package, but dunders, as
+    (node, module file), and every name the package references: by name, as
+    an attribute or in a quoted annotation."""
+    defined, used = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [(node, path.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                         ast.ClassDef))
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))]
+        used |= _referenced_names(tree)
+        used |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)}
+    return defined, used
 
 
 def test_no_unreferenced_private_helpers():
     # a private helper is used somewhere in the package, by name or as a
     # module attribute; a routine left behind by a rewrite shows here
-    defined, used = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        defined += [(name, f"{path.name}:{line}")
-                    for name, line in _private_definitions(tree)]
-        used |= _referenced_names(tree)
-        used |= {n.attr for n in ast.walk(tree)
-                 if isinstance(n, ast.Attribute)}
-    assert len(defined) >= 90
-    dead = [where + " " + name for name, where in defined if name not in used]
+    defined, used = _definitions_and_uses()
+    private = [(node, where) for node, where in defined
+               if node.name.startswith("_")]
+    assert len(private) >= 90
+    dead = [f"{where}:{node.lineno} {node.name}" for node, where in private
+            if node.name not in used]
     assert not dead, f"private helpers nothing references: {dead}"
 
 
@@ -232,3 +235,36 @@ def test_the_monomial_form_is_read_only_in_the_matrix_module():
                for n in ast.walk(tree)):
             readers.add(path.name)
     assert readers == {"_matrix.py"}
+
+
+def _is_click_command(node) -> bool:
+    """Whether a definition is decorated as a click command or group."""
+    return any(isinstance(dec, ast.Call)
+               and getattr(dec.func, "attr", None) in ("command", "group")
+               for dec in node.decorator_list)
+
+
+def _public_names(tree: ast.Module) -> set[str]:
+    """The names a module's ``__all__`` lists."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+
+
+def test_every_definition_is_used():
+    # each module-level function or class is referenced somewhere in the
+    # package, exported (re-exported or loaded by __init__, or listed in its
+    # module's __all__) or registered as a click command; a routine whose
+    # last caller went is dead code, and a test alone does not keep it
+    init = ast.parse((SRC / "__init__.py").read_text())
+    exported = set(_imported_names(init)) | {
+        n.value for n in ast.walk(init)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    for path in sorted(SRC.glob("*.py")):
+        exported |= _public_names(ast.parse(path.read_text()))
+    defined, used = _definitions_and_uses()
+    assert len(defined) >= 250
+    dead = [f"{where}:{node.lineno} {node.name}" for node, where in defined
+            if node.name not in used | exported
+            and not _is_click_command(node)]
+    assert not dead, f"definitions nothing uses: {dead}"
