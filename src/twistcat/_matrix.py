@@ -6,30 +6,19 @@ Inverses, nullspaces and the invertibility test :func:`_invertible` all
 reduce with ``scalar._gauss_jordan``, the package's one exact elimination
 routine; this module has no loop of its own.
 
-Relations between scaled products are checked by
+Relations between scaled products are checked entrywise by
 :func:`scaled_products_equal`, the package's one product comparison, which
 builds no matrix; a side that is one matrix M is the product M @ I with the
 cached identity :func:`_identity`.  Products accumulate each entry from its
 first nonzero term, in ``__matmul__`` and in the comparison alike.
 
-The functor blocks over cyclic G are monomial matrices of roots of unity:
-each row has one nonzero entry, a tagged root.  Such a matrix keeps its
-monomial form, computed once: per row the column of that entry and its root
-as a reduced angle k/d, the root being exp(2 pi i k/d).  When every operand
-has the form and the scale factors are roots (a Unit or a tagged Scalar), a
-comparison is one column map and an integer test on sums of angles, with no
-Scalar product; a square monomial matrix with distinct columns inverts as
-its transpose with inverted roots, in the representation elimination gives.
-Any other input takes the entrywise path and elimination, which stay the
-reference.  Nothing outside this module reads the form.
-
-The monomial fast path of the functor relations is a coherence side's
-exponent table (:func:`_exponent_table`), each block row as (column,
-exponent) at one root order; it is built from the forms here, so the form is
-still read only in this module.  :func:`_from_exponents` builds a matrix
-back from such rows.  No operation hands a form on: the result of a
-product, sum, scaling, transpose, inverse or block sum, and a matrix built
-from table rows, computes its own form when first read.
+The functor blocks over cyclic G are permutations times roots of unity:
+each row has one nonzero entry, a tagged root, and no two rows share a
+column.  Their one integer representation is the exponent table of
+:func:`_exponent_table`, on which the functor relations are decided: per
+block row, (column, exponent) at one root order.  :func:`_from_exponents`
+builds a matrix back from such rows.  Any other block takes the entrywise
+comparison and elimination, which are the reference.
 """
 from __future__ import annotations
 
@@ -42,10 +31,10 @@ from .scalar import Scalar, Unit, _gauss_jordan
 
 
 class SMatrix:
-    """Immutable rectangular matrix of Scalars; its inverse and its monomial
-    form are computed once."""
+    """Immutable rectangular matrix of Scalars; its inverse is computed
+    once."""
 
-    __slots__ = ("rows", "_inverse", "_monomial")
+    __slots__ = ("rows", "_inverse")
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         out = []
@@ -151,16 +140,12 @@ class SMatrix:
         if self.nrows != self.ncols:
             raise ShapeMismatch("only square matrices can be inverted")
         n = self.nrows
-        form = _monomial_form(self)
-        if form is not None and len({col for col, _ in form}) == n:
-            inv = _monomial_inverse(self.rows, form)
-        else:
-            one, zero = Scalar.one(), Scalar.zero()
-            aug = [list(row) + [one if i == j else zero for j in range(n)]
-                   for i, row in enumerate(self.rows)]
-            reduced, pivots = _gauss_jordan(aug, n)
-            inv = (SMatrix._trusted([row[n:] for row in reduced])
-                   if len(pivots) == n else None)
+        one, zero = Scalar.one(), Scalar.zero()
+        aug = [list(row) + [one if i == j else zero for j in range(n)]
+               for i, row in enumerate(self.rows)]
+        reduced, pivots = _gauss_jordan(aug, n)
+        inv = (SMatrix._trusted([row[n:] for row in reduced])
+               if len(pivots) == n else None)
         object.__setattr__(self, "_inverse", inv)
         return inv
 
@@ -210,51 +195,28 @@ def _tag_angle(n: int, sign: int, e: int) -> tuple[int, int]:
     return k // g, 2 * n // g
 
 
-def _root_angle(u) -> Optional[tuple[int, int]]:
-    """The angle of a Unit or a tagged Scalar, or None for any other value."""
-    if isinstance(u, Unit):
-        return u.exponent, u.root_order  # kept reduced by Unit
-    root = u._root
-    return None if root is None else _tag_angle(u.root_order, *root)
-
-
-def _monomial_form(mat: SMatrix) -> Optional[tuple]:
-    """Per row, (column, angle) of its one nonzero entry, a tagged root; None
-    when a row has no nonzero entry, several, or an untagged one.  Computed
-    once per matrix."""
-    try:
-        return mat._monomial
-    except AttributeError:
-        pass
-    form = []
-    for row in mat.rows:
-        cols = [j for j, v in enumerate(row) if v]
-        angle = _root_angle(row[cols[0]]) if len(cols) == 1 else None
-        if angle is None:
-            form = None
-            break
-        form.append((cols[0], angle))
-    else:
-        form = tuple(form)
-    object.__setattr__(mat, "_monomial", form)
-    return form
-
-
 def _exponent_table(blocks: dict, order: int = 1) -> Optional[tuple]:
-    """(L, table): L the lcm of ``order`` and the blocks' root orders, and
-    per key of ``blocks``, per row of its block, (column, e mod L) of the
-    row's one entry exp(2 pi i e / L); None unless every block is monomial
-    with distinct columns, so a permutation times roots."""
-    forms, orders = [], {order}
-    for mat in blocks.values():
-        form = _monomial_form(mat)
-        if form is None or len({col for col, _ in form}) != len(form):
+    """(L, table): L the lcm of ``order`` and the orders of the blocks'
+    roots, each tag read as a reduced angle by :func:`_tag_angle`, and per
+    key of ``blocks``, per row of its block, (column, e mod L) of the row's
+    one entry exp(2 pi i e / L); None unless every block is monomial in
+    tagged roots with distinct columns, so a permutation times roots."""
+    angles, orders = {}, {order}
+    for key, mat in blocks.items():
+        rows = []
+        for row in mat.rows:
+            cols = [j for j, v in enumerate(row) if v]
+            v = row[cols[0]] if len(cols) == 1 else None
+            if v is None or v._root is None:
+                return None
+            rows.append((cols[0], *_tag_angle(v.root_order, *v._root)))
+        if len({col for col, _, _ in rows}) != len(rows):
             return None
-        forms.append(form)
-        orders.update([d for _, (_, d) in form])
+        angles[key] = rows
+        orders.update([d for _, _, d in rows])
     order = lcm(*orders)
-    return order, {key: tuple([(col, k * (order // d)) for col, (k, d) in form])
-                   for key, form in zip(blocks, forms)}
+    return order, {key: tuple([(col, k * (order // d)) for col, k, d in rows])
+                   for key, rows in angles.items()}
 
 
 def _from_exponents(rows, order: int) -> SMatrix:
@@ -265,45 +227,6 @@ def _from_exponents(rows, order: int) -> SMatrix:
         grid.append([zero] * len(rows))
         grid[-1][col] = Scalar.root_of_unity(order, e)
     return SMatrix._trusted(grid)
-
-
-def _monomial_inverse(rows, form) -> SMatrix:
-    """The inverse of a monomial matrix with distinct columns: row c holds
-    the inverse root at the column of the row whose entry sits in column c,
-    and zeros at that root's order elsewhere, as elimination leaves them."""
-    grid = [None] * len(rows)
-    for i, (col, _) in enumerate(form):
-        root = rows[i][col]
-        out = [Scalar.zero(root.root_order)] * len(rows)
-        out[i] = root.inverse()
-        grid[col] = out
-    return SMatrix._trusted(grid)
-
-
-def _monomial_product(u, first: SMatrix, second: SMatrix) -> Optional[list]:
-    """Per row of (first @ second).scale(u), (column, angles) of its one
-    nonzero entry, whose angle is the sum of angles; None unless u is a root
-    and both factors have the monomial form."""
-    au, form, other = (_root_angle(u), _monomial_form(first),
-                       _monomial_form(second))
-    if au is None or form is None or other is None:
-        return None
-    out = []
-    for col, angle in form:
-        target, other_angle = other[col]
-        out.append((target, (au, angle, other_angle)))
-    return out
-
-
-def _same_root(left, right) -> bool:
-    """Whether the angles in left and those in right sum to the same root,
-    that is, differ by an integer."""
-    num, den = 0, 1
-    for k, d in left:
-        num, den = num * d + k * den, den * d
-    for k, d in right:
-        num, den = num * d - k * den, den * d
-    return num % den == 0
 
 
 def _check_product(first: SMatrix, second: SMatrix) -> None:
@@ -328,19 +251,11 @@ def _product_entry(row, col) -> Optional[Scalar]:
 def scaled_products_equal(u, first: SMatrix, second: SMatrix, v,
                           third: SMatrix, fourth: SMatrix) -> bool:
     """Whether (first @ second).scale(u) == (third @ fourth).scale(v), with
-    no matrix built; raises ShapeMismatch where either product does.
-    Monomial operands and root factors compare by their monomial forms."""
+    no matrix built; raises ShapeMismatch where either product does."""
     _check_product(first, second)
     _check_product(third, fourth)
     if (first.nrows, second.ncols) != (third.nrows, fourth.ncols):
         return False
-    left = _monomial_product(u, first, second)
-    right = None if left is None else _monomial_product(v, third, fourth)
-    if right is not None:
-        for (col, angles), (other, other_angles) in zip(left, right):
-            if col != other or not _same_root(angles, other_angles):
-                return False
-        return True
     u, v, zero = _as_scalar(u), _as_scalar(v), Scalar.zero()
     cols, other_cols = list(zip(*second.rows)), list(zip(*fourth.rows))
     for row, other in zip(first.rows, third.rows):

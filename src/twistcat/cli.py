@@ -296,6 +296,8 @@ def _build_bimodcat(name: str, spec: dict,
 
 def _parse_scalar(value, entity: str) -> Scalar:
     if isinstance(value, dict):
+        _field(value, "root_order", entity)
+        _field(value, "coeffs", entity)
         return _wrap_build(entity, Scalar.from_json, value)
     if isinstance(value, (int, str)):
         return Scalar.from_rational(Fraction(str(value)))
@@ -412,6 +414,8 @@ def parse_config(path: str) -> SessionConfig:
     where = "field 'root_order'"
     try:
         cfg = SessionConfig(root_order=int(doc.get("root_order", 1)))
+        if cfg.root_order < 1:
+            raise ValueError(f"root_order must be >= 1, got {cfg.root_order}")
         for section, build in _BUILDERS.items():
             entries = doc.get(section, {})
             if not isinstance(entries, dict):

@@ -14,14 +14,15 @@ Twelve symbol kinds are supported, each given by a closed form:
 
 The matrix symbols read the sides A and B of :mod:`twistcat.modfun`, which
 fix the acting element of a label: l for s, l^-1 for t.  Functor
-orthogonality (s s^-1 against I) reads a block and its inverse, which the
-block keeps, off the side's table and is one ``scaled_products_equal``
-comparison, or on a side with an exponent table (monomial blocks) only a
-check that the trace factor is a sign.  The traces being signs, functor
-Biedenharn-Elliott is the A side's composition rule and is decided by its
-composition instance (``modfun.composition``); a product matrix is built
-only for a failure report.  A symbol table (:func:`sixj_table`) builds the
-scalar layout, or reads the coherence side, once for all its labels.
+orthogonality (s s^-1 against I) is one ``scaled_products_equal``
+comparison of a coherence block and its inverse, which the block keeps; on
+a side with an exponent table (blocks that are permutations times roots)
+T^-1 T = I exactly, and a trace factor that is a sign decides it alone.
+The traces being signs, functor Biedenharn-Elliott is the A side's
+composition rule and is decided by its composition instance
+(``modfun.composition``); a product matrix is built only for a failure
+report.  A symbol table (:func:`sixj_table`) builds the scalar layout, or
+reads the coherence side, once for all its labels.
 
 The symbols come with exact orthogonality and Biedenharn-Elliott checks:
 sums of products of symbols that must collapse to Kronecker patterns or to

@@ -252,6 +252,14 @@ MALFORMED = {
     "A key": (_example_with(
         "z2", lambda d: d["functors"]["idM"]["a"].update(
             {"0,0,x": [[1]]})), "'idM'"),
+    "scalar without coeffs": (_example_with(
+        "z2", lambda d: d["functors"]["idM"]["a"].update(
+            {"1,1,1": [[{"root_order": 2}]]})), "'idM'"),
+    "scalar without root_order": (_example_with(
+        "z2", lambda d: d["functors"]["idM"]["a"].update(
+            {"1,1,1": [[{"coeffs": [1]}]]})), "'idM'"),
+    "root_order below 1": (_example_with(
+        "z2", lambda d: d.update(root_order=-1)), "root_order"),
 }
 
 

@@ -12,28 +12,38 @@ reports both ways: ``validate_modfun``, ``validate_bimodfun`` and the functor
 of the functor.  Building a functor or a context builds no table; the first use
 builds one per A or B table, kept on the functor for every later reader.
 
+The bimodule hexagon is decided on the A and B tables together.  Gauged
+functors on product bimodule categories over Z/2 x Z/3, Z/3 x Z/2, Z/2 x Z/2
+and Z/3 x Z/3, whose Omega is not trivial, with blocks scaled by roots, made
+zero, non-monomial or permuted, or with m made not invariant, must give the
+report of the reference path, and with both tables every instance that
+holds must be decided on them.
+
 The adjoint of a functor with a table is read off that table, blocks and
 table alike; it must equal the transposed and scaled blocks of the
 reference path, and the table its side reads must be the one built afresh
 from copies of its blocks.
 """
 import importlib
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from twistcat import _matrix
 from twistcat._matrix import SMatrix
-from twistcat.algebra import (cyclic_group, disjoint_union_gset, point_gset,
-                              regular_gset)
-from twistcat.cohomology import UnitCochain, differential, omega_cyclic
+from twistcat.algebra import (cyclic_group, direct_product,
+                              disjoint_union_gset, point_gset, regular_gset)
+from twistcat.cohomology import (UnitCochain, deligne_omega, differential,
+                                 omega_cyclic)
 from twistcat.fusion import FusionData
-from twistcat.modcat import (ModuleCategoryData, ModuleTrace,
+from twistcat.modcat import (ModuleCategoryData, ModuleTrace, _product_kappa,
+                             bimod_to_deligne, deligne_to_bimod,
                              regular_module_category)
 from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData, adjoint,
                              classify_simple_cyclic, coherence_sides,
-                             direct_sum, hom_dimension, invertible_hom,
+                             deligne_to_bimodfun, direct_sum, hom_dimension,
+                             identity_functor, invertible_hom,
                              validate_bimodfun, validate_modfun)
 from twistcat.scalar import Scalar, Unit
 from twistcat.sixj import (SixJContext, functor_context,
@@ -53,26 +63,30 @@ def _fusion(n: int, s: int) -> FusionData:
                       UnitCochain.trivial(1, point_gset(grp), 1))
 
 
+def _gauged(draw, data: ModuleCategoryData) -> ModuleCategoryData:
+    """data with its Psi times d(mu), mu a random normalized 1-cochain."""
+    grp, psi = data.fusion.group, data.psi
+    x, root = psi.carrier, max(psi.root_order, grp.order)
+    mu = [0 if g == grp.identity else draw(st.integers(0, root - 1))
+          for g in grp.elements() for _ in range(x.size)]
+    return ModuleCategoryData(data.fusion, x, psi * differential(
+        UnitCochain.from_flat(1, x, root, mu)))
+
+
 @st.composite
 def _categories(draw, fusion: FusionData, twisted: bool):
     """A module category over the fusion data: the regular one, or for
     trivial omega a point or point + regular carrier, its Psi gauged by a
     random normalized 1-cochain."""
     grp = fusion.group
-    n = grp.order
     kind = draw(st.sampled_from(("regular",) if twisted
                                 else ("regular", "point", "both")))
     if kind == "regular":
-        psi = regular_module_category(fusion).psi
-    else:
-        x = point_gset(grp) if kind == "point" else disjoint_union_gset(
-            point_gset(grp), regular_gset(grp))
-        psi = UnitCochain.trivial(2, x, n)
-    x, root = psi.carrier, max(psi.root_order, n)
-    mu = [0 if g == grp.identity else draw(st.integers(0, root - 1))
-          for g in grp.elements() for _ in range(x.size)]
-    gauged = psi * differential(UnitCochain.from_flat(1, x, root, mu))
-    return ModuleCategoryData(fusion, x, gauged)
+        return _gauged(draw, regular_module_category(fusion))
+    x = point_gset(grp) if kind == "point" else disjoint_union_gset(
+        point_gset(grp), regular_gset(grp))
+    return _gauged(draw, ModuleCategoryData(
+        fusion, x, UnitCochain.trivial(2, x, grp.order)))
 
 
 @st.composite
@@ -201,6 +215,104 @@ def test_bimodule_functor_reports_match_the_reference_path(twists, how, data):
     assert all(ok for ok, *_ in reports) == (how == "none")
 
 
+@st.composite
+def _bimodule_functors(draw):
+    """A functor on the regular bimodule category of Z/n and Z/m, its
+    product-group Psi gauged so that Omega is as a rule not trivial: a sum
+    of one to three simples where Z/n x Z/m is cyclic, else of identities,
+    gauged by roots r_{x,y} (A -> r_{x,y} A r_{g.x,g.y}^-1 on the product
+    group) and split into A and B by ``deligne_to_bimodfun``."""
+    n, m, sg, sh = draw(st.sampled_from([(2, 3, 1, 2), (3, 2, 0, 1),
+                                         (2, 2, 1, 1), (3, 3, 1, 2)]))
+    left, right = _fusion(n, sg), _fusion(m, sh)
+    prod = FusionData(direct_product(left.group, right.group),
+                      deligne_omega(left.omega, right.omega),
+                      _product_kappa(left, right))
+    bim = deligne_to_bimod(_gauged(draw, regular_module_category(prod)),
+                           left, right)
+    mc = bimod_to_deligne(bim)
+    summands = ([c.functor for c in classify_simple_cyclic(mc, mc)]
+                if gcd(n, m) == 1 else [identity_functor(mc)])
+    picks = draw(st.lists(st.sampled_from(summands), min_size=1, max_size=3))
+    k = picks[0] if len(picks) == 1 else direct_sum(picks)
+    x_set = k.source.X
+    gauge = {p: Unit(12, draw(st.integers(0, 11))) for p in k.support()}
+    a = {(g, x, y): mat.scale(gauge[(x, y)] * gauge[
+             (x_set.apply(g, x), x_set.apply(g, y))].inverse())
+         for (g, x, y), mat in k.a.items()}
+    return deligne_to_bimodfun(
+        ModuleFunctorData(k.source, k.target, k.mult, a), bim, bim)
+
+
+def _corrupt_blocks(draw, f):
+    """f with up to three A or B blocks each scaled by a root of unity, made
+    zero, made non-monomial (E T for E the identity plus one entry above
+    the diagonal, or a 1 x 1 block times 1 + i) or with its rows cyclically
+    permuted, or with the multiplicity of a block's pair lowered by one and
+    every block there an identity, so m is not invariant; the last two on a
+    block of size 2 or 3 where there is one.  Also the kinds applied."""
+    tables, kinds = _tables(f), []
+    mult = [list(row) for row in f._mult_rows()]
+    for _ in range(draw(st.integers(0, 3))):
+        how = draw(st.sampled_from(("root", "zero", "non-monomial",
+                                    "permuted", "shrunk")))
+        blocks = sorted((name, key) for name in tables
+                        for key, mat in tables[name].items()
+                        if how not in ("permuted", "shrunk") or mat.nrows > 1)
+        if not blocks:
+            how, blocks = "root", sorted((name, key) for name in tables
+                                         for key in tables[name])
+        name, key = draw(st.sampled_from(blocks))
+        mat = tables[name][key]
+        n = mat.nrows
+        kinds.append(how)
+        if how == "shrunk":
+            x, y = key[1:]
+            mult[x][y] = n - 1
+            for table in tables.values():
+                for other in [k for k in table if k[1:] == (x, y)]:
+                    table[other] = SMatrix.identity(n - 1)
+            continue
+        if how == "root":
+            mat = mat.scale(Unit(12, draw(st.integers(1, 11))))
+        elif how == "zero":
+            mat = SMatrix([[0] * n for _ in range(n)])
+        elif how == "permuted":
+            mat = SMatrix(mat.rows[1:] + mat.rows[:1])
+        elif n == 1:
+            mat = mat.scale(Scalar(4, [1, 1]))
+        else:
+            mat = SMatrix([[int(i == j or (i, j) == (0, 1)) for j in range(n)]
+                           for i in range(n)]) @ mat
+        tables[name][key] = mat
+    return _rebuild(f, mult, tables), kinds
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_bimodule_functors(), st.data())
+def test_the_hexagon_on_the_tables_matches_the_reference_path(f, data):
+    # the report of validate_bimodfun, hexagon failures included, is the
+    # one a fresh copy gives with no exponent table; a functor whose blocks
+    # are all roots times permutations decides on its tables every instance
+    # that holds, and asks scaled_products_equal only about failures
+    bad, kinds = _corrupt_blocks(data.draw, f)
+    monomial = all(side.exponents[1] is not None
+                   for side in coherence_sides(bad))
+    compare, answers = modfun_module.scaled_products_equal, []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modfun_module, "scaled_products_equal",
+                      lambda *args: answers.append(compare(*args))
+                      or answers[-1])
+        fast = validate_bimodfun(bad)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modfun_module, "_exponent_table", lambda *args: None)
+        ref = validate_bimodfun(_rebuild(bad, bad.mult, _tables(bad)))
+    assert (fast.checked, fast.failed, fast.failures) == (
+        ref.checked, ref.failed, ref.failures)
+    assert monomial == (set(kinds) <= {"root", "permuted", "shrunk"})
+    assert not (monomial and any(answers))  # the tables decide what holds
+
+
 def test_the_corruptions_leave_the_table_or_fail():
     # a root keeps a table and fails; a non-monomial or singular block
     # drops the table, so the side is decided on the reference path
@@ -261,8 +373,7 @@ def test_the_exponent_table_reads_columns_and_exponents():
 
 
 def _fresh_table(f):
-    """The A table's exponent table built from copies of f's blocks, which
-    carry no monomial form."""
+    """The A table's exponent table built from copies of f's blocks."""
     order = lcm(f.source.psi.root_order, f.target.psi.root_order)
     return _matrix._exponent_table(
         {key: SMatrix(mat.rows) for key, mat in f.a.items()}, order)

@@ -180,10 +180,10 @@ def test_no_unreferenced_private_helpers():
     assert not dead, f"private helpers nothing references: {dead}"
 
 
-def _callers(name: str) -> set[tuple[str, str]]:
-    """(module file, enclosing function) of every call of ``name`` in the
-    package, by bare name or as an attribute."""
-    callers = set()
+def _sites(match) -> set[tuple[str, str]]:
+    """(module file, enclosing function) of every node in the package that
+    ``match`` accepts."""
+    sites = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         owner = {}
@@ -192,11 +192,16 @@ def _callers(name: str) -> set[tuple[str, str]]:
                 for node in ast.walk(fn):
                     owner.setdefault(id(node), fn.name)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and name in (
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None)):
-                callers.add((path.name, owner.get(id(node))))
-    return callers
+            if match(node):
+                sites.add((path.name, owner.get(id(node))))
+    return sites
+
+
+def _callers(name: str) -> set[tuple[str, str]]:
+    """(module file, enclosing function) of every call of ``name`` in the
+    package, by bare name or as an attribute."""
+    return _sites(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
 
 
 def test_smith_forms_of_differentials_come_from_the_cache():
@@ -221,20 +226,15 @@ def test_differential_matrices_are_built_only_for_cached_results():
                        ("cohomology.py", "_identity_snf")}
 
 
-def test_the_monomial_form_is_read_only_in_the_matrix_module():
-    # scaled_products_equal, the one product comparison, and SMatrix.inverse
-    # dispatch on the cached monomial form; a caller that read it itself
-    # would grow a second copy of the fast path
-    callers = _callers("_monomial_form")
-    assert ("_matrix.py", "_monomial_product") in callers
-    assert {module for module, _ in callers} == {"_matrix.py"}
-    readers = set()
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        if any(isinstance(n, ast.Attribute) and n.attr == "_monomial"
-               for n in ast.walk(tree)):
-            readers.add(path.name)
-    assert readers == {"_matrix.py"}
+def test_root_tags_are_read_outside_scalar_only_by_the_exponent_table():
+    # the exponent table is the one integer representation of root blocks;
+    # another reader of a Scalar's root tag, or of its reduced angle
+    # _tag_angle, outside the scalar module would grow a second copy of the
+    # root-of-unity fast path
+    readers = _sites(lambda node: getattr(node, "attr", None) == "_root"
+                     or getattr(node, "id", None) == "_tag_angle")
+    assert {site for site in readers if site[0] != "scalar.py"} == {
+        ("_matrix.py", "_exponent_table")}
 
 
 def _is_click_command(node) -> bool:

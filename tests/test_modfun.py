@@ -283,8 +283,9 @@ def _z3_simple_functors():
 def test_validating_simple_functors_multiplies_only_roots_of_unity(
         monkeypatch):
     # the A entries of a simple functor over cyclic G, the twists and the
-    # identity blocks are all roots of unity: the blocks compare and invert
-    # through their monomial forms, with no Scalar product or addition
+    # identity blocks are all roots of unity: the blocks are compared and
+    # found invertible on the exponent table, with no Scalar product or
+    # addition
     functors = _z3_simple_functors()
     calls = _count_arithmetic(monkeypatch)
     for f in functors:
@@ -295,7 +296,7 @@ def test_validating_simple_functors_multiplies_only_roots_of_unity(
 def test_bimodule_validation_and_hom_systems_need_no_polynomial_product(
         monkeypatch):
     # the Z/3 x Z/3 identity bimodule functor's A, B and hexagon checks
-    # compare monomial forms; the hom systems of the Z/3 simples keep their
+    # read exponent tables; the hom systems of the Z/3 simples keep their
     # roots tagged (x + 0 returns x), so elimination only rotates roots
     z3 = cyclic_group(3)
     left = FusionData(z3, omega_cyclic(3, 1), triv_kappa(z3))

@@ -1,24 +1,18 @@
-"""The monomial form of SMatrix against the entrywise path and elimination.
+"""The exponent table of monomial blocks against the blocks themselves.
 
-A matrix whose rows each hold one nonzero entry, a tagged root of unity,
-keeps a monomial form.  With root scale factors (a Unit or a tagged Scalar),
-``scaled_products_equal`` then compares column maps and sums of angles, also
-for a side that is one matrix M, passed as M @ I with the cached identity,
-and ``inverse`` of a square one with distinct columns
-transposes it and inverts its roots.  Every answer must be the one the
-entrywise reference gives -- the products built with ``@`` and compared as
-matrices -- and every inverse must carry elimination's representation entry
-by entry.  Near misses (an untagged entry equal to a root, a row with two
-nonzeros, a zero row, one wrong angle or column) and mismatched shapes must
-come out exactly as the reference has them.
+A block whose rows each hold one nonzero entry, a tagged root of unity, in
+distinct columns -- a permutation times roots -- has rows (column, exponent)
+at one root order L in ``_exponent_table``, and ``_from_exponents`` builds
+the block back from them.  Near misses (an untagged entry equal to a root,
+a row with two nonzeros, a zero row, a repeated column) must drop the table
+for the whole dict of blocks; a wrong angle keeps a table, which must then
+describe the changed block.  The inverse of a monomial block,
+which elimination computes, transposes it and inverts its roots.
 """
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from twistcat._matrix import (SMatrix, _identity, _monomial_form,
-                              scaled_products_equal)
-from twistcat.errors import ShapeMismatch
-from twistcat.scalar import Scalar, Unit, _gauss_jordan, _raw
+from twistcat._matrix import SMatrix, _exponent_table, _from_exponents
+from twistcat.scalar import Scalar, Unit, _raw
 
 CHECKS = settings(derandomize=True, max_examples=200, deadline=None)
 ORDERS = st.integers(1, 12)
@@ -30,10 +24,6 @@ NEAR_MISSES = ("untagged", "two nonzeros", "zero row", "negated", "rotated",
 def _plain(s: Scalar) -> Scalar:
     """The same value without its root tag."""
     return _raw(s.root_order, s._num, s._den)
-
-
-def _rep(s: Scalar):
-    return s.root_order, s._num, s._den
 
 
 @st.composite
@@ -67,25 +57,6 @@ def _monomials(draw, nrows: int, ncols: int, distinct: bool = False):
                      for j in range(ncols)] for i in range(nrows)])
 
 
-@st.composite
-def _factors(draw):
-    """A scale factor: mostly a Unit or a tagged root, else the same root
-    untagged or a general scalar."""
-    kind = draw(st.sampled_from(("unit", "root") * 2 + ("untagged", "scalar")))
-    if kind == "unit":
-        return Unit(draw(ORDERS), draw(st.integers(0, 11)))
-    if kind == "scalar":
-        n = draw(ORDERS)
-        return Scalar(n, draw(st.lists(st.integers(-3, 3), min_size=1,
-                                       max_size=n)))
-    root = draw(_roots())
-    return root if kind == "root" else _plain(root)
-
-
-def _is_root(u) -> bool:
-    return isinstance(u, Unit) or u._root is not None
-
-
 def _near_miss(draw, mat: SMatrix) -> SMatrix:
     """mat with one row changed by a drawn near miss of the monomial form,
     at the row's first nonzero entry (its only one, on a monomial matrix)."""
@@ -112,106 +83,32 @@ def _near_miss(draw, mat: SMatrix) -> SMatrix:
     return SMatrix(grid)
 
 
-@CHECKS
-@given(SIZES, SIZES, SIZES, st.data())
-def test_a_single_matrix_side_matches_the_entrywise_path(rows, inner, cols,
-                                                        data):
-    # lhs == u (first @ second), asked as 1 (lhs @ I) == u (first @ second)
-    draw = data.draw
-    first = draw(_monomials(rows, inner))
-    second = draw(_monomials(draw(st.sampled_from((inner,) * 4 + (1, 2, 3))),
-                             cols))
-    u = draw(_factors())
-    try:
-        built = (first @ second).scale(u)
-    except ShapeMismatch:
-        lhs = draw(_monomials(rows, cols))
-        with pytest.raises(ShapeMismatch):
-            scaled_products_equal(Scalar.one(), lhs, _identity(cols), u,
-                                  first, second)
-        return
-    if _is_root(u):  # the clean operands take the monomial path
-        assert None not in map(_monomial_form,
-                               (built, _identity(cols), first, second))
-    target = draw(st.sampled_from(("lhs", "first", "second", "none")))
-    lhs = _near_miss(draw, built) if target == "lhs" else built
-    if target == "first":
-        first = _near_miss(draw, first)
-    elif target == "second":
-        second = _near_miss(draw, second)
-    if draw(st.booleans()):  # a row or a column more: unequal by shape
-        grid = [list(row) for row in lhs.rows]
-        if draw(st.booleans()):
-            grid.append([Scalar.zero()] * cols)
-        else:
-            grid = [row + [Scalar.zero()] for row in grid]
-        lhs = SMatrix(grid)
-    want = (first @ second).scale(u) == lhs
-    assert scaled_products_equal(Scalar.one(), lhs, _identity(lhs.ncols), u,
-                                 first, second) == want
+def _permutation_times_roots(mat: SMatrix) -> bool:
+    """One nonzero entry per row, a tagged root, in distinct columns."""
+    support = [[j for j, v in enumerate(row) if v] for row in mat.rows]
+    return (all(len(cols) == 1 for cols in support)
+            and len({cols[0] for cols in support}) == len(support)
+            and all(row[cols[0]]._root is not None
+                    for row, cols in zip(mat.rows, support)))
 
 
 @CHECKS
-@given(SIZES, SIZES, SIZES, st.data())
-def test_scaled_products_equal_matches_the_entrywise_path(rows, inner, cols,
-                                                          data):
-    draw = data.draw
-    first = draw(_monomials(rows, inner))
-    second = draw(_monomials(inner, cols))
-    u = draw(_factors())
-    kind = draw(st.sampled_from(("same", "same", "other", "mismatched")))
-    if kind == "same":
-        # u X Y = (u / k) (k X) Y, for a root k
-        k = draw(_roots())
-        third, fourth = first.scale(k), second
-        v = (u.to_scalar() if isinstance(u, Unit) else u) / k
-        if _is_root(u):
-            assert None not in map(_monomial_form, (third, fourth))
-            assert scaled_products_equal(u, first, second, v, third, fourth)
-    else:
-        mid = inner if kind == "other" else draw(SIZES)
-        third = draw(_monomials(draw(SIZES), mid))
-        fourth = draw(_monomials(draw(SIZES) if kind == "mismatched"
-                                 else mid, draw(SIZES)))
-        v = draw(_factors())
-    operands = [first, second, third, fourth]
-    target = draw(st.integers(0, 4))  # 4: every operand as drawn
-    if target < 4:
-        operands[target] = _near_miss(draw, operands[target])
-    first, second, third, fourth = operands
-    try:
-        want = (first @ second).scale(u) == (third @ fourth).scale(v)
-    except ShapeMismatch:
-        with pytest.raises(ShapeMismatch):
-            scaled_products_equal(u, first, second, v, third, fourth)
-        return
-    assert scaled_products_equal(u, first, second, v, third, fourth) == want
-
-
-def _eliminated_inverse(mat: SMatrix):
-    """The inverse by elimination of [mat | I], as the general path has it."""
-    n = mat.nrows
-    one, zero = Scalar.one(), Scalar.zero()
-    aug = [list(row) + [one if i == j else zero for j in range(n)]
-           for i, row in enumerate(mat.rows)]
-    reduced, pivots = _gauss_jordan(aug, n)
-    return [row[n:] for row in reduced] if len(pivots) == n else None
-
-
-@CHECKS
-@given(SIZES, st.booleans(), st.booleans(), st.data())
-def test_monomial_inverse_has_the_representation_of_elimination(
-        n, distinct, near_miss, data):
-    mat = data.draw(_monomials(n, n, distinct))
-    if near_miss:
-        mat = _near_miss(data.draw, mat)
-    got, want = mat.inverse(), _eliminated_inverse(mat)
-    if want is None:
+@given(st.lists(st.tuples(SIZES, st.booleans(), st.booleans()), min_size=1,
+                max_size=3), ORDERS, st.data())
+def test_the_exponent_table_is_the_blocks_or_none(shapes, order, data):
+    blocks = {}
+    for key, (n, distinct, near_miss) in enumerate(shapes):
+        mat = data.draw(_monomials(n, n, distinct))
+        blocks[key] = _near_miss(data.draw, mat) if near_miss else mat
+    got = _exponent_table(blocks, order)
+    if not all(map(_permutation_times_roots, blocks.values())):
         assert got is None
         return
-    assert [[_rep(v) + (v._root,) for v in row] for row in got.rows] == [
-        [_rep(v) + (v._root,) for v in row] for row in want]
-    assert (mat @ got).is_identity()
+    big, table = got
+    assert big % order == 0 and table.keys() == blocks.keys()
+    for key, mat in blocks.items():
+        assert all(0 <= e < big for _, e in table[key])
+        assert _from_exponents(table[key], big) == mat
 
 
 def test_a_monomial_inverse_transposes_and_inverts_the_roots():
@@ -219,4 +116,3 @@ def test_a_monomial_inverse_transposes_and_inverts_the_roots():
     mat = SMatrix([[0, z4], [-Scalar.root_of_unity(3), 0]])
     assert mat.inverse() == SMatrix([[0, -Scalar.root_of_unity(3, 2)],
                                      [z4.inverse(), 0]])
-    assert _monomial_form(mat) == ((1, (1, 4)), (0, (5, 6)))

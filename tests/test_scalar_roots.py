@@ -168,10 +168,14 @@ def test_equality_and_hash_ignore_the_tag():
 
 @st.composite
 def _entries(draw):
-    """Mostly zeros and roots, as block and monomial matrices are."""
-    kind = draw(st.sampled_from(("zero", "zero", "root", "root", "scalar")))
+    """Mostly zeros and roots, as block and monomial matrices are, and
+    now and then a root without its tag."""
+    kind = draw(st.sampled_from(("zero", "zero", "root", "root", "scalar",
+                                 "untagged")))
     if kind == "zero":
         return Scalar.zero(draw(ORDERS))
+    if kind == "untagged":
+        return _plain(draw(_roots()))
     return draw(_roots() if kind == "root" else _scalars())
 
 
@@ -205,7 +209,8 @@ def _reexpressed(data, mat: SMatrix) -> SMatrix:
 
 SIZES = st.integers(1, 3)
 FACTORS = st.one_of(_roots(), _scalars(),
-                    st.builds(Unit, ORDERS, st.integers(0, 11)))
+                    st.builds(Unit, ORDERS, st.integers(0, 11)),
+                    _roots().map(_plain))
 
 
 @CHECKS
@@ -215,7 +220,9 @@ def test_a_single_matrix_side_matches_the_built_product(rows, inner, cols,
     # a side that is one matrix, lhs @ I, agrees with the matrices the
     # comparison replaces: it raises where the product raises, and otherwise
     # answers (first @ second).scale(u) == lhs, on equal, re-expressed,
-    # perturbed and reshaped left sides
+    # perturbed and reshaped left sides; a perturbed entry has another
+    # added, is rotated by a root (a wrong angle) or trades places with its
+    # neighbour in the row (a wrong column)
     first = _matrix(data, rows, inner)
     second = _matrix(data, data.draw(st.sampled_from((inner, inner, 1, 2, 3))),
                      cols)
@@ -235,7 +242,13 @@ def test_a_single_matrix_side_matches_the_built_product(rows, inner, cols,
         i, j = data.draw(st.integers(0, rows - 1)), data.draw(
             st.integers(0, cols - 1))
         grid = [list(row) for row in built.rows]
-        grid[i][j] = grid[i][j] + data.draw(_entries())
+        how = data.draw(st.sampled_from(("added", "rotated", "moved")))
+        if how == "added":
+            grid[i][j] = grid[i][j] + data.draw(_entries())
+        elif how == "rotated":
+            grid[i][j] = grid[i][j] * data.draw(_roots())
+        else:
+            grid[i][j], grid[i][j - 1] = grid[i][j - 1], grid[i][j]
         lhs = SMatrix(grid)
     else:
         # a row or column more or less: equal wherever the two overlap, so
