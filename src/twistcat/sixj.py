@@ -28,12 +28,13 @@ The symbols come with exact orthogonality and Biedenharn-Elliott checks:
 sums of products of symbols that must collapse to Kronecker patterns or to
 matching pentagon-type expansions.  All arithmetic is exact.
 
-The four scalar families share one layout (:class:`_ScalarLayout`): three
-free labels determine the other three, and a symbol is zero off the composed
-tuples and a root of unity on them.  So every scalar orthogonality or
-Biedenharn-Elliott sum has at most one nonzero term, and the sweeps evaluate
-only the composed tuples; the others hold as 0 = 0 and still count as
-checked.  Scalar orthogonality multiplies out to dim(a)^2 dim(c)^2 = 1, so
+The four scalar families share one layout (:class:`_ScalarLayout`), a table
+of exponents at one root order: three free labels determine the other three,
+and a symbol is zero off the composed tuples and a root of unity on them.  So
+every scalar orthogonality or Biedenharn-Elliott sum has at most one nonzero
+term, and the sweeps compare exponent sums at the composed tuples only (a
+Unit is built for a failure sample); the others hold as 0 = 0 and still count
+as checked.  Scalar orthogonality multiplies out to dim(a)^2 dim(c)^2 = 1, so
 it sees dimensions that are not signs (kappa, the trace) and never the twists
 omega, Psi, Phi, Omega; those show in Biedenharn-Elliott, which for fusion
 and bimodule contexts is one scalar module pentagon.
@@ -43,8 +44,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import prod
-from typing import Callable, Optional, Sequence, Union
+from math import lcm, prod
+from typing import Optional, Sequence, Union
 
 from .errors import (IndexOutOfRange, NoTrace, NotSpherical, ShapeMismatch,
                      UndefinedLabels, ValidationError)
@@ -190,69 +191,64 @@ class SixJValue:
 
 @dataclass(frozen=True)
 class _ScalarLayout:
-    """One family of scalar symbols (fusion, m, n or b) on (i, j, k, a, b, c).
+    """One family of scalar symbols (fusion, m, n or b) on (i, j, k, a, b, c),
+    as exponents at one root order ``root``.
 
     ``sizes`` bounds the six labels.  The free labels (i, j, k) fix the
-    other three through ``compose``; off the composed tuples the symbols
-    vanish, and on them they are roots of unity: with u the twist at
-    (i, j, k, b), the direct symbol is dim_a(a) * u and the inverse one
-    dim_c(c) / u, the two roles exchanged for a ``swapped`` family.
+    other three; off the composed tuples the symbols vanish, and on them
+    they are roots of unity.  ``rows`` holds, per free triple in
+    lexicographic order, the composed (a, b, c) and the exponents of the
+    direct and the inverse symbol; ``dim_a`` and ``dim_c`` are the exponents
+    of the dimensions of a and c.
     """
 
     sizes: tuple[int, ...]
-    compose: Callable[[int, int, int], tuple[int, int, int]]
-    twist: Callable[[int, int, int, int], Unit]
-    dim_a: Callable[[int], Unit]
-    dim_c: Callable[[int], Unit]
-    swapped: bool = False
-
-    def symbol(self, labels, inverse: bool) -> Unit:
-        """The symbol at composed labels."""
-        i, j, k, a, b, c = labels
-        u = self.twist(i, j, k, b)
-        if inverse == self.swapped:
-            return self.dim_a(a) * u
-        return self.dim_c(c) * u.inverse()
-
-    def value(self, labels, inverse: bool) -> Optional[Unit]:
-        """The symbol at labels, or None when they do not compose."""
-        if labels[3:] != self.compose(*labels[:3]):
-            return None
-        return self.symbol(labels, inverse)
+    root: int
+    rows: tuple[tuple[int, int, int, int, int], ...]
+    dim_a: tuple[int, ...]
+    dim_c: tuple[int, ...]
 
     def composed(self):
-        """Every composed label tuple, in lexicographic order."""
-        si, sj, sk = self.sizes[:3]
-        for i, j, k in itertools.product(range(si), range(sj), range(sk)):
-            yield (i, j, k) + self.compose(i, j, k)
+        """Each free triple (i, j, k) with its row, in lexicographic order."""
+        return zip(itertools.product(*map(range, self.sizes[:3])), self.rows)
 
 
-def _twist(cochain, slots) -> Callable[[int, int, int, int], Unit]:
-    """The twist (i, j, k, b) -> the cochain's value at slots(i, j, k, b),
-    three indices into the first three axes of its table (omega has a fourth,
-    the point carrier, of size 1).  Composed labels are in range, so the
-    flat table is read directly."""
-    root, exps = cochain.root_order, cochain.exponents_flat
+def _layout(sizes, compose, cochain, slots, dim_a, dim_c,
+            swapped=False) -> _ScalarLayout:
+    """The layout whose row at (i, j, k) is compose(i, j, k) = (a, b, c) and,
+    with t the cochain at slots(i, j, k, b), the direct symbol dim_a(a) * t
+    and the inverse one dim_c(c) / t, the two exchanged for a ``swapped``
+    family.  The slots are three indices into the first three axes of the
+    cochain's table (omega has a fourth, the point carrier, of size 1).  The
+    root order is the lcm of the cochain's and the dimensions' orders."""
+    dims_a = [dim_a(x) for x in range(sizes[3])]
+    dims_c = [dim_c(x) for x in range(sizes[5])]
+    root = lcm(cochain.root_order, *(u.root_order for u in dims_a + dims_c))
+    exp_a = tuple(u.exponent_at(root) for u in dims_a)
+    exp_c = tuple(u.exponent_at(root) for u in dims_c)
+    exps, scale = cochain.exponents_flat, root // cochain.root_order
     d1, d2 = cochain.shape[1:3]
-
-    def twist(i, j, k, b):
+    rows = []
+    for i, j, k in itertools.product(*map(range, sizes[:3])):
+        a, b, c = compose(i, j, k)
         p, q, r = slots(i, j, k, b)
-        return Unit(root, exps[(p * d1 + q) * d2 + r])
-    return twist
+        t = exps[(p * d1 + q) * d2 + r] * scale
+        pair = (exp_a[a] + t) % root, (exp_c[c] - t) % root
+        rows.append((a, b, c) + (pair[::-1] if swapped else pair))
+    return _ScalarLayout(tuple(sizes), root, tuple(rows), exp_a, exp_c)
 
 
-def _m_layout(grp, x_set, psi, trace: ModuleTrace, kappa_unit,
+def _m_layout(grp, x_set, psi, dim_a, dim_c,
               slots=lambda i, j, k, b: (i, j, b)) -> _ScalarLayout:
     """The left-action symbols of a module structure psi on the carrier
-    ``x_set``: m = trace(a) psi(i, j, b) and m^-1 = kappa(c) / psi(i, j, b),
+    ``x_set``: m = dim_a(a) psi(i, j, b) and m^-1 = dim_c(c) / psi(i, j, b),
     at c = ij, a = j.k, b = c.k; with slots (i, j, k), the fusion symbols."""
     def compose(i, j, k):
         c = grp.op(i, j)
         return x_set.apply(j, k), x_set.apply(c, k), c
 
     n, nx = grp.order, x_set.size
-    return _ScalarLayout((n, n, nx, nx, nx, n), compose, _twist(psi, slots),
-                         trace.unit, kappa_unit)
+    return _layout((n, n, nx, nx, nx, n), compose, psi, slots, dim_a, dim_c)
 
 
 def _scalar_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
@@ -276,13 +272,12 @@ def _new_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
     * m: see :func:`_m_layout`.
     """
     if family == "fusion":
-        grp = ctx.fusion.group
-        kappa = ModuleTrace(tuple(map(ctx.fusion.kappa_unit, grp.elements())))
+        grp, kappa = ctx.fusion.group, ctx.fusion.kappa_unit
         return _m_layout(grp, regular_gset(grp), ctx.fusion.omega, kappa,
-                         kappa.unit, lambda i, j, k, b: (i, j, k))
+                         kappa, lambda i, j, k, b: (i, j, k))
     data, trace = ctx.bimodule, ctx.trace
     if family == "m":
-        return _m_layout(data.left.group, data.x_g, data.psi, trace,
+        return _m_layout(data.left.group, data.x_g, data.psi, trace.unit,
                          data.left.kappa_unit)
     ng, nh, nx = data.left.group.order, data.right.group.order, data.X.size
     x_g, x_h = data.x_g, data.x_h
@@ -292,19 +287,16 @@ def _new_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
             c = data.right.group.op(j, k)
             return x_h.apply(inv(j), i), x_h.apply(inv(c), i), c
 
-        return _ScalarLayout((nx, nh, nh, nx, nx, nh), compose_n,
-                             _twist(data.phi,
-                                    lambda i, j, k, b: (inv(k), inv(j), b)),
-                             trace.unit, data.right.kappa_unit, swapped=True)
+        return _layout((nx, nh, nh, nx, nx, nh), compose_n, data.phi,
+                       lambda i, j, k, b: (inv(k), inv(j), b), trace.unit,
+                       data.right.kappa_unit, swapped=True)
 
     def compose_b(i, j, k):
         c = x_g.apply(i, j)
         return x_h.apply(inv(k), j), x_h.apply(inv(k), c), c
 
-    return _ScalarLayout((ng, nx, nh, nx, nx, nx), compose_b,
-                         _twist(data.omega_mid,
-                                lambda i, j, k, b: (i, inv(k), b)),
-                         trace.unit, trace.unit)
+    return _layout((ng, nx, nh, nx, nx, nx), compose_b, data.omega_mid,
+                   lambda i, j, k, b: (i, inv(k), b), trace.unit, trace.unit)
 
 
 def _family(kind: str) -> str:
@@ -394,7 +386,10 @@ def sixj(query: SixJQuery) -> SixJValue:
         if query.indices:
             raise IndexOutOfRange(
                 f"kind {kind!r} admits no multiplicity indices")
-        value = lay.value(labels, inverse)
+        row = lay.rows[(labels[0] * lay.sizes[1] + labels[1]) * lay.sizes[2]
+                       + labels[2]]
+        value = (Unit(lay.root, row[3 + inverse]) if labels[3:] == row[:3]
+                 else None)
     if value is None:
         raise UndefinedLabels(
             f"labels {labels} do not compose for kind {kind!r}")
@@ -422,9 +417,9 @@ def sixj_table(context: SixJContext, kind: str) -> list[dict]:
     inverse = _is_inverse(kind)
     if kind not in _MATRIX_KINDS:
         lay = _scalar_layout(context, _family(kind))
-        return [{"labels": labels, "indices": (),
-                 "value": lay.symbol(labels, inverse).to_scalar()}
-                for labels in lay.composed()]
+        return [{"labels": ijk + row[:3], "indices": (),
+                 "value": Unit(lay.root, row[3 + inverse]).to_scalar()}
+                for ijk, row in lay.composed()]
     side = _side(context, kind)
     x_set, y_set = side.source, side.target
     rows = []
@@ -485,15 +480,14 @@ def _orth_scalar(ctx: SixJContext, family: str, scope, log) -> int:
     """
     lay = _scalar_layout(ctx, family)
     name = f"orthogonality[{family}]"
-    for labels in lay.composed():
-        i, j, k, a, b, c = labels
+    for (i, j, k), (a, b, c, e, e_inv) in lay.composed():
         tup = (i, j, k, b, c, c)
         if not _in_scope(scope, tup):
             continue
-        total = (lay.dim_a(a) * lay.dim_c(c) * lay.symbol(labels, False)
-                 * lay.symbol(labels, True))
-        if total != Unit.one():
-            log.add(name, tup, total.to_scalar(), Scalar.from_rational(1))
+        total = (lay.dim_a[a] + lay.dim_c[c] + e + e_inv) % lay.root
+        if total:
+            log.add(name, tup, Unit(lay.root, total).to_scalar(),
+                    Scalar.from_rational(1))
     si, sj, sk, _, sb, sc = lay.sizes
     return _box_count((si, sj, sk, sb, sc, sc), scope)
 
@@ -506,22 +500,28 @@ def _pentagon(fus: _ScalarLayout, mod: _ScalarLayout, points, name: str,
     a = f.x0 and b = d.x0, m(i,j,k,a,b,c) m(c,l,x0,k,b,d) must equal
     kappa(f) F(i,j,l,f,d,c) m(j,l,x0,k,a,f) m(i,f,x0,a,b,d).  A point counts
     when ``tup(x0, i, j, l, k)`` is in scope; a failure is logged under
-    ``name.format(x0)`` as products of the factors' Scalars."""
+    ``name.format(x0)`` as products of the factors' Scalars.  The sides are
+    compared as exponent sums at the lcm of the two layouts' root orders."""
+    root = lcm(fus.root, mod.root)
+    up_f, up_m = root // fus.root, root // mod.root
+    n, nx, nf = mod.sizes[1], mod.sizes[2], fus.sizes[1]
+    rows, fus_rows, fus_dim = mod.rows, fus.rows, fus.dim_a
     checked = 0
     for x0, i, j, l in points:
-        k, a, f = mod.compose(j, l, x0)
+        k, _, f, m_jl, _ = rows[(j * n + l) * nx + x0]
         t = tup(x0, i, j, l, k)
         if not _in_scope(scope, t):
             continue
         checked += 1
-        _, b, c = mod.compose(i, j, k)
-        d = fus.compose(i, j, l)[1]
-        lhs = (mod.symbol((i, j, k, a, b, c), False),
-               mod.symbol((c, l, x0, k, b, d), False))
-        rhs = (fus.dim_a(f), mod.symbol((i, f, x0, a, b, d), False),
-               fus.symbol((i, j, l, f, d, c), False),
-               mod.symbol((j, l, x0, k, a, f), False))
-        if prod(lhs, start=Unit.one()) != prod(rhs, start=Unit.one()):
+        c, m_ij = rows[(i * n + j) * nx + k][2:4]
+        f_ijl = fus_rows[(i * nf + j) * nf + l][3]
+        m_cl = rows[(c * n + l) * nx + x0][3]
+        m_if = rows[(i * n + f) * nx + x0][3]
+        if ((m_ij + m_cl - m_if - m_jl) * up_m
+                - (fus_dim[f] + f_ijl) * up_f) % root:
+            lhs = (Unit(mod.root, m_ij), Unit(mod.root, m_cl))
+            rhs = (Unit(fus.root, fus_dim[f]), Unit(mod.root, m_if),
+                   Unit(fus.root, f_ijl), Unit(mod.root, m_jl))
             log.add(name.format(x0), t, prod(u.to_scalar() for u in lhs),
                     prod(u.to_scalar() for u in rhs))
     return checked
@@ -549,7 +549,7 @@ def _ber_bimodule(ctx: SixJContext, scope, log) -> int:
     fus = _scalar_layout(SixJContext(fusion=product.fusion), "fusion")
     points = ((x0, i, j, l) for x0 in range(x_set.size)
               for i, j, l in itertools.product(grp.elements(), repeat=3))
-    mod = _m_layout(grp, x_set, product.psi, ctx.trace,
+    mod = _m_layout(grp, x_set, product.psi, ctx.trace.unit,
                     product.fusion.kappa_unit)
     return _pentagon(fus, mod, points, "biedenharn-elliott[m;base={}]",
                      lambda x0, i, j, l, k: (i, j, l, k), scope, log)

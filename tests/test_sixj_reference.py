@@ -8,6 +8,7 @@ values -- on valid data, on corrupted omega, kappa, trace and bimodule
 cochains, on corrupted and singular coherence blocks, and under explicit
 scopes.  A last matrix pins which relation detects which kind of corruption.
 """
+import functools
 import importlib
 import itertools
 import pathlib
@@ -15,10 +16,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from twistcat._matrix import SMatrix
-from twistcat.algebra import (FiniteGroup, Subgroup, coset_gset,
-                              cyclic_group, direct_product, point_gset)
+from twistcat.algebra import (FiniteGroup, GSet, Subgroup, coset_gset,
+                              cyclic_group, direct_product, point_gset,
+                              product_embeddings, restrict_gset)
 from twistcat.cli import _all_contexts, parse_config
 from twistcat.cohomology import (UnitCochain, deligne_omega, differential,
                                  omega_cyclic)
@@ -293,6 +296,91 @@ def test_bimodule_symbols_match_the_closed_forms_on_the_whole_label_box(
             _assert_symbol(ctx, kind, labels)
 
 
+def _s3_regular_bimodule():
+    """S3 x S3 acting on the six points of S3 by (g, h).x = g x h^-1, with
+    trivial Psi, Phi and Omega."""
+    s3 = FiniteGroup(S3_TABLE)
+    fus = FusionData(s3, UnitCochain.trivial(3, point_gset(s3), 1),
+                     UnitCochain.trivial(1, point_gset(s3), 1))
+    x = GSet(direct_product(s3, s3),
+             [[s3.op(s3.op(g, y), s3.inv(h)) for y in range(6)]
+              for g in range(6) for h in range(6)])
+    emb_g, emb_h = product_embeddings(s3, s3)
+    return BimoduleCategoryData(
+        fus, fus, x, UnitCochain.trivial(2, restrict_gset(x, emb_g, s3), 1),
+        UnitCochain.trivial(2, restrict_gset(x, emb_h, s3), 1),
+        UnitCochain.trivial(2, x, 1, slot_groups=(s3, s3)))
+
+
+def test_nonabelian_bimodule_biedenharn_elliott_matches_the_dense_reference():
+    # K = S3 x S3 on six points, 36^3 * 6 pentagon points: the first
+    # bimodule over groups that are not abelian, so ij and ji differ.  The
+    # dense sweep sums over all of K at each point, so a bumped Omega is
+    # compared on 300 random points and the sampled failures
+    bim = _s3_regular_bimodule()
+    ctx = bimodule_context(bim)
+    report = verify_biedenharn_elliott(ctx)
+    assert report.ok and report.checked == 279_936
+    assert verify_orthogonality(ctx).ok
+    bad = bimodule_context(
+        _with(bim, omega_mid=_bump(bim.omega_mid, (1, 2, 3), 3)))
+    rng = random.Random(0)
+    scope = [tuple(rng.randrange(n) for n in (36, 36, 36, 6))
+             for _ in range(300)]
+    scope += [f["tuple"] for f in verify_biedenharn_elliott(bad).failures]
+    new = verify_biedenharn_elliott(bad, scope)
+    ref = dense_biedenharn_elliott(bad, scope)
+    assert new.failed and new.checked
+    assert_same_report(new, ref)
+
+
+@functools.cache
+def _valid_bimodule(example):
+    return _bimodule_cases(example)["valid"].bimodule
+
+
+def _bumped(cochain, index, root, steps):
+    """The cochain with its exponent at index raised by steps / root of a
+    turn."""
+    for _ in range(steps):
+        cochain = _bump(cochain, index, root)
+    return cochain
+
+
+@st.composite
+def _random_context(draw, family):
+    """A Z/n fusion context (family ``Zn``) with a random s and spherical
+    kappa, its omega kept or bumped, or the z2 or z3 bimodule with Psi, Phi
+    or Omega bumped; a bump is at a random position by a random amount."""
+    def bump(cochain):
+        index = tuple(draw(st.integers(0, size - 1)) for size in cochain.shape)
+        root = cochain.root_order * draw(st.integers(2, 3))
+        return _bumped(cochain, index, root, draw(st.integers(1, root - 1)))
+
+    if family in ("z2", "z3"):
+        bim = _valid_bimodule(family)
+        name = draw(st.sampled_from(["psi", "phi", "omega_mid"]))
+        return bimodule_context(_with(bim, **{name: bump(getattr(bim, name))}))
+    n = int(family[1:])
+    grp = cyclic_group(n)
+    omega = omega_cyclic(n, draw(st.integers(0, n - 1)))
+    fus = draw(st.sampled_from(spherical_structures(grp, omega)))
+    if draw(st.booleans()):
+        return fusion_context(fus)
+    return fusion_context(corrupted_fusion(grp, bump(omega), fus.kappa))
+
+
+@pytest.mark.parametrize("family", ["Z2", "Z3", "Z4", "z2", "z3"])
+@settings(derandomize=True, max_examples=10, deadline=None)
+@given(data=st.data())
+def test_random_scalar_contexts_match_the_dense_reference(family, data):
+    # a bump at 2 or 3 times a cochain's order raises the layout's root
+    # order (4, 6, 8, 9, 12 ...), and the n layout's exchanged symbols meet
+    # a bumped Phi
+    for new, ref in _both(data.draw(_random_context(family))):
+        assert_same_report(new, ref)
+
+
 # ---------------------------------------------------------------------------
 # explicit scopes
 # ---------------------------------------------------------------------------
@@ -536,6 +624,25 @@ def test_passing_functor_checks_multiply_no_matrices(monkeypatch):
     bad = BimoduleFunctorData(f.source, f.target, f.mult, bad_a, f.b)
     report = validate_bimodfun(bad)
     assert not report.ok and calls
+
+
+def test_passing_scalar_sweeps_multiply_no_units(monkeypatch):
+    # the scalar symbols are exponents at one root order per layout: passing
+    # orthogonality and Biedenharn-Elliott sweeps, layouts built included,
+    # compare exponent sums and multiply no Unit
+    contexts = [_bimodule_cases("z2")["valid"],
+                fusion_context(FUSION_CASES["Z3-s1-k[0, 0, 0]"])]
+    unit_mul, calls = Unit.__mul__, []
+
+    def counting(self, other):
+        calls.append((self, other))
+        return unit_mul(self, other)
+
+    monkeypatch.setattr(Unit, "__mul__", counting)
+    for ctx in contexts:
+        assert verify_orthogonality(ctx).ok
+        assert verify_biedenharn_elliott(ctx).ok
+    assert calls == []
 
 
 def test_singular_matrix_symbol_raises_on_every_call():
