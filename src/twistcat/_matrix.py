@@ -6,19 +6,18 @@ Inverses, nullspaces and the invertibility test :func:`_invertible` all
 reduce with ``scalar._gauss_jordan``, the package's one exact elimination
 routine; this module has no loop of its own.
 
-Relations between scaled products are checked entrywise by
-:func:`scaled_products_equal`, the package's one product comparison, which
-builds no matrix; a side that is one matrix M is the product M @ I with the
-cached identity :func:`_identity`.  Products accumulate each entry from its
-first nonzero term, in ``__matmul__`` and in the comparison alike.
+``__matmul__`` is the package's one product routine: it accumulates each
+entry from its first nonzero term (:func:`_product_entry`).  Relations
+between products that the exponent tables do not decide are checked on the
+built products.
 
 The functor blocks over cyclic G are permutations times roots of unity:
 each row has one nonzero entry, a tagged root, and no two rows share a
 column.  Their one integer representation is the exponent table of
 :func:`_exponent_table`, on which the functor relations are decided: per
 block row, (column, exponent) at one root order.  :func:`_from_exponents`
-builds a matrix back from such rows.  Any other block takes the entrywise
-comparison and elimination, which are the reference.
+builds a matrix back from such rows.  Any other block takes the built
+products and elimination, which are the reference.
 """
 from __future__ import annotations
 
@@ -31,10 +30,9 @@ from .scalar import Scalar, Unit, _gauss_jordan
 
 
 class SMatrix:
-    """Immutable rectangular matrix of Scalars; its inverse is computed
-    once."""
+    """Immutable rectangular matrix of Scalars."""
 
-    __slots__ = ("rows", "_inverse")
+    __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]) -> None:
         out = []
@@ -124,19 +122,14 @@ class SMatrix:
                                  for r1, r2 in zip(self.rows, other.rows)])
 
     def scale(self, s) -> "SMatrix":
-        s = _as_scalar(s)
+        s = s.to_scalar() if isinstance(s, Unit) else s
         return SMatrix._trusted([[s * v for v in row] for row in self.rows])
 
     def transpose(self) -> "SMatrix":
         return SMatrix._trusted(zip(*self.rows))
 
     def inverse(self) -> Optional["SMatrix"]:
-        """Exact inverse, or None when the matrix is singular; the result
-        (None included) is kept, so each matrix is inverted once."""
-        try:
-            return self._inverse
-        except AttributeError:
-            pass
+        """Exact inverse, or None when the matrix is singular."""
         if self.nrows != self.ncols:
             raise ShapeMismatch("only square matrices can be inverted")
         n = self.nrows
@@ -144,10 +137,8 @@ class SMatrix:
         aug = [list(row) + [one if i == j else zero for j in range(n)]
                for i, row in enumerate(self.rows)]
         reduced, pivots = _gauss_jordan(aug, n)
-        inv = (SMatrix._trusted([row[n:] for row in reduced])
-               if len(pivots) == n else None)
-        object.__setattr__(self, "_inverse", inv)
-        return inv
+        return (SMatrix._trusted([row[n:] for row in reduced])
+                if len(pivots) == n else None)
 
     def is_identity(self) -> bool:
         if self.nrows != self.ncols:
@@ -174,17 +165,6 @@ class SMatrix:
     @classmethod
     def from_json(cls, data) -> "SMatrix":
         return cls([[Scalar.from_json(v) for v in row] for row in data])
-
-
-@lru_cache(maxsize=16)
-def _identity(n: int) -> SMatrix:
-    """The n x n identity, built once: the second factor of a side that is
-    one matrix."""
-    return SMatrix.identity(n)
-
-
-def _as_scalar(s) -> Scalar:
-    return s.to_scalar() if isinstance(s, Unit) else s
 
 
 @lru_cache(maxsize=None)
@@ -246,26 +226,6 @@ def _product_entry(row, col) -> Optional[Scalar]:
         if a and b:
             acc = a * b if acc is None else acc + a * b
     return acc
-
-
-def scaled_products_equal(u, first: SMatrix, second: SMatrix, v,
-                          third: SMatrix, fourth: SMatrix) -> bool:
-    """Whether (first @ second).scale(u) == (third @ fourth).scale(v), with
-    no matrix built; raises ShapeMismatch where either product does."""
-    _check_product(first, second)
-    _check_product(third, fourth)
-    if (first.nrows, second.ncols) != (third.nrows, fourth.ncols):
-        return False
-    u, v, zero = _as_scalar(u), _as_scalar(v), Scalar.zero()
-    cols, other_cols = list(zip(*second.rows)), list(zip(*fourth.rows))
-    for row, other in zip(first.rows, third.rows):
-        for col, other_col in zip(cols, other_cols):
-            left = _product_entry(row, col)
-            right = _product_entry(other, other_col)
-            if (zero if left is None else u * left) != (
-                    zero if right is None else v * right):
-                return False
-    return True
 
 
 def _invertible(rows: list[list[Scalar]]) -> bool:

@@ -83,6 +83,21 @@ def _field(spec: dict, name: str, entity: str):
     return spec[name]
 
 
+# The largest root order and cyclic group order a config may declare; past
+# them one entity stalls the parse or the output (docs/config_format.md).
+_BOUNDS = {"root_order": 360, "n": 256}
+
+
+def _bounded(spec: dict, name: str, entity: str) -> int:
+    """The integer field ``name`` of a spec, which must lie from 1 to
+    ``_BOUNDS[name]``: a value outside is malformed."""
+    value = int(_field(spec, name, entity))
+    if not 1 <= value <= _BOUNDS[name]:
+        raise ValueError(
+            f"{name} must be from 1 to {_BOUNDS[name]}, got {value}")
+    return value
+
+
 def _spec_type(spec, entity: str, allowed: tuple[str, ...]) -> str:
     if not isinstance(spec, dict):
         raise ParseError(f"entity {entity!r} must be a JSON object")
@@ -107,7 +122,7 @@ def _wrap_build(entity: str, fn, *args, **kwargs):
 def _build_group(name: str, spec: dict, cfg: SessionConfig) -> FiniteGroup:
     kind = _spec_type(spec, name, ("cyclic", "table", "product"))
     if kind == "cyclic":
-        return _wrap_build(name, cyclic_group, int(_field(spec, "n", name)))
+        return _wrap_build(name, cyclic_group, _bounded(spec, "n", name))
     if kind == "table":
         return _wrap_build(name, FiniteGroup, _field(spec, "table", name))
     left = _require(cfg.groups, _field(spec, "left", name), "group", name)
@@ -156,7 +171,7 @@ def _build_gset(name: str, spec: dict, cfg: SessionConfig) -> GSet:
 
 def _build_table_cochain(name: str, spec: dict, degree: int, carrier: GSet,
                          slot_groups=None) -> UnitCochain:
-    root = int(_field(spec, "root_order", name))
+    root = _bounded(spec, "root_order", name)
     groups = slot_groups or (carrier.group,) * degree
     shape = tuple(g.order for g in groups) + (carrier.size,)
     flat = _field(spec, "exponents", name)
@@ -191,7 +206,7 @@ def _build_cochain(name: str, spec: dict, cfg: SessionConfig) -> UnitCochain:
         slots = tuple(_require(cfg.groups, g, "group", name)
                       for g in spec["slots"])
     if kind == "trivial":
-        root = int(_field(spec, "root_order", name))
+        root = _bounded(spec, "root_order", name)
         return UnitCochain.trivial(degree, carrier, root, slot_groups=slots)
     return _build_table_cochain(name, spec, degree, carrier, slot_groups=slots)
 
@@ -254,7 +269,7 @@ def _build_psi(name: str, spec: dict, fusion: FusionData, x: GSet,
         psi = _require(cfg.cochains, _field(spec, "cochain", name),
                        "cochain", name)
     elif kind == "trivial":
-        psi = UnitCochain.trivial(2, x, int(_field(spec, "root_order", name)))
+        psi = UnitCochain.trivial(2, x, _bounded(spec, "root_order", name))
     else:
         psi = _build_table_cochain(name, spec, 2, x)
     return _wrap_build(name, make_modcat, fusion, x, psi)
@@ -296,7 +311,7 @@ def _build_bimodcat(name: str, spec: dict,
 
 def _parse_scalar(value, entity: str) -> Scalar:
     if isinstance(value, dict):
-        _field(value, "root_order", entity)
+        _bounded(value, "root_order", entity)
         _field(value, "coeffs", entity)
         return _wrap_build(entity, Scalar.from_json, value)
     if isinstance(value, (int, str)):
@@ -347,8 +362,8 @@ def _build_functor(name: str, spec: dict, cfg: SessionConfig):
         lam_spec = _field(spec, "lam", name)
         lkind = _spec_type(lam_spec, name, ("trivial", "table"))
         if lkind == "trivial":
-            lam = UnitCochain.trivial(1, target.X,
-                                      int(_field(lam_spec, "root_order", name)))
+            lam = UnitCochain.trivial(
+                1, target.X, _bounded(lam_spec, "root_order", name))
         else:
             lam = _build_table_cochain(name, lam_spec, 1, target.X)
         return _wrap_build(name, functor_from_equivariant, f, lam, source,
@@ -413,9 +428,8 @@ def parse_config(path: str) -> SessionConfig:
             f"unknown config sections: {', '.join(sorted(unknown))}")
     where = "field 'root_order'"
     try:
-        cfg = SessionConfig(root_order=int(doc.get("root_order", 1)))
-        if cfg.root_order < 1:
-            raise ValueError(f"root_order must be >= 1, got {cfg.root_order}")
+        cfg = SessionConfig(root_order=_bounded(doc, "root_order", "config")
+                            if "root_order" in doc else 1)
         for section, build in _BUILDERS.items():
             entries = doc.get(section, {})
             if not isinstance(entries, dict):

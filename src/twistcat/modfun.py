@@ -23,12 +23,12 @@ exponent) at one root order L.  A composition instance (:func:`composition`)
 is then the integer test T_{gh} = u T_p T_q, u the twist ratio as an
 exponent difference, and a bimodule hexagon instance the same test of its
 two products on the A and B tables (:func:`_hexagon_on_tables`); any other
-instance, and every failure, goes through ``scaled_products_equal``.  Functor
+instance compares the two built products, which are the reference.  Functor
 Biedenharn-Elliott in :mod:`twistcat.sixj` is decided by the same instance.
-A product matrix is built only to report a failure.  Where m is not
-invariant the blocks of an instance differ in size, and the instance is one
-failure of its condition, like a missing entry.  The table is built once per
-functor table (A or B), on first use, and kept on the functor.
+Where m is not invariant the blocks of an instance differ in size, and the
+instance is one failure of its condition, like a missing entry.  The table
+is built once per functor table (A or B), on first use, and kept on the
+functor.
 
 A natural transformation F -> H is a family of matrices M_{x,y} over the
 pairs both functors support, with M_{x,y} A^F_{g,x,y} = A^H_{g,x,y}
@@ -51,8 +51,8 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from ._matrix import (SMatrix, _exponent_table, _from_exponents, _identity,
-                      _invertible, nullspace_basis, scaled_products_equal)
+from ._matrix import (SMatrix, _exponent_table, _from_exponents, _invertible,
+                      nullspace_basis)
 from .algebra import (FiniteGroup, GSet, _array_view, _flatten, _rows, orbits,
                       product_gset)
 from .cohomology import UnitCochain, _pull_back, differential
@@ -250,9 +250,9 @@ def composition(side: CoherenceSide, g: int, h: int):
     (q, p, gh.x, gh.y) read through the acting elements, else the failure's
     (lhs, rhs).  On the side's exponent table an instance holds when each
     row of T_gh has the column T_p T_q reaches and the sum of the exponents;
-    any other instance is asked of ``scaled_products_equal``.  A missing
+    any other instance compares T_gh with the built u T_p T_q.  A missing
     moved block or, m not being invariant, one of another size fails without
-    a product; a product matrix is built only for a failing value."""
+    a product."""
     x_set, y_set, table = side.source, side.target, side.table
     ax, ay, nx, ny = (x_set.action_flat, y_set.action_flat, x_set.size,
                       y_set.size)
@@ -275,15 +275,13 @@ def composition(side: CoherenceSide, g: int, h: int):
                     break
             else:
                 return None
-        first, lhs, u = table[(p, x, y)], table[(gh, x, y)], Unit(order, u)
+        first, lhs = table[(p, x, y)], table[(gh, x, y)]
         try:
-            if scaled_products_equal(Unit.one(), lhs, _identity(lhs.nrows),
-                                     u, first, second):
-                return None
+            rhs = (first @ second).scale(Unit(order, u))
         except ShapeMismatch:  # m is not invariant
             return (f"{second.nrows}x{second.ncols} moved block",
                     f"{first.nrows}x{first.ncols}")
-        return lhs, (first @ second).scale(u)
+        return None if lhs == rhs else (lhs, rhs)
     return failure
 
 
@@ -364,14 +362,13 @@ class NatTransData:
 
 def validate_nat_trans(eta: NatTransData) -> ValidationReport:
     """Check M_{x,y} A^F_{g,x,y} = A^H_{g,x,y} M_{g.x, g.y} on all entries,
-    each instance one ``scaled_products_equal`` comparison; where m is not
+    each instance a comparison of the two built products; where m is not
     invariant the blocks differ in size and the instance is one failure."""
     f, h = eta.source, eta.target
     grp = f.group
     x_set, y_set = f.source.X, f.target.X
     log = FailureLog()
     checked = 0
-    one = Scalar.one()
     for g in grp.elements():
         for (x, y), mat in eta.m.items():
             checked += 1
@@ -381,14 +378,14 @@ def validate_nat_trans(eta: NatTransData) -> ValidationReport:
                 continue
             af, ah = f.a[(g, x, y)], h.a[(g, x, y)]
             try:
-                if scaled_products_equal(one, mat, af, one, ah, moved):
-                    continue
+                lhs, rhs = mat @ af, ah @ moved
             except ShapeMismatch:  # m is not invariant
                 log.add("cond_M", (g, x, y),
                         f"{moved.nrows}x{moved.ncols} moved block",
                         f"{mat.nrows}x{mat.ncols}")
                 continue
-            log.add("cond_M", (g, x, y), mat @ af, ah @ moved)
+            if lhs != rhs:
+                log.add("cond_M", (g, x, y), lhs, rhs)
     return log.report(checked)
 
 
@@ -836,8 +833,7 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
     B_{h,x,y} A_{g,h.x,h.y} Omega_X = A_{g,x,y} B_{h,g.x,g.y} Omega_Y, with h
     acting by h^-1 and Omega read at (g, h^-1, (g, h^-1).x).  With exponent
     tables on both sides an instance holds by :func:`_hexagon_on_tables`;
-    any other instance, and every failure, is asked of
-    ``scaled_products_equal``."""
+    any other instance compares the two built products."""
     log = FailureLog()
     a_side, b_side = coherence_sides(f)
     checked = _check_side(a_side, log) + _check_side(b_side, log)
@@ -869,17 +865,16 @@ def validate_bimodfun(f: BimoduleFunctorData) -> ValidationReport:
                         exps_a[(g, x, y)], exps_b[(h, gx, gy)], v):
                     continue
                 try:
-                    if scaled_products_equal(u, b_left, a_left,
-                                             v, a_right, b_right):
-                        continue
+                    lhs = (b_left @ a_left).scale(u)
+                    rhs = (a_right @ b_right).scale(v)
                 except ShapeMismatch:  # m is not invariant
                     log.add("hexagon", (g, h, x, y),
                             f"{a_left.nrows}x{a_left.ncols} and "
                             f"{b_right.nrows}x{b_right.ncols} moved blocks",
                             f"{b_left.nrows}x{b_left.ncols}")
                     continue
-                log.add("hexagon", (g, h, x, y), (b_left @ a_left).scale(u),
-                        (a_right @ b_right).scale(v))
+                if lhs != rhs:
+                    log.add("hexagon", (g, h, x, y), lhs, rhs)
     return log.report(checked + a_side.group.order * h_ord * len(support))
 
 

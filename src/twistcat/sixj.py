@@ -14,13 +14,13 @@ Twelve symbol kinds are supported, each given by a closed form:
 
 The matrix symbols read the sides A and B of :mod:`twistcat.modfun`, which
 fix the acting element of a label: l for s, l^-1 for t.  Functor
-orthogonality (s s^-1 against I) is one ``scaled_products_equal``
-comparison of a coherence block and its inverse, which the block keeps; on
-a side with an exponent table (blocks that are permutations times roots)
-T^-1 T = I exactly, and a trace factor that is a sign decides it alone.
+orthogonality (s s^-1 against I) multiplies a coherence block by its
+inverse and tests the scaled product against I; on a side with an exponent
+table (blocks that are permutations times roots) T^-1 T = I exactly, and a
+trace factor that is a sign decides it alone.
 The traces being signs, functor Biedenharn-Elliott is the A side's
 composition rule and is decided by its composition instance
-(``modfun.composition``); a product matrix is built only for a failure
+(``modfun.composition``); its sides are built only for a failure
 report.  A symbol table (:func:`sixj_table`) builds the scalar layout, or
 reads the coherence side, once for all its labels.
 
@@ -56,7 +56,7 @@ from .modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
                      ValidationReport, bimodule_trace, module_trace)
 from .modfun import (BimoduleFunctorData, CoherenceSide, ModuleFunctorData,
                      coherence_sides, composition)
-from ._matrix import SMatrix, _identity, scaled_products_equal
+from ._matrix import SMatrix
 
 FUSION_KINDS = ("fusion+", "fusion-")
 BIMODULE_KINDS = ("m", "m^-1", "n", "n^-1", "b", "b^-1")
@@ -252,8 +252,8 @@ def _m_layout(grp, x_set, psi, dim_a, dim_c,
 
 
 def _scalar_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
-    """The layout of the fusion, m, n or b symbols of a context, built on
-    first use and kept in ``ctx.layouts``."""
+    """The layout of one family of symbols of a context (see
+    :func:`_new_layout`), built on first use and kept in ``ctx.layouts``."""
     lay = ctx.layouts.get(family)
     if lay is None:
         lay = ctx.layouts[family] = _new_layout(ctx, family)
@@ -261,7 +261,9 @@ def _scalar_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
 
 
 def _new_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
-    """The layout of the fusion, m, n or b symbols of a context.
+    """The layout of the fusion, m, n or b symbols of a context; of a
+    bimodule context, "fusion" and "m over K" are the fusion and m symbols
+    of its product structure over K = G x H, with the bimodule trace.
 
     * fusion: c = ij, a = jk, b = ck; fusion+ = kappa(a) omega(i, j, k),
       fusion- = kappa(c) / omega(i, j, k).
@@ -271,14 +273,20 @@ def _new_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
       b = trace(a) Omega(i, k^-1, b), b^-1 = trace(c) / Omega(i, k^-1, b).
     * m: see :func:`_m_layout`.
     """
-    if family == "fusion":
-        grp, kappa = ctx.fusion.group, ctx.fusion.kappa_unit
-        return _m_layout(grp, regular_gset(grp), ctx.fusion.omega, kappa,
-                         kappa, lambda i, j, k, b: (i, j, k))
     data, trace = ctx.bimodule, ctx.trace
+    if family == "fusion":
+        fusion = (ctx.fusion if ctx.fusion is not None
+                  else data.product_structure.fusion)
+        grp, kappa = fusion.group, fusion.kappa_unit
+        return _m_layout(grp, regular_gset(grp), fusion.omega, kappa, kappa,
+                         lambda i, j, k, b: (i, j, k))
     if family == "m":
         return _m_layout(data.left.group, data.x_g, data.psi, trace.unit,
                          data.left.kappa_unit)
+    if family == "m over K":
+        product = data.product_structure
+        return _m_layout(product.fusion.group, product.X, product.psi,
+                         trace.unit, product.fusion.kappa_unit)
     ng, nh, nx = data.left.group.order, data.right.group.order, data.X.size
     x_g, x_h = data.x_g, data.x_h
     inv = data.right.group.inv
@@ -328,8 +336,7 @@ def _matrix_symbol(ctx: SixJContext, side: CoherenceSide, labels,
     With g the acting element of l and T the side's table, the symbol is
     defined when c = g.j, b = g.a and (j, a) is supported; ``s`` and ``t``
     are target_trace(a) * T_{l,j,a}, ``s^-1`` and ``t^-1`` are
-    source_trace(c) * T_{l,j,a}^-1.  The block keeps its inverse; the
-    rescaled symbol is built afresh on each call.
+    source_trace(c) * T_{l,j,a}^-1, built afresh on each call.
     """
     l, j, a, b, c = labels
     g = side.acting(l)
@@ -546,12 +553,11 @@ def _ber_bimodule(ctx: SixJContext, scope, log) -> int:
     at every base x0 and (i, j, l) in K^3, reported as (i, j, l, l.x0)."""
     product = ctx.bimodule.product_structure
     grp, x_set = product.fusion.group, product.X
-    fus = _scalar_layout(SixJContext(fusion=product.fusion), "fusion")
     points = ((x0, i, j, l) for x0 in range(x_set.size)
               for i, j, l in itertools.product(grp.elements(), repeat=3))
-    mod = _m_layout(grp, x_set, product.psi, ctx.trace.unit,
-                    product.fusion.kappa_unit)
-    return _pentagon(fus, mod, points, "biedenharn-elliott[m;base={}]",
+    return _pentagon(_scalar_layout(ctx, "fusion"),
+                     _scalar_layout(ctx, "m over K"), points,
+                     "biedenharn-elliott[m;base={}]",
                      lambda x0, i, j, l, k: (i, j, l, k), scope, log)
 
 
@@ -576,9 +582,9 @@ def _orth_term(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
         log.add(name, tup, str(exc), "inverse")
         return
     first, second = (inv, mat) if a_sum else (mat, inv)
-    ident = _identity(mat.nrows)
-    if not scaled_products_equal(u, first, second, Scalar.one(), ident, ident):
-        log.add(name, tup, (first @ second).scale(u), ident)
+    product = (first @ second).scale(u)
+    if not product.is_identity():
+        log.add(name, tup, product, SMatrix.identity(mat.nrows))
 
 
 def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,

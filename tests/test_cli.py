@@ -260,6 +260,15 @@ MALFORMED = {
             {"1,1,1": [[{"coeffs": [1]}]]})), "'idM'"),
     "root_order below 1": (_example_with(
         "z2", lambda d: d.update(root_order=-1)), "root_order"),
+    # past the bounds a root order or a cyclic group stalls the parse
+    "scalar root_order too large": (_example_with(
+        "z2", lambda d: d["functors"]["idM"]["a"].update(
+            {"1,1,1": [[{"root_order": 10007, "coeffs": [1]}]]})), "'idM'"),
+    "cochain root_order too large": (_example_with(
+        "z2", lambda d: d["cochains"]["omega0H"].update(root_order=10007)),
+        "'omega0H'"),
+    "cyclic n too large": (_example_with(
+        "z2", lambda d: d["groups"]["H"].update(n=100000)), "'H'"),
 }
 
 

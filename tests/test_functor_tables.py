@@ -2,8 +2,8 @@
 
 A side whose blocks are all monomial with distinct columns decides the
 composition rule, A_1 = id, invertibility and the functor orthogonality
-terms on integers (``CoherenceSide.exponents``); every other side takes
-``scaled_products_equal`` and elimination.  Random gauged functors over Z/2
+terms on integers (``CoherenceSide.exponents``); every other side compares
+built products and eliminates.  Random gauged functors over Z/2
 to Z/4 -- simples, direct sums and adjoints from ``classify_simple_cyclic``,
 and identity bimodule functors -- valid and corrupted, must give the same
 reports both ways: ``validate_modfun``, ``validate_bimodfun`` and the functor
@@ -250,7 +250,9 @@ def _corrupt_blocks(draw, f):
     the diagonal, or a 1 x 1 block times 1 + i) or with its rows cyclically
     permuted, or with the multiplicity of a block's pair lowered by one and
     every block there an identity, so m is not invariant; the last two on a
-    block of size 2 or 3 where there is one.  Also the kinds applied."""
+    block of size 2 or 3 where there is one.  Also the kinds that the
+    blocks still show: lowering a multiplicity replaces every block of its
+    pair, so it undoes the earlier corruptions there."""
     tables, kinds = _tables(f), []
     mult = [list(row) for row in f._mult_rows()]
     for _ in range(draw(st.integers(0, 3))):
@@ -265,9 +267,11 @@ def _corrupt_blocks(draw, f):
         name, key = draw(st.sampled_from(blocks))
         mat = tables[name][key]
         n = mat.nrows
-        kinds.append(how)
+        kinds.append((how, key))
         if how == "shrunk":
             x, y = key[1:]
+            kinds = [(kind, at) for kind, at in kinds[:-1]
+                     if at[1:] != (x, y)] + kinds[-1:]
             mult[x][y] = n - 1
             for table in tables.values():
                 for other in [k for k in table if k[1:] == (x, y)]:
@@ -285,7 +289,7 @@ def _corrupt_blocks(draw, f):
             mat = SMatrix([[int(i == j or (i, j) == (0, 1)) for j in range(n)]
                            for i in range(n)]) @ mat
         tables[name][key] = mat
-    return _rebuild(f, mult, tables), kinds
+    return _rebuild(f, mult, tables), [kind for kind, _ in kinds]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -294,15 +298,15 @@ def test_the_hexagon_on_the_tables_matches_the_reference_path(f, data):
     # the report of validate_bimodfun, hexagon failures included, is the
     # one a fresh copy gives with no exponent table; a functor whose blocks
     # are all roots times permutations decides on its tables every instance
-    # that holds, and asks scaled_products_equal only about failures
+    # that holds, and multiplies blocks only to report a failure, at most
+    # the two products of a hexagon instance
     bad, kinds = _corrupt_blocks(data.draw, f)
     monomial = all(side.exponents[1] is not None
                    for side in coherence_sides(bad))
-    compare, answers = modfun_module.scaled_products_equal, []
+    matmul, products = SMatrix.__matmul__, []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modfun_module, "scaled_products_equal",
-                      lambda *args: answers.append(compare(*args))
-                      or answers[-1])
+        patch.setattr(SMatrix, "__matmul__", lambda *args: products.append(
+            args) or matmul(*args))
         fast = validate_bimodfun(bad)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(modfun_module, "_exponent_table", lambda *args: None)
@@ -310,7 +314,7 @@ def test_the_hexagon_on_the_tables_matches_the_reference_path(f, data):
     assert (fast.checked, fast.failed, fast.failures) == (
         ref.checked, ref.failed, ref.failures)
     assert monomial == (set(kinds) <= {"root", "permuted", "shrunk"})
-    assert not (monomial and any(answers))  # the tables decide what holds
+    assert not monomial or len(products) <= 2 * fast.failed
 
 
 def test_the_corruptions_leave_the_table_or_fail():

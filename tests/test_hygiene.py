@@ -226,6 +226,13 @@ def test_differential_matrices_are_built_only_for_cached_results():
                        ("cohomology.py", "_identity_snf")}
 
 
+def test_matmul_is_the_one_product_routine():
+    # relations the exponent tables do not decide compare built products;
+    # a second caller of the entry sum would grow a second product or
+    # comparison routine beside SMatrix.__matmul__
+    assert _callers("_product_entry") == {("_matrix.py", "__matmul__")}
+
+
 def test_root_tags_are_read_outside_scalar_only_by_the_exponent_table():
     # the exponent table is the one integer representation of root blocks;
     # another reader of a Scalar's root tag, or of its reduced angle

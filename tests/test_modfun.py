@@ -512,6 +512,32 @@ def test_non_invariant_target_fails_the_nat_trans_report():
         ("cond_M", (1, 1, 1), "2x2 moved block", "1x1")]
 
 
+def test_a_root_scaled_component_fails_the_nat_trans_report():
+    # the basis transformation of id with M_{0,0} times i: g = 1 swaps the
+    # two points, so both of its instances fail, with (M A^F, A^H M')
+    (eta,) = hom_basis(IDENT, IDENT)
+    m = dict(eta.m)
+    m[(0, 0)] = m[(0, 0)].scale(Unit(4, 1))
+    report = validate_nat_trans(NatTransData(IDENT, IDENT, m))
+    assert (report.checked, report.failed) == (4, 2)
+    assert [(r["condition"], r["tuple"], r["lhs"], r["rhs"])
+            for r in report.failures] == [
+        ("cond_M", (1, 0, 0), "SMatrix[z4]", "SMatrix[1]"),
+        ("cond_M", (1, 1, 1), "SMatrix[1]", "SMatrix[z4]")]
+
+
+def test_a_component_moved_off_the_support_is_a_missing_entry():
+    # m supported at (0, 0) alone: g = 1 moves it to (1, 1), which has no
+    # component
+    a = {(g, 0, 0): SMatrix.identity(1) for g in (0, 1)}
+    f = ModuleFunctorData(M_REG, M_REG, [[1, 0], [0, 0]], a)
+    eta = NatTransData(f, f, {(0, 0): SMatrix.identity(1)})
+    report = validate_nat_trans(eta)
+    assert (report.checked, report.failed) == (2, 1)
+    assert report.failures == [{"condition": "cond_M", "tuple": (1, 0, 0),
+                                "lhs": "missing entry", "rhs": "present"}]
+
+
 def test_non_invariant_hom_system_is_a_shape_error():
     f = _non_invariant_functor()
     for fn in (hom_dimension, hom_basis, invertible_hom):

@@ -593,11 +593,12 @@ def test_coherence_sides_are_built_once_per_functor_context(monkeypatch):
 
 
 def test_passing_functor_checks_multiply_no_matrices(monkeypatch):
-    # the composition rule, the hexagon, functor orthogonality and functor
-    # Biedenharn-Elliott compare scaled products entry by entry; a product
-    # matrix is built only for a failure report.  Functor Biedenharn-Elliott
-    # is the composition instance of A, so where it holds it multiplies no
-    # Unit either: the m symbols and dimensions are read only for a failure
+    # on blocks that are roots times permutations the composition rule, the
+    # hexagon, functor orthogonality and functor Biedenharn-Elliott are
+    # decided on the exponent tables; a product matrix is built only for a
+    # failure report.  Functor Biedenharn-Elliott is the composition
+    # instance of A, so where it holds it multiplies no Unit either: the m
+    # symbols and dimensions are read only for a failure
     f = _identity_bimodule_functor(3, 1, 2)
     ctx = functor_context(f)
     matmul, unit_mul = SMatrix.__matmul__, Unit.__mul__
@@ -643,6 +644,25 @@ def test_passing_scalar_sweeps_multiply_no_units(monkeypatch):
         assert verify_orthogonality(ctx).ok
         assert verify_biedenharn_elliott(ctx).ok
     assert calls == []
+
+
+def test_bimodule_biedenharn_elliott_keeps_its_layouts(monkeypatch):
+    # the pentagon over K = G x H reads a fusion and an m layout of the
+    # product structure, built by the first sweep and kept on the context
+    ctx = _bimodule_cases("z2")["valid"]
+    sixj_module = importlib.import_module("twistcat.sixj")
+    build, built = sixj_module._layout, []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(sixj_module, "_layout", counting)
+    first = verify_biedenharn_elliott(ctx)
+    assert len(built) == 2
+    second = verify_biedenharn_elliott(ctx)
+    assert len(built) == 2
+    assert (second.checked, second.failed) == (first.checked, first.failed)
 
 
 def test_singular_matrix_symbol_raises_on_every_call():
