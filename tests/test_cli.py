@@ -93,6 +93,19 @@ def test_module_entry_point_runs_cleanly():
     assert proc.stdout == _golden_path("z2", "validate").read_text()
 
 
+def test_every_config_kind_validates_in_process():
+    # the fixture declares each documented kind the example configs leave
+    # out: a table group, cosets and table G-sets, the cochain carrier and
+    # slots fields, psi trivial, table and ref, from_deligne, equivariant
+    # functors with both lam specs and a bimodule_explicit functor whose
+    # matrices hold scalar objects
+    fixtures = HERE / "fixtures"
+    result = _invoke(fixtures / "every_kind.json", "--format", "json",
+                     "validate")
+    assert result.exit_code == 0, result.output
+    assert result.output == (fixtures / "every_kind_validate.json").read_text()
+
+
 def test_table_format_is_deterministic():
     first = _invoke(EXAMPLES / "z2.json", "validate")
     second = _invoke(EXAMPLES / "z2.json", "validate")
