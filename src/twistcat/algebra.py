@@ -54,6 +54,7 @@ __all__ = [
     "disjoint_union_gset",
     "product_gset",
     "restrict_gset",
+    "restrict_to_factors",
     "product_embeddings",
     "orbits",
     "stabilizer",
@@ -491,6 +492,13 @@ def restrict_gset(x: GSet, embedding, group: FiniteGroup) -> GSet:
     x.group."""
     rows = _rows(x.action_flat, x.size)
     return GSet(group, [rows[int(g)] for g in embedding])
+
+
+def restrict_to_factors(x: GSet, g: FiniteGroup,
+                        h: FiniteGroup) -> tuple[GSet, GSet]:
+    """A G x H set restricted to G and to H (``product_embeddings``)."""
+    emb_g, emb_h = product_embeddings(g, h)
+    return restrict_gset(x, emb_g, g), restrict_gset(x, emb_h, h)
 
 
 def orbits(x: GSet) -> list[list[int]]:

@@ -20,19 +20,19 @@ from math import prod
 
 import click
 
-from .errors import NotCocycle, ParseError, TwistcatError, ValidationError
-from .scalar import Scalar, Unit
-from .algebra import (FiniteGroup, GSet, Subgroup, coset_gset, cyclic_group,
-                      direct_product, disjoint_union_gset, point_gset,
-                      product_embeddings, regular_gset, restrict_gset)
-from .cohomology import UnitCochain, deligne_omega, differential, omega_cyclic
+from .errors import ParseError, TwistcatError, ValidationError
+from .scalar import Scalar
+from .algebra import (FiniteGroup, GSet, Subgroup, _closure, coset_gset,
+                      cyclic_group, direct_product, disjoint_union_gset,
+                      point_gset, regular_gset, restrict_to_factors)
+from .cohomology import UnitCochain, omega_cyclic
 from .fusion import FusionData, spherical_structures
 from .modcat import (BimoduleCategoryData, ModuleCategoryData,
-                     _product_kappa, _unravel, bimod_to_deligne, bimodule_trace,
+                     bimod_to_deligne, bimodule_trace,
                      classify_indecomposable, deligne_to_bimod,
                      equivalent_modcats, make_modcat, modcats_for,
-                     module_trace, regular_module_category, validate_bimodcat,
-                     validate_modcat)
+                     module_trace, product_fusion, regular_module_category,
+                     validate_bimodcat, validate_modcat)
 from .modfun import (BimoduleFunctorData, ModuleFunctorData, adjoint,
                      action_functor, bimodfun_to_deligne,
                      classify_simple_cyclic, deligne_to_bimodfun,
@@ -70,11 +70,19 @@ class SessionConfig:
     functors: dict = field(default_factory=dict)
 
 
-def _require(mapping: dict, key: str, section: str, entity: str):
-    if key not in mapping:
-        raise ParseError(
-            f"entity {entity!r} references undefined {section} id {key!r}")
-    return mapping[key]
+def _require(cfg: SessionConfig, section: str, key, entity: str):
+    """The entity ``key`` of a config section, which must be defined."""
+    table = getattr(cfg, section)
+    if key not in table:
+        raise ParseError(f"entity {entity!r} references undefined "
+                         f"{section[:-1]} id {key!r}")
+    return table[key]
+
+
+def _ref(cfg: SessionConfig, section: str, spec: dict, name: str,
+         entity: str):
+    """The entity of ``section`` that the field ``name`` of a spec names."""
+    return _require(cfg, section, _field(spec, name, entity), entity)
 
 
 def _field(spec: dict, name: str, entity: str):
@@ -83,19 +91,24 @@ def _field(spec: dict, name: str, entity: str):
     return spec[name]
 
 
-# The largest root order and cyclic group order a config may declare; past
-# them one entity stalls the parse or the output (docs/config_format.md).
-_BOUNDS = {"root_order": 360, "n": 256}
+# The largest root order, cyclic group order and fusion group order a config
+# may declare; past them one entity stalls the parse or the output
+# (docs/config_format.md).
+_BOUNDS = {"root_order": 360, "n": 256, "fusion group order": 36}
 
 
-def _bounded(spec: dict, name: str, entity: str) -> int:
-    """The integer field ``name`` of a spec, which must lie from 1 to
-    ``_BOUNDS[name]``: a value outside is malformed."""
-    value = int(_field(spec, name, entity))
+def _within(name: str, value: int) -> int:
+    """``value``, which must lie from 1 to ``_BOUNDS[name]``: a value
+    outside is malformed."""
     if not 1 <= value <= _BOUNDS[name]:
         raise ValueError(
             f"{name} must be from 1 to {_BOUNDS[name]}, got {value}")
     return value
+
+
+def _bounded(spec: dict, name: str, entity: str) -> int:
+    """The integer field ``name`` of a spec, within its bound."""
+    return _within(name, int(_field(spec, name, entity)))
 
 
 def _spec_type(spec, entity: str, allowed: tuple[str, ...]) -> str:
@@ -110,11 +123,12 @@ def _spec_type(spec, entity: str, allowed: tuple[str, ...]) -> str:
 
 
 def _wrap_build(entity: str, fn, *args, **kwargs):
-    """Run a constructor; non-domain errors become ValidationError."""
+    """Run a constructor: its domain errors are prefixed with the entity,
+    its other value errors become ValidationError."""
     try:
         return fn(*args, **kwargs)
-    except (ParseError, TwistcatError):
-        raise
+    except TwistcatError as exc:
+        raise type(exc)(f"entity {entity!r}: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"entity {entity!r}: {exc}") from exc
 
@@ -125,24 +139,16 @@ def _build_group(name: str, spec: dict, cfg: SessionConfig) -> FiniteGroup:
         return _wrap_build(name, cyclic_group, _bounded(spec, "n", name))
     if kind == "table":
         return _wrap_build(name, FiniteGroup, _field(spec, "table", name))
-    left = _require(cfg.groups, _field(spec, "left", name), "group", name)
-    right = _require(cfg.groups, _field(spec, "right", name), "group", name)
-    return _wrap_build(name, direct_product, left, right)
+    return _wrap_build(name, direct_product,
+                       _ref(cfg, "groups", spec, "left", name),
+                       _ref(cfg, "groups", spec, "right", name))
 
 
 def _check_subgroup(grp: FiniteGroup, elements, entity: str) -> Subgroup:
     els = tuple(sorted(int(v) for v in elements))
-    members = set(els)
-    if grp.identity not in members:
-        raise ValidationError(f"entity {entity!r}: subgroup misses identity")
-    for a in els:
-        if not 0 <= a < grp.order:
-            raise ValidationError(f"entity {entity!r}: element {a} out of range")
-        if grp.inv(a) not in members:
-            raise ValidationError(f"entity {entity!r}: not inverse-closed")
-        for b in els:
-            if grp.op(a, b) not in members:
-                raise ValidationError(f"entity {entity!r}: not closed under product")
+    if any(not 0 <= a < grp.order for a in els) or _closure(grp, els) != els:
+        raise ValidationError(f"entity {entity!r}: {list(els)} is not a "
+                              f"subgroup")
     return Subgroup(grp, els)
 
 
@@ -150,7 +156,7 @@ def _build_gset(name: str, spec: dict, cfg: SessionConfig) -> GSet:
     kind = _spec_type(spec, name, ("point", "regular", "cosets", "table",
                                    "union"))
     if kind == "union":
-        parts = [_require(cfg.gsets, p, "gset", name)
+        parts = [_require(cfg, "gsets", p, name)
                  for p in _field(spec, "parts", name)]
         if not parts:
             raise ParseError(f"entity {name!r}: union needs at least one part")
@@ -158,7 +164,7 @@ def _build_gset(name: str, spec: dict, cfg: SessionConfig) -> GSet:
         for nxt in parts[1:]:
             out = _wrap_build(name, disjoint_union_gset, out, nxt)
         return out
-    grp = _require(cfg.groups, _field(spec, "group", name), "group", name)
+    grp = _ref(cfg, "groups", spec, "group", name)
     if kind == "point":
         return point_gset(grp)
     if kind == "regular":
@@ -169,9 +175,13 @@ def _build_gset(name: str, spec: dict, cfg: SessionConfig) -> GSet:
     return _wrap_build(name, GSet, grp, _field(spec, "action", name))
 
 
-def _build_table_cochain(name: str, spec: dict, degree: int, carrier: GSet,
-                         slot_groups=None) -> UnitCochain:
+def _read_cochain(name: str, spec: dict, kind: str, degree: int,
+                  carrier: GSet, slot_groups=None) -> UnitCochain:
+    """A ``trivial`` or ``table`` cochain spec over ``carrier``."""
     root = _bounded(spec, "root_order", name)
+    if kind == "trivial":
+        return UnitCochain.trivial(degree, carrier, root,
+                                   slot_groups=slot_groups)
     groups = slot_groups or (carrier.group,) * degree
     shape = tuple(g.order for g in groups) + (carrier.size,)
     flat = _field(spec, "exponents", name)
@@ -187,7 +197,7 @@ def _build_table_cochain(name: str, spec: dict, degree: int, carrier: GSet,
 def _build_cochain(name: str, spec: dict, cfg: SessionConfig) -> UnitCochain:
     kind = _spec_type(spec, name, ("trivial", "cyclic_rep", "table"))
     if kind == "cyclic_rep":
-        grp = _require(cfg.groups, _field(spec, "group", name), "group", name)
+        grp = _ref(cfg, "groups", spec, "group", name)
         omega = _wrap_build(name, omega_cyclic, grp.order,
                             int(_field(spec, "s", name)))
         if omega.group != grp:
@@ -197,50 +207,27 @@ def _build_cochain(name: str, spec: dict, cfg: SessionConfig) -> UnitCochain:
         return omega
     degree = int(_field(spec, "degree", name))
     if "carrier" in spec:
-        carrier = _require(cfg.gsets, spec["carrier"], "gset", name)
+        carrier = _ref(cfg, "gsets", spec, "carrier", name)
     else:
-        grp = _require(cfg.groups, _field(spec, "group", name), "group", name)
-        carrier = point_gset(grp)
-    slots = None
-    if "slots" in spec:
-        slots = tuple(_require(cfg.groups, g, "group", name)
-                      for g in spec["slots"])
-    if kind == "trivial":
-        root = _bounded(spec, "root_order", name)
-        return UnitCochain.trivial(degree, carrier, root, slot_groups=slots)
-    return _build_table_cochain(name, spec, degree, carrier, slot_groups=slots)
-
-
-def _trivial_kappa(grp: FiniteGroup) -> UnitCochain:
-    return UnitCochain.trivial(1, point_gset(grp), 1)
+        carrier = point_gset(_ref(cfg, "groups", spec, "group", name))
+    slots = (tuple(_require(cfg, "groups", g, name) for g in spec["slots"])
+             if "slots" in spec else None)
+    return _read_cochain(name, spec, kind, degree, carrier, slots)
 
 
 def _build_fusion(name: str, spec: dict, cfg: SessionConfig) -> FusionData:
     if not isinstance(spec, dict):
         raise ParseError(f"entity {name!r} must be a JSON object")
     if "left" in spec or "right" in spec:
-        left = _require(cfg.fusions, _field(spec, "left", name),
-                        "fusion", name)
-        right = _require(cfg.fusions, _field(spec, "right", name),
-                         "fusion", name)
-        prod = direct_product(left.group, right.group)
-        return _wrap_build(name, FusionData, prod,
-                           deligne_omega(left.omega, right.omega),
-                           _product_kappa(left, right))
-    grp = _require(cfg.groups, _field(spec, "group", name), "group", name)
-    omega = _require(cfg.cochains, _field(spec, "omega", name), "cochain", name)
-    if omega.degree == 3 and omega.carrier.size == 1:
-        d_omega = differential(omega)
-        bad = next((p for p, e in enumerate(d_omega.exponents_flat) if e),
-                   None)
-        if bad is not None:
-            raise NotCocycle(
-                f"entity {name!r}: omega is not a 3-cocycle; first failing "
-                f"tuple (g, h, k, l) = {_unravel(bad, d_omega.shape)[:4]}")
-    if "kappa" in spec:
-        kappa = _require(cfg.cochains, spec["kappa"], "cochain", name)
-    else:
-        kappa = _trivial_kappa(grp)
+        left = _ref(cfg, "fusions", spec, "left", name)
+        right = _ref(cfg, "fusions", spec, "right", name)
+        _within("fusion group order", left.group.order * right.group.order)
+        return _wrap_build(name, product_fusion, left, right)
+    grp = _ref(cfg, "groups", spec, "group", name)
+    _within("fusion group order", grp.order)
+    omega = _ref(cfg, "cochains", spec, "omega", name)
+    kappa = (_ref(cfg, "cochains", spec, "kappa", name) if "kappa" in spec
+             else UnitCochain.trivial(1, point_gset(grp), 1))
     return _wrap_build(name, FusionData, grp, omega, kappa)
 
 
@@ -266,43 +253,35 @@ def _build_psi(name: str, spec: dict, fusion: FusionData, x: GSet,
                 f"index {index} out of range")
         return found[index]
     if kind == "ref":
-        psi = _require(cfg.cochains, _field(spec, "cochain", name),
-                       "cochain", name)
-    elif kind == "trivial":
-        psi = UnitCochain.trivial(2, x, _bounded(spec, "root_order", name))
+        psi = _ref(cfg, "cochains", spec, "cochain", name)
     else:
-        psi = _build_table_cochain(name, spec, 2, x)
+        psi = _read_cochain(name, spec, kind, 2, x)
     return _wrap_build(name, make_modcat, fusion, x, psi)
 
 
 def _build_modcat(name: str, spec: dict, cfg: SessionConfig) -> ModuleCategoryData:
     if not isinstance(spec, dict):
         raise ParseError(f"entity {name!r} must be a JSON object")
-    fusion = _require(cfg.fusions, _field(spec, "fusion", name), "fusion", name)
-    x = _require(cfg.gsets, _field(spec, "gset", name), "gset", name)
+    fusion = _ref(cfg, "fusions", spec, "fusion", name)
+    x = _ref(cfg, "gsets", spec, "gset", name)
     return _build_psi(name, _field(spec, "psi", name), fusion, x, cfg)
 
 
 def _build_bimodcat(name: str, spec: dict,
                     cfg: SessionConfig) -> BimoduleCategoryData:
     kind = _spec_type(spec, name, ("explicit", "from_deligne"))
+    left = _ref(cfg, "fusions", spec, "left", name)
+    right = _ref(cfg, "fusions", spec, "right", name)
     if kind == "from_deligne":
-        modcat = _require(cfg.modcats, _field(spec, "modcat", name),
-                          "modcat", name)
-        left = _require(cfg.fusions, _field(spec, "left", name), "fusion", name)
-        right = _require(cfg.fusions, _field(spec, "right", name),
-                         "fusion", name)
-        return _wrap_build(name, deligne_to_bimod, modcat, left, right)
-    left = _require(cfg.fusions, _field(spec, "left", name), "fusion", name)
-    right = _require(cfg.fusions, _field(spec, "right", name), "fusion", name)
-    x = _require(cfg.gsets, _field(spec, "gset", name), "gset", name)
-    emb_g, emb_h = product_embeddings(left.group, right.group)
-    x_g = restrict_gset(x, emb_g, left.group)
-    x_h = restrict_gset(x, emb_h, right.group)
-    psi = _build_table_cochain(name, _field(spec, "psi", name), 2, x_g)
-    phi = _build_table_cochain(name, _field(spec, "phi", name), 2, x_h)
-    omid = _build_table_cochain(name, _field(spec, "omega_mid", name), 2, x,
-                                slot_groups=(left.group, right.group))
+        return _wrap_build(name, deligne_to_bimod,
+                           _ref(cfg, "modcats", spec, "modcat", name),
+                           left, right)
+    x = _ref(cfg, "gsets", spec, "gset", name)
+    x_g, x_h = restrict_to_factors(x, left.group, right.group)
+    psi = _read_cochain(name, _field(spec, "psi", name), "table", 2, x_g)
+    phi = _read_cochain(name, _field(spec, "phi", name), "table", 2, x_h)
+    omid = _read_cochain(name, _field(spec, "omega_mid", name), "table", 2,
+                         x, slot_groups=(left.group, right.group))
     data = _wrap_build(name, BimoduleCategoryData, left, right, x, psi, phi,
                        omid)
     _report_or_raise(name, validate_bimodcat(data))
@@ -344,55 +323,34 @@ def _build_functor(name: str, spec: dict, cfg: SessionConfig):
     kind = _spec_type(spec, name, ("identity", "action", "equivariant",
                                    "explicit", "bimodule_explicit",
                                    "bimodule_from_deligne"))
-    if kind == "identity":
-        modcat = _require(cfg.modcats, _field(spec, "modcat", name),
-                          "modcat", name)
-        return identity_functor(modcat)
-    if kind == "action":
-        modcat = _require(cfg.modcats, _field(spec, "modcat", name),
-                          "modcat", name)
+    if kind in ("identity", "action"):
+        modcat = _ref(cfg, "modcats", spec, "modcat", name)
+        if kind == "identity":
+            return identity_functor(modcat)
         return _wrap_build(name, action_functor, modcat,
                            int(_field(spec, "base", name)))
+    section = "bimodcats" if kind.startswith("bimodule") else "modcats"
+    source = _ref(cfg, section, spec, "source", name)
+    target = _ref(cfg, section, spec, "target", name)
     if kind == "equivariant":
-        source = _require(cfg.modcats, _field(spec, "source", name),
-                          "modcat", name)
-        target = _require(cfg.modcats, _field(spec, "target", name),
-                          "modcat", name)
         f = [int(v) for v in _field(spec, "f", name)]
         lam_spec = _field(spec, "lam", name)
-        lkind = _spec_type(lam_spec, name, ("trivial", "table"))
-        if lkind == "trivial":
-            lam = UnitCochain.trivial(
-                1, target.X, _bounded(lam_spec, "root_order", name))
-        else:
-            lam = _build_table_cochain(name, lam_spec, 1, target.X)
+        lam = _read_cochain(name, lam_spec, _spec_type(
+            lam_spec, name, ("trivial", "table")), 1, target.X)
         return _wrap_build(name, functor_from_equivariant, f, lam, source,
                            target)
     if kind == "bimodule_from_deligne":
-        inner = _require(cfg.functors, _field(spec, "functor", name),
-                         "functor", name)
+        inner = _ref(cfg, "functors", spec, "functor", name)
         if not isinstance(inner, ModuleFunctorData):
             raise ParseError(f"entity {name!r}: referenced functor must be a "
                              f"product-group module functor")
-        source = _require(cfg.bimodcats, _field(spec, "source", name),
-                          "bimodcat", name)
-        target = _require(cfg.bimodcats, _field(spec, "target", name),
-                          "bimodcat", name)
         return _wrap_build(name, deligne_to_bimodfun, inner, source, target)
     mult = _field(spec, "mult", name)
     a = _parse_matrix_table(name, _field(spec, "a", name), "A")
     if kind == "explicit":
-        source = _require(cfg.modcats, _field(spec, "source", name),
-                          "modcat", name)
-        target = _require(cfg.modcats, _field(spec, "target", name),
-                          "modcat", name)
         out = _wrap_build(name, ModuleFunctorData, source, target, mult, a)
         _report_or_raise(name, validate_modfun(out))
         return out
-    source = _require(cfg.bimodcats, _field(spec, "source", name),
-                      "bimodcat", name)
-    target = _require(cfg.bimodcats, _field(spec, "target", name),
-                      "bimodcat", name)
     b = _parse_matrix_table(name, _field(spec, "b", name), "B")
     out = _wrap_build(name, BimoduleFunctorData, source, target, mult, a, b)
     _report_or_raise(name, validate_bimodfun(out))
@@ -455,22 +413,12 @@ def _cochain_json(c: UnitCochain) -> dict:
             "exponents": list(c.exponents_flat)}
 
 
-def _json_default(value):
-    if isinstance(value, Scalar):
-        return value.to_json()
-    if isinstance(value, Unit):
-        return value.to_json()
-    if isinstance(value, SMatrix):
-        return value.to_json()
-    raise TypeError(f"not JSON-serializable: {value!r}")
-
-
 def _emit(obj: dict, command: str, payload: dict, lines: list[str],
           ok: bool = True) -> None:
     if obj["format"] == "json":
         doc = {"command": command, "seed": obj["seed"], "ok": ok}
         doc.update(payload)
-        click.echo(json.dumps(doc, indent=2, default=_json_default))
+        click.echo(json.dumps(doc, indent=2))
     else:
         for line in lines:
             click.echo(line)

@@ -70,6 +70,15 @@ def _identity_positions(shape: tuple[int, ...],
     return tuple(sorted(out))
 
 
+def _unravel(pos: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """The index tuple of a flat row-major position in a table of shape."""
+    out = []
+    for dim in reversed(shape):
+        pos, r = divmod(pos, dim)
+        out.append(r)
+    return tuple(reversed(out))
+
+
 class UnitCochain:
     """An n-cochain with values in Map(X, mu_N), stored as exponents mod N.
 

@@ -8,7 +8,7 @@ sign-valued.
 from __future__ import annotations
 
 from .algebra import FiniteGroup, characters
-from .cohomology import UnitCochain, is_cocycle
+from .cohomology import UnitCochain, _unravel, differential
 from .errors import NotCocycle, NotNormalized, NotSpherical, UndefinedLabels
 from .scalar import Scalar, Unit
 
@@ -37,8 +37,12 @@ class FusionData:
             raise ValueError("omega must be a degree-3 point-carrier cochain on G")
         if not omega.normalized:
             raise NotNormalized("omega is not normalized")
-        if not is_cocycle(omega):
-            raise NotCocycle("omega is not a 3-cocycle")
+        d_omega = differential(omega)
+        if not d_omega.is_trivial():
+            bad = next(p for p, e in enumerate(d_omega.exponents_flat) if e)
+            raise NotCocycle(
+                f"omega is not a 3-cocycle; first failing tuple (g, h, k, l) "
+                f"= {_unravel(bad, d_omega.shape)[:4]}")
         if kappa.degree != 1 or kappa.carrier.size != 1 or kappa.group != group:
             raise ValueError("kappa must be a degree-1 point-carrier cochain on G")
         ek = kappa.exponents_flat
@@ -47,11 +51,10 @@ class FusionData:
             for b in group.elements():
                 if (ek[a] + ek[b]) % nk != ek[group.op(a, b)]:
                     raise NotCocycle(f"kappa is not a character at ({a}, {b})")
-        spherical = all((2 * e) % nk == 0 for e in ek)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "kappa", kappa)
-        object.__setattr__(self, "spherical", spherical)
+        object.__setattr__(self, "spherical", _sign_valued(kappa))
 
     def __setattr__(self, name, value):
         raise AttributeError("FusionData is immutable")
@@ -78,6 +81,11 @@ class FusionData:
                 f"root_order={self.omega.root_order}, spherical={self.spherical})")
 
 
+def _sign_valued(kappa: UnitCochain) -> bool:
+    """Whether a character takes only the values 1 and -1."""
+    return all((2 * e) % kappa.root_order == 0 for e in kappa.exponents_flat)
+
+
 def pivotal_structures(group: FiniteGroup, omega: UnitCochain) -> list[FusionData]:
     """One FusionData per character of G at root order exp(G).
 
@@ -89,7 +97,10 @@ def pivotal_structures(group: FiniteGroup, omega: UnitCochain) -> list[FusionDat
 
 
 def spherical_structures(group: FiniteGroup, omega: UnitCochain) -> list[FusionData]:
-    return [f for f in pivotal_structures(group, omega) if f.spherical]
+    """The pivotal structures with a sign-valued character; only those are
+    built, so omega is checked once per spherical structure."""
+    return [FusionData(group, omega, chi)
+            for chi in characters(group, group.exponent()) if _sign_valued(chi)]
 
 
 def eval_coev(fusion: FusionData, g: int) -> tuple[Scalar, Scalar, Scalar, Scalar]:

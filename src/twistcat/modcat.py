@@ -22,9 +22,10 @@ from .algebra import (
     is_transitive,
     gset_isomorphisms,
     orbits,
+    point_gset,
     product_embeddings,
     regular_gset,
-    restrict_gset,
+    restrict_to_factors,
     solve_mod,
     stabilizer,
     _conjugates,
@@ -42,6 +43,7 @@ from .cohomology import (
     _identity_positions,
     _per_point,
     _pull_back,
+    _unravel,
     differential,
     normalize,
     omega_bar,
@@ -59,6 +61,7 @@ __all__ = [
     "IndecomposableClass",
     "ModuleTrace",
     "BimoduleCategoryData",
+    "product_fusion",
     "make_modcat",
     "validate_modcat",
     "modcats_for",
@@ -120,15 +123,6 @@ class FailureLog:
 
     def report(self, checked: int) -> ValidationReport:
         return ValidationReport(checked, self.failed, self.samples)
-
-
-def _unravel(pos: int, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """The index tuple of a flat row-major position in a table of shape."""
-    out = []
-    for dim in reversed(shape):
-        pos, r = divmod(pos, dim)
-        out.append(r)
-    return tuple(reversed(out))
 
 
 def _collect_failures(log: FailureLog, condition: str, shape: tuple[int, ...],
@@ -431,14 +425,12 @@ class BimoduleCategoryData:
             raise ValueError("omega_mid must be a (G, H)-slot table over X")
 
     @cached_property
-    def x_g(self) -> GSet:
-        emb, _ = product_embeddings(self.left.group, self.right.group)
-        return restrict_gset(self.X, emb, self.left.group)
+    def sides(self) -> tuple[GSet, GSet]:
+        """X restricted to G and to H."""
+        return restrict_to_factors(self.X, self.left.group, self.right.group)
 
-    @cached_property
-    def x_h(self) -> GSet:
-        _, emb = product_embeddings(self.left.group, self.right.group)
-        return restrict_gset(self.X, emb, self.right.group)
+    x_g = property(lambda self: self.sides[0])
+    x_h = property(lambda self: self.sides[1])
 
     @cached_property
     def product_structure(self) -> ModuleCategoryData:
@@ -446,10 +438,8 @@ class BimoduleCategoryData:
         unvalidated and built once: the traces, the Biedenharn-Elliott sweep
         and the validating conversion share it."""
         g_grp, h_grp = self.left.group, self.right.group
-        prod = direct_product(g_grp, h_grp)
-        fusion = FusionData(prod, deligne_omega(self.left.omega,
-                                                self.right.omega),
-                            _product_kappa(self.left, self.right))
+        fusion = product_fusion(self.left, self.right)
+        prod = fusion.group
         ng, nh, sz = g_grp.order, h_grp.order, self.X.size
         root = lcm(self.psi.root_order, self.phi.root_order,
                    self.omega_mid.root_order)
@@ -472,7 +462,7 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
     coherence conditions, normalization of Psi and Phi, and triviality of
     Omega on identities."""
     g_grp, h_grp = data.left.group, data.right.group
-    x_g, x_h = data.x_g, data.x_h
+    x_g, x_h = data.sides
     log = FailureLog()
 
     # one-sided conditions
@@ -527,15 +517,17 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
     return log.report(checked)
 
 
-def _product_kappa(left: FusionData, right: FusionData) -> UnitCochain:
-    """The character (g, h) -> kappa_G(g) * kappa_H(h)^-1 of G x H."""
-    from .algebra import point_gset
+def product_fusion(left: FusionData, right: FusionData) -> FusionData:
+    """The product category over G x H: the product 3-cocycle
+    (``cohomology.deligne_omega``) and the character
+    (g, h) -> kappa_G(g) * kappa_H(h)^-1."""
     prod = direct_product(left.group, right.group)
     nk = lcm(left.kappa.root_order, right.kappa.root_order)
     el, er = left.kappa._scaled(nk), right.kappa._scaled(nk)
     e = [el[g] - er[h] for g in left.group.elements()
          for h in right.group.elements()]
-    return UnitCochain.from_flat(1, point_gset(prod), nk, e)
+    return FusionData(prod, deligne_omega(left.omega, right.omega),
+                      UnitCochain.from_flat(1, point_gset(prod), nk, e))
 
 
 def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:
@@ -559,13 +551,13 @@ def deligne_to_bimod(data: ModuleCategoryData, left: FusionData,
     three restrictions satisfy the bimodule conditions.
     """
     g_grp, h_grp = left.group, right.group
-    prod = direct_product(g_grp, h_grp)
-    if data.fusion.group != prod:
+    product = product_fusion(left, right)
+    if data.fusion.group != product.group:
         raise ValueError("module category is not over the product group")
-    if data.fusion.omega != deligne_omega(left.omega, right.omega):
+    if data.fusion.omega != product.omega:
         raise ValueError("twist does not factor over the given one-sided twists")
     n = data.psi.root_order
-    k = prod.order
+    k = product.group.order
     sz = data.X.size
     emb_g, emb_h = product_embeddings(g_grp, h_grp)
 
@@ -580,8 +572,7 @@ def deligne_to_bimod(data: ModuleCategoryData, left: FusionData,
     e = (data.psi * differential(mu)).exponents_flat
     if any(block(e, emb_h, emb_g)):
         raise ValidationError("normalization failed to enforce the mixed condition")
-    x_g = restrict_gset(data.X, emb_g, g_grp)
-    x_h = restrict_gset(data.X, emb_h, h_grp)
+    x_g, x_h = restrict_to_factors(data.X, g_grp, h_grp)
     psi = UnitCochain.from_flat(2, x_g, n, block(e, emb_g, emb_g))
     phi = UnitCochain.from_flat(2, x_h, n, block(e, emb_h, emb_h))
     omega_mid = UnitCochain.from_flat(2, data.X, n, block(e, emb_g, emb_h),

@@ -653,7 +653,8 @@ def orbit_decompose(f: ModuleFunctorData) -> dict:
             continue
         mult = [m if p in orbit else 0 for p, m in enumerate(f.mult_flat)]
         mult = _rows(mult, y_size)
-        a = {key: mat for key, mat in f.a.items() if (key[1], key[2]) in set(pairs)}
+        members = set(pairs)
+        a = {key: mat for key, mat in f.a.items() if key[1:] in members}
         out[pairs] = ModuleFunctorData(f.source, f.target, mult, a)
     return out
 

@@ -21,13 +21,11 @@ from __future__ import annotations
 from typing import Optional
 
 from twistcat._matrix import SMatrix
-from twistcat.algebra import direct_product
-from twistcat.cohomology import deligne_omega
 from twistcat.errors import (ShapeMismatch, UndefinedLabels,
                              ValidationError)
 from twistcat.fusion import FusionData, fusion_6j
 from twistcat.modcat import (BimoduleCategoryData, FailureLog, ModuleTrace,
-                             _product_kappa)
+                             product_fusion)
 from twistcat.modfun import BimoduleFunctorData
 from twistcat.scalar import Scalar, Unit
 from twistcat.sixj import SixJQuery, sixj
@@ -209,9 +207,7 @@ def _ber_bimodule(data: BimoduleCategoryData, trace: ModuleTrace, scope,
     a = j.k and b = c.k, m(i,j,k,a,b,c) m(c,l,x0,k,b,d) against the sum
     over every f in K of kappa(f) m(i,f,x0,a,b,d) F+(i,j,l,f,d,c)
     m(j,l,x0,k,a,f)."""
-    fusion = FusionData(direct_product(data.left.group, data.right.group),
-                        deligne_omega(data.left.omega, data.right.omega),
-                        _product_kappa(data.left, data.right))
+    fusion = product_fusion(data.left, data.right)
     grp, act = fusion.group, data.X.action
     els = grp.elements()
 

@@ -21,12 +21,12 @@ from twistcat.algebra import (FiniteGroup, GSet, characters, coset_gset,
                               product_gset, regular_gset, solve_mod,
                               subgroups)
 from twistcat.cli import main as cli_main
-from twistcat.cohomology import (UnitCochain, cohomologous, deligne_omega,
+from twistcat.cohomology import (UnitCochain, cohomologous,
                                  differential, differential_matrix,
                                  is_cocycle, omega_cyclic)
 from twistcat.errors import NoTrace
 from twistcat.fusion import FusionData, spherical_structures
-from twistcat.modcat import (ModuleCategoryData, _product_kappa,
+from twistcat.modcat import (ModuleCategoryData, product_fusion,
                              bimod_to_deligne, deligne_to_bimod, modcats_for,
                              module_trace, regular_module_category,
                              validate_bimodcat, validate_modcat)
@@ -344,8 +344,7 @@ def test_criterion_07_bimodule_round_trips():
         sg, sh, kg, kh = (int(v) for v in rng.integers(0, 2, 4))
         left = FusionData(g2, omega_cyclic(2, sg), characters(g2, 2)[kg])
         right = FusionData(g2, omega_cyclic(2, sh), characters(g2, 2)[kh])
-        fus_d = FusionData(prod, deligne_omega(left.omega, right.omega),
-                           _product_kappa(left, right))
+        fus_d = product_fusion(left, right)
         base_mc = regular_module_category(fus_d)
 
         # random gauge: shift the structure cochain by an exact differential

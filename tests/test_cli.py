@@ -282,6 +282,11 @@ MALFORMED = {
         "'omega0H'"),
     "cyclic n too large": (_example_with(
         "z2", lambda d: d["groups"]["H"].update(n=100000)), "'H'"),
+    # past its bound a fusion's omega check grows as |G|^4
+    "cyclic fusion too large": (_example_with(
+        "z2", lambda d: d["groups"]["G"].update(n=37)), "'F'"),
+    "product fusion too large": (_example_with(
+        "z2", lambda d: d["groups"]["H"].update(n=19)), "'FF'"),
 }
 
 

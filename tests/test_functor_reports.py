@@ -21,10 +21,10 @@ import random
 import pytest
 
 from twistcat._matrix import SMatrix
-from twistcat.algebra import cyclic_group, direct_product, point_gset
-from twistcat.cohomology import UnitCochain, deligne_omega, omega_cyclic
+from twistcat.algebra import cyclic_group, point_gset
+from twistcat.cohomology import UnitCochain, omega_cyclic
 from twistcat.fusion import FusionData
-from twistcat.modcat import (_product_kappa, bimod_to_deligne,
+from twistcat.modcat import (product_fusion, bimod_to_deligne,
                              deligne_to_bimod, regular_module_category)
 from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData,
                              deligne_to_bimodfun, identity_functor,
@@ -46,10 +46,8 @@ def _fusion(n: int, s: int) -> FusionData:
 
 def _identity_bimodule_functor(n: int, sg: int, sh: int):
     left, right = _fusion(n, sg), _fusion(n, sh)
-    prod = FusionData(direct_product(left.group, right.group),
-                      deligne_omega(left.omega, right.omega),
-                      _product_kappa(left, right))
-    bim = deligne_to_bimod(regular_module_category(prod), left, right)
+    bim = deligne_to_bimod(regular_module_category(
+        product_fusion(left, right)), left, right)
     return deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)),
                                bim, bim)
 

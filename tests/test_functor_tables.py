@@ -32,12 +32,11 @@ from hypothesis import given, settings, strategies as st
 
 from twistcat import _matrix
 from twistcat._matrix import SMatrix
-from twistcat.algebra import (cyclic_group, direct_product,
-                              disjoint_union_gset, point_gset, regular_gset)
-from twistcat.cohomology import (UnitCochain, deligne_omega, differential,
-                                 omega_cyclic)
+from twistcat.algebra import (cyclic_group, disjoint_union_gset, point_gset,
+                              regular_gset)
+from twistcat.cohomology import UnitCochain, differential, omega_cyclic
 from twistcat.fusion import FusionData
-from twistcat.modcat import (ModuleCategoryData, ModuleTrace, _product_kappa,
+from twistcat.modcat import (ModuleCategoryData, ModuleTrace, product_fusion,
                              bimod_to_deligne, deligne_to_bimod,
                              regular_module_category)
 from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData, adjoint,
@@ -225,9 +224,7 @@ def _bimodule_functors(draw):
     n, m, sg, sh = draw(st.sampled_from([(2, 3, 1, 2), (3, 2, 0, 1),
                                          (2, 2, 1, 1), (3, 3, 1, 2)]))
     left, right = _fusion(n, sg), _fusion(m, sh)
-    prod = FusionData(direct_product(left.group, right.group),
-                      deligne_omega(left.omega, right.omega),
-                      _product_kappa(left, right))
+    prod = product_fusion(left, right)
     bim = deligne_to_bimod(_gauged(draw, regular_module_category(prod)),
                            left, right)
     mc = bimod_to_deligne(bim)

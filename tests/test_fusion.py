@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 from twistcat.algebra import cyclic_group, direct_product, point_gset
-from twistcat.cohomology import UnitCochain, omega_cyclic
+from twistcat import fusion as fusion_module
+from twistcat.cohomology import UnitCochain, differential, omega_cyclic
 from twistcat.errors import NotCocycle, NotNormalized, NotSpherical, UndefinedLabels
 from twistcat.fusion import (
     FusionData,
@@ -45,7 +46,8 @@ def test_fusion_data_validates_inputs():
 
     bad = np.zeros((2, 2, 2, 1), dtype=np.int64)
     bad[1, 1, 1, 0] = 1  # at root order 4 this normalized table is not closed
-    with pytest.raises(NotCocycle):
+    with pytest.raises(NotCocycle, match=r"first failing tuple "
+                       r"\(g, h, k, l\) = \(1, 1, 1, 1\)"):
         FusionData(grp, UnitCochain(3, point_gset(grp), 4, bad),
                    trivial_kappa(grp))
 
@@ -65,6 +67,20 @@ def test_sphericality_flag():
     assert not FusionData(grp, omega, zeta_kappa).spherical
     sign = UnitCochain(1, point_gset(grp), 2, [[0], [1], [0], [1]])
     assert FusionData(grp, omega, sign).spherical
+
+
+def test_spherical_structures_check_omega_once_per_sign_character(
+        monkeypatch):
+    # Z/8 has eight characters and two of them are sign-valued: only those
+    # two are built, so d(omega) is taken twice
+    grp, omega = cyclic_group(8), omega_cyclic(8, 3)
+    expected = [f for f in pivotal_structures(grp, omega) if f.spherical]
+    calls = []
+    monkeypatch.setattr(fusion_module, "differential",
+                        lambda eta: calls.append(eta) or differential(eta))
+    found = spherical_structures(grp, omega)
+    assert len(calls) == len(found) == 2
+    assert found == expected
 
 
 def test_pivotal_and_spherical_structure_counts():

@@ -244,6 +244,16 @@ def test_root_tags_are_read_outside_scalar_only_by_the_exponent_table():
         ("_matrix.py", "_exponent_table")}
 
 
+def test_the_product_category_has_one_home():
+    # the product 3-cocycle is built only with the product character, by
+    # modcat.product_fusion; the CLI neither recomputes a differential (the
+    # fusion layer checks omega) nor restricts a G x H set by hand
+    assert _callers("deligne_omega") == {("modcat.py", "product_fusion")}
+    cli = ast.parse((SRC / "cli.py").read_text())
+    imported = set(_imported_names(cli))
+    assert not imported & {"differential", "product_embeddings"}
+
+
 def _is_click_command(node) -> bool:
     """Whether a definition is decorated as a click command or group."""
     return any(isinstance(dec, ast.Call)

@@ -38,7 +38,7 @@ from twistcat.fusion import FusionData
 from twistcat.modcat import (
     BimoduleCategoryData,
     ModuleCategoryData,
-    _product_kappa,
+    product_fusion,
     bimod_to_deligne,
     bimodule_trace,
     classify_indecomposable,
@@ -652,10 +652,7 @@ def test_module_trace_signs_and_existence():
 def make_product_setting(sg, sh, kappa_g, kappa_h):
     fg = FusionData(Z2, omega_cyclic(2, sg), kappa_g)
     fh = FusionData(Z2, omega_cyclic(2, sh), kappa_h)
-    prod = direct_product(Z2, Z2)
-    fusion_d = FusionData(prod, deligne_omega(fg.omega, fh.omega),
-                          _product_kappa(fg, fh))
-    return fg, fh, fusion_d
+    return fg, fh, product_fusion(fg, fh)
 
 
 @pytest.mark.parametrize("sg,sh", [(0, 0), (1, 0), (1, 1)])

@@ -15,7 +15,6 @@ from twistcat.algebra import (
 )
 from twistcat.cohomology import (
     UnitCochain,
-    deligne_omega,
     differential,
     differential_matrix,
     omega_cyclic,
@@ -23,7 +22,7 @@ from twistcat.cohomology import (
 from twistcat.errors import NotCyclic, ShapeMismatch, SourceTargetMismatch
 from twistcat.fusion import FusionData
 from twistcat.modcat import (
-    _product_kappa,
+    product_fusion,
     bimod_to_deligne,
     deligne_to_bimod,
     make_modcat,
@@ -301,9 +300,7 @@ def test_bimodule_validation_and_hom_systems_need_no_polynomial_product(
     z3 = cyclic_group(3)
     left = FusionData(z3, omega_cyclic(3, 1), triv_kappa(z3))
     right = FusionData(z3, omega_cyclic(3, 2), triv_kappa(z3))
-    reg = regular_module_category(FusionData(
-        direct_product(z3, z3), deligne_omega(left.omega, right.omega),
-        _product_kappa(left, right)))
+    reg = regular_module_category(product_fusion(left, right))
     bim = deligne_to_bimod(reg, left, right)
     bf = deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)), bim, bim)
     functors = _z3_simple_functors()
@@ -345,9 +342,7 @@ def product_setting(sg, sh):
     fg = FusionData(Z2, omega_cyclic(2, sg), SIGN2)
     fh = FusionData(Z2, omega_cyclic(2, sh), triv_kappa(Z2))
     prod = direct_product(Z2, Z2)
-    fusion_d = FusionData(prod, deligne_omega(fg.omega, fh.omega),
-                          _product_kappa(fg, fh))
-    m_d = regular_module_category(fusion_d)
+    m_d = regular_module_category(product_fusion(fg, fh))
     b0 = deligne_to_bimod(m_d, fg, fh)
     return prod, b0, bimod_to_deligne(b0)
 
@@ -422,9 +417,7 @@ def test_bimodule_functor_report_carries_the_left_total():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     left = FusionData(z4, omega_cyclic(4, 1), triv_kappa(z4))
     right = FusionData(z2, omega_cyclic(2, 0), triv_kappa(z2))
-    reg = regular_module_category(FusionData(
-        direct_product(z4, z2), deligne_omega(left.omega, right.omega),
-        _product_kappa(left, right)))
+    reg = regular_module_category(product_fusion(left, right))
     bim = deligne_to_bimod(reg, left, right)
     bf = deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)), bim, bim)
     bad_a = {key: mat if key[0] == z4.identity

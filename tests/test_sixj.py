@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from twistcat._matrix import SMatrix
-from twistcat.algebra import cyclic_group, direct_product, point_gset
-from twistcat.cohomology import UnitCochain, deligne_omega, omega_bar, omega_cyclic
+from twistcat.algebra import cyclic_group, point_gset
+from twistcat.cohomology import UnitCochain, omega_bar, omega_cyclic
 from twistcat.errors import IndexOutOfRange, NoTrace, UndefinedLabels
 from twistcat.fusion import FusionData, fusion_6j, spherical_structures
 from twistcat.modcat import (
     ModuleCategoryData,
-    _product_kappa,
+    product_fusion,
     bimod_to_deligne,
     deligne_to_bimod,
     module_trace,
@@ -57,11 +57,8 @@ def sign_kappa(grp):
 
 
 def product_bimodule(left, right):
-    prod = direct_product(left.group, right.group)
-    pf = FusionData(prod, deligne_omega(left.omega, right.omega),
-                    _product_kappa(left, right))
-    reg = regular_module_category(pf)
-    return prod, reg, deligne_to_bimod(reg, left, right)
+    reg = regular_module_category(product_fusion(left, right))
+    return reg.fusion.group, reg, deligne_to_bimod(reg, left, right)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +243,8 @@ def test_bimodule_context_requires_traces():
     kg = sign_kappa(G2)
     left = FusionData(G2, omega_cyclic(2, 0), kg)
     right = FusionData(G2, omega_cyclic(2, 0), triv_kappa(G2))
-    prod = direct_product(G2, G2)
-    pf = FusionData(prod, deligne_omega(left.omega, right.omega),
-                    _product_kappa(left, right))
+    pf = product_fusion(left, right)
+    prod = pf.group
     pm = ModuleCategoryData(pf, point_gset(prod),
                             UnitCochain.trivial(2, point_gset(prod), 2))
     bim_pt = deligne_to_bimod(pm, left, right)

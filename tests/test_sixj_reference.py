@@ -23,12 +23,11 @@ from twistcat.algebra import (FiniteGroup, GSet, Subgroup, coset_gset,
                               cyclic_group, direct_product, point_gset,
                               product_embeddings, restrict_gset)
 from twistcat.cli import _all_contexts, parse_config
-from twistcat.cohomology import (UnitCochain, deligne_omega, differential,
-                                 omega_cyclic)
+from twistcat.cohomology import UnitCochain, differential, omega_cyclic
 from twistcat.errors import UndefinedLabels, ValidationError
 from twistcat.fusion import FusionData, spherical_structures
 from twistcat.modcat import (BimoduleCategoryData, ModuleCategoryData,
-                             ModuleTrace, _product_kappa, bimod_to_deligne,
+                             ModuleTrace, product_fusion, bimod_to_deligne,
                              deligne_to_bimod, regular_module_category,
                              validate_bimodcat)
 from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData,
@@ -99,10 +98,8 @@ def _fusion_cases():
     om = omega_cyclic(2, 1)
     for kl in spherical_structures(g2, om):
         right = FusionData(g2, omega_cyclic(2, 0), kl.kappa)
-        prod = direct_product(g2, g2)
         yield (f"Z2xZ2-k{kl.kappa.exponents.ravel().tolist()}",
-               FusionData(prod, deligne_omega(om, right.omega),
-                          _product_kappa(kl, right)))
+               product_fusion(kl, right))
 
 
 FUSION_CASES = dict(_fusion_cases())
@@ -194,9 +191,8 @@ def _z3_bimodule():
     that is a nonzero coboundary constant along X."""
     g3 = cyclic_group(3)
     fus = FusionData(g3, omega_cyclic(3, 0), _kappa(g3, 1, [0, 0, 0]))
-    prod = direct_product(g3, g3)
-    pf = FusionData(prod, deligne_omega(fus.omega, fus.omega),
-                    _product_kappa(fus, fus))
+    pf = product_fusion(fus, fus)
+    prod = pf.group
     x = coset_gset(prod, Subgroup(prod, (0, 4, 8)))
     mu = np.random.default_rng(0).integers(0, 3, size=(9, 3))
     mu[prod.identity] = 0
@@ -817,10 +813,8 @@ def _functor_corruption(example, what):
     trivial = UnitCochain.trivial(1, point_gset(g), 1)
     left = FusionData(g, omega_cyclic(n, 1), trivial)
     right = FusionData(g, omega_cyclic(n, sh), trivial)
-    prod = FusionData(direct_product(g, g), deligne_omega(left.omega,
-                                                          right.omega),
-                      _product_kappa(left, right))
-    bim = deligne_to_bimod(regular_module_category(prod), left, right)
+    bim = deligne_to_bimod(regular_module_category(
+        product_fusion(left, right)), left, right)
     bf = deligne_to_bimodfun(identity_functor(bimod_to_deligne(bim)), bim, bim)
     tables = {"A": dict(bf.a), "B": dict(bf.b)}
     side, how = what[0], what[1:]
