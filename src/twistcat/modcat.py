@@ -9,7 +9,7 @@ dictionary, implemented here exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import gcd, lcm, prod
 from typing import Optional
@@ -407,12 +407,16 @@ class BimoduleCategoryData:
     psi: UnitCochain
     phi: UnitCochain
     omega_mid: UnitCochain
+    x_g: GSet = field(init=False, repr=False, compare=False)
+    x_h: GSet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g_grp, h_grp = self.left.group, self.right.group
-        prod = direct_product(g_grp, h_grp)
-        if self.X.group != prod:
+        if self.X.group != direct_product(g_grp, h_grp):
             raise ValueError("carrier must be a G x H set (product encoding)")
+        for name, side in zip(("x_g", "x_h"),
+                              restrict_to_factors(self.X, g_grp, h_grp)):
+            object.__setattr__(self, name, side)
         if self.psi.degree != 2 or self.psi.slot_groups != (g_grp, g_grp) \
                 or self.psi.carrier != self.x_g:
             raise ValueError("psi must be a degree-2 G-cochain on X as a G-set")
@@ -423,14 +427,6 @@ class BimoduleCategoryData:
                 or self.omega_mid.slot_groups != (g_grp, h_grp) \
                 or self.omega_mid.carrier != self.X:
             raise ValueError("omega_mid must be a (G, H)-slot table over X")
-
-    @cached_property
-    def sides(self) -> tuple[GSet, GSet]:
-        """X restricted to G and to H."""
-        return restrict_to_factors(self.X, self.left.group, self.right.group)
-
-    x_g = property(lambda self: self.sides[0])
-    x_h = property(lambda self: self.sides[1])
 
     @cached_property
     def product_structure(self) -> ModuleCategoryData:
@@ -462,7 +458,7 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
     coherence conditions, normalization of Psi and Phi, and triviality of
     Omega on identities."""
     g_grp, h_grp = data.left.group, data.right.group
-    x_g, x_h = data.sides
+    x_g, x_h = data.x_g, data.x_h
     log = FailureLog()
 
     # one-sided conditions
@@ -551,13 +547,13 @@ def deligne_to_bimod(data: ModuleCategoryData, left: FusionData,
     three restrictions satisfy the bimodule conditions.
     """
     g_grp, h_grp = left.group, right.group
-    product = product_fusion(left, right)
-    if data.fusion.group != product.group:
+    k = data.fusion.group.order
+    if k != g_grp.order * h_grp.order \
+            or data.fusion.group != direct_product(g_grp, h_grp):
         raise ValueError("module category is not over the product group")
-    if data.fusion.omega != product.omega:
+    if data.fusion.omega != deligne_omega(left.omega, right.omega):
         raise ValueError("twist does not factor over the given one-sided twists")
     n = data.psi.root_order
-    k = product.group.order
     sz = data.X.size
     emb_g, emb_h = product_embeddings(g_grp, h_grp)
 

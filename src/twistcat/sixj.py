@@ -288,7 +288,7 @@ def _new_layout(ctx: SixJContext, family: str) -> _ScalarLayout:
         return _m_layout(product.fusion.group, product.X, product.psi,
                          trace.unit, product.fusion.kappa_unit)
     ng, nh, nx = data.left.group.order, data.right.group.order, data.X.size
-    x_g, x_h = data.sides
+    x_g, x_h = data.x_g, data.x_h
     inv = data.right.group.inv
     if family == "n":
         def compose_n(i, j, k):

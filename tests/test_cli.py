@@ -211,6 +211,43 @@ def test_carrier_over_another_group_exits_1(tmp_path, path):
     assert "carrier G-set is over the wrong group" in proc.stderr
 
 
+def test_from_deligne_over_another_group_exits_1(tmp_path):
+    # Z/12 x Z/12 against a module category over Z/2: the groups are compared
+    # before any product twist over the 144 elements is built
+    cfg = tmp_path / "mismatch.json"
+    cfg.write_text(json.dumps({
+        "groups": {"Z2": {"type": "cyclic", "n": 2},
+                   "Z12": {"type": "cyclic", "n": 12}},
+        "gsets": {"reg": {"type": "regular", "group": "Z2"}},
+        "cochains": {"w2": {"type": "cyclic_rep", "group": "Z2", "s": 0},
+                     "w12": {"type": "cyclic_rep", "group": "Z12", "s": 1}},
+        "fusions": {"F2": {"group": "Z2", "omega": "w2"},
+                    "F12": {"group": "Z12", "omega": "w12"}},
+        "modcats": {"M": {"fusion": "F2", "gset": "reg",
+                          "psi": {"type": "regular"}}},
+        "bimodcats": {"B": {"type": "from_deligne", "modcat": "M",
+                            "left": "F12", "right": "F12"}},
+    }))
+    proc = _run_cli(cfg, "validate")
+    assert proc.returncode == 1
+    assert proc.stderr == ("validation error: entity 'B': module category is "
+                           "not over the product group\n")
+
+
+@pytest.mark.parametrize("subgroup", [[0, 1], [0, 0], [0, 4]])
+def test_cosets_of_a_non_subgroup_exit_1(tmp_path, subgroup):
+    cfg = tmp_path / "cosets.json"
+    cfg.write_text(json.dumps({
+        "groups": {"Z4": {"type": "cyclic", "n": 4}},
+        "gsets": {"cos": {"type": "cosets", "group": "Z4",
+                          "subgroup": subgroup}},
+    }))
+    result = _invoke(cfg, "validate")
+    assert result.exit_code == 1
+    assert result.stderr == (f"validation error: entity 'cos': {subgroup} "
+                             f"is not a subgroup\n")
+
+
 def test_verify_prints_the_exact_failure_total(monkeypatch, tmp_path):
     # a config whose fusion carries a random, non-cocycle omega (constructed
     # past validation, which a parsed config never skips) fails more

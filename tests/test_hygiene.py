@@ -245,10 +245,13 @@ def test_root_tags_are_read_outside_scalar_only_by_the_exponent_table():
 
 
 def test_the_product_category_has_one_home():
-    # the product 3-cocycle is built only with the product character, by
-    # modcat.product_fusion; the CLI neither recomputes a differential (the
-    # fusion layer checks omega) nor restricts a G x H set by hand
-    assert _callers("deligne_omega") == {("modcat.py", "product_fusion")}
+    # the product 3-cocycle is built with the product character only by
+    # modcat.product_fusion; deligne_to_bimod compares a twist against it
+    # without paying the fusion layer's omega check on G x H.  The CLI
+    # neither recomputes a differential (the fusion layer checks omega) nor
+    # restricts a G x H set by hand
+    assert _callers("deligne_omega") == {("modcat.py", "product_fusion"),
+                                         ("modcat.py", "deligne_to_bimod")}
     cli = ast.parse((SRC / "cli.py").read_text())
     imported = set(_imported_names(cli))
     assert not imported & {"differential", "product_embeddings"}
