@@ -10,6 +10,10 @@ them need no array library.  The public ``table``, ``inverse`` and
 :func:`_array_view`, the package's only use of numpy; constructors take
 ndarrays, nested lists and nested tuples alike (:func:`_flatten`).
 
+Orbits have one home: ``GSet.orbit_data``, built on first use and kept,
+holds per orbit an :class:`Orbit`: the sorted points (base point first),
+the least g reaching each point from the base, and the base's stabilizer.
+
 The Smith normal form drives every linear solve modulo N in the cohomology
 layer and every integer lattice computation.  Its one immutable result,
 ``SNFResult``, keeps U^-1 and V^-1 next to U and V, all four sparse and in
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain, product
 from math import gcd, lcm, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     EnumerationBoundExceeded,
@@ -38,6 +42,7 @@ from .errors import (
 __all__ = [
     "FiniteGroup",
     "GSet",
+    "Orbit",
     "Subgroup",
     "SNFResult",
     "cyclic_group",
@@ -391,11 +396,20 @@ def characters(group: FiniteGroup, root_order: int):
             for tab in sorted(tables)]
 
 
+class Orbit(NamedTuple):
+    """One orbit of a G-set: its sorted points, base point first, the least
+    g with g.base = p for each point p, and the base's sorted stabilizer."""
+
+    points: tuple[int, ...]
+    transversal: tuple[int, ...]
+    stabilizer: tuple[int, ...]
+
+
 class GSet:
     """A finite G-set: ``action_flat[g * size + x]`` (and the view
     ``action[g, x]``) is the point g acting on x."""
 
-    __slots__ = ("group", "size", "action_flat", "_views")
+    __slots__ = ("group", "size", "action_flat", "_views", "_orbits")
 
     def __init__(self, group: FiniteGroup, action) -> None:
         flat, shape = _flatten(action)
@@ -417,9 +431,29 @@ class GSet:
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "action_flat", flat)
         object.__setattr__(self, "_views", {})
+        object.__setattr__(self, "_orbits", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GSet is immutable")
+
+    @property
+    def orbit_data(self) -> tuple[Orbit, ...]:
+        """The orbits by least point, built once, on first use."""
+        if self._orbits is None:
+            size, seen, out = self.size, set(), []
+            for base in range(size):
+                if base not in seen:
+                    column = self.action_flat[base::size]
+                    # read from the last g, so each point keeps its least
+                    least = dict(zip(column[::-1],
+                                     reversed(range(len(column)))))
+                    points = tuple(sorted(least))
+                    seen.update(points)
+                    out.append(Orbit(points, tuple(map(least.get, points)),
+                                     tuple(g for g, p in enumerate(column)
+                                           if p == base)))
+            object.__setattr__(self, "_orbits", tuple(out))
+        return self._orbits
 
     @property
     def action(self):
@@ -503,15 +537,7 @@ def restrict_to_factors(x: GSet, g: FiniteGroup,
 
 def orbits(x: GSet) -> list[list[int]]:
     """Orbit partition, each orbit sorted, orbits ordered by minimal element."""
-    seen: set[int] = set()
-    out: list[list[int]] = []
-    for p in range(x.size):
-        if p in seen:
-            continue
-        orb = sorted(set(x.action_flat[p::x.size]))
-        out.append(orb)
-        seen.update(orb)
-    return out
+    return [list(orbit.points) for orbit in x.orbit_data]
 
 
 def stabilizer(x: GSet, point: int) -> Subgroup:
@@ -520,7 +546,7 @@ def stabilizer(x: GSet, point: int) -> Subgroup:
 
 
 def is_transitive(x: GSet) -> bool:
-    return len(orbits(x)) == 1
+    return len(x.orbit_data) == 1
 
 
 def gset_isomorphisms(x: GSet, y: GSet, bound: int = 8) -> list[tuple[int, ...]]:
@@ -534,26 +560,8 @@ def gset_isomorphisms(x: GSet, y: GSet, bound: int = 8) -> list[tuple[int, ...]]
         return []
     if x.size > bound:
         raise EnumerationBoundExceeded(f"|X| = {x.size} exceeds bound {bound}")
-    group = x.group
-    orbs_x = orbits(x)
-    orbs_y = orbits(y)
-    if sorted(map(len, orbs_x)) != sorted(map(len, orbs_y)):
-        return []
-
-    results: list[tuple[int, ...]] = []
-    assignment = [-1] * x.size
-    used = [False] * len(orbs_y)
-
-    def orbit_maps(ox: list[int], oy: list[int]) -> list[dict[int, int]]:
-        x0 = ox[0]
-        stab_x = stabilizer(x, x0).elements
-        maps = []
-        for y0 in oy:
-            if stabilizer(y, y0).elements != stab_x:
-                continue
-            maps.append({x.apply(g, x0): y.apply(g, y0)
-                         for g in group.elements()})
-        return maps
+    orbs_x, orbs_y = x.orbit_data, y.orbit_data
+    results, assignment, used = [], [-1] * x.size, [False] * len(orbs_y)
 
     def recurse(i: int):
         if i == len(orbs_x):
@@ -561,16 +569,17 @@ def gset_isomorphisms(x: GSet, y: GSet, bound: int = 8) -> list[tuple[int, ...]]
             return
         ox = orbs_x[i]
         for j, oy in enumerate(orbs_y):
-            if used[j] or len(oy) != len(ox):
+            if used[j] or len(oy.points) != len(ox.points):
                 continue
-            for f in orbit_maps(ox, oy):
-                for a, b in f.items():
-                    assignment[a] = b
+            for y0 in oy.points:
+                if stabilizer(y, y0).elements != ox.stabilizer:
+                    continue
+                # t(p).x0 = p, so p goes to t(p).y0
+                for p, t in zip(ox.points, ox.transversal):
+                    assignment[p] = y.apply(t, y0)
                 used[j] = True
                 recurse(i + 1)
                 used[j] = False
-                for a in f:
-                    assignment[a] = -1
 
     recurse(0)
     results.sort()

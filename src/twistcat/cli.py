@@ -91,10 +91,11 @@ def _field(spec: dict, name: str, entity: str):
     return spec[name]
 
 
-# The largest root order, cyclic group order and fusion group order a config
-# may declare; past them one entity stalls the parse or the output
-# (docs/config_format.md).
-_BOUNDS = {"root_order": 360, "n": 256, "fusion group order": 36}
+# The largest root order, cyclic group order, product group order and fusion
+# group order a config may declare; past them one entity stalls the parse or
+# the output (docs/config_format.md).
+_BOUNDS = {"root_order": 360, "n": 256, "product group order": 36,
+           "fusion group order": 36}
 
 
 def _within(name: str, value: int) -> int:
@@ -139,9 +140,10 @@ def _build_group(name: str, spec: dict, cfg: SessionConfig) -> FiniteGroup:
         return _wrap_build(name, cyclic_group, _bounded(spec, "n", name))
     if kind == "table":
         return _wrap_build(name, FiniteGroup, _field(spec, "table", name))
-    return _wrap_build(name, direct_product,
-                       _ref(cfg, "groups", spec, "left", name),
-                       _ref(cfg, "groups", spec, "right", name))
+    left = _ref(cfg, "groups", spec, "left", name)
+    right = _ref(cfg, "groups", spec, "right", name)
+    _within("product group order", left.order * right.order)
+    return _wrap_build(name, direct_product, left, right)
 
 
 def _check_subgroup(grp: FiniteGroup, elements, entity: str) -> Subgroup:
@@ -277,6 +279,10 @@ def _build_bimodcat(name: str, spec: dict,
                            _ref(cfg, "modcats", spec, "modcat", name),
                            left, right)
     x = _ref(cfg, "gsets", spec, "gset", name)
+    if x.group.order != left.group.order * right.group.order \
+            or x.group != direct_product(left.group, right.group):
+        raise ValidationError(f"entity {name!r}: carrier must be a G x H set "
+                              f"(product encoding)")
     x_g, x_h = restrict_to_factors(x, left.group, right.group)
     psi = _read_cochain(name, _field(spec, "psi", name), "table", 2, x_g)
     phi = _read_cochain(name, _field(spec, "phi", name), "table", 2, x_h)

@@ -24,6 +24,7 @@ from .algebra import (
     FiniteGroup,
     GSet,
     SNFResult,
+    Subgroup,
     _array_view,
     _flatten,
     direct_product,
@@ -31,7 +32,6 @@ from .algebra import (
     point_gset,
     smith_normal_form,
     solve_mod,
-    stabilizer,
 )
 from .errors import (
     CarrierNotCosetSpace,
@@ -465,7 +465,7 @@ def shapiro_restrict(eta: UnitCochain) -> UnitCochain:
         raise DegreeMismatch("restriction requires slots over the carrier group")
     if not is_transitive(eta.carrier):
         raise CarrierNotCosetSpace("carrier is not a transitive G-set")
-    sub = stabilizer(eta.carrier, 0)
+    sub = Subgroup(eta.group, eta.carrier.orbit_data[0].stabilizer)
     exps = [eta.exponent(args + (0,))
             for args in itertools.product(sub.elements, repeat=eta.degree)]
     return UnitCochain.from_flat(eta.degree, point_gset(sub.to_group()),

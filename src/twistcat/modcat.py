@@ -21,13 +21,11 @@ from .algebra import (
     direct_product,
     is_transitive,
     gset_isomorphisms,
-    orbits,
     point_gset,
     product_embeddings,
     regular_gset,
     restrict_to_factors,
     solve_mod,
-    stabilizer,
     _conjugates,
     _check_quotient_index,
     _kernel_mod_basis,
@@ -293,7 +291,7 @@ def classify_indecomposable(data: ModuleCategoryData) -> IndecomposableClass:
     restricted cochain."""
     if not is_transitive(data.X):
         raise NotTransitive("carrier G-set has more than one orbit")
-    sub = stabilizer(data.X, 0)
+    sub = Subgroup(data.X.group, data.X.orbit_data[0].stabilizer)
     return IndecomposableClass(sub, shapiro_restrict(data.psi),
                                min(_conjugates(sub)))
 
@@ -355,18 +353,13 @@ def module_trace(data: ModuleCategoryData) -> Optional[ModuleTrace]:
     Exists exactly when kappa restricts trivially to every orbit stabilizer;
     the per-orbit scale is fixed to +1 at the minimal representative.
     """
-    fusion, x = data.fusion, data.X
-    kap = fusion.kappa.exponents_flat
-    nk = fusion.kappa.root_order
-    values: list[Optional[Unit]] = [None] * x.size
-    for orbit in orbits(x):
-        rep = orbit[0]
-        if any(kap[h] % nk for h in stabilizer(x, rep).elements):
+    kap, nk = data.fusion.kappa.exponents_flat, data.fusion.kappa.root_order
+    values = [None] * data.X.size
+    for orbit in data.X.orbit_data:
+        if any(kap[h] % nk for h in orbit.stabilizer):
             return None
-        for g in fusion.group.elements():
-            p = x.apply(g, rep)
-            if values[p] is None:
-                values[p] = Unit(nk, kap[g])
+        for p, g in zip(orbit.points, orbit.transversal):
+            values[p] = Unit(nk, kap[g])
     return ModuleTrace(tuple(values))
 
 
@@ -412,7 +405,8 @@ class BimoduleCategoryData:
 
     def __post_init__(self):
         g_grp, h_grp = self.left.group, self.right.group
-        if self.X.group != direct_product(g_grp, h_grp):
+        if self.X.group.order != g_grp.order * h_grp.order \
+                or self.X.group != direct_product(g_grp, h_grp):
             raise ValueError("carrier must be a G x H set (product encoding)")
         for name, side in zip(("x_g", "x_h"),
                               restrict_to_factors(self.X, g_grp, h_grp)):

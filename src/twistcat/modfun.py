@@ -53,8 +53,7 @@ from typing import Optional
 
 from ._matrix import (SMatrix, _exponent_table, _from_exponents, _invertible,
                       nullspace_basis)
-from .algebra import (FiniteGroup, GSet, _array_view, _flatten, _rows, orbits,
-                      product_gset)
+from .algebra import FiniteGroup, GSet, _array_view, _flatten, _rows
 from .cohomology import UnitCochain, _pull_back, differential
 from .errors import (LambdaConditionFailed, NotCyclic, NotEquivariant,
                      ShapeMismatch, SourceTargetMismatch)
@@ -551,16 +550,17 @@ def _blocks(layout: dict, entries: dict) -> dict:
             for p, spec in layout.items()}
 
 
-def _orbit_representatives(f: ModuleFunctorData, layout: dict) -> list:
-    """The first pair of each G-orbit of the layout's pairs, in its order."""
-    x_set, y_set, seen, reps = f.source.X, f.target.X, set(), []
-    ax, ay, nx, ny = (x_set.action_flat, y_set.action_flat, x_set.size,
-                      y_set.size)
-    for x, y in layout:
-        if (x, y) not in seen:
-            reps.append((x, y))
-            seen.update(zip(ax[x::nx], ay[y::ny]))
-    return reps
+def _pair_orbits(x_set: GSet, y_set: GSet, pairs=None):
+    """The G-orbits of X x Y under the diagonal action whose least pair is
+    among ``pairs`` (sorted; all of X x Y when None), each as its sorted
+    (x, y) pairs, in order of their least pairs."""
+    ax, nx, ay, ny = x_set.action_flat, x_set.size, y_set.action_flat, y_set.size
+    if pairs is None:
+        pairs = itertools.product(range(nx), range(ny))
+    for x, y in pairs:
+        orbit = set(zip(ax[x::nx], ay[y::ny]))
+        if min(orbit) == (x, y):
+            yield tuple(sorted(orbit))
 
 
 def hom_dimension(f: ModuleFunctorData, h: ModuleFunctorData) -> int:
@@ -587,16 +587,18 @@ def invertible_hom(f: ModuleFunctorData,
     summed entrywise from the sparse basis vectors; only the one returned is
     built as matrices.  On the exponent tables, whose A blocks are
     invertible, one block per G-orbit of the pairs decides, since a
-    combination is natural: M_{g.p} = (A^H_g)^-1 M_p A^F_g.  Else every
-    block does.  ``_matrix._invertible`` decides a block.
+    combination is natural: M_{g.p} = (A^H_g)^-1 M_p A^F_g; the layout is
+    a union of orbits (else ``_cond_m`` fails), and the least pair of each
+    decides.  Else every block does.  ``_matrix._invertible`` decides a block.
     """
     if (f.mult_shape, f.mult_flat) != (h.mult_shape, h.mult_flat):
         return None
     layout, basis, tables = _hom_space(f, h)
     if not basis:
         return None
-    deciding = [layout[p] for p in (_orbit_representatives(f, layout)
-                                    if tables else layout)]
+    orbs = (_pair_orbits(f.source.X, f.target.X, layout) if tables
+            else [(p,) for p in layout])
+    deciding = [layout[orbit[0]] for orbit in orbs]
     rng = random.Random(0)
     units = ([int(b == c) for c in range(len(basis))]
              for b in range(len(basis)))
@@ -644,16 +646,14 @@ def orbit_decompose(f: ModuleFunctorData) -> dict:
     Keys are tuples of (x, y) pairs; only orbits meeting the support appear.
     The direct sum of the values equals F up to block ordering.
     """
-    y_size = f.target.X.size
-    prod = product_gset(f.source.X, f.target.X)
+    ny = f.target.X.size
     out = {}
-    for orbit in orbits(prod):
-        pairs = tuple((p // y_size, p % y_size) for p in orbit)
+    for pairs in _pair_orbits(f.source.X, f.target.X):
         if f.multiplicity(*pairs[0]) == 0:
             continue
-        mult = [m if p in orbit else 0 for p, m in enumerate(f.mult_flat)]
-        mult = _rows(mult, y_size)
         members = set(pairs)
+        mult = _rows([m if divmod(p, ny) in members else 0
+                      for p, m in enumerate(f.mult_flat)], ny)
         a = {key: mat for key, mat in f.a.items() if key[1:] in members}
         out[pairs] = ModuleFunctorData(f.source, f.target, mult, a)
     return out
@@ -739,10 +739,8 @@ def classify_simple_cyclic(source: ModuleCategoryData,
                       y_set.size)
     big = lcm(source.psi.root_order, target.psi.root_order)
     ratio = _twist_exponents(source.psi, target.psi, big)
-    prod = product_gset(source.X, target.X)
     out = []
-    for orbit in orbits(prod):
-        pairs = tuple((p // ny, p % ny) for p in orbit)
+    for pairs in _pair_orbits(x_set, y_set):
         r = len(pairs)
         # sums[p][k]: prod_{0 < t < k} Psi_X Psi_Y^-1 at p as an exponent
         # mod big, k = 0..n; gamma is the inverse of the k = n product
@@ -773,8 +771,7 @@ def count_simple_cyclic(source: ModuleCategoryData,
     """Sum of n/|orbit| over the diagonal orbits of X x Y."""
     grp = source.fusion.group
     _cyclic_generator(grp)
-    prod = product_gset(source.X, target.X)
-    return sum(grp.order // len(orbit) for orbit in orbits(prod))
+    return sum(grp.order // len(o) for o in _pair_orbits(source.X, target.X))
 
 
 # ---------------------------------------------------------------------------

@@ -317,6 +317,56 @@ def test_orbits_and_stabilizers_match_oracle():
     assert not is_transitive(x)
 
 
+ORBIT_TABLES = [cyclic_table(n) for n in range(1, 7)] + [
+    S3_TABLE, D4_TABLE, Q8_TABLE]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_orbit_data_holds_orbits_transversals_and_stabilizers(data):
+    # a union of coset spaces of a relabelled group (the identity need not
+    # be 0) with its points shuffled, so that orbits interleave; the section
+    # cocycle c(g, p) = t(g.p)^-1 g t(p) is derived from the transversal t
+    # and must fix the base point and be a cocycle
+    table = data.draw(st.sampled_from(ORBIT_TABLES))
+    label = data.draw(st.permutations(range(len(table))))
+    relabelled = [[0] * len(table) for _ in table]
+    for i, row in enumerate(table):
+        for j, ij in enumerate(row):
+            relabelled[label[i]][label[j]] = label[ij]
+    grp = FiniteGroup(relabelled)
+    subs = subgroups(grp)
+    parts = data.draw(st.lists(st.sampled_from(subs), min_size=1,
+                               max_size=3))
+    cosets = coset_gset(grp, parts[0])
+    for sub in parts[1:]:
+        cosets = disjoint_union_gset(cosets, coset_gset(grp, sub))
+    perm = data.draw(st.permutations(range(cosets.size)))
+    act = [[0] * cosets.size for _ in grp.elements()]
+    for g in grp.elements():
+        for p in range(cosets.size):
+            act[g][perm[p]] = perm[cosets.apply(g, p)]
+    x = GSet(grp, act)
+    assert x.orbit_data is x.orbit_data
+    assert [list(o.points) for o in x.orbit_data] == oracle_orbits(act)
+    for orbit in x.orbit_data:
+        base = orbit.points[0]
+        assert orbit.stabilizer == stabilizer(x, base).elements
+        t = dict(zip(orbit.points, orbit.transversal))
+        for p in orbit.points:
+            assert t[p] == min(g for g in grp.elements()
+                               if x.apply(g, base) == p)
+
+        def c(g, p):
+            return grp.op(grp.op(grp.inv(t[x.apply(g, p)]), g), t[p])
+
+        for g, p in itertools.product(grp.elements(), orbit.points):
+            assert x.apply(c(g, p), base) == base
+        for g, h, p in itertools.product(grp.elements(), grp.elements(),
+                                         orbit.points):
+            assert c(grp.op(g, h), p) == grp.op(c(g, x.apply(h, p)), c(h, p))
+
+
 def test_product_and_restricted_gsets():
     g = cyclic_group(2)
     h = cyclic_group(2)

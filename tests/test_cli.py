@@ -234,6 +234,31 @@ def test_from_deligne_over_another_group_exits_1(tmp_path):
                            "not over the product group\n")
 
 
+@pytest.mark.parametrize("carrier", ["Z2", "Z6"])
+def test_explicit_bimodcat_over_another_group_exits_1(tmp_path, carrier):
+    # Z/2 x Z/3 against a point over Z/2, too small to restrict to the
+    # factors, and over Z/6, of the right order but not the product encoding
+    table = {"root_order": 1, "exponents": [0]}
+    cfg = tmp_path / "carrier.json"
+    cfg.write_text(json.dumps({
+        "groups": {"Z2": {"type": "cyclic", "n": 2},
+                   "Z3": {"type": "cyclic", "n": 3},
+                   "Z6": {"type": "cyclic", "n": 6}},
+        "gsets": {"pt": {"type": "point", "group": carrier}},
+        "cochains": {"w2": {"type": "cyclic_rep", "group": "Z2", "s": 0},
+                     "w3": {"type": "cyclic_rep", "group": "Z3", "s": 0}},
+        "fusions": {"F2": {"group": "Z2", "omega": "w2"},
+                    "F3": {"group": "Z3", "omega": "w3"}},
+        "bimodcats": {"B": {"type": "explicit", "left": "F2", "right": "F3",
+                            "gset": "pt", "psi": table, "phi": table,
+                            "omega_mid": table}},
+    }))
+    proc = _run_cli(cfg, "validate")
+    assert proc.returncode == 1
+    assert proc.stderr == ("validation error: entity 'B': carrier must be a "
+                           "G x H set (product encoding)\n")
+
+
 @pytest.mark.parametrize("subgroup", [[0, 1], [0, 0], [0, 4]])
 def test_cosets_of_a_non_subgroup_exit_1(tmp_path, subgroup):
     cfg = tmp_path / "cosets.json"
@@ -320,10 +345,17 @@ MALFORMED = {
     "cyclic n too large": (_example_with(
         "z2", lambda d: d["groups"]["H"].update(n=100000)), "'H'"),
     # past its bound a fusion's omega check grows as |G|^4
+    # the product group GH is made Z/2 x Z/2 in these two, so that its own
+    # bound leaves the fusion's to be reached
     "cyclic fusion too large": (_example_with(
-        "z2", lambda d: d["groups"]["G"].update(n=37)), "'F'"),
+        "z2", lambda d: (d["groups"]["G"].update(n=37),
+                         d["groups"]["GH"].update(left="H"))), "'F'"),
     "product fusion too large": (_example_with(
-        "z2", lambda d: d["groups"]["H"].update(n=19)), "'FF'"),
+        "z2", lambda d: (d["groups"]["H"].update(n=19),
+                         d["groups"]["GH"].update(right="G"))), "'FF'"),
+    # past its bound a product group's table check grows as |G|^3
+    "product group too large": (_example_with(
+        "z2", lambda d: d["groups"]["H"].update(n=19)), "'GH'"),
 }
 
 

@@ -173,8 +173,9 @@ def test_orbit_representatives_find_the_every_block_witness(pair, how,
     f, h = _corrupted(data.draw, pair, how, which)
     fast = _witness(f, h)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modfun_module, "_orbit_representatives",
-                      lambda f, layout: list(layout))
+        # every layout pair its own orbit: every block decides
+        patch.setattr(modfun_module, "_pair_orbits",
+                      lambda x_set, y_set, pairs=None: [(p,) for p in pairs])
         patch.setattr(modfun_module, "_invertible",
                       lambda rows: SMatrix(rows).inverse() is not None)
         assert _witness(f, h) == fast
@@ -194,8 +195,8 @@ def test_pattern_decided_candidates_eliminate_nothing(monkeypatch):
             for mc in (point, regular)]
     support = {p: None for p in sums[1].support()}
     assert len(support) == 8
-    assert modfun_module._orbit_representatives(sums[1], support) == [
-        (0, 0), (0, 1)]
+    assert [orbit[0] for orbit in modfun_module._pair_orbits(
+        regular.X, regular.X, support)] == [(0, 0), (0, 1)]
     calls = _count_eliminations(monkeypatch)
     witnesses = [invertible_hom(f, f) for f in sums]
     assert calls == []

@@ -257,6 +257,14 @@ def test_the_product_category_has_one_home():
     assert not imported & {"differential", "product_embeddings"}
 
 
+def test_orbits_have_one_home():
+    # GSet.orbit_data keeps each G-set's orbits, transversals and base-point
+    # stabilizers; only the isomorphism search asks for the stabilizer of a
+    # candidate point, and no module outside algebra reads orbit lists
+    assert _callers("stabilizer") == {("algebra.py", "gset_isomorphisms")}
+    assert {module for module, _ in _callers("orbits")} <= {"algebra.py"}
+
+
 def _is_click_command(node) -> bool:
     """Whether a definition is decorated as a click command or group."""
     return any(isinstance(dec, ast.Call)
