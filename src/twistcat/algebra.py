@@ -152,12 +152,20 @@ def _array_view(cache: dict, name: str, flat: Sequence[int],
 # groups
 # ---------------------------------------------------------------------------
 
+def _assemble(cls, **fields):
+    """``cls`` built from checked parts, without ``__init__`` and its checks."""
+    out, fields["_views"] = object.__new__(cls), {}
+    for name in cls.__slots__:
+        object.__setattr__(out, name, fields.get(name))
+    return out
+
+
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
     Elements are the indices 0..order-1; ``table_flat[i * order + j]`` (and
-    the view ``table[i, j]``) is the product i*j.  Associativity, the
-    identity, and two-sided inverses are all checked at construction.
+    the view ``table[i, j]``) is the product i*j.  The constructor checks
+    associativity, the identity and inverses; Z/n and G x H are assembled.
     """
 
     __slots__ = ("order", "table_flat", "identity", "inverse_flat", "_views")
@@ -244,10 +252,13 @@ class FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    """Z/n with table (i + j) mod n."""
+    """Z/n with table (i + j) mod n, identity 0 and inverses -i mod n."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    return _assemble(FiniteGroup, order=n, identity=0,
+                     table_flat=tuple((i + j) % n for i in range(n)
+                                      for j in range(n)),
+                     inverse_flat=tuple(-i % n for i in range(n)))
 
 
 def group_from_table(table) -> FiniteGroup:
@@ -258,8 +269,11 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with pair (a, b) encoded as index a*|H| + b."""
     nh = h.order
     pairs = [divmod(p, nh) for p in range(g.order * nh)]
-    return FiniteGroup([[g.op(a1, a2) * nh + h.op(b1, b2) for a2, b2 in pairs]
-                        for a1, b1 in pairs])
+    return _assemble(
+        FiniteGroup, order=len(pairs), identity=g.identity * nh + h.identity,
+        table_flat=tuple(g.op(a1, a2) * nh + h.op(b1, b2)
+                         for a1, b1 in pairs for a2, b2 in pairs),
+        inverse_flat=tuple(g.inv(a) * nh + h.inv(b) for a, b in pairs))
 
 
 def opposite_group(g: FiniteGroup) -> FiniteGroup:
@@ -477,11 +491,12 @@ class GSet:
 
 
 def point_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, [[0]] * group.order)
+    return _assemble(GSet, group=group, size=1, action_flat=(0,) * group.order)
 
 
 def regular_gset(group: FiniteGroup) -> GSet:
-    return GSet(group, _rows(group.table_flat, group.order))
+    return _assemble(GSet, group=group, size=group.order,
+                     action_flat=group.table_flat)
 
 
 def trivial_gset(group: FiniteGroup, size: int) -> GSet:
@@ -531,6 +546,8 @@ def restrict_gset(x: GSet, embedding, group: FiniteGroup) -> GSet:
 def restrict_to_factors(x: GSet, g: FiniteGroup,
                         h: FiniteGroup) -> tuple[GSet, GSet]:
     """A G x H set restricted to G and to H (``product_embeddings``)."""
+    if x.group.order != g.order * h.order or x.group != direct_product(g, h):
+        raise ValueError("carrier must be a G x H set (product encoding)")
     emb_g, emb_h = product_embeddings(g, h)
     return restrict_gset(x, emb_g, g), restrict_gset(x, emb_h, h)
 

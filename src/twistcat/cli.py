@@ -16,6 +16,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 
 import click
@@ -91,19 +92,21 @@ def _field(spec: dict, name: str, entity: str):
     return spec[name]
 
 
-# The largest root order, cyclic group order, product group order and fusion
-# group order a config may declare; past them one entity stalls the parse or
-# the output (docs/config_format.md).
+# The largest root order, cyclic group order, product group order, fusion
+# group order, cochain table and G-set check (|G|^2 steps a point) a config
+# may declare; past them one entity stalls the parse or the output
+# (docs/config_format.md).
 _BOUNDS = {"root_order": 360, "n": 256, "product group order": 36,
-           "fusion group order": 36}
+           "fusion group order": 36, "cochain entries": 36 ** 4,
+           "G-set check |G|^2 |X|": 36 ** 4}
 
 
-def _within(name: str, value: int) -> int:
-    """``value``, which must lie from 1 to ``_BOUNDS[name]``: a value
+def _within(name: str, value: int, low: int = 1) -> int:
+    """``value``, which must lie from ``low`` to ``_BOUNDS[name]``: a value
     outside is malformed."""
-    if not 1 <= value <= _BOUNDS[name]:
+    if not low <= value <= _BOUNDS[name]:
         raise ValueError(
-            f"{name} must be from 1 to {_BOUNDS[name]}, got {value}")
+            f"{name} must be from {low} to {_BOUNDS[name]}, got {value}")
     return value
 
 
@@ -162,6 +165,9 @@ def _build_gset(name: str, spec: dict, cfg: SessionConfig) -> GSet:
                  for p in _field(spec, "parts", name)]
         if not parts:
             raise ParseError(f"entity {name!r}: union needs at least one part")
+        # each partial union is checked over all its points
+        _within("G-set check |G|^2 |X|", parts[0].group.order ** 2 * (
+            sum(accumulate(p.size for p in parts)) - parts[0].size), 0)
         out = parts[0]
         for nxt in parts[1:]:
             out = _wrap_build(name, disjoint_union_gset, out, nxt)
@@ -174,20 +180,29 @@ def _build_gset(name: str, spec: dict, cfg: SessionConfig) -> GSet:
     if kind == "cosets":
         sub = _check_subgroup(grp, _field(spec, "subgroup", name), name)
         return _wrap_build(name, coset_gset, grp, sub)
-    return _wrap_build(name, GSet, grp, _field(spec, "action", name))
+    action = _field(spec, "action", name)
+    rows = action if isinstance(action, list) else []
+    _within("G-set check |G|^2 |X|", grp.order * sum(
+        len(row) for row in rows if isinstance(row, list)), 0)
+    return _wrap_build(name, GSet, grp, action)
 
 
 def _read_cochain(name: str, spec: dict, kind: str, degree: int,
                   carrier: GSet, slot_groups=None) -> UnitCochain:
-    """A ``trivial`` or ``table`` cochain spec over ``carrier``."""
+    """A ``trivial`` or ``table`` cochain spec over ``carrier``, of at most
+    ``_BOUNDS["cochain entries"]`` entries.  Past degree 20 no table over a
+    nontrivial group is within that bound, so a larger degree is refused
+    before its slots are listed."""
     root = _bounded(spec, "root_order", name)
+    if slot_groups is None and degree > 20:
+        raise ValueError(f"cochain degree must be at most 20, got {degree}")
+    groups = slot_groups or (carrier.group,) * degree
+    want = _within("cochain entries",
+                   prod(g.order for g in groups) * carrier.size)
     if kind == "trivial":
         return UnitCochain.trivial(degree, carrier, root,
                                    slot_groups=slot_groups)
-    groups = slot_groups or (carrier.group,) * degree
-    shape = tuple(g.order for g in groups) + (carrier.size,)
     flat = _field(spec, "exponents", name)
-    want = prod(shape)
     if len(flat) != want:
         raise ValidationError(
             f"entity {name!r}: exponent table has {len(flat)} entries, "
@@ -200,6 +215,7 @@ def _build_cochain(name: str, spec: dict, cfg: SessionConfig) -> UnitCochain:
     kind = _spec_type(spec, name, ("trivial", "cyclic_rep", "table"))
     if kind == "cyclic_rep":
         grp = _ref(cfg, "groups", spec, "group", name)
+        _within("cochain entries", grp.order ** 3)
         omega = _wrap_build(name, omega_cyclic, grp.order,
                             int(_field(spec, "s", name)))
         if omega.group != grp:
@@ -279,11 +295,7 @@ def _build_bimodcat(name: str, spec: dict,
                            _ref(cfg, "modcats", spec, "modcat", name),
                            left, right)
     x = _ref(cfg, "gsets", spec, "gset", name)
-    if x.group.order != left.group.order * right.group.order \
-            or x.group != direct_product(left.group, right.group):
-        raise ValidationError(f"entity {name!r}: carrier must be a G x H set "
-                              f"(product encoding)")
-    x_g, x_h = restrict_to_factors(x, left.group, right.group)
+    x_g, x_h = _wrap_build(name, restrict_to_factors, x, left.group, right.group)
     psi = _read_cochain(name, _field(spec, "psi", name), "table", 2, x_g)
     phi = _read_cochain(name, _field(spec, "phi", name), "table", 2, x_h)
     omid = _read_cochain(name, _field(spec, "omega_mid", name), "table", 2,

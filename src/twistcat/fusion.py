@@ -7,7 +7,7 @@ sign-valued.
 """
 from __future__ import annotations
 
-from .algebra import FiniteGroup, characters
+from .algebra import FiniteGroup, _assemble, characters
 from .cohomology import UnitCochain, _unravel, differential
 from .errors import NotCocycle, NotNormalized, NotSpherical, UndefinedLabels
 from .scalar import Scalar, Unit
@@ -25,8 +25,8 @@ __all__ = [
 class FusionData:
     """A group G, a normalized 3-cocycle omega, and a character kappa.
 
-    Everything is validated at construction: omega must be a normalized
-    cocycle on a point carrier, kappa a homomorphism into roots of unity.
+    The constructor checks that omega is a normalized point-carrier cocycle
+    and kappa a character; the structures derived from checked ones skip it.
     """
 
     __slots__ = ("group", "omega", "kappa", "spherical")
@@ -92,15 +92,15 @@ def pivotal_structures(group: FiniteGroup, omega: UnitCochain) -> list[FusionDat
     Every homomorphism G -> U(1) has values in the exp(G)-th roots of unity,
     so this is the complete list of pivotal structures.
     """
-    return [FusionData(group, omega, chi)
-            for chi in characters(group, group.exponent())]
+    first, *rest = characters(group, group.exponent())
+    return [FusionData(group, omega, first)] + [
+        _assemble(FusionData, group=group, omega=omega, kappa=chi,
+                  spherical=_sign_valued(chi)) for chi in rest]
 
 
 def spherical_structures(group: FiniteGroup, omega: UnitCochain) -> list[FusionData]:
-    """The pivotal structures with a sign-valued character; only those are
-    built, so omega is checked once per spherical structure."""
-    return [FusionData(group, omega, chi)
-            for chi in characters(group, group.exponent()) if _sign_valued(chi)]
+    """The pivotal structures with a sign-valued character."""
+    return [f for f in pivotal_structures(group, omega) if f.spherical]
 
 
 def eval_coev(fusion: FusionData, g: int) -> tuple[Scalar, Scalar, Scalar, Scalar]:

@@ -27,6 +27,7 @@ from .algebra import (
     restrict_to_factors,
     solve_mod,
     _conjugates,
+    _assemble,
     _check_quotient_index,
     _kernel_mod_basis,
     _kernel_mod_coords,
@@ -376,10 +377,7 @@ def regular_module_category(fusion: FusionData) -> ModuleCategoryData:
     exps = [om[(g * m + h) * m + grp.op(grp.inv(grp.op(g, h)), y)]
             for g, h, y in itertools.product(range(m), repeat=3)]
     psi = UnitCochain.from_flat(2, reg, fusion.omega.root_order, exps)
-    data = ModuleCategoryData(fusion, reg, psi)
-    report = validate_modcat(data)
-    assert report.ok, report.failures[:1]
-    return data
+    return ModuleCategoryData(fusion, reg, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +403,6 @@ class BimoduleCategoryData:
 
     def __post_init__(self):
         g_grp, h_grp = self.left.group, self.right.group
-        if self.X.group.order != g_grp.order * h_grp.order \
-                or self.X.group != direct_product(g_grp, h_grp):
-            raise ValueError("carrier must be a G x H set (product encoding)")
         for name, side in zip(("x_g", "x_h"),
                               restrict_to_factors(self.X, g_grp, h_grp)):
             object.__setattr__(self, name, side)
@@ -509,15 +504,17 @@ def validate_bimodcat(data: BimoduleCategoryData) -> ValidationReport:
 
 def product_fusion(left: FusionData, right: FusionData) -> FusionData:
     """The product category over G x H: the product 3-cocycle
-    (``cohomology.deligne_omega``) and the character
-    (g, h) -> kappa_G(g) * kappa_H(h)^-1."""
+    (``cohomology.deligne_omega``) and the character (g, h) ->
+    kappa_G(g) * kappa_H(h)^-1, sign-valued exactly when both factors are."""
     prod = direct_product(left.group, right.group)
     nk = lcm(left.kappa.root_order, right.kappa.root_order)
     el, er = left.kappa._scaled(nk), right.kappa._scaled(nk)
     e = [el[g] - er[h] for g in left.group.elements()
          for h in right.group.elements()]
-    return FusionData(prod, deligne_omega(left.omega, right.omega),
-                      UnitCochain.from_flat(1, point_gset(prod), nk, e))
+    return _assemble(FusionData, group=prod,
+                     omega=deligne_omega(left.omega, right.omega),
+                     kappa=UnitCochain.from_flat(1, point_gset(prod), nk, e),
+                     spherical=left.spherical and right.spherical)
 
 
 def bimod_to_deligne(data: BimoduleCategoryData) -> ModuleCategoryData:

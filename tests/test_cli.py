@@ -356,6 +356,16 @@ MALFORMED = {
     # past its bound a product group's table check grows as |G|^3
     "product group too large": (_example_with(
         "z2", lambda d: d["groups"]["H"].update(n=19)), "'GH'"),
+    # past their bounds a cochain table and a G-set's check run out of memory
+    "cochain table too large": ({
+        "groups": {"G": {"type": "cyclic", "n": 256}},
+        "cochains": {"c": {"type": "trivial", "degree": 4, "group": "G",
+                           "root_order": 1}}}, "'c'"),
+    "nested union too large": ({
+        "groups": {"G": {"type": "cyclic", "n": 2}},
+        "gsets": {"U0": {"type": "regular", "group": "G"}, **{
+            f"U{i}": {"type": "union", "parts": [f"U{i - 1}"] * 2}
+            for i in range(1, 25)}}}, "'U18'"),
 }
 
 

@@ -257,6 +257,20 @@ def test_the_product_category_has_one_home():
     assert not imported & {"differential", "product_embeddings"}
 
 
+def test_only_derived_constructions_skip_the_constructors_checks():
+    # algebra._assemble builds an instance without __init__; only the
+    # constructions whose parts are checked already call it, and the config
+    # parser, which reads unchecked input, never does
+    callers = _callers("_assemble")
+    assert callers == {("algebra.py", "cyclic_group"),
+                       ("algebra.py", "direct_product"),
+                       ("algebra.py", "point_gset"),
+                       ("algebra.py", "regular_gset"),
+                       ("fusion.py", "pivotal_structures"),
+                       ("modcat.py", "product_fusion")}
+    assert "cli.py" not in {module for module, _ in callers}
+
+
 def test_orbits_have_one_home():
     # GSet.orbit_data keeps each G-set's orbits, transversals and base-point
     # stabilizers; only the isomorphism search asks for the stabilizer of a

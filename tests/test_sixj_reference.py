@@ -26,6 +26,7 @@ from twistcat.cli import _all_contexts, parse_config
 from twistcat.cohomology import UnitCochain, differential, omega_cyclic
 from twistcat.errors import UndefinedLabels, ValidationError
 from twistcat.fusion import FusionData, spherical_structures
+from twistcat import modcat as modcat_module
 from twistcat.modcat import (BimoduleCategoryData, ModuleCategoryData,
                              ModuleTrace, product_fusion, bimod_to_deligne,
                              deligne_to_bimod, regular_module_category,
@@ -260,17 +261,16 @@ def test_bimodule_biedenharn_elliott_matches_the_dense_reference(example,
 
 
 def test_product_structure_is_built_once_per_bimodule(monkeypatch):
-    # its FusionData re-checks the product 3-cocycle, the costly part of the
-    # build: the context's trace, both sweeps and the validating conversion
-    # share one product structure
+    # the context's trace, both sweeps and the validating conversion share
+    # one product structure, so its product category is built once
     bim = _z3_bimodule()
-    build, calls = FusionData.__init__, []
+    build, calls = modcat_module.product_fusion, []
 
-    def counting(self, *args, **kwargs):
+    def counting(*args):
         calls.append(args)
-        build(self, *args, **kwargs)
+        return build(*args)
 
-    monkeypatch.setattr(FusionData, "__init__", counting)
+    monkeypatch.setattr(modcat_module, "product_fusion", counting)
     ctx = bimodule_context(bim)
     assert verify_orthogonality(ctx).ok
     assert verify_biedenharn_elliott(ctx).ok
