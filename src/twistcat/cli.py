@@ -92,13 +92,13 @@ def _field(spec: dict, name: str, entity: str):
     return spec[name]
 
 
-# The largest root order, cyclic group order, product group order, fusion
-# group order, cochain table and G-set check (|G|^2 steps a point) a config
-# may declare; past them one entity stalls the parse or the output
-# (docs/config_format.md).
-_BOUNDS = {"root_order": 360, "n": 256, "product group order": 36,
-           "fusion group order": 36, "cochain entries": 36 ** 4,
-           "G-set check |G|^2 |X|": 36 ** 4}
+# The largest root order, cyclic group order, group table (checked over
+# |G|^3 triples), product group order, fusion group order, cochain table and
+# G-set check (|G|^2 steps a point) a config may declare; past them one
+# entity stalls the parse or the output (docs/config_format.md).
+_BOUNDS = {"root_order": 360, "n": 256, "group table rows": 256,
+           "product group order": 36, "fusion group order": 36,
+           "cochain entries": 36 ** 4, "G-set check |G|^2 |X|": 36 ** 4}
 
 
 def _within(name: str, value: int, low: int = 1) -> int:
@@ -142,7 +142,9 @@ def _build_group(name: str, spec: dict, cfg: SessionConfig) -> FiniteGroup:
     if kind == "cyclic":
         return _wrap_build(name, cyclic_group, _bounded(spec, "n", name))
     if kind == "table":
-        return _wrap_build(name, FiniteGroup, _field(spec, "table", name))
+        table = _field(spec, "table", name)
+        _within("group table rows", len(table))
+        return _wrap_build(name, FiniteGroup, table)
     left = _ref(cfg, "groups", spec, "left", name)
     right = _ref(cfg, "groups", spec, "right", name)
     _within("product group order", left.order * right.order)
@@ -327,8 +329,8 @@ def _parse_matrix_table(name: str, raw: dict, label: str) -> dict:
             raise ParseError(
                 f"entity {name!r}: {label} key {key!r} is not 'g,x,y'")
         idx = tuple(int(p) for p in parts)
-        out[idx] = SMatrix([[_parse_scalar(v, name) for v in row]
-                            for row in mat])
+        out[idx] = _wrap_build(name, SMatrix, [
+            [_parse_scalar(v, name) for v in row] for row in mat])
     return out
 
 

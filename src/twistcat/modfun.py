@@ -434,6 +434,8 @@ def action_functor(data: ModuleCategoryData, base: int) -> ModuleFunctorData:
     f(z) = z . base with Lambda(g, z) = Psi(g, g^-1 z, z . base); the cochain
     condition follows from the twisted cocycle identity for Psi.
     """
+    if not 0 <= base < data.X.size:
+        raise ValueError(f"base point {base} is outside 0..{data.X.size - 1}")
     grp = data.fusion.group
     reg = regular_module_category(data.fusion)
     f = [data.X.apply(z, base) for z in grp.elements()]

@@ -26,7 +26,9 @@ reads the coherence side, once for all its labels.
 
 The symbols come with exact orthogonality and Biedenharn-Elliott checks:
 sums of products of symbols that must collapse to Kronecker patterns or to
-matching pentagon-type expansions.  All arithmetic is exact.
+matching pentagon-type expansions.  All arithmetic is exact.  Each check
+covers its whole label box (for a functor, the supported part of it), and
+its ``checked`` count is that box's size in closed form.
 
 The four scalar families share one layout (:class:`_ScalarLayout`), a table
 of exponents at one root order: three free labels determine the other three,
@@ -45,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import lcm, prod
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import (IndexOutOfRange, NoTrace, NotSpherical, ShapeMismatch,
                      UndefinedLabels, ValidationError)
@@ -446,35 +448,9 @@ def sixj_table(context: SixJContext, kind: str) -> list[dict]:
 # relation reports
 # ---------------------------------------------------------------------------
 
-def _in_scope(scope, tup) -> bool:
-    return scope is None or tup in scope
-
-
-def _normalize_scope(scope):
-    if scope is None:
-        return None
-    return {tuple(int(v) for v in t) for t in scope}
-
-
-def _box_count(box, scope) -> int:
-    """How many tuples of a label box a sweep checks: all of them, or the
-    scope tuples inside the box."""
-    if scope is None:
-        return prod(box)
-    return sum(len(t) == len(box)
-               and all(0 <= v < size for v, size in zip(t, box))
-               for t in scope)
-
-
-def _scope_count(scope, head, box) -> int:
-    """How many tuples head + t, t in the label box, are in scope."""
-    return prod(box) if scope is None else sum(
-        head + t in scope for t in itertools.product(*map(range, box)))
-
-
 # -- scalar relations -------------------------------------------------------
 
-def _orth_scalar(ctx: SixJContext, family: str, scope, log) -> int:
+def _orth_scalar(ctx: SixJContext, family: str, log) -> int:
     """Orthogonality of the fusion, m, n or b symbols.
 
     For each outer tuple (i, j, k, b, c, d) the sum over a of
@@ -483,43 +459,35 @@ def _orth_scalar(ctx: SixJContext, family: str, scope, log) -> int:
     factors vanish unless their labels compose, so the sum has at most one
     term, and only at a composed tuple with d = c; every other outer tuple
     sums to 0 as required.  Only the composed tuples are evaluated, but every
-    tuple of the outer box (or of the scope inside it) counts as checked.
+    tuple of the outer box counts as checked.
     """
     lay = _scalar_layout(ctx, family)
     name = f"orthogonality[{family}]"
     for (i, j, k), (a, b, c, e, e_inv) in lay.composed():
-        tup = (i, j, k, b, c, c)
-        if not _in_scope(scope, tup):
-            continue
         total = (lay.dim_a[a] + lay.dim_c[c] + e + e_inv) % lay.root
         if total:
-            log.add(name, tup, Unit(lay.root, total).to_scalar(),
-                    Scalar.from_rational(1))
+            log.add(name, (i, j, k, b, c, c),
+                    Unit(lay.root, total).to_scalar(), Scalar.from_rational(1))
     si, sj, sk, _, sb, sc = lay.sizes
-    return _box_count((si, sj, sk, sb, sc, sc), scope)
+    return si * sj * sk * sb * sc * sc
 
 
 def _pentagon(fus: _ScalarLayout, mod: _ScalarLayout, points, name: str,
-              tup, scope, log) -> int:
+              tup, log) -> None:
     """Biedenharn-Elliott for the m symbols of ``mod`` over the fusion
     symbols F of ``fus`` at each point (x0, i, j, l), the sum over f reduced
     to its one nonzero term at f = jl: with c = ij, d = cl, k = l.x0,
     a = f.x0 and b = d.x0, m(i,j,k,a,b,c) m(c,l,x0,k,b,d) must equal
-    kappa(f) F(i,j,l,f,d,c) m(j,l,x0,k,a,f) m(i,f,x0,a,b,d).  A point counts
-    when ``tup(x0, i, j, l, k)`` is in scope; a failure is logged under
-    ``name.format(x0)`` as products of the factors' Scalars.  The sides are
-    compared as exponent sums at the lcm of the two layouts' root orders."""
+    kappa(f) F(i,j,l,f,d,c) m(j,l,x0,k,a,f) m(i,f,x0,a,b,d).  A failure is
+    logged under ``name.format(x0)`` and the tuple ``tup(x0, i, j, l, k)``
+    as products of the factors' Scalars.  The sides are compared as
+    exponent sums at the lcm of the two layouts' root orders."""
     root = lcm(fus.root, mod.root)
     up_f, up_m = root // fus.root, root // mod.root
     n, nx, nf = mod.sizes[1], mod.sizes[2], fus.sizes[1]
     rows, fus_rows, fus_dim = mod.rows, fus.rows, fus.dim_a
-    checked = 0
     for x0, i, j, l in points:
         k, _, f, m_jl, _ = rows[(j * n + l) * nx + x0]
-        t = tup(x0, i, j, l, k)
-        if not _in_scope(scope, t):
-            continue
-        checked += 1
         c, m_ij = rows[(i * n + j) * nx + k][2:4]
         f_ijl = fus_rows[(i * nf + j) * nf + l][3]
         m_cl = rows[(c * n + l) * nx + x0][3]
@@ -529,12 +497,12 @@ def _pentagon(fus: _ScalarLayout, mod: _ScalarLayout, points, name: str,
             lhs = (Unit(mod.root, m_ij), Unit(mod.root, m_cl))
             rhs = (Unit(fus.root, fus_dim[f]), Unit(mod.root, m_if),
                    Unit(fus.root, f_ijl), Unit(mod.root, m_jl))
-            log.add(name.format(x0), t, prod(u.to_scalar() for u in lhs),
+            log.add(name.format(x0), tup(x0, i, j, l, k),
+                    prod(u.to_scalar() for u in lhs),
                     prod(u.to_scalar() for u in rhs))
-    return checked
 
 
-def _ber_fusion(ctx: SixJContext, scope, log) -> int:
+def _ber_fusion(ctx: SixJContext, log) -> int:
     """Biedenharn-Elliott for the fusion symbols over (i, j, k, m, n) in G^5:
     both sides vanish unless k = mn, so only the pentagon at base n = m^-1 k
     and l = m is evaluated, and every other tuple holds as 0 = 0."""
@@ -543,11 +511,11 @@ def _ber_fusion(ctx: SixJContext, scope, log) -> int:
     points = ((grp.op(grp.inv(m), k), i, j, m)
               for i, j, k, m in itertools.product(grp.elements(), repeat=4))
     _pentagon(lay, lay, points, "biedenharn-elliott[fusion]",
-              lambda x0, i, j, l, k: (i, j, k, l, x0), scope, log)
-    return _box_count((grp.order,) * 5, scope)
+              lambda x0, i, j, l, k: (i, j, k, l, x0), log)
+    return grp.order ** 5
 
 
-def _ber_bimodule(ctx: SixJContext, scope, log) -> int:
+def _ber_bimodule(ctx: SixJContext, log) -> int:
     """Biedenharn-Elliott for a bimodule category: the pentagon of its
     unvalidated product structure over K = G x H, with the bimodule trace,
     at every base x0 and (i, j, l) in K^3, reported as (i, j, l, l.x0)."""
@@ -555,10 +523,10 @@ def _ber_bimodule(ctx: SixJContext, scope, log) -> int:
     grp, x_set = product.fusion.group, product.X
     points = ((x0, i, j, l) for x0 in range(x_set.size)
               for i, j, l in itertools.product(grp.elements(), repeat=3))
-    return _pentagon(_scalar_layout(ctx, "fusion"),
-                     _scalar_layout(ctx, "m over K"), points,
-                     "biedenharn-elliott[m;base={}]",
-                     lambda x0, i, j, l, k: (i, j, l, k), scope, log)
+    _pentagon(_scalar_layout(ctx, "fusion"), _scalar_layout(ctx, "m over K"),
+              points, "biedenharn-elliott[m;base={}]",
+              lambda x0, i, j, l, k: (i, j, l, k), log)
+    return grp.order ** 3 * x_set.size
 
 
 # -- module-functor relations -----------------------------------------------
@@ -587,8 +555,7 @@ def _orth_term(ctx: SixJContext, side: CoherenceSide, log, name: str, tup,
         log.add(name, tup, product, SMatrix.identity(mat.nrows))
 
 
-def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
-                      log) -> int:
+def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, log) -> int:
     """Both displayed orthogonality forms for the s symbols of a side A or
     the t symbols of a side B, with g the acting element of l:
 
@@ -612,27 +579,24 @@ def _orth_matrix_pair(ctx: SixJContext, side: CoherenceSide, scope,
         for j, b in itertools.product(range(nx), range(ny)):
             a, c = y_set.apply(grp.inv(g), b), x_set.apply(g, j)
             if mult[j * ny + a]:
-                checked += _scope_count(scope, (l, j, b), (nx, nx))
-                if _in_scope(scope, (l, j, b, c, c)):
-                    _orth_term(ctx, side, log, name, (l, j, b, c, c),
-                               (l, j, a, b, c), True)
+                checked += nx * nx
+                _orth_term(ctx, side, log, name, (l, j, b, c, c),
+                           (l, j, a, b, c), True)
 
     name = f"orthogonality[{kind};c-sum]"
     for l in grp.elements():
         g = side.acting(l)
         for j in range(nx):
             row = [a for a in range(ny) if mult[j * ny + a]]
-            for a, d in itertools.product(row, repeat=2):
-                checked += _scope_count(scope, (l, j, a, d), (ny,))
+            checked += len(row) ** 2 * ny
             for a in row:
                 b = y_set.apply(g, a)
-                if _in_scope(scope, (l, j, a, a, b)):
-                    _orth_term(ctx, side, log, name, (l, j, a, a, b),
-                               (l, j, a, b, x_set.apply(g, j)), False)
+                _orth_term(ctx, side, log, name, (l, j, a, a, b),
+                           (l, j, a, b, x_set.apply(g, j)), False)
     return checked
 
 
-def _ber_functor(ctx: SixJContext, scope, log) -> int:
+def _ber_functor(ctx: SixJContext, log) -> int:
     """The displayed Biedenharn-Elliott relation for module functors at each
     supported (i, j, l, k): with c = ij, d = c.l, mm = j.l, a = j.k, b = i.a,
     m_target(i,j,k,a,b,c) s(c,l,k,b,d) against dim(mm) s(j,l,k,a,mm)
@@ -645,13 +609,10 @@ def _ber_functor(ctx: SixJContext, scope, log) -> int:
     side = _side(ctx, "s")
     grp, x_set, y_set, f = side.group, side.source, side.target, side.functor
     src, tgt = ctx.source_trace.unit, ctx.target_trace.unit
-    checked = 0
+    support = f.support()
     for i, j in itertools.product(grp.elements(), repeat=2):
         instance = composition(side, i, j)
-        for l, k in f.support():
-            if not _in_scope(scope, (i, j, l, k)):
-                continue
-            checked += 1
+        for l, k in support:
             if instance(l, k) is None:
                 continue
             c, mm, a = grp.op(i, j), x_set.apply(j, l), y_set.apply(j, k)
@@ -669,71 +630,62 @@ def _ber_functor(ctx: SixJContext, scope, log) -> int:
                     rhs = str(exc)
             if lhs != rhs:
                 log.add("biedenharn-elliott[s]", (i, j, l, k), lhs, rhs)
-    return checked
+    return grp.order ** 2 * len(support)
 
 
 # ---------------------------------------------------------------------------
 # public verification entry points
 # ---------------------------------------------------------------------------
 
-def verify_orthogonality(context: SixJContext,
-                         scope: Optional[Sequence] = None) -> ValidationReport:
+def verify_orthogonality(context: SixJContext) -> ValidationReport:
     """Check every orthogonality identity the context supports.
 
-    ``scope`` optionally restricts to an explicit set of outer label
-    tuples; the default covers all of them.  ``checked`` counts the outer
-    tuples: |G|^6 for a fusion context, and for a bimodule context the sum
-    of the m, n and b boxes, a scope tuple counting once for each box that
-    contains it.  A scalar sum has at most one nonzero term, so only the
-    composed tuples are evaluated; every other tuple holds as 0 = 0.  The
-    scalar identities reduce to dim(a)^2 dim(c)^2 = 1: they detect kappa or
-    trace values that are not signs, never a defect of omega, Psi, Phi or
-    Omega.  A functor context counts, per side, the supported
-    (l, j, b, c, d) of the a-sum and (l, j, a, d, b) of the c-sum; each sum
-    has one term per composed label, reducing to T^-1 T = I and
-    tgt(a)^2 src(c)^2 = 1.  So they see only singular A blocks (in the s
-    forms) and singular B blocks (in the t forms); a wrong but invertible
-    block shows in Biedenharn-Elliott (A) or in validate_bimodfun (A and B).
+    ``checked`` counts the outer tuples: |G|^6 for a fusion context, and for
+    a bimodule context the sum of the m, n and b boxes.  A scalar sum has at
+    most one nonzero term, so only the composed tuples are evaluated; every
+    other tuple holds as 0 = 0.  The scalar identities reduce to
+    dim(a)^2 dim(c)^2 = 1: they detect kappa or trace values that are not
+    signs, never a defect of omega, Psi, Phi or Omega.  A functor context
+    counts, per side, the supported (l, j, b, c, d) of the a-sum and
+    (l, j, a, d, b) of the c-sum; each sum has one term per composed label,
+    reducing to T^-1 T = I and tgt(a)^2 src(c)^2 = 1.  So they see only
+    singular A blocks (in the s forms) and singular B blocks (in the t
+    forms); a wrong but invertible block shows in Biedenharn-Elliott (A) or
+    in validate_bimodfun (A and B).
     """
-    scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)
     if context.fusion is not None:
-        checked = _orth_scalar(context, "fusion", scope, log)
+        checked = _orth_scalar(context, "fusion", log)
     elif context.bimodule is not None:
-        checked = sum(_orth_scalar(context, family, scope, log)
-                      for family in "mnb")
+        checked = sum(_orth_scalar(context, family, log) for family in "mnb")
     elif context.functor is not None:
-        checked = sum(_orth_matrix_pair(context, side, scope, log)
+        checked = sum(_orth_matrix_pair(context, side, log)
                       for side in context.sides)
     else:
         raise ValueError("empty 6j context")
     return log.report(checked)
 
 
-def verify_biedenharn_elliott(
-        context: SixJContext,
-        scope: Optional[Sequence] = None) -> ValidationReport:
+def verify_biedenharn_elliott(context: SixJContext) -> ValidationReport:
     """Check every Biedenharn-Elliott identity the context supports.
 
-    Fusion contexts count |G|^5 tuples (or the scope inside G^5) and
-    evaluate those with n = m^-1 k; they detect a non-cocycle omega and
-    kappa values that are not signs.  Bimodule contexts count |K|^3 |X|
-    tuples (i, j, l, l.x0), K = G x H, a scope tuple once per base giving
-    it; a broken Psi, Phi or Omega shows as failures.  Both are the module
+    Fusion contexts count |G|^5 tuples and evaluate those with n = m^-1 k;
+    they detect a non-cocycle omega and kappa values that are not signs.
+    Bimodule contexts count |K|^3 |X| tuples (i, j, l, l.x0), K = G x H; a
+    broken Psi, Phi or Omega shows as failures.  Both are the module
     pentagon (:func:`_pentagon`).  Functor contexts count the (i, j, l, k)
-    with (l, k) supported (or those in scope) and check the displayed mixed
-    relation, which is A's composition rule: a wrong A block and an m that
-    is not invariant fail it.  The composition law of a bimodule functor's
-    right-action matrices is part of validate_bimodfun instead.
+    with (l, k) supported and check the displayed mixed relation, which is
+    A's composition rule: a wrong A block and an m that is not invariant
+    fail it.  The composition law of a bimodule functor's right-action
+    matrices is part of validate_bimodfun instead.
     """
-    scope = _normalize_scope(scope)
     log = FailureLog(key="kind", fmt=repr)
     if context.fusion is not None:
-        checked = _ber_fusion(context, scope, log)
+        checked = _ber_fusion(context, log)
     elif context.bimodule is not None:
-        checked = _ber_bimodule(context, scope, log)
+        checked = _ber_bimodule(context, log)
     elif context.functor is not None:
-        checked = _ber_functor(context, scope, log)
+        checked = _ber_functor(context, log)
     else:
         raise ValueError("empty 6j context")
     return log.report(checked)

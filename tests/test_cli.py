@@ -21,8 +21,9 @@ from click.testing import CliRunner
 from twistcat.algebra import cyclic_group, point_gset
 from twistcat.cli import SessionConfig, main
 from twistcat.cohomology import UnitCochain
-from twistcat.fusion import FusionData
-from twistcat.sixj import fusion_context, verify_biedenharn_elliott
+from twistcat.sixj import fusion_context
+
+from sixj_dense import corrupted_fusion, dense_biedenharn_elliott
 
 HERE = pathlib.Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -276,18 +277,16 @@ def test_cosets_of_a_non_subgroup_exit_1(tmp_path, subgroup):
 def test_verify_prints_the_exact_failure_total(monkeypatch, tmp_path):
     # a config whose fusion carries a random, non-cocycle omega (constructed
     # past validation, which a parsed config never skips) fails more
-    # Biedenharn-Elliott tuples than the report keeps as samples
+    # Biedenharn-Elliott tuples than the report keeps as samples; the total
+    # is counted with single-tuple sweeps of the dense reference
     grp = cyclic_group(3)
     exps = np.random.default_rng(3).integers(0, 3, size=(3, 3, 3, 1))
-    bad = object.__new__(FusionData)
-    object.__setattr__(bad, "group", grp)
-    object.__setattr__(bad, "omega", UnitCochain(3, point_gset(grp), 3, exps))
-    object.__setattr__(bad, "kappa", UnitCochain.trivial(1, point_gset(grp), 1))
-    object.__setattr__(bad, "spherical", True)
+    bad = corrupted_fusion(grp, UnitCochain(3, point_gset(grp), 3, exps),
+                           UnitCochain.trivial(1, point_gset(grp), 1))
     monkeypatch.setattr("twistcat.cli.parse_config",
                         lambda path: SessionConfig(fusions={"F": bad}))
     ctx = fusion_context(bad)
-    total = sum(not verify_biedenharn_elliott(ctx, scope=[tup]).ok
+    total = sum(not dense_biedenharn_elliott(ctx, [tup]).ok
                 for tup in itertools.product(range(3), repeat=5))
     assert total > 20
 
@@ -356,6 +355,9 @@ MALFORMED = {
     # past its bound a product group's table check grows as |G|^3
     "product group too large": (_example_with(
         "z2", lambda d: d["groups"]["H"].update(n=19)), "'GH'"),
+    # past its bound a group table's associativity check grows as |G|^3
+    "group table too large": ({"groups": {"T": {"type": "table", "table": [
+        [(g + h) % 257 for h in range(257)] for g in range(257)]}}}, "'T'"),
     # past their bounds a cochain table and a G-set's check run out of memory
     "cochain table too large": ({
         "groups": {"G": {"type": "cyclic", "n": 256}},
@@ -384,6 +386,31 @@ def test_malformed_scalar_field_exits_2_naming_the_entity(case, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("parse error:")
     assert entity in proc.stderr
+
+
+@pytest.mark.parametrize("base", [99, -1])
+def test_action_functor_base_point_out_of_range_exits_1(tmp_path, base):
+    cfg = tmp_path / "base.json"
+    cfg.write_text(json.dumps(_example_with(
+        "z2", lambda d: d["functors"]["act0"].update(base=base))))
+    result = _invoke(cfg, "validate")
+    assert result.exit_code == 1
+    assert result.stderr == (f"validation error: entity 'act0': base point "
+                             f"{base} is outside 0..1\n")
+
+
+@pytest.mark.parametrize("block,message", [
+    ([[]], "matrix must have positive dimensions"),
+    ([[1, 0], [1]], "rows have inconsistent lengths"),
+])
+def test_malformed_matrix_block_exits_1_naming_the_entity(tmp_path, block,
+                                                          message):
+    cfg = tmp_path / "block.json"
+    cfg.write_text(json.dumps(_example_with(
+        "z2", lambda d: d["functors"]["idM"]["a"].update({"0,0,0": block}))))
+    result = _invoke(cfg, "validate")
+    assert result.exit_code == 1
+    assert result.stderr == f"validation error: entity 'idM': {message}\n"
 
 
 def test_unknown_entity_argument_exits_2():

@@ -40,7 +40,8 @@ from twistcat.sixj import (
     verify_orthogonality,
 )
 
-from sixj_dense import corrupted_fusion
+from sixj_dense import (corrupted_fusion, dense_biedenharn_elliott,
+                        dense_orthogonality)
 
 G2 = cyclic_group(2)
 C1 = cyclic_group(1)
@@ -112,16 +113,6 @@ def test_trivial_group_context_is_a_point():
     assert verify_biedenharn_elliott(ctx).ok
 
 
-def test_verification_scope_restricts_the_sweep():
-    fus = FusionData(G2, omega_cyclic(2, 1), triv_kappa(G2))
-    ctx = fusion_context(fus)
-    assert verify_orthogonality(ctx).checked == 64
-    narrowed = verify_orthogonality(ctx, scope={(0, 0, 0, 0, 0, 0)})
-    assert narrowed.checked == 1 and narrowed.ok
-    ber = verify_biedenharn_elliott(ctx, scope={(1, 1, 1, 1, 1)})
-    assert ber.checked == 1 and ber.ok
-
-
 def test_fusion_negative_control_rejects_non_cocycle():
     bad_exps = np.zeros((2, 2, 2, 1), dtype=np.int64)
     bad_exps[1, 1, 1, 0] = 1
@@ -149,25 +140,27 @@ def _scaled_identity_functor():
 
 @pytest.mark.parametrize("case", ["fusion-omega", "fusion-kappa", "functor"])
 def test_relation_reports_count_every_failing_tuple(case):
-    # the sweep's total equals the number of failing single-tuple sweeps,
-    # with 20 of them kept as samples
+    # the sweep's total equals the number of tuples at which a single-tuple
+    # dense reference sweep fails, with 20 of them kept as samples
     if case == "fusion-omega":
         exps = np.random.default_rng(3).integers(0, 3, size=(3, 3, 3, 1))
         ctx = fusion_context(corrupted_fusion(
             G3, UnitCochain(3, point_gset(G3), 3, exps), triv_kappa(G3)))
-        verify, tuples = verify_biedenharn_elliott, itertools.product(
-            range(3), repeat=5)
+        verify, dense, tuples = (verify_biedenharn_elliott,
+                                 dense_biedenharn_elliott,
+                                 itertools.product(range(3), repeat=5))
     elif case == "fusion-kappa":
         kappa = UnitCochain(1, point_gset(G3), 9, np.array([[0], [1], [2]]))
         ctx = fusion_context(corrupted_fusion(G3, omega_cyclic(3, 1), kappa))
-        verify, tuples = verify_orthogonality, itertools.product(
-            range(3), repeat=6)
+        verify, dense, tuples = (verify_orthogonality, dense_orthogonality,
+                                 itertools.product(range(3), repeat=6))
     else:
         ctx = functor_context(_scaled_identity_functor())
-        verify, tuples = verify_biedenharn_elliott, itertools.product(
-            range(4), repeat=4)
+        verify, dense, tuples = (verify_biedenharn_elliott,
+                                 dense_biedenharn_elliott,
+                                 itertools.product(range(4), repeat=4))
     report = verify(ctx)
-    singles = sum(not verify(ctx, scope=[tup]).ok for tup in tuples)
+    singles = sum(not dense(ctx, [tup]).ok for tup in tuples)
     assert singles > 20
     assert not report.ok and report.failed == singles
     assert len(report.failures) == 20

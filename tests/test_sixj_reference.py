@@ -3,10 +3,10 @@
 ``sixj_dense`` loops over every label of the fusion and bimodule symbols and
 over every candidate middle label of the functor symbols; ``twistcat.sixj``
 visits only the composed label tuples.  The two must agree report for
-report -- checked and failed counts, failing tuples and their order, printed
-values -- on valid data, on corrupted omega, kappa, trace and bimodule
-cochains, on corrupted and singular coherence blocks, and under explicit
-scopes.  A last matrix pins which relation detects which kind of corruption.
+report -- checked and failed counts, every failing tuple and its order,
+printed values -- on valid data, on corrupted omega, kappa, trace and
+bimodule cochains, and on corrupted and singular coherence blocks.  A last
+matrix pins which relation detects which kind of corruption.
 """
 import functools
 import importlib
@@ -27,10 +27,10 @@ from twistcat.cohomology import UnitCochain, differential, omega_cyclic
 from twistcat.errors import UndefinedLabels, ValidationError
 from twistcat.fusion import FusionData, spherical_structures
 from twistcat import modcat as modcat_module
-from twistcat.modcat import (BimoduleCategoryData, ModuleCategoryData,
-                             ModuleTrace, product_fusion, bimod_to_deligne,
-                             deligne_to_bimod, regular_module_category,
-                             validate_bimodcat)
+from twistcat.modcat import (BimoduleCategoryData, FailureLog,
+                             ModuleCategoryData, ModuleTrace, product_fusion,
+                             bimod_to_deligne, deligne_to_bimod,
+                             regular_module_category, validate_bimodcat)
 from twistcat.modfun import (BimoduleFunctorData, ModuleFunctorData,
                              deligne_to_bimodfun, direct_sum,
                              identity_functor, validate_bimodfun,
@@ -60,6 +60,13 @@ def _random_omega(grp, root, seed):
     return UnitCochain(3, point_gset(grp), root, exps)
 
 
+@pytest.fixture(autouse=True)
+def every_failure(monkeypatch):
+    """Keep every failure as a sample, so that reports are compared on every
+    failing tuple and not only on the first few."""
+    monkeypatch.setattr(FailureLog, "MAX_FAILURES", 10 ** 9)
+
+
 def assert_same_report(new, ref, root_order_may_differ=False):
     """Counts, tuples, kinds and printed values agree.
 
@@ -68,6 +75,7 @@ def assert_same_report(new, ref, root_order_may_differ=False):
     not a sign, printed at the reduced order of its one unit product).
     """
     assert (new.checked, new.failed) == (ref.checked, ref.failed)
+    assert len(new.failures) == new.failed
     assert ([(f["kind"], f["tuple"], f["rhs"]) for f in new.failures]
             == [(f["kind"], f["tuple"], f["rhs"]) for f in ref.failures])
     for got, want in zip(new.failures, ref.failures):
@@ -78,11 +86,10 @@ def assert_same_report(new, ref, root_order_may_differ=False):
             assert got["lhs"] == want["lhs"]
 
 
-def _both(ctx, scope=None):
+def _both(ctx):
     """(new, dense) report pairs of every scalar relation of a context."""
-    return [(verify_orthogonality(ctx, scope), dense_orthogonality(ctx, scope)),
-            (verify_biedenharn_elliott(ctx, scope),
-             dense_biedenharn_elliott(ctx, scope))]
+    return [(verify_orthogonality(ctx), dense_orthogonality(ctx)),
+            (verify_biedenharn_elliott(ctx), dense_biedenharn_elliott(ctx))]
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +133,18 @@ def test_corrupted_omega_matches_the_dense_reference(n, seed):
     assert orth.ok
     assert not ber.ok
     assert_same_report(orth, orth_ref)
+    assert_same_report(ber, ber_ref)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_corrupted_omega_and_kappa_match_the_dense_reference(seed):
+    # a random omega over a kappa that is not a sign: both relations fail
+    grp = cyclic_group(3)
+    bad = corrupted_fusion(grp, _random_omega(grp, 3, seed),
+                           _kappa(grp, 3, [0, 1, 2]))
+    (orth, orth_ref), (ber, ber_ref) = _both(fusion_context(bad))
+    assert orth.failed and ber.failed
+    assert_same_report(orth, orth_ref, root_order_may_differ=True)
     assert_same_report(ber, ber_ref)
 
 
@@ -312,7 +331,8 @@ def test_nonabelian_bimodule_biedenharn_elliott_matches_the_dense_reference():
     # K = S3 x S3 on six points, 36^3 * 6 pentagon points: the first
     # bimodule over groups that are not abelian, so ij and ji differ.  The
     # dense sweep sums over all of K at each point, so a bumped Omega is
-    # compared on 300 random points and the sampled failures
+    # swept in full and compared with the dense sweep on 300 random points
+    # and every failing tuple: the two fail at the same tuples, in order
     bim = _s3_regular_bimodule()
     ctx = bimodule_context(bim)
     report = verify_biedenharn_elliott(ctx)
@@ -320,14 +340,14 @@ def test_nonabelian_bimodule_biedenharn_elliott_matches_the_dense_reference():
     assert verify_orthogonality(ctx).ok
     bad = bimodule_context(
         _with(bim, omega_mid=_bump(bim.omega_mid, (1, 2, 3), 3)))
+    new = verify_biedenharn_elliott(bad)
+    assert new.checked == 279_936 and new.failed == len(new.failures) > 0
     rng = random.Random(0)
     scope = [tuple(rng.randrange(n) for n in (36, 36, 36, 6))
              for _ in range(300)]
-    scope += [f["tuple"] for f in verify_biedenharn_elliott(bad).failures]
-    new = verify_biedenharn_elliott(bad, scope)
+    scope += [f["tuple"] for f in new.failures]
     ref = dense_biedenharn_elliott(bad, scope)
-    assert new.failed and new.checked
-    assert_same_report(new, ref)
+    assert (ref.failed, ref.failures) == (new.failed, new.failures)
 
 
 @functools.cache
@@ -378,69 +398,7 @@ def test_random_scalar_contexts_match_the_dense_reference(family, data):
 
 
 # ---------------------------------------------------------------------------
-# explicit scopes
-# ---------------------------------------------------------------------------
-
-def _scope(rng, box, count):
-    """Random tuples of the box, a few outside it and a few too short."""
-    tuples = [tuple(rng.randrange(size) for size in box) for _ in range(count)]
-    tuples += [tuple(box), (0,) * (len(box) - 1),
-               (-1,) + (0,) * (len(box) - 1)]
-    return tuples
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_scoped_fusion_sweeps_match_the_dense_reference(seed):
-    rng = random.Random(seed)
-    grp = cyclic_group(3)
-    bad = corrupted_fusion(grp, _random_omega(grp, 3, seed),
-                           _kappa(grp, 3, [0, 1, 2]))
-    ctx = fusion_context(bad)
-    orth_scope = _scope(rng, (3,) * 6, 150)
-    # the composed orthogonality tuples, where the failures are
-    orth_scope += [(i, j, k, (i + j + k) % 3, (i + j) % 3, (i + j) % 3)
-                   for i, j, k in itertools.product(range(3), repeat=3)
-                   if rng.random() < 0.5]
-    ber_scope = _scope(rng, (3,) * 5, 150)
-    (orth, orth_ref), _ = _both(ctx, orth_scope)
-    _, (ber, ber_ref) = _both(ctx, ber_scope)
-    assert orth.failed and ber.failed
-    assert_same_report(orth, orth_ref, root_order_may_differ=True)
-    assert_same_report(ber, ber_ref)
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_scoped_bimodule_sweep_matches_the_dense_reference(seed):
-    # a scope tuple counts once for each family whose box contains it
-    rng = random.Random(seed)
-    ctx = _bimodule_cases("z2" if seed % 2 else "z3")["trace"]
-    scope = _scope(rng, (4,) * 6, 400)
-    new, ref = verify_orthogonality(ctx, scope), dense_orthogonality(ctx,
-                                                                     scope)
-    assert new.failed
-    assert_same_report(new, ref)
-
-
-@pytest.mark.parametrize("seed,case", [(0, "psi"), (1, "phi"), (2, "omega"),
-                                       (3, "psi")])
-def test_scoped_bimodule_biedenharn_elliott_matches_the_dense_reference(
-        seed, case):
-    # a scope tuple (i, j, l, k) counts once for each base x0 with l.x0 = k
-    rng = random.Random(seed)
-    example = "z2" if seed % 2 else "z3"
-    ctx = _bimodule_cases(example)[case]
-    box = {"z2": (4, 4, 4, 4), "z3": (9, 9, 9, 3)}[example]
-    scope = _scope(rng, box, 150)
-    # where the failures are
-    scope += [f["tuple"] for f in dense_biedenharn_elliott(ctx).failures]
-    new = verify_biedenharn_elliott(ctx, scope)
-    ref = dense_biedenharn_elliott(ctx, scope)
-    assert new.failed and new.checked
-    assert_same_report(new, ref)
-
-
-# ---------------------------------------------------------------------------
-# functor contexts: the functor report corpus, multiplicity-2 blocks, scopes
+# functor contexts: the functor report corpus, multiplicity-2 blocks
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", list(FUNCTOR_CASES))
@@ -470,43 +428,11 @@ def test_multiplicity_two_orthogonality_matches_the_dense_reference(
     assert_same_report(new, ref)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_scoped_functor_orthogonality_matches_the_dense_reference(seed):
-    # a scope tuple counts once for each form and side whose support holds it
-    rng = random.Random(seed)
-    name = next(n for n in FUNCTOR_CASES
-                if n.startswith("Z3xZ3") and "=0" in n)
-    ctx = functor_context(FUNCTOR_CASES[name])
-    scope = _scope(rng, (3, 9, 9, 9, 9), 200)
-    # where the failures are
-    scope += [f["tuple"] for f in dense_orthogonality(ctx).failures]
-    new = verify_orthogonality(ctx, scope)
-    ref = dense_orthogonality(ctx, scope)
-    assert new.failed and new.checked
-    assert_same_report(new, ref)
-
-
 @pytest.mark.parametrize("name", list(FUNCTOR_CASES))
 def test_functor_biedenharn_elliott_matches_the_dense_reference(name):
     ctx = functor_context(FUNCTOR_CASES[name])
     assert_same_report(verify_biedenharn_elliott(ctx),
                        dense_biedenharn_elliott(ctx))
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_scoped_functor_biedenharn_elliott_matches_the_dense_reference(seed):
-    # a scope tuple (i, j, l, k) counts once when (l, k) is supported
-    rng = random.Random(seed)
-    name = [n for n in FUNCTOR_CASES if n.startswith("Z3xZ3")
-            and "A[" in n][seed]
-    ctx = functor_context(FUNCTOR_CASES[name])
-    scope = _scope(rng, (3, 3, 9, 9), 200)
-    # where the failures are
-    scope += [f["tuple"] for f in dense_biedenharn_elliott(ctx).failures]
-    new = verify_biedenharn_elliott(ctx, scope)
-    ref = dense_biedenharn_elliott(ctx, scope)
-    assert new.failed and new.checked
-    assert_same_report(new, ref)
 
 
 def _non_invariant_functor(mult):
@@ -543,9 +469,6 @@ def test_non_invariant_multiplicities_fail_functor_biedenharn_elliott(mult,
     assert failing == list(rhs)
     assert verify_orthogonality(ctx).ok
     assert_same_report(report, dense_biedenharn_elliott(ctx))
-    scope = list(rhs)[:1] + [(0, 0, 0, 0), (1, 0, 1, 1), (0, 0, 0, 1)]
-    assert_same_report(verify_biedenharn_elliott(ctx, scope),
-                       dense_biedenharn_elliott(ctx, scope))
 
 
 def test_functor_orthogonality_evaluates_one_term_per_composed_label(
