@@ -350,6 +350,48 @@ def test_nonabelian_bimodule_biedenharn_elliott_matches_the_dense_reference():
     assert (ref.failed, ref.failures) == (new.failed, new.failures)
 
 
+@pytest.mark.parametrize("example,seed", [("z2", 0), ("z3", 1), ("z2", 2),
+                                          ("z3", 3)])
+def test_bimodule_with_every_cochain_bumped_matches_the_dense_reference(
+        example, seed):
+    # Psi, Phi and Omega each bumped at a random position and a trace value
+    # moved off its sign: both whole sweeps fail at many tuples at once
+    rng = random.Random(seed)
+    bim = _bimodule_cases(example)["valid"].bimodule
+    root = {"z2": 4, "z3": 9}[example]
+    bumped = {name: _bump(getattr(bim, name),
+                          tuple(rng.randrange(size)
+                                for size in getattr(bim, name).shape), root)
+              for name in ("psi", "phi", "omega_mid")}
+    bim = _with(bim, **bumped)
+    values = list(bimodule_context(bim).trace.values)
+    values[rng.randrange(len(values))] = Unit(root, rng.randrange(1, root))
+    ctx = SixJContext(bimodule=bim, trace=ModuleTrace(tuple(values)))
+    (orth, orth_ref), (ber, ber_ref) = _both(ctx)
+    assert orth.failed and ber.failed
+    assert_same_report(orth, orth_ref)
+    assert_same_report(ber, ber_ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_bimodule_traces_match_the_dense_reference(seed):
+    # one to three trace values set to random roots: orthogonality weighs
+    # each middle label by its trace, Biedenharn-Elliott cancels the trace
+    rng = random.Random(seed)
+    example = "z3" if seed % 2 else "z2"
+    valid = _bimodule_cases(example)["valid"]
+    values = list(valid.trace.values)
+    for x in rng.sample(range(len(values)), rng.randint(1, 3)):
+        root = rng.choice([3, 4, 6])
+        values[x] = Unit(root, rng.randrange(1, root))
+    ctx = SixJContext(bimodule=valid.bimodule,
+                      trace=ModuleTrace(tuple(values)))
+    (orth, orth_ref), (ber, ber_ref) = _both(ctx)
+    assert orth.failed and ber.ok
+    assert_same_report(orth, orth_ref)
+    assert_same_report(ber, ber_ref)
+
+
 @functools.cache
 def _valid_bimodule(example):
     return _bimodule_cases(example)["valid"].bimodule
@@ -426,6 +468,38 @@ def test_multiplicity_two_orthogonality_matches_the_dense_reference(
     new, ref = verify_orthogonality(ctx), dense_orthogonality(ctx)
     assert new.ok == (not singular)
     assert_same_report(new, ref)
+
+
+@pytest.mark.parametrize("n,singular", [(3, False), (4, False), (3, True)])
+def test_multiplicity_two_biedenharn_elliott_matches_the_dense_reference(
+        n, singular):
+    # the rank-one block breaks the composition rule at its instances
+    ctx = functor_context(_doubled_identity(n, singular))
+    new, ref = verify_biedenharn_elliott(ctx), dense_biedenharn_elliott(ctx)
+    assert new.ok == (not singular)
+    assert_same_report(new, ref)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_multiplicity_two_blocks_match_the_dense_reference(seed):
+    # two 2 x 2 blocks of id + id on the regular Z/3 category replaced by a
+    # root times a permutation and by a random integer matrix: the composition
+    # rule breaks, orthogonality fails only where the integer block is
+    # singular
+    rng = random.Random(seed)
+    f = _doubled_identity(3)
+    a = dict(f.a)
+    first, second = rng.sample(sorted(a), 2)
+    u = Unit(rng.choice([2, 3, 4]), 1).to_scalar()
+    zero = Scalar.zero()
+    a[first] = SMatrix([[zero, u], [u, zero]])
+    a[second] = SMatrix([[rng.randint(-2, 2) for _ in range(2)]
+                         for _ in range(2)])
+    ctx = functor_context(ModuleFunctorData(f.source, f.target, f.mult, a))
+    (orth, orth_ref), (ber, ber_ref) = _both(ctx)
+    assert not ber.ok
+    assert_same_report(orth, orth_ref)
+    assert_same_report(ber, ber_ref)
 
 
 @pytest.mark.parametrize("name", list(FUNCTOR_CASES))
